@@ -1,0 +1,11 @@
+"""Import path for the benchmark's own tests.
+
+Run from the repository root:  python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parent.parent / "src"))
