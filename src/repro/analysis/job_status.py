@@ -102,12 +102,12 @@ def job_status_breakdown(
 def _job_status_breakdown_columnar(trace: Trace) -> JobStatusBreakdown:
     import numpy as np
 
-    from repro.core.columns import JOB_STATES
+    from repro.core.columns import JOB_STATES, sequential_sum
 
     cols = trace.columns.jobs
     total_jobs = len(cols)
     gpu_seconds = cols.gpu_seconds
-    total_gpu_seconds = float(gpu_seconds.sum())
+    total_gpu_seconds = sequential_sum(gpu_seconds)
     if total_gpu_seconds <= 0:
         raise ValueError("trace has no scheduled GPU time")
     n_states = len(JOB_STATES)
@@ -130,5 +130,5 @@ def _job_status_breakdown_columnar(trace: Trace) -> JobStatusBreakdown:
             if counts[code]
         },
         hw_job_fraction=int(np.count_nonzero(hw)) / total_jobs,
-        hw_gpu_time_fraction=float(gpu_seconds[hw].sum()) / total_gpu_seconds,
+        hw_gpu_time_fraction=sequential_sum(gpu_seconds[hw]) / total_gpu_seconds,
     )

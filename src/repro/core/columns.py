@@ -133,6 +133,18 @@ def next_power_of_two(values: np.ndarray, minimum: int = 1) -> np.ndarray:
     return np.maximum(out.astype(np.int64), minimum)
 
 
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, ``((v0 + v1) + v2) + ...``.
+
+    ``np.sum`` adds pairwise and ``builtins.sum`` compensates on Python
+    3.12+, so either can differ from a running accumulator in the last
+    bit; ``np.cumsum`` is strictly sequential.  Totals that streaming
+    estimators also accumulate (GPU-seconds, node-days) use this so both
+    agree bit-for-bit.
+    """
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def _json_default(value: Any) -> Any:
     """JSON fallback for numpy scalars that may appear in event payloads."""
     if isinstance(value, np.integer):

@@ -180,18 +180,15 @@ def node_failure_rate(
     and E[ETTR].
 
     With ``columns`` the selection and node-day exposure run vectorized;
-    the masked sum uses pairwise accumulation, which may differ from the
-    sequential loop in the last ulp (figure assertions use bands, and
-    trace digests never include analysis output).
+    the exposure accumulates sequentially, like the rowwise loop, so both
+    paths agree bit-for-bit.
     """
     if columns is not None:
         mask = columns.n_gpus > min_gpus
-        node_days = float(
-            np.sum(
-                columns.runtime[mask]
-                / DAY
-                * columns.n_nodes[mask].astype(np.float64)
-            )
+        from repro.core.columns import sequential_sum
+
+        node_days = sequential_sum(
+            columns.runtime[mask] / DAY * columns.n_nodes[mask].astype(np.float64)
         )
         failures = int(
             np.count_nonzero(

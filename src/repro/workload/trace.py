@@ -125,7 +125,9 @@ class Trace:
     def total_gpu_seconds(self) -> float:
         cached = getattr(self, "_columns", None)
         if cached is not None:
-            return float(cached.jobs.gpu_seconds.sum())
+            from repro.core.columns import sequential_sum
+
+            return sequential_sum(cached.jobs.gpu_seconds)
         return sum(r.gpu_seconds for r in self.job_records)
 
     def node_record(self, node_id: int) -> NodeTraceRecord:
