@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench bench-smoke obs-smoke perf-smoke live-smoke chaos-smoke health-smoke serve-smoke backend-smoke
+.PHONY: test bench bench-smoke obs-smoke live-smoke chaos-smoke health-smoke serve-smoke backend-smoke
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests -q
@@ -16,15 +16,6 @@ bench:
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q \
 		-k "runtime_smoke" --benchmark-disable -s
-
-# Columnar pipeline acceptance: one RSC-1-like single-seed campaign,
-# simulated+analyzed on the legacy (scan + rowwise) arm and the fast
-# (incremental indices + columnar) arm; asserts bit-identical traces and
-# >=2x wall-clock, and appends the speedups to BENCH_runtime.json.
-# Budget is generous (two full simulations, ~1-2 minutes on one core).
-perf-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q \
-		-k "perf_smoke" --benchmark-disable -s
 
 # Observability smoke: runs one tiny instrumented campaign, checks that
 # every telemetry line parses (monotone sim-time per category), that the

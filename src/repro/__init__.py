@@ -17,7 +17,7 @@ The package has three layers:
 
 Execution is configured through one object — :class:`repro.RunOptions`
 — accepted uniformly by :func:`run_campaign`, :func:`run_campaigns`,
-the analysis entry points, and ``repro.live``; the resilient execution
+:class:`CampaignPool`, and ``repro.live``; the resilient execution
 layer (retry/backoff, chaos injection, crash-safe checkpointed sweeps)
 lives in :mod:`repro.resilience` and plugs in via
 ``RunOptions(resilience=..., checkpoint_dir=...)``.  *Where* sweep

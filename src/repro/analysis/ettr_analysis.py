@@ -17,7 +17,6 @@ from repro.core.ettr import ETTRParameters, expected_ettr
 from repro.core.metrics import ETTRAssumptions, job_run_ettr
 from repro.core.mttf import node_failure_rate, size_bucket
 from repro.jobtypes import QosTier
-from repro.options import RunOptions, UNSET, resolve_options
 from repro.sim.timeunits import DAY, HOUR
 from repro.stats.bootstrap import bootstrap_mean_ci
 from repro.workload.jobruns import JobRun, filter_runs, group_job_runs
@@ -83,15 +82,11 @@ def ettr_comparison(
     qos: Optional[QosTier] = QosTier.HIGH,
     min_runs_per_bucket: int = 2,
     use_ground_truth: bool = True,
-    options: Optional[RunOptions] = None,
-    *,
-    use_columns=UNSET,
 ) -> ETTRComparison:
     """Compute Fig. 9 from a trace.
 
-    ``use_columns`` vectorizes the r_f estimate over the trace's job
-    columns (run grouping stays rowwise — it builds JobRun objects);
-    ``False`` is the rowwise benchmark reference.
+    r_f is estimated over the trace's job columns; run grouping walks the
+    records, since it builds :class:`JobRun` objects.
     """
     if assumptions is None:
         assumptions = ETTRAssumptions()
@@ -105,19 +100,12 @@ def ettr_comparison(
             "no job runs pass the Fig. 9 cohort filter; relax "
             "min_total_runtime or qos"
         )
-    use_columns = resolve_options(
-        options, "ettr_comparison", use_columns=use_columns
-    ).use_columns
-    columns = trace.columns.jobs if use_columns else None
-    if columns is not None:
-        largest = int(columns.n_gpus.max())
-    else:
-        largest = max(r.n_gpus for r in trace.job_records)
+    columns = trace.columns.jobs
+    largest = int(columns.n_gpus.max())
     rf = node_failure_rate(
-        trace.job_records,
+        columns,
         min_gpus=min(128, max(8, largest // 2)),
         use_ground_truth=use_ground_truth,
-        columns=columns,
     ).rate
 
     by_bucket: Dict[int, List[JobRun]] = {}

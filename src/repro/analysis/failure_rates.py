@@ -11,7 +11,6 @@ from typing import Dict, Optional
 
 from repro.analysis.report import render_bars
 from repro.core.attribution import AttributionPolicy, FailureAttributor
-from repro.options import RunOptions, UNSET, resolve_options
 from repro.workload.trace import Trace
 
 PER_MILLION_GPU_HOURS = 1_000_000.0
@@ -45,21 +44,9 @@ class FailureRateTable:
 def attributed_failure_rates(
     trace: Trace,
     policy: Optional[AttributionPolicy] = None,
-    options: Optional[RunOptions] = None,
-    *,
-    use_columns=UNSET,
 ) -> FailureRateTable:
-    """Compute Fig. 4 from the trace's observables.
-
-    ``use_columns`` selects the columnar attribution engine (vectorized
-    health-event index, memoized attribute_all); ``False`` keeps the
-    rowwise engine that rebuilds the attribution per aggregate — the
-    benchmark reference path.
-    """
-    use_columns = resolve_options(
-        options, "attributed_failure_rates", use_columns=use_columns
-    ).use_columns
-    attributor = FailureAttributor(trace, policy, use_columns=use_columns)
+    """Compute Fig. 4 from the trace's observables."""
+    attributor = FailureAttributor(trace, policy)
     rates = attributor.failure_rate_by_component(
         per_gpu_hours=PER_MILLION_GPU_HOURS
     )

@@ -1,10 +1,9 @@
 """Fig. 8: lost cluster goodput from failures and preemption cascades."""
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.report import render_table
-from repro.options import RunOptions, UNSET, resolve_options
 from repro.core.goodput import (
     CrashLoop,
     GoodputLoss,
@@ -63,29 +62,17 @@ class GoodputLossAnalysis:
 def goodput_loss_analysis(
     trace: Trace,
     min_loop_interruptions: int = 5,
-    options: Optional[RunOptions] = None,
-    *,
-    use_columns=UNSET,
 ) -> GoodputLossAnalysis:
-    """Compute Fig. 8 from a trace.
-
-    ``use_columns`` routes the bucket sums and crash-loop tallies through
-    the trace's job columns; ``False`` is the rowwise reference path.
-    """
-    use_columns = resolve_options(
-        options, "goodput_loss_analysis", use_columns=use_columns
-    ).use_columns
-    columns = trace.columns.jobs if use_columns else None
-    losses = lost_goodput_by_size(trace.job_records, columns=columns)
+    """Compute Fig. 8 from the trace's job columns."""
+    columns = trace.columns.jobs
+    losses = lost_goodput_by_size(columns)
     share = second_order_fraction(losses) if losses else 0.0
     return GoodputLossAnalysis(
         cluster_name=trace.cluster_name,
         losses=losses,
         second_order_share=share,
         crash_loops=find_crash_loops(
-            trace.job_records,
-            min_interruptions=min_loop_interruptions,
-            columns=columns,
+            columns, min_interruptions=min_loop_interruptions
         ),
         total_gpu_hours_lost=sum(l.total_gpu_hours for l in losses),
     )

@@ -7,13 +7,11 @@ failures per 1000 node-days).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.job_sizes import job_size_distribution
 from repro.analysis.job_status import job_status_breakdown
 from repro.analysis.report import render_table
 from repro.core.mttf import node_failure_rate
-from repro.options import RunOptions, UNSET, resolve_options
 from repro.workload.trace import Trace
 
 
@@ -70,30 +68,17 @@ class HeadlineNumbers:
 def headline_numbers(
     trace: Trace,
     use_ground_truth: bool = True,
-    options: Optional[RunOptions] = None,
-    *,
-    use_columns=UNSET,
 ) -> HeadlineNumbers:
-    """Compute the headline scalars from a trace.
-
-    ``options.use_columns`` selects the vectorized path through the
-    figure helpers and r_f; ``False`` is the rowwise benchmark
-    reference.  The ``use_columns=`` keyword is the deprecated spelling.
-    """
-    opts = resolve_options(options, "headline_numbers", use_columns=use_columns)
-    status = job_status_breakdown(trace, options=opts)
-    sizes = job_size_distribution(trace, options=opts)
+    """Compute the headline scalars from a trace."""
+    status = job_status_breakdown(trace)
+    sizes = job_size_distribution(trace)
     utilization = trace.total_gpu_seconds() / (trace.n_gpus * trace.span_seconds)
-    columns = trace.columns.jobs if opts.use_columns else None
-    if columns is not None:
-        largest = int(columns.n_gpus.max())
-    else:
-        largest = max(r.n_gpus for r in trace.job_records)
+    columns = trace.columns.jobs
+    largest = int(columns.n_gpus.max())
     rf = node_failure_rate(
-        trace.job_records,
+        columns,
         min_gpus=min(128, max(8, largest // 2)),
         use_ground_truth=use_ground_truth,
-        columns=columns,
     )
     small_gpu_time = sum(
         f for s, f in sizes.compute_fraction.items() if s <= 8

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.report import render_table
-from repro.options import RunOptions, UNSET, resolve_options
-from repro.stats.quantiles import histogram_by_bucket, power_of_two_bucket
 from repro.workload.profiles import WorkloadProfile
 from repro.workload.trace import Trace
 
@@ -65,42 +63,16 @@ class JobSizeDistribution:
 def job_size_distribution(
     trace: Trace,
     profile: Optional[WorkloadProfile] = None,
-    options: Optional[RunOptions] = None,
-    *,
-    use_columns=UNSET,
 ) -> JobSizeDistribution:
     """Compute Fig. 6 from a trace (deduplicating attempts to jobs).
 
     Job fractions count each *logical job* once (by job id); compute
     fractions sum GPU time over all attempts, which is what the cluster
-    actually spent.
-
-    ``use_columns=True`` (default) deduplicates and buckets with array
-    reductions over the trace's job columns; ``use_columns=False`` keeps
-    the rowwise reference path.
+    actually spent.  Both are array reductions over the job columns.
     """
-    records = trace.job_records
-    if not records:
+    if not trace.job_records:
         raise ValueError("trace has no job records")
-    use_columns = resolve_options(
-        options, "job_size_distribution", use_columns=use_columns
-    ).use_columns
-    if use_columns:
-        job_hist, compute_hist = _size_histograms_columnar(trace)
-    else:
-        seen = {}
-        for record in records:
-            seen.setdefault(record.job_id, record.n_gpus)
-        job_hist = histogram_by_bucket(
-            list(seen.values()),
-            [1.0] * len(seen),
-            bucketer=lambda g: power_of_two_bucket(g, minimum=1),
-        )
-        compute_hist = histogram_by_bucket(
-            [r.n_gpus for r in records],
-            [r.gpu_seconds for r in records],
-            bucketer=lambda g: power_of_two_bucket(g, minimum=1),
-        )
+    job_hist, compute_hist = _size_histograms(trace)
     total_jobs = sum(job_hist.values())
     total_compute = sum(compute_hist.values())
     profile_jobs = profile_compute = None
@@ -116,7 +88,7 @@ def job_size_distribution(
     )
 
 
-def _size_histograms_columnar(trace: Trace):
+def _size_histograms(trace: Trace):
     """(job_hist, compute_hist) via array reductions, sorted-bucket keyed."""
     import numpy as np
 
@@ -124,7 +96,7 @@ def _size_histograms_columnar(trace: Trace):
 
     cols = trace.columns.jobs
     # First attempt per job id carries its size (np.unique's return_index
-    # points at first occurrences), matching the rowwise setdefault dedup.
+    # points at first occurrences).
     _, first_idx = np.unique(cols.job_id, return_index=True)
     job_buckets = next_power_of_two(cols.n_gpus[first_idx], minimum=1)
     uniq_j, counts_j = np.unique(job_buckets, return_counts=True)

@@ -7,10 +7,12 @@ that they are ~0.2% of jobs but ~19% of GPU runtime.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
+
+import numpy as np
 
 from repro.analysis.report import render_table
-from repro.options import RunOptions, UNSET, resolve_options
+from repro.core.columns import JOB_STATES, sequential_sum
 from repro.jobtypes import JobState
 from repro.workload.trace import Trace
 
@@ -51,59 +53,15 @@ class JobStatusBreakdown:
         return table + footer
 
 
-def job_status_breakdown(
-    trace: Trace,
-    options: Optional[RunOptions] = None,
-    *,
-    use_columns=UNSET,
-) -> JobStatusBreakdown:
+def job_status_breakdown(trace: Trace) -> JobStatusBreakdown:
     """Compute Fig. 3 from a trace's attempt records.
 
-    ``options`` (:class:`repro.RunOptions`) selects the execution path:
-    ``use_columns=True`` (default) aggregates per-state counts and GPU
-    time with ``np.bincount`` over the trace's typed job columns, the
-    rowwise loop is the benchmark reference.  Both include exactly the
-    states that occurred.  The ``use_columns=`` keyword is the
-    deprecated spelling.
+    Per-state counts and GPU time are ``np.bincount`` reductions over the
+    trace's typed job columns and include exactly the states that
+    occurred.  GPU-time totals accumulate sequentially in record order.
     """
-    opts = resolve_options(
-        options, "job_status_breakdown", use_columns=use_columns
-    )
-    use_columns = opts.use_columns
-    records = trace.job_records
-    if not records:
+    if not trace.job_records:
         raise ValueError("trace has no job records")
-    if use_columns:
-        return _job_status_breakdown_columnar(trace)
-    total_jobs = len(records)
-    total_gpu_seconds = sum(r.gpu_seconds for r in records)
-    if total_gpu_seconds <= 0:
-        raise ValueError("trace has no scheduled GPU time")
-    job_counts: Dict[JobState, int] = {}
-    gpu_time: Dict[JobState, float] = {}
-    hw_jobs = 0
-    hw_gpu_seconds = 0.0
-    for record in records:
-        job_counts[record.state] = job_counts.get(record.state, 0) + 1
-        gpu_time[record.state] = gpu_time.get(record.state, 0.0) + record.gpu_seconds
-        if record.is_hw_interruption:
-            hw_jobs += 1
-            hw_gpu_seconds += record.gpu_seconds
-    return JobStatusBreakdown(
-        cluster_name=trace.cluster_name,
-        n_records=total_jobs,
-        job_fraction={s: c / total_jobs for s, c in job_counts.items()},
-        gpu_time_fraction={s: t / total_gpu_seconds for s, t in gpu_time.items()},
-        hw_job_fraction=hw_jobs / total_jobs,
-        hw_gpu_time_fraction=hw_gpu_seconds / total_gpu_seconds,
-    )
-
-
-def _job_status_breakdown_columnar(trace: Trace) -> JobStatusBreakdown:
-    import numpy as np
-
-    from repro.core.columns import JOB_STATES, sequential_sum
-
     cols = trace.columns.jobs
     total_jobs = len(cols)
     gpu_seconds = cols.gpu_seconds

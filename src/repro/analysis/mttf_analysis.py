@@ -6,10 +6,9 @@ the paper's extrapolations to 16,384 and 131,072 GPUs.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.report import render_table
-from repro.options import RunOptions, UNSET, resolve_options
 from repro.core.mttf import (
     MTTFBucket,
     empirical_mttf_by_size,
@@ -80,40 +79,23 @@ def mttf_analysis(
     min_gpus_for_rate: int = 128,
     use_ground_truth: bool = True,
     projection_sizes: Sequence[int] = PROJECTION_SIZES,
-    options: Optional[RunOptions] = None,
-    *,
-    use_columns=UNSET,
 ) -> MTTFAnalysis:
-    """Compute Fig. 7 from a trace.
+    """Compute Fig. 7 from the trace's job columns.
 
     For scaled-down campaigns whose largest jobs do not reach 128 GPUs,
     ``min_gpus_for_rate`` falls back to half the largest observed size.
-    ``use_columns`` selects vectorized bucketing over the trace's job
-    columns; ``False`` is the rowwise benchmark reference.
     """
-    records = trace.job_records
-    if not records:
+    if not trace.job_records:
         raise ValueError("trace has no job records")
-    use_columns = resolve_options(
-        options, "mttf_analysis", use_columns=use_columns
-    ).use_columns
-    columns = trace.columns.jobs if use_columns else None
-    if columns is not None:
-        largest = int(columns.n_gpus.max())
-    else:
-        largest = max(r.n_gpus for r in records)
+    columns = trace.columns.jobs
+    largest = int(columns.n_gpus.max())
     floor = min_gpus_for_rate
     if largest <= floor:
         floor = max(8, largest // 2)
     rate = node_failure_rate(
-        records,
-        min_gpus=floor,
-        use_ground_truth=use_ground_truth,
-        columns=columns,
+        columns, min_gpus=floor, use_ground_truth=use_ground_truth
     )
-    buckets = empirical_mttf_by_size(
-        records, use_ground_truth=use_ground_truth, columns=columns
-    )
+    buckets = empirical_mttf_by_size(columns, use_ground_truth=use_ground_truth)
     projection = mttf_projection_curve(list(projection_sizes), rate.rate)
     return MTTFAnalysis(
         cluster_name=trace.cluster_name,

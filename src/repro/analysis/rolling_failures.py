@@ -8,12 +8,11 @@ episodic regimes (driver bug, mount wave, IB-link spike).
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.analysis.report import render_series
-from repro.options import RunOptions, UNSET, resolve_options
 from repro.sim.timeunits import DAY
 from repro.stats.rolling import rolling_rate
 from repro.workload.trace import Trace
@@ -59,47 +58,19 @@ def failure_rate_timeline(
     trace: Trace,
     window_days: float = None,
     step_days: float = 1.0,
-    options: Optional[RunOptions] = None,
-    *,
-    use_columns=UNSET,
 ) -> FailureRateTimeline:
     """Compute Fig. 5 from the trace's incident events.
 
     Failure events are ``cluster.incident`` records — the deduplicated,
     detection-level view (one event per incident regardless of how many
-    overlapping checks fired).
-
-    ``use_columns=True`` (default) filters incidents and first firings
-    with array masks over the trace's event columns instead of Python
-    loops over every event; ``False`` is the rowwise reference path.
+    overlapping checks fired), filtered with array masks over the
+    trace's event columns.
     """
     span_days = trace.span_seconds / DAY
     if window_days is None:
         # The paper's 30-day window on an 11-month span, proportionally.
         window_days = max(1.0, span_days * (30.0 / 330.0))
-    use_columns = resolve_options(
-        options, "failure_rate_timeline", use_columns=use_columns
-    ).use_columns
-    if use_columns:
-        times, comp_times_by_name, first_fire = _event_series_columnar(trace)
-    else:
-        incidents = [e for e in trace.events if e.kind == "cluster.incident"]
-        times = [e.time for e in incidents]
-        comp_times_by_name = {
-            component: [
-                e.time for e in incidents if e.data.get("component") == component
-            ]
-            for component in sorted(
-                {e.data.get("component", "?") for e in incidents}
-            )
-        }
-        first_fire = {}
-        for event in trace.events:
-            if event.kind != "health.check_failed":
-                continue
-            check = event.data.get("check")
-            if check not in first_fire:
-                first_fire[check] = event.time
+    times, comp_times_by_name, first_fire = _event_series(trace)
     grid, overall = rolling_rate(
         times,
         window=window_days * DAY,
@@ -137,12 +108,12 @@ def failure_rate_timeline(
     )
 
 
-def _event_series_columnar(trace: Trace):
+def _event_series(trace: Trace):
     """(incident_times, per-component times, first health firings).
 
-    Mirrors the rowwise filters exactly, including the quirk that the
-    ``"?"`` bucket (incidents without a component field) matches only
-    events whose component is literally ``"?"`` — i.e. it stays empty.
+    Incidents without a component field are listed under ``"?"``, a
+    bucket that matches only events whose component is literally ``"?"``
+    -- i.e. it stays empty.
     """
     ev = trace.columns.events
     inc = ev.mask_for_kind("cluster.incident")
@@ -166,6 +137,6 @@ def _event_series_columnar(trace: Trace):
         except ValueError:
             continue
         idx = np.flatnonzero(health & (ev.check_code == code))
-        if len(idx):  # stream order == the rowwise loop's first hit
+        if len(idx):  # stream order: the first firing
             first_fire[check] = float(ev.time[idx[0]])
     return times, comp_times_by_name, first_fire

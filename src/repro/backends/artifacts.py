@@ -124,10 +124,7 @@ class ArtifactStore:
 
     def has_digest(self, digest: str) -> bool:
         """Whether an entry file exists for ``digest`` (no verification)."""
-        return (
-            self._cache._entry_path(digest).exists()
-            or self._cache._legacy_path(digest).exists()
-        )
+        return self._cache._entry_path(digest).exists()
 
     def __contains__(self, digest: str) -> bool:
         return self.has_digest(digest)
@@ -143,7 +140,7 @@ class ArtifactStore:
             if not shard.is_dir():
                 continue
             for entry in sorted(shard.iterdir()):
-                if entry.suffix in (".npz", ".pkl"):
+                if entry.suffix == ".npz":
                     yield entry.stem
 
     # ------------------------------------------------------------------

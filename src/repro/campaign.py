@@ -18,7 +18,7 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.obs.spans import maybe_span
-from repro.options import DEFAULT_OPTIONS, RunOptions, UNSET, resolve_options
+from repro.options import DEFAULT_OPTIONS, RunOptions
 from repro.scheduler.engine import SlurmLikeScheduler
 from repro.scheduler.quota import QuotaManager
 from repro.sim.engine import Engine
@@ -96,17 +96,13 @@ class Campaign:
         self,
         config: CampaignConfig,
         telemetry: Optional["Telemetry"] = None,
-        incremental_indices: Optional[bool] = None,
         options: Optional["RunOptions"] = None,
     ):
-        # Campaign is the low-level runner object; its explicit keywords
-        # stay supported (no deprecation), with ``options`` filling any
-        # that were not passed.
+        # Campaign is the low-level runner object; its explicit telemetry
+        # keyword stays supported, with ``options`` filling it when absent.
         opts = options if options is not None else DEFAULT_OPTIONS
         if telemetry is None:
             telemetry = opts.telemetry
-        if incremental_indices is None:
-            incremental_indices = opts.incremental_indices
         self.config = config
         #: Observability bundle (repro.obs.Telemetry).  Deliberately NOT a
         #: CampaignConfig field: telemetry must never influence the cache
@@ -115,18 +111,12 @@ class Campaign:
         self.engine = Engine(telemetry=telemetry)
         self.rngs = RngStreams(config.seed)
         self.event_log = EventLog()
-        # incremental_indices=False runs the whole cluster/scheduler stack
-        # on the pre-index O(N)-scan reference path.  Like telemetry it is
-        # a runner argument, not a config field: both paths must produce
-        # bit-identical traces (the benchmarks assert exactly that), so it
-        # must never reach the cache key.
         self.cluster = Cluster(
             config.cluster_spec,
             self.engine,
             self.rngs,
             event_log=self.event_log,
             telemetry=telemetry,
-            incremental_indices=incremental_indices,
         )
         placement = None
         if config.reliability_aware_placement:
@@ -318,24 +308,12 @@ class Campaign:
 
 
 def run_campaign(
-    config: CampaignConfig,
-    options: Optional["RunOptions"] = None,
-    *,
-    telemetry=UNSET,
-    incremental_indices=UNSET,
+    config: CampaignConfig, options: Optional["RunOptions"] = None
 ) -> Trace:
     """One-call convenience: build and run a campaign.
 
-    ``options`` (a :class:`repro.RunOptions`) is the supported way to
-    select the execution strategy — telemetry bundle, incremental vs
-    reference indices; none of it changes the simulated trace.  The
-    ``telemetry=``/``incremental_indices=`` keywords are the deprecated
-    pre-``RunOptions`` spelling and emit a :class:`DeprecationWarning`.
+    ``options`` (a :class:`repro.RunOptions`) selects the execution
+    strategy, e.g. a telemetry bundle; none of it changes the simulated
+    trace.
     """
-    opts = resolve_options(
-        options,
-        "run_campaign",
-        telemetry=telemetry,
-        incremental_indices=incremental_indices,
-    )
-    return Campaign(config, options=opts).run()
+    return Campaign(config, options=options).run()

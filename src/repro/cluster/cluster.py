@@ -13,7 +13,7 @@ resident job finishes, after which the node goes to remediation — matching
 Section II-C's two-tier severity policy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -134,7 +134,6 @@ class Cluster:
         rngs: RngStreams,
         event_log: Optional[EventLog] = None,
         telemetry=None,
-        incremental_indices: bool = True,
     ):
         self.spec = spec
         self.engine = engine
@@ -146,13 +145,6 @@ class Cluster:
             i: Node(node_id=i, rack_id=i // SERVERS_PER_RACK, pod_id=i // SERVERS_PER_POD)
             for i in range(spec.n_nodes)
         }
-        #: When False, availability queries fall back to brute-force fleet
-        #: scans (the pre-index reference path, kept for benchmarking and
-        #: for the index-consistency regression tests).  Deliberately NOT a
-        #: CampaignConfig/ClusterSpec field: the query strategy must never
-        #: enter the cache key, because both strategies are required to
-        #: produce bit-identical traces.
-        self.incremental_indices = incremental_indices
         # Availability indices, updated O(log n) per node transition via
         # Node.on_transition.  Invariants (see docs/PERFORMANCE.md):
         #   _schedulable_ids  == {id : state HEALTHY and not quarantined}
@@ -411,8 +403,6 @@ class Cluster:
     # ------------------------------------------------------------------
     def schedulable_nodes(self) -> List[Node]:
         """Healthy, non-quarantined nodes, in id order (deterministic)."""
-        if not self.incremental_indices:
-            return self._scan_schedulable_nodes()
         nodes = self.nodes
         return [nodes[i] for i in self._schedulable_ids]
 
@@ -421,29 +411,15 @@ class Cluster:
         return self._schedulable_ids
 
     def healthy_node_count(self) -> int:
-        if not self.incremental_indices:
-            return self._scan_healthy_node_count()
         return self.spec.n_nodes - self._remediation_count
 
     def quarantined_node_ids(self) -> List[int]:
         """Nodes currently quarantined by lemon detection, ascending."""
-        if not self.incremental_indices:
-            return [n.node_id for n in self.nodes.values() if n.quarantined]
         return self._quarantined_ids.as_list()
 
     def lemon_node_ids(self) -> List[int]:
         """Ground-truth lemon ids (for evaluating the detector)."""
         return sorted(spec.node_id for spec in self.lemon_specs)
-
-    # Brute-force reference implementations: the pre-index O(N) scans.
-    # The consistency tests assert index == scan after arbitrary churn,
-    # and legacy mode (incremental_indices=False) serves queries from
-    # them directly.
-    def _scan_schedulable_nodes(self) -> List[Node]:
-        return [n for n in self.nodes.values() if n.is_schedulable()]
-
-    def _scan_healthy_node_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.state is not NodeState.REMEDIATION)
 
     def __repr__(self) -> str:
         return (

@@ -12,14 +12,12 @@ event stream — never the simulator's ground truth, so it can be validated
 against that ground truth in tests.
 """
 
-import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.jobtypes import JobAttemptRecord, JobState
-from repro.sim.events import EventRecord
 from repro.sim.timeunits import MINUTE
 from repro.workload.trace import Trace
 
@@ -82,57 +80,29 @@ class AttributedFailure:
 class FailureAttributor:
     """Attributes job failures from a trace's health event stream.
 
-    Two engines, same answers:
-
-    * ``use_columns=True`` (default) indexes the ``health.check_failed``
-      events from the trace's :class:`~repro.core.columns.EventColumns`
-      — one vectorized pass over typed arrays instead of a Python loop
-      over every event — and memoizes :meth:`attribute_all`, which the
-      aggregate views each re-used to recompute from scratch.
-    * ``use_columns=False`` keeps the original rowwise build and rescan
-      semantics intact as the benchmark reference path.
-
-    The candidate ranking (severity, then component priority, with
-    first-of-min tie-breaking over windows concatenated in ``node_ids``
-    order) is replicated exactly, so both engines return identical
-    :class:`AttributedFailure` lists.
+    The ``health.check_failed`` events are indexed from the trace's
+    :class:`~repro.core.columns.EventColumns` in one vectorized pass, and
+    :meth:`attribute_all`, which every aggregate view re-enters, is
+    memoized.  The most likely cause ranks by severity, then component
+    priority, with ties going to the first candidate over windows
+    concatenated in ``node_ids`` order (time order within a node).
     """
 
     def __init__(
         self,
         trace: Trace,
         policy: Optional[AttributionPolicy] = None,
-        use_columns: bool = True,
     ):
         self.trace = trace
         self.policy = policy if policy is not None else AttributionPolicy()
-        self._use_columns = use_columns
         self._memo_all: Optional[List[AttributedFailure]] = None
-        if use_columns:
-            self._build_columnar_index()
-        else:
-            self._build_rowwise_index()
+        self._build_index()
 
-    def _build_rowwise_index(self) -> None:
-        self._events_by_node: Dict[int, List[Tuple[float, EventRecord]]] = {}
-        self._times_by_node: Dict[int, List[float]] = {}
-        for event in self.trace.events:
-            if event.kind != "health.check_failed":
-                continue
-            node_id = event.data.get("node_id")
-            if node_id is None:
-                continue
-            self._events_by_node.setdefault(node_id, []).append((event.time, event))
-        for node_id, pairs in self._events_by_node.items():
-            pairs.sort(key=lambda p: p[0])
-            self._times_by_node[node_id] = [t for t, _e in pairs]
-
-    def _build_columnar_index(self) -> None:
+    def _build_index(self) -> None:
         """Group health.check_failed events by node from the event columns.
 
         ``np.lexsort((time, node))`` is stable, so within a node events
-        keep stream order for equal times — the same order the rowwise
-        build's stable per-node time sort produces.
+        keep stream order for equal times.
         """
         ev = self.trace.columns.events
         idx = np.flatnonzero(
@@ -149,7 +119,7 @@ class FailureAttributor:
         # data.get("severity", 0): an absent severity (-1 sentinel) ranks as 0.
         severity = np.where(severity < 0, 0, severity)
         # Per-event rank key packing (-severity, priority): lower is better,
-        # and np.argmin returns the first minimum — matching Python min().
+        # and np.argmin returns the first minimum.
         priority = self.policy.component_priority
         pri_by_code = np.empty(len(ev.component_table) + 1, dtype=np.int64)
         pri_by_code[0] = len(priority)  # slot for code -1 (component absent)
@@ -175,22 +145,8 @@ class FailureAttributor:
         self._check_table = ev.check_table
 
     # ------------------------------------------------------------------
-    def _window_events(
-        self, node_id: int, end_time: float
-    ) -> List[EventRecord]:
-        """Health events on a node within the attribution window of a job end."""
-        times = self._times_by_node.get(node_id)
-        if not times:
-            return []
-        lo = end_time - self.policy.lookback
-        hi = end_time + self.policy.lookahead
-        pairs = self._events_by_node[node_id]
-        start = bisect.bisect_left(times, lo)
-        stop = bisect.bisect_right(times, hi)
-        return [pairs[i][1] for i in range(start, stop)]
-
     def _window_range(self, node_id: int, end_time: float) -> Tuple[int, int]:
-        """Columnar twin of :meth:`_window_events`: an index range."""
+        """Index range of a node's health events in a job end's window."""
         rng = self._node_ranges.get(node_id)
         if rng is None:
             return (0, 0)
@@ -206,43 +162,6 @@ class FailureAttributor:
 
     def attribute_record(self, record: JobAttemptRecord) -> AttributedFailure:
         """Diagnose one failing attempt from observable health events."""
-        if self._use_columns:
-            return self._attribute_record_columnar(record)
-        events: List[EventRecord] = []
-        for node_id in record.node_ids:
-            events.extend(self._window_events(node_id, record.end_time))
-        if not events:
-            return AttributedFailure(
-                record=record,
-                cause_component=None,
-                checks=(),
-                components_seen=(),
-                attributed=False,
-            )
-        # Most likely cause: highest severity first, then the priority list.
-        def rank(event: EventRecord) -> Tuple[int, int]:
-            severity = int(event.data.get("severity", 0))
-            component = event.data.get("component", "")
-            try:
-                pri = self.policy.component_priority.index(component)
-            except ValueError:
-                pri = len(self.policy.component_priority)
-            return (-severity, pri)
-
-        best = min(events, key=rank)
-        return AttributedFailure(
-            record=record,
-            cause_component=best.data.get("component"),
-            checks=tuple(sorted({e.data.get("check", "?") for e in events})),
-            components_seen=tuple(
-                sorted({e.data.get("component", "?") for e in events})
-            ),
-            attributed=True,
-        )
-
-    def _attribute_record_columnar(
-        self, record: JobAttemptRecord
-    ) -> AttributedFailure:
         segments = []
         for node_id in record.node_ids:
             start, stop = self._window_range(node_id, record.end_time)
@@ -257,7 +176,7 @@ class FailureAttributor:
                 attributed=False,
             )
         # Candidates concatenate in node_ids order (then time order within a
-        # node), so argmin's first-of-min matches the rowwise min() exactly.
+        # node); argmin keeps the first of equally ranked candidates.
         window = segments[0] if len(segments) == 1 else np.concatenate(segments)
         best = int(window[np.argmin(self._rank_key[window])])
         best_comp = int(self._ev_comp[best])
@@ -284,20 +203,17 @@ class FailureAttributor:
     def attribute_all(self) -> List[AttributedFailure]:
         """Attribute every candidate-state attempt in the trace.
 
-        Memoized on the columnar engine: the aggregate views below all
-        re-enter here, and the attribution join is by far their dominant
-        cost.  The rowwise engine recomputes every call, preserving the
-        pre-columnar baseline for benchmarks.
+        Memoized: the aggregate views below all re-enter here, and the
+        attribution join is by far their dominant cost.
         """
-        if self._use_columns and self._memo_all is not None:
+        if self._memo_all is not None:
             return self._memo_all
         out = []
         candidates = self.policy.candidate_states
         for record in self.trace.job_records:
             if record.state in candidates:
                 out.append(self.attribute_record(record))
-        if self._use_columns:
-            self._memo_all = out
+        self._memo_all = out
         return out
 
     # ------------------------------------------------------------------

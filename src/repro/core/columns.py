@@ -231,7 +231,11 @@ class JobColumns:
         return cached
 
     def hw_failure_mask(self, use_ground_truth: bool = True) -> np.ndarray:
-        """Vector form of ``core.mttf._is_hw_failure``."""
+        """The MTTF hardware-failure rule per attempt.
+
+        Ground truth: any hardware interruption.  Observable: NODE_FAIL,
+        or FAILED/REQUEUED with an attributed health check.
+        """
         if use_ground_truth:
             return self.is_hw_interruption
         observable = (self.state_code == STATE_CODE_FAILED) | (

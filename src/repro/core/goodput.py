@@ -14,13 +14,11 @@ paper illustrates with a 1024-GPU job that NODE_FAILed and requeued 35
 times, preempting 548 jobs.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Iterable, List, TYPE_CHECKING
 
 import numpy as np
 
-from repro.jobtypes import JobAttemptRecord, JobState
-from repro.core.mttf import size_bucket
 from repro.sim.timeunits import HOUR, MINUTE
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -45,79 +43,26 @@ class GoodputLoss:
         return self.direct_gpu_hours + self.second_order_gpu_hours
 
 
-def _attempt_loss(record: JobAttemptRecord, cap: float) -> float:
-    return min(record.runtime, cap) * record.n_gpus
-
-
-def _hw_instigator_jobs(records: List[JobAttemptRecord]) -> Set[int]:
-    """Job ids that suffered at least one hardware interruption."""
-    return {r.job_id for r in records if r.is_hw_interruption}
-
-
 def lost_goodput_by_size(
-    records: Iterable[JobAttemptRecord],
+    columns: "JobColumns",
     lost_work_cap: float = DEFAULT_LOST_WORK_CAP,
-    columns: Optional["JobColumns"] = None,
 ) -> List[GoodputLoss]:
     """Fig. 8: lost goodput by instigating-failure job size.
 
     Direct losses bucket by the failing job's size.  Second-order losses —
     preemptions whose instigator had a hardware interruption — are charged
     to the *preempted* job's own size bucket on the x-axis, matching the
-    figure's per-size stacking of total cluster impact.
-
-    With ``columns`` the hw-job join and per-bucket sums run vectorized
-    over the typed arrays; the result is identical to the rowwise loop
-    (``np.bincount`` accumulates weights in array order).
+    figure's per-size stacking of total cluster impact.  The per-bucket
+    sums accumulate sequentially in record order (``np.bincount``).
     """
-    if columns is not None:
-        return _lost_goodput_by_size_columnar(columns, lost_work_cap)
-    records = list(records)
-    hw_jobs = _hw_instigator_jobs(records)
-    losses: Dict[int, Dict[str, float]] = {}
-
-    def bucket_for(record: JobAttemptRecord) -> Dict[str, float]:
-        key = size_bucket(record.n_gpus)
-        return losses.setdefault(
-            key, {"direct": 0.0, "second": 0.0, "n_direct": 0, "n_second": 0}
-        )
-
-    for record in records:
-        if record.is_hw_interruption:
-            slot = bucket_for(record)
-            slot["direct"] += _attempt_loss(record, lost_work_cap)
-            slot["n_direct"] += 1
-        elif (
-            record.state is JobState.PREEMPTED
-            and record.instigator_job_id is not None
-            and record.instigator_job_id in hw_jobs
-        ):
-            slot = bucket_for(record)
-            slot["second"] += _attempt_loss(record, lost_work_cap)
-            slot["n_second"] += 1
-    return [
-        GoodputLoss(
-            gpus=gpus,
-            direct_gpu_hours=slot["direct"] / HOUR,
-            second_order_gpu_hours=slot["second"] / HOUR,
-            n_direct=int(slot["n_direct"]),
-            n_second_order=int(slot["n_second"]),
-        )
-        for gpus, slot in sorted(losses.items())
-    ]
-
-
-def _lost_goodput_by_size_columnar(
-    columns: "JobColumns", lost_work_cap: float
-) -> List[GoodputLoss]:
     from repro.core.columns import STATE_CODE_PREEMPTED
 
     if len(columns) == 0:
         return []
     direct = columns.is_hw_interruption
     hw_jobs = np.unique(columns.job_id[direct])
-    # "& ~direct" mirrors the rowwise elif: an hw-interrupted row is never
-    # double-charged as second-order even if it is also a PREEMPTED row.
+    # An hw-interrupted row is never double-charged as second-order even
+    # if it is also a PREEMPTED row.
     second = (
         (columns.state_code == STATE_CODE_PREEMPTED)
         & ~columns.instigator_null
@@ -141,7 +86,7 @@ def _lost_goodput_by_size_columnar(
     out = []
     for i, gpus in enumerate(uniq):  # np.unique is sorted ascending
         if n_direct[i] == 0 and n_second[i] == 0:
-            continue  # bucket untouched by losses — rowwise never creates it
+            continue  # bucket untouched by losses
         out.append(
             GoodputLoss(
                 gpus=int(gpus),
@@ -175,54 +120,17 @@ class CrashLoop:
 
 
 def find_crash_loops(
-    records: Iterable[JobAttemptRecord],
+    columns: "JobColumns",
     min_interruptions: int = 5,
-    columns: Optional["JobColumns"] = None,
 ) -> List[CrashLoop]:
     """Identify requeue loops and tally the churn they caused.
 
     ``preemptions_caused`` counts PREEMPTED rows whose instigator is the
     looping job; ``gpus_preempted`` sums their GPU counts (the paper's
-    "548 preemptions (over 7k GPUs)" style of accounting).
-
-    With ``columns`` the per-job tallies run as grouped array reductions
-    instead of an O(loops x records) rescan; ordering matches the rowwise
-    path (first-hw-occurrence order, then a stable sort by interruptions).
+    "548 preemptions (over 7k GPUs)" style of accounting).  Loops are
+    listed by descending interruption count, ties in order of each job's
+    first hardware interruption.
     """
-    if columns is not None:
-        return _find_crash_loops_columnar(columns, min_interruptions)
-    records = list(records)
-    hw_counts: Dict[int, int] = {}
-    gpus: Dict[int, int] = {}
-    for record in records:
-        if record.is_hw_interruption:
-            hw_counts[record.job_id] = hw_counts.get(record.job_id, 0) + 1
-            gpus[record.job_id] = record.n_gpus
-    loops = []
-    for job_id, count in hw_counts.items():
-        if count < min_interruptions:
-            continue
-        caused = [
-            r
-            for r in records
-            if r.state is JobState.PREEMPTED and r.instigator_job_id == job_id
-        ]
-        loops.append(
-            CrashLoop(
-                job_id=job_id,
-                n_gpus=gpus[job_id],
-                hw_interruptions=count,
-                preemptions_caused=len(caused),
-                gpus_preempted=sum(r.n_gpus for r in caused),
-            )
-        )
-    loops.sort(key=lambda l: -l.hw_interruptions)
-    return loops
-
-
-def _find_crash_loops_columnar(
-    columns: "JobColumns", min_interruptions: int
-) -> List[CrashLoop]:
     from repro.core.columns import STATE_CODE_PREEMPTED
 
     if len(columns) == 0:
@@ -234,12 +142,11 @@ def _find_crash_loops_columnar(
     uniq, first_idx, counts = np.unique(
         hw_ids, return_index=True, return_counts=True
     )
-    # Rowwise dicts key jobs in first-hw-occurrence order; recover it so the
-    # stable sort below breaks interruption-count ties identically.
+    # First-hw-occurrence order, so the stable sort below breaks
+    # interruption-count ties by it.
     order = np.argsort(first_idx, kind="stable")
     uniq, first_idx, counts = uniq[order], first_idx[order], counts[order]
-    # gpus[job_id] is overwritten per hw row rowwise; n_gpus is constant per
-    # job so the first occurrence is equivalent to the last.
+    # n_gpus is constant per job, so the first occurrence carries it.
     gpus_by_job = columns.n_gpus[hw][first_idx]
 
     pre = (columns.state_code == STATE_CODE_PREEMPTED) & ~columns.instigator_null

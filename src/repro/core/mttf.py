@@ -16,18 +16,15 @@ Three pieces, matching the paper's Section III:
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.cluster.components import GPUS_PER_NODE
-from repro.jobtypes import JobAttemptRecord, JobState
+from repro.core.columns import JobColumns, sequential_sum
 from repro.sim.timeunits import DAY, HOUR
 from repro.stats.fitting import RateEstimate, estimate_rate
 from repro.stats.quantiles import power_of_two_bucket
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.core.columns import JobColumns
 
 
 def size_bucket(n_gpus: int) -> int:
@@ -61,79 +58,20 @@ class MTTFBucket:
         return self.estimate.mttf_hi
 
 
-def _is_hw_failure(record: JobAttemptRecord, use_ground_truth: bool) -> bool:
-    if use_ground_truth:
-        return record.is_hw_interruption
-    # Observable rule: NODE_FAIL always counts; FAILED/REQUEUED count when
-    # a health check was attributed (see core.attribution for the join).
-    if record.state is JobState.NODE_FAIL:
-        return True
-    return (
-        record.state in (JobState.FAILED, JobState.REQUEUED)
-        and record.hw_attributed
-    )
-
-
 def empirical_mttf_by_size(
-    records: Iterable[JobAttemptRecord],
+    columns: JobColumns,
     confidence: float = 0.90,
     use_ground_truth: bool = True,
     min_records: int = 1,
-    columns: Optional["JobColumns"] = None,
 ) -> List[MTTFBucket]:
     """Per-size-bucket MTTF with Gamma confidence intervals.
 
     Exposure is the total scheduled runtime (hours) of all attempts in the
     bucket — completed attempts are right-censored observations of the
     failure process, exactly as in the paper's jobs-of-that-size pooling.
-
-    When ``columns`` (a :class:`repro.core.columns.JobColumns` covering the
-    same attempts) is given, the per-bucket sums run vectorized over the
-    typed arrays; ``records`` is not touched.  ``np.bincount`` accumulates
-    weights element-by-element in array order, so the per-bucket runtime
-    sums are bit-identical to the rowwise loop.
+    ``np.bincount`` accumulates the per-bucket runtime sequentially in
+    record order.
     """
-    if columns is not None:
-        return _empirical_mttf_by_size_columnar(
-            columns,
-            confidence=confidence,
-            use_ground_truth=use_ground_truth,
-            min_records=min_records,
-        )
-    runtime: Dict[int, float] = {}
-    failures: Dict[int, int] = {}
-    counts: Dict[int, int] = {}
-    for record in records:
-        bucket = size_bucket(record.n_gpus)
-        runtime[bucket] = runtime.get(bucket, 0.0) + record.runtime / HOUR
-        counts[bucket] = counts.get(bucket, 0) + 1
-        if _is_hw_failure(record, use_ground_truth):
-            failures[bucket] = failures.get(bucket, 0) + 1
-    out = []
-    for bucket in sorted(runtime):
-        if counts[bucket] < min_records or runtime[bucket] <= 0:
-            continue
-        est = estimate_rate(
-            failures.get(bucket, 0), runtime[bucket], confidence=confidence
-        )
-        out.append(
-            MTTFBucket(
-                gpus=bucket,
-                n_records=counts[bucket],
-                failures=failures.get(bucket, 0),
-                runtime_hours=runtime[bucket],
-                estimate=est,
-            )
-        )
-    return out
-
-
-def _empirical_mttf_by_size_columnar(
-    columns: "JobColumns",
-    confidence: float,
-    use_ground_truth: bool,
-    min_records: int,
-) -> List[MTTFBucket]:
     if len(columns) == 0:
         return []
     buckets = columns.size_bucket()
@@ -166,45 +104,29 @@ def _empirical_mttf_by_size_columnar(
 
 
 def node_failure_rate(
-    records: Iterable[JobAttemptRecord],
+    columns: JobColumns,
     min_gpus: int = 128,
     use_ground_truth: bool = True,
     confidence: float = 0.90,
-    columns: Optional["JobColumns"] = None,
 ) -> RateEstimate:
     """Cluster failure rate r_f in failures per *node-day* of job runtime.
 
     Counts hardware failures among attempts with more than ``min_gpus``
     GPUs and divides by their node-days (runtime x allocated nodes) —
     Section III's recipe for the r_f that feeds both the Fig. 7 projection
-    and E[ETTR].
-
-    With ``columns`` the selection and node-day exposure run vectorized;
-    the exposure accumulates sequentially, like the rowwise loop, so both
-    paths agree bit-for-bit.
+    and E[ETTR].  The node-day exposure accumulates sequentially in record
+    order (``np.cumsum``), the same single accumulator the streaming
+    estimator in :mod:`repro.live` keeps.
     """
-    if columns is not None:
-        mask = columns.n_gpus > min_gpus
-        from repro.core.columns import sequential_sum
-
-        node_days = sequential_sum(
-            columns.runtime[mask] / DAY * columns.n_nodes[mask].astype(np.float64)
+    mask = columns.n_gpus > min_gpus
+    node_days = sequential_sum(
+        columns.runtime[mask] / DAY * columns.n_nodes[mask].astype(np.float64)
+    )
+    failures = int(
+        np.count_nonzero(
+            columns.hw_failure_mask(use_ground_truth=use_ground_truth) & mask
         )
-        failures = int(
-            np.count_nonzero(
-                columns.hw_failure_mask(use_ground_truth=use_ground_truth)
-                & mask
-            )
-        )
-    else:
-        node_days = 0.0
-        failures = 0
-        for record in records:
-            if record.n_gpus <= min_gpus:
-                continue
-            node_days += record.runtime / DAY * record.n_nodes
-            if _is_hw_failure(record, use_ground_truth):
-                failures += 1
+    )
     if node_days <= 0:
         raise ValueError(
             f"no runtime from jobs larger than {min_gpus} GPUs; "

@@ -11,8 +11,7 @@ watermark; each also round-trips its full state through a JSON-safe
 * :class:`OnlineMTTFEstimator` — per-size-bucket MTTF inputs and Gamma
   CIs **bit-identical** to ``core.mttf.empirical_mttf_by_size`` (the
   per-bucket runtime sums accumulate in record order, exactly like the
-  rowwise loop — and the columnar ``np.bincount`` path is documented
-  bit-identical to that loop).  The r_f estimate is bit-identical when
+  batch ``np.bincount``).  The r_f estimate is bit-identical when
   ``min_gpus`` is pinned; the auto-floor mode regroups the sum by job
   size and agrees within ~1e-9 relative (see STREAMING.md).
 * :class:`ETTRForecaster` — the measured per-bucket series (means and
@@ -23,7 +22,7 @@ watermark; each also round-trips its full state through a JSON-safe
   land, the flagged cohort is **exactly** the batch
   ``analysis.lemon_analysis`` cohort.
 * :class:`FleetGauges` — delivered GPU-seconds are bit-identical to the
-  rowwise ``sum(r.gpu_seconds)``; availability tracks remediation
+  sequential batch total ``Trace.total_gpu_seconds()``; availability tracks remediation
   tickets and quarantine events.
 """
 
@@ -271,8 +270,8 @@ class OnlineMTTFEstimator:
     """Incremental Gamma-fit inputs for Fig. 7.
 
     Per-size-bucket ``(records, failures, runtime-hours)`` accumulate in
-    arrival order — identical floating-point order to the batch rowwise
-    loop, so ``buckets()`` is bit-identical to
+    arrival order — identical floating-point order to the batch
+    ``np.bincount``, so ``buckets()`` is bit-identical to
     ``empirical_mttf_by_size``.  For r_f the exposure accumulates per
     distinct ``n_gpus`` value, so the ``n_gpus > floor`` filter can be
     applied at query time even though the auto floor (half the largest
@@ -757,7 +756,7 @@ class FleetGauges:
     remediation without a ticket are invisible until their ticket opens,
     so the down set is a (tight) lower bound.  Delivered GPU-seconds sum
     ``record.gpu_seconds`` in record order — bit-identical to the
-    rowwise batch total.
+    sequential batch total.
     """
 
     def __init__(self, n_nodes: int, n_gpus: int):

@@ -1,13 +1,10 @@
 """``RunOptions``: the one object that configures *how* things run.
 
-Four PRs of runtime growth left execution knobs scattered across call
-sites — ``use_columns=`` on every analysis function, ``telemetry=`` and
-``incremental_indices=`` on the campaign runner, ``max_workers=`` /
-``cache=`` on the pool, and environment variables for the cache
-directory.  :class:`RunOptions` consolidates them behind one frozen,
-versioned surface that ``run_campaign``, ``run_campaigns``,
-``CampaignPool``, the analysis entry points, and ``repro.live`` all
-accept uniformly::
+:class:`RunOptions` is the single frozen, versioned surface for
+execution knobs -- telemetry, caching, pooled workers, resilience,
+checkpoints and the execution backend.  ``run_campaign``,
+``run_campaigns``, ``CampaignPool`` and ``repro.live`` all accept it
+uniformly::
 
     from repro import RunOptions, run_campaign
 
@@ -15,20 +12,15 @@ accept uniformly::
     trace = run_campaign(config, options=opts)
 
 **None of these knobs may influence simulated content.**  Every field
-here selects an execution strategy (vectorized vs rowwise, pooled vs
-inline, cached vs fresh, observed vs dark); the resulting traces are
+here selects an execution strategy (pooled vs inline, cached vs fresh,
+observed vs dark, which backend); the resulting traces are
 bit-identical across all settings, which is why ``RunOptions`` never
-enters a cache key or a trace digest.
-
-Legacy keyword arguments (``use_columns=``, ``incremental_indices=``,
-``telemetry=``, ``max_workers=``, ``cache=``) keep working everywhere
-they did before, but emit exactly one :class:`DeprecationWarning` per
-call and are merged into the options object by :func:`resolve_options`.
+enters a cache key or a trace digest.  The figure analyses take no
+options: each has a single implementation.
 """
 
-import warnings
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING, Union
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, Optional, TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.obs.telemetry import Telemetry
@@ -36,42 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.runtime.cache import TraceCache
 
 
-class _Unset:
-    """Sentinel distinguishing "not passed" from an explicit ``None``."""
-
-    _instance: Optional["_Unset"] = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Default value for deprecated keyword parameters: "the caller said
-#: nothing", as opposed to an explicit ``None``/``False``.
-UNSET = _Unset()
-
-#: Bump when the meaning of an existing field changes (new fields with
-#: backward-compatible defaults do not require a bump).
-RUN_OPTIONS_VERSION = 1
+#: Bump when the meaning of an existing field changes or a field is
+#: removed (new fields with backward-compatible defaults do not require a
+#: bump).
+RUN_OPTIONS_VERSION = 2
 
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Execution strategy for campaigns, sweeps, analyses, and live sessions.
+    """Execution strategy for campaigns, sweeps, and live sessions.
 
     Attributes:
-        use_columns: Route analyses through the vectorized columnar
-            pipeline (default) or the rowwise reference loops.
-        incremental_indices: Run the cluster/scheduler on the incremental
-            availability indices (default) or the O(N)-scan reference
-            path.
         telemetry: Optional :class:`repro.obs.Telemetry` bundle observing
             the run.  Never affects simulated content.
         cache: A :class:`repro.runtime.TraceCache`, ``None`` for the
@@ -100,8 +67,6 @@ class RunOptions:
             ``work-queue``); normalized to a plain dict.
     """
 
-    use_columns: bool = True
-    incremental_indices: bool = True
     telemetry: Optional["Telemetry"] = None
     cache: Union["TraceCache", bool, None] = None
     cache_dir: Optional[str] = None
@@ -144,54 +109,8 @@ class RunOptions:
 #: The implicit default everywhere an ``options=None`` is accepted.
 DEFAULT_OPTIONS = RunOptions()
 
-_FIELD_NAMES = frozenset(f.name for f in fields(RunOptions))
-
-
-def resolve_options(
-    options: Optional[RunOptions],
-    where: str,
-    renames: Optional[Dict[str, str]] = None,
-    **legacy: Any,
-) -> RunOptions:
-    """Merge deprecated keyword arguments into a :class:`RunOptions`.
-
-    ``legacy`` maps the *original* keyword names to their passed values
-    (``UNSET`` meaning "not passed"); ``renames`` maps original names to
-    ``RunOptions`` field names where they differ (``max_workers`` ->
-    ``workers``).  If any legacy keyword was passed, exactly one
-    :class:`DeprecationWarning` is emitted naming them all, and the
-    values override the corresponding ``options`` fields — so the legacy
-    path and the options path are the same code path and produce
-    identical results by construction.
-    """
-    passed = {k: v for k, v in legacy.items() if v is not UNSET}
-    base = options if options is not None else DEFAULT_OPTIONS
-    if not passed:
-        return base
-    names = ", ".join(f"{k}=" for k in sorted(passed))
-    warnings.warn(
-        f"{where}: {names} is deprecated; pass repro.RunOptions(...) "
-        "via options= instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    renames = renames or {}
-    updates = {}
-    for key, value in passed.items():
-        field_name = renames.get(key, key)
-        if field_name not in _FIELD_NAMES:  # pragma: no cover - guard
-            raise TypeError(
-                f"{where}: unknown legacy option {key!r} "
-                f"(no RunOptions field {field_name!r})"
-            )
-        updates[field_name] = value
-    return base.replace(**updates)
-
-
 __all__ = [
     "DEFAULT_OPTIONS",
     "RUN_OPTIONS_VERSION",
     "RunOptions",
-    "UNSET",
-    "resolve_options",
 ]

@@ -7,12 +7,12 @@ call site (benchmarks, examples, tests, the CLI) that asks for a
 previously simulated configuration loads it instead of re-simulating.
 
 Layout: ``<root>/v<CACHE_FORMAT_VERSION>/<digest[:2]>/<digest>.npz``
-(entry format v2: compressed columnar blocks, no pickle) with transparent
-fallback to the legacy ``<digest>.pkl`` pickle entries written by entry
-format v1 — old cache directories keep serving hits, and the cache key
-(``config_digest``) is unchanged.  Each entry stores the format/schema
-stamps; a stamp mismatch or unreadable file is treated as a miss (and the
-entry discarded), never as an error.
+(entry format v2: compressed columnar blocks, no pickle).  Nothing read
+from the cache directory is ever unpickled: a ``<digest>.pkl`` written by
+entry format v1 is ignored (a miss, left untouched) and the next ``put``
+writes the npz beside it.  Each entry stores the format/schema stamps;
+a stamp mismatch or unreadable file is treated as a miss (and the entry
+discarded), never as an error.
 
 Integrity: every entry carries the trace's content digest
 (``trace_digest``) in its stamps; reads recompute and compare, so silent
@@ -35,7 +35,6 @@ Control knobs:
 """
 
 import os
-import pickle
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, TYPE_CHECKING
@@ -52,10 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign import CampaignConfig
 
 #: On-disk *entry* format (how a single cache file is encoded): 1 = pickle
-#: of the ``to_dict()`` payload, 2 = pickle-free columnar npz.  Deliberately
-#: separate from ``CACHE_FORMAT_VERSION`` (part of the cache *key*): bumping
-#: the entry encoding must not invalidate digests or old directories —
-#: v2 readers still load v1 entries.
+#: of the ``to_dict()`` payload (no longer read), 2 = pickle-free columnar
+#: npz.  Deliberately separate from ``CACHE_FORMAT_VERSION`` (part of the
+#: cache *key*): bumping the entry encoding must not invalidate digests.
 CACHE_ENTRY_VERSION = 2
 
 ENV_VAR = "REPRO_TRACE_CACHE"
@@ -95,8 +93,8 @@ class TraceCache:
         self.root = Path(root) if root is not None else default_cache_root()
         self.enabled = cache_enabled_by_env() if enabled is None else enabled
         #: Recompute the stored trace digest on every read and reject
-        #: mismatches (quarantining the entry).  Legacy entries without a
-        #: digest stamp are served unverified either way.
+        #: mismatches (quarantining the entry).  Entries without a digest
+        #: stamp are served unverified either way.
         self.verify = verify
         #: Stamped into ``metadata["runtime"]["source"]`` on every hit;
         #: ``None`` preserves whatever provenance the stored trace
@@ -146,10 +144,6 @@ class TraceCache:
             / f"{digest}.npz"
         )
 
-    def _legacy_path(self, digest: str) -> Path:
-        """Path of an entry-format v1 pickle written by older builds."""
-        return self._entry_path(digest).with_suffix(".pkl")
-
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
 
@@ -191,25 +185,8 @@ class TraceCache:
                 )
         return trace
 
-    @staticmethod
-    def _load_legacy_entry(path: Path, digest: str) -> Trace:
-        with path.open("rb") as fh:
-            entry = pickle.load(fh)
-        if (
-            entry.get("cache_format") != CACHE_FORMAT_VERSION
-            or entry.get("trace_schema") != TRACE_SCHEMA_VERSION
-            or entry.get("digest") != digest
-        ):
-            raise ValueError("stale or mismatched cache entry")
-        return Trace.from_dict(entry["trace"])
-
     def get(self, config: "CampaignConfig") -> Optional[Trace]:
-        """Return the cached trace for ``config``, or None on a miss.
-
-        Entry-format v2 (npz) entries are preferred; a legacy v1 pickle
-        under the same digest still serves a hit, so cache directories
-        written by older builds remain valid.
-        """
+        """Return the cached trace for ``config``, or None on a miss."""
         if not self.enabled:
             return None
         return self.get_by_digest(config_digest(config))
@@ -225,20 +202,16 @@ class TraceCache:
         """
         if not self.enabled:
             return None
+        path = self._entry_path(digest)
         trace: Optional[Trace] = None
-        for path, loader in (
-            (self._entry_path(digest), self._load_npz_entry),
-            (self._legacy_path(digest), self._load_legacy_entry),
-        ):
-            try:
-                trace = loader(path, digest)
-                break
-            except FileNotFoundError:
-                continue
-            except Exception:
-                # Corrupt, stale, or integrity-failed entry: quarantine
-                # it (a miss, never an error) and keep looking.
-                self._quarantine(path, digest)
+        try:
+            trace = self._load_npz_entry(path, digest)
+        except FileNotFoundError:
+            pass
+        except Exception:
+            # Corrupt, stale, or integrity-failed entry: quarantine it
+            # (a miss, never an error).
+            self._quarantine(path, digest)
         if trace is None:
             self.misses += 1
             self._observe("miss", digest)

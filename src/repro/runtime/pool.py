@@ -63,7 +63,7 @@ from repro.backends import (
 from repro.campaign import CampaignConfig, run_campaign
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import maybe_span
-from repro.options import RunOptions, UNSET, resolve_options
+from repro.options import RunOptions
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
 from repro.resilience.retry import CircuitBreaker
@@ -156,13 +156,18 @@ class SweepStats:
         )
 
 
+#: Default of ``CampaignPool(cache=)``: "not passed", so ``options.cache``
+#: applies (an explicit ``None`` means the default cache).
+_FROM_OPTIONS = object()
+
+
 class CampaignPool:
     """Runs batches of campaigns through the cache and a backend."""
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        cache: Union[TraceCache, bool, None] = UNSET,
+        cache: Union[TraceCache, bool, None] = _FROM_OPTIONS,
         mp_context: Optional[str] = None,
         telemetry=None,
         resilience: Optional[ResilienceConfig] = None,
@@ -193,7 +198,7 @@ class CampaignPool:
         opts = options if options is not None else RunOptions()
         if max_workers is None:
             max_workers = opts.workers
-        if cache is UNSET:
+        if cache is _FROM_OPTIONS:
             cache = opts.cache
         if telemetry is None:
             telemetry = opts.telemetry
@@ -591,28 +596,17 @@ def run_campaigns(
     configs: Sequence[CampaignConfig],
     options: Optional[RunOptions] = None,
     *,
-    max_workers: Optional[int] = UNSET,
-    cache: Union[TraceCache, bool, None] = UNSET,
     checkpoint: Optional[CampaignCheckpoint] = None,
 ) -> List[Trace]:
     """One-call sweep: pool + cache with defaults; results in input order.
 
-    ``options`` is the supported configuration surface
-    (:class:`repro.RunOptions`), including backend selection
-    (``RunOptions(backend="work-queue", backend_options={...})``); the
-    ``max_workers=``/``cache=`` keywords are the deprecated
-    pre-``RunOptions`` spelling and emit a :class:`DeprecationWarning`.
-    ``checkpoint`` (or ``options.checkpoint_dir``) makes the sweep
-    crash-safe and resumable on any backend.
+    ``options`` (:class:`repro.RunOptions`) configures workers, cache and
+    backend selection (``RunOptions(backend="work-queue",
+    backend_options={...})``).  ``checkpoint`` (or
+    ``options.checkpoint_dir``) makes the sweep crash-safe and resumable
+    on any backend.
     """
-    opts = resolve_options(
-        options,
-        "run_campaigns",
-        renames={"max_workers": "workers"},
-        max_workers=max_workers,
-        cache=cache,
-    )
-    return CampaignPool(options=opts).run(configs, checkpoint=checkpoint)
+    return CampaignPool(options=options).run(configs, checkpoint=checkpoint)
 
 
 def seed_sweep_configs(

@@ -84,12 +84,7 @@ class SlurmLikeScheduler:
         self.pending: List[Job] = []
         self.running: Set[int] = set()
         self.records: List[JobAttemptRecord] = []
-        # The placement index follows the cluster's query strategy, so a
-        # legacy-mode cluster benchmarks the whole pre-index stack.
-        self.index = FreeNodeIndex(
-            cluster.nodes,
-            incremental=getattr(cluster, "incremental_indices", True),
-        )
+        self.index = FreeNodeIndex(cluster.nodes)
         self._pass_pending = False
         #: invoked when a job COMPLETEs (used for job-run continuations:
         #: long training runs submit their next <=7-day segment here).
@@ -190,11 +185,6 @@ class SlurmLikeScheduler:
 
     def _try_preempt_for(self, job: Job, now: float) -> Optional[List[Node]]:
         cluster = self.cluster
-        candidate_ids = (
-            cluster.schedulable_node_ids()
-            if getattr(cluster, "incremental_indices", True)
-            else None
-        )
         plan = self.preemption.plan(
             pending=job,
             nodes=cluster.nodes,
@@ -202,7 +192,7 @@ class SlurmLikeScheduler:
             now=now,
             already_free=self.index.free_full_node_count(),
             excluded=job.excluded_nodes,
-            candidate_ids=candidate_ids,
+            candidate_ids=cluster.schedulable_node_ids(),
         )
         if plan is None:
             return None

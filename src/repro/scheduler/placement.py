@@ -16,15 +16,11 @@ error-prone than keeping every state transition synchronously mirrored.
 
 Iteration order is part of the determinism contract: buckets yield node
 ids ascending, and pods yield by (most free servers, lowest pod id).  The
-default (incremental) mode maintains those orders as sorted structures
-updated on refresh/remove, so no ``sorted()`` runs inside the allocation
-loop; ``incremental=False`` preserves the original per-query ``sorted()``
-reference path, which the order-regression tests and benchmarks compare
-against — both modes must make identical choices.
+index maintains those orders as sorted structures updated on
+refresh/remove, so no ``sorted()`` runs inside the allocation loop.
 """
 
 from bisect import insort
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -36,25 +32,22 @@ from repro.core.indices import SortedIntSet
 class FreeNodeIndex:
     """Tracks free GPU capacity: per-free-count buckets + per-pod full nodes."""
 
-    def __init__(self, nodes: Dict[int, Node], incremental: bool = True):
+    def __init__(self, nodes: Dict[int, Node]):
         self._nodes = nodes
-        self._incremental = incremental
-        if incremental:
-            # bucket[k] = node ids with exactly k free GPUs, kept sorted
-            self._buckets: List = [SortedIntSet() for _ in range(GPUS_PER_NODE + 1)]
-            # pod id -> its fully free nodes, kept sorted; keys pre-seeded
-            # in ascending pod order so plain dict iteration matches the
-            # legacy first-touch (node-id) order.
-            self._full_by_pod: Dict[int, SortedIntSet] = {}
-            for node in nodes.values():
-                self._full_by_pod.setdefault(node.pod_id, SortedIntSet())
-            # (-free_count, pod_id) tuples, sorted — the pod fill order —
-            # for pods with at least one fully free node.
-            self._pod_order: List[Tuple[int, int]] = []
-            self._full_count = 0
-        else:
-            self._buckets = [set() for _ in range(GPUS_PER_NODE + 1)]
-            self._full_by_pod = defaultdict(set)
+        # bucket[k] = node ids with exactly k free GPUs, kept sorted
+        self._buckets: List[SortedIntSet] = [
+            SortedIntSet() for _ in range(GPUS_PER_NODE + 1)
+        ]
+        # pod id -> its fully free nodes, kept sorted; keys pre-seeded in
+        # first-touch (node-id) order, i.e. ascending pod id for id-ordered
+        # fleets.
+        self._full_by_pod: Dict[int, SortedIntSet] = {}
+        for node in nodes.values():
+            self._full_by_pod.setdefault(node.pod_id, SortedIntSet())
+        # (-free_count, pod_id) tuples, sorted — the pod fill order — for
+        # pods with at least one fully free node.
+        self._pod_order: List[Tuple[int, int]] = []
+        self._full_count = 0
         self._bucket_of: Dict[int, int] = {}
         for node in nodes.values():
             self.refresh(node.node_id)
@@ -72,25 +65,19 @@ class FreeNodeIndex:
 
     def _drop_full(self, node: Node) -> None:
         pod = self._full_by_pod[node.pod_id]
-        if self._incremental:
-            old = len(pod)
-            pod.discard(node.node_id)
-            if len(pod) != old:
-                self._full_count -= 1
-                self._pod_count_changed(node.pod_id, old, old - 1)
-        else:
-            pod.discard(node.node_id)
+        old = len(pod)
+        pod.discard(node.node_id)
+        if len(pod) != old:
+            self._full_count -= 1
+            self._pod_count_changed(node.pod_id, old, old - 1)
 
     def _add_full(self, node: Node) -> None:
         pod = self._full_by_pod[node.pod_id]
-        if self._incremental:
-            old = len(pod)
-            pod.add(node.node_id)
-            if len(pod) != old:
-                self._full_count += 1
-                self._pod_count_changed(node.pod_id, old, old + 1)
-        else:
-            pod.add(node.node_id)
+        old = len(pod)
+        pod.add(node.node_id)
+        if len(pod) != old:
+            self._full_count += 1
+            self._pod_count_changed(node.pod_id, old, old + 1)
 
     def refresh(self, node_id: int) -> None:
         """Re-index a node after any capacity or state change."""
@@ -120,25 +107,11 @@ class FreeNodeIndex:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _iter_bucket(self, k: int) -> Iterable[int]:
-        """Bucket ``k``'s node ids, ascending (pre-sorted in incremental
-        mode; sorted per call on the legacy path)."""
-        bucket = self._buckets[k]
-        return bucket if self._incremental else sorted(bucket)
-
     def _iter_pods(self) -> List[Tuple[int, Iterable[int]]]:
         """(pod_id, full node ids ascending) by (most free, lowest pod)."""
-        if self._incremental:
-            return [
-                (pod_id, self._full_by_pod[pod_id])
-                for _neg_count, pod_id in list(self._pod_order)
-            ]
         return [
-            (pod_id, sorted(node_ids))
-            for pod_id, node_ids in sorted(
-                self._full_by_pod.items(),
-                key=lambda item: (-len(item[1]), item[0]),
-            )
+            (pod_id, self._full_by_pod[pod_id])
+            for _neg_count, pod_id in list(self._pod_order)
         ]
 
     def _flush_stale(self, stale: Optional[List[int]]) -> None:
@@ -146,8 +119,8 @@ class FreeNodeIndex:
 
         Queries iterate the live sorted structures, so repositioning is
         deferred to the end of each scan instead of mutating mid-iteration
-        (the legacy path iterated throwaway ``sorted()`` snapshots, which
-        made immediate refresh safe; the choice sequence is identical).
+        (the choice sequence is the same as an immediate refresh over a
+        snapshot).
         """
         if stale:
             for node_id in stale:
@@ -159,7 +132,7 @@ class FreeNodeIndex:
         for k in range(gpus, GPUS_PER_NODE + 1):
             found = None
             stale: Optional[List[int]] = None
-            for node_id in self._iter_bucket(k):
+            for node_id in self._buckets[k]:
                 if node_id in excluded:
                     continue
                 node = nodes[node_id]
@@ -200,22 +173,19 @@ class FreeNodeIndex:
 
     def free_full_node_count(self) -> int:
         """Upper bound on fully free servers (may include stale entries)."""
-        if self._incremental:
-            return self._full_count
-        return sum(len(s) for s in self._full_by_pod.values())
+        return self._full_count
 
     def full_node_candidates(self, excluded: Set[int]) -> List[Node]:
         """All validated fully-free servers (for custom selection orders).
 
-        Pods iterate in ascending pod id (dict order: pre-seeded in
-        incremental mode, first-touch on the legacy path — identical for
-        id-ordered fleets), nodes ascending within each pod.
+        Pods iterate in first-touch order (ascending pod id for id-ordered
+        fleets), nodes ascending within each pod.
         """
         nodes = self._nodes
         out: List[Node] = []
         stale: Optional[List[int]] = None
         for pod in self._full_by_pod.values():
-            for node_id in pod if self._incremental else sorted(pod):
+            for node_id in pod:
                 if node_id in excluded:
                     continue
                 node = nodes[node_id]

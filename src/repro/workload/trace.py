@@ -123,12 +123,10 @@ class Trace:
         return log
 
     def total_gpu_seconds(self) -> float:
-        cached = getattr(self, "_columns", None)
-        if cached is not None:
-            from repro.core.columns import sequential_sum
+        """Scheduled GPU-seconds, summed sequentially in record order."""
+        from repro.core.columns import sequential_sum
 
-            return sequential_sum(cached.jobs.gpu_seconds)
-        return sum(r.gpu_seconds for r in self.job_records)
+        return sequential_sum(self.columns.jobs.gpu_seconds)
 
     def node_record(self, node_id: int) -> NodeTraceRecord:
         for record in self.node_records:

@@ -144,25 +144,3 @@ def test_indices_survive_incident_repair_restore_release_churn():
         n.state is NodeState.REMEDIATION for n in cluster.nodes.values()
     ) or engine.executed_events > 0
     _assert_indices_match_scans(cluster)
-
-
-def test_legacy_mode_serves_queries_from_scans():
-    """`incremental_indices=False` must answer identically (it *is* the
-    scan), so both modes expose one query contract."""
-    engine_a, fast = _build_cluster(seed=6)
-    engine_b = Engine()
-    slow = Cluster(
-        fast.spec, engine_b, RngStreams(6), incremental_indices=False
-    )
-    fast.start()
-    slow.start()
-    span = fast.spec.span_seconds
-    for step in range(1, 20):
-        t = step * span / 20
-        engine_a.run_until(t)
-        engine_b.run_until(t)
-        assert [n.node_id for n in fast.schedulable_nodes()] == [
-            n.node_id for n in slow.schedulable_nodes()
-        ]
-        assert fast.healthy_node_count() == slow.healthy_node_count()
-        assert fast.quarantined_node_ids() == slow.quarantined_node_ids()

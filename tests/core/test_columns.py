@@ -20,7 +20,6 @@ from repro.core.columns import (
     state_code,
     unpack_strings,
 )
-from repro.core.mttf import _is_hw_failure
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.runtime import trace_digest
 from repro.sim.events import EventRecord
@@ -148,6 +147,20 @@ def test_job_columns_roundtrip_edge_cases():
     assert cols.hw_incident_null.tolist() == [False, True, True]
     assert cols.instigator_null.tolist() == [True, False, True]
     assert cols.hw_component_code[1] == -1
+
+
+def _is_hw_failure(record, use_ground_truth):
+    """Per-record statement of the MTTF hardware-failure rule."""
+    if use_ground_truth:
+        return record.is_hw_interruption
+    # Observable rule: NODE_FAIL always counts; FAILED/REQUEUED count when
+    # a health check was attributed.
+    if record.state is JobState.NODE_FAIL:
+        return True
+    return (
+        record.state in (JobState.FAILED, JobState.REQUEUED)
+        and record.hw_attributed
+    )
 
 
 def test_job_columns_vector_accessors_match_rowwise(rsc1_trace):

@@ -1,5 +1,6 @@
 import pytest
 
+from repro.core.columns import JobColumns
 from repro.core.goodput import (
     find_crash_loops,
     lost_goodput_by_size,
@@ -7,6 +8,9 @@ from repro.core.goodput import (
 )
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.sim.timeunits import HOUR, MINUTE
+
+
+as_columns = JobColumns.from_records
 
 
 def record(job_id, n_gpus, runtime, state, attempt=0, **kwargs):
@@ -31,7 +35,7 @@ def test_direct_loss_is_capped_at_thirty_minutes():
     records = [
         record(1, 512, 5 * HOUR, JobState.NODE_FAIL),
     ]
-    [loss] = lost_goodput_by_size(records)
+    [loss] = lost_goodput_by_size(as_columns(records))
     assert loss.gpus == 512
     assert loss.direct_gpu_hours == pytest.approx(0.5 * 512)
     assert loss.n_direct == 1
@@ -39,7 +43,7 @@ def test_direct_loss_is_capped_at_thirty_minutes():
 
 def test_short_attempt_loses_only_its_runtime():
     records = [record(1, 8, 10 * MINUTE, JobState.NODE_FAIL)]
-    [loss] = lost_goodput_by_size(records)
+    [loss] = lost_goodput_by_size(as_columns(records))
     assert loss.direct_gpu_hours == pytest.approx(8 * 10 / 60)
 
 
@@ -49,7 +53,7 @@ def test_second_order_preemption_charged_when_instigator_failed():
         record(2, 8, 3 * HOUR, JobState.PREEMPTED, instigator_job_id=1),
         record(3, 8, 3 * HOUR, JobState.PREEMPTED, instigator_job_id=99),
     ]
-    losses = lost_goodput_by_size(records)
+    losses = lost_goodput_by_size(as_columns(records))
     by_gpus = {l.gpus: l for l in losses}
     # Job 2's preemption cascades from the failed job 1; job 3's instigator
     # never failed, so it is not charged.
@@ -62,7 +66,7 @@ def test_second_order_fraction():
         record(1, 512, 5 * HOUR, JobState.NODE_FAIL),
         record(2, 512, 5 * HOUR, JobState.PREEMPTED, instigator_job_id=1),
     ]
-    losses = lost_goodput_by_size(records)
+    losses = lost_goodput_by_size(as_columns(records))
     assert second_order_fraction(losses) == pytest.approx(0.5)
 
 
@@ -77,7 +81,7 @@ def test_hw_attributed_failed_counts_as_direct():
                hw_attributed=True),
         record(2, 64, 2 * HOUR, JobState.FAILED),  # user failure: no loss
     ]
-    [loss] = lost_goodput_by_size(records)
+    [loss] = lost_goodput_by_size(as_columns(records))
     assert loss.n_direct == 1
 
 
@@ -91,7 +95,7 @@ def test_crash_loop_detection():
         records.append(
             record(100 + j, 8, 3 * HOUR, JobState.PREEMPTED, instigator_job_id=1)
         )
-    [loop] = find_crash_loops(records, min_interruptions=5)
+    [loop] = find_crash_loops(as_columns(records), min_interruptions=5)
     assert loop.job_id == 1
     assert loop.hw_interruptions == 6
     assert loop.preemptions_caused == 10
@@ -100,4 +104,4 @@ def test_crash_loop_detection():
 
 def test_no_crash_loop_below_threshold():
     records = [record(1, 8, HOUR, JobState.NODE_FAIL, attempt=i) for i in range(3)]
-    assert find_crash_loops(records, min_interruptions=5) == []
+    assert find_crash_loops(as_columns(records), min_interruptions=5) == []

@@ -1,5 +1,6 @@
 import pytest
 
+from repro.core.columns import JobColumns
 from repro.core.mttf import (
     empirical_mttf_by_size,
     mttf_projection_curve,
@@ -9,6 +10,9 @@ from repro.core.mttf import (
 )
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.sim.timeunits import HOUR
+
+
+as_columns = JobColumns.from_records
 
 
 def record(job_id, n_gpus, runtime_hours, state=JobState.COMPLETED, **kwargs):
@@ -49,7 +53,7 @@ def test_empirical_mttf_pools_exposure():
         record(3, 8, 100.0),
         record(4, 8, 100.0),
     ]
-    [bucket] = empirical_mttf_by_size(records)
+    [bucket] = empirical_mttf_by_size(as_columns(records))
     assert bucket.gpus == 8
     assert bucket.failures == 1
     assert bucket.runtime_hours == pytest.approx(400.0)
@@ -58,7 +62,7 @@ def test_empirical_mttf_pools_exposure():
 
 
 def test_zero_failure_bucket_has_infinite_mttf():
-    [bucket] = empirical_mttf_by_size([record(1, 16, 10.0)])
+    [bucket] = empirical_mttf_by_size(as_columns([record(1, 16, 10.0)]))
     assert bucket.mttf_hours == float("inf")
     assert bucket.mttf_hours_lo < float("inf")  # upper rate bound is finite
 
@@ -69,8 +73,8 @@ def test_observable_mode_needs_attribution():
         record(2, 8, 100.0, state=JobState.FAILED, hw_incident_id=1,
                hw_attributed=True),
     ]
-    [gt] = empirical_mttf_by_size(records, use_ground_truth=True)
-    [obs] = empirical_mttf_by_size(records, use_ground_truth=False)
+    [gt] = empirical_mttf_by_size(as_columns(records), use_ground_truth=True)
+    [obs] = empirical_mttf_by_size(as_columns(records), use_ground_truth=False)
     assert gt.failures == 1
     assert obs.failures == 1
 
@@ -78,7 +82,7 @@ def test_observable_mode_needs_attribution():
 def test_node_failure_rate_units():
     # 2-node job runs 24h and fails once: 2 node-days -> rate 0.5/node-day.
     records = [record(1, 16, 24.0, state=JobState.NODE_FAIL)]
-    est = node_failure_rate(records, min_gpus=8)
+    est = node_failure_rate(as_columns(records), min_gpus=8)
     assert est.rate == pytest.approx(0.5)
 
 
@@ -87,14 +91,14 @@ def test_node_failure_rate_excludes_small_jobs():
         record(1, 8, 1000.0, state=JobState.NODE_FAIL),
         record(2, 256, 24.0),
     ]
-    est = node_failure_rate(records, min_gpus=128)
+    est = node_failure_rate(as_columns(records), min_gpus=128)
     assert est.events == 0
     assert est.exposure == pytest.approx(32.0)  # 32 nodes x 1 day
 
 
 def test_node_failure_rate_requires_large_jobs():
     with pytest.raises(ValueError, match="no runtime"):
-        node_failure_rate([record(1, 8, 10.0)], min_gpus=128)
+        node_failure_rate(as_columns([record(1, 8, 10.0)]), min_gpus=128)
 
 
 def test_project_mttf_paper_numbers():

@@ -2,15 +2,14 @@
 
 Tolerances are the ones documented in ``docs/STREAMING.md``:
 
-* rolling failure-rate timeline: **bit-exact** against both the rowwise
-  and the columnar batch paths;
+* rolling failure-rate timeline: **bit-exact**;
 * per-size MTTF buckets (counts, exposures, Gamma CIs): **bit-exact**;
 * r_f: **bit-exact** with a pinned ``min_gpus``; within 1e-9 relative
   (empirically exact on in-repo traces) under the moving auto floor;
 * ETTR Fig. 9: measured means/CIs/queue means **bit-exact**; the
   expected (Eq. 1) column inherits the r_f tolerance;
 * lemon cohort: **exactly** the batch cohort once node records arrive;
-* delivered GPU-seconds: **bit-exact** vs the rowwise sum.
+* delivered GPU-seconds: **bit-exact** vs a sequential sum.
 """
 
 import numpy as np
@@ -34,13 +33,11 @@ def test_no_late_events_slipped_past_finalized_points(live):
     assert live.rolling.late_events == 0
 
 
-@pytest.mark.parametrize("use_columns", [False, True])
-def test_rolling_timeline_bit_exact(live, rsc1_trace, use_columns):
+def test_rolling_timeline_bit_exact(live, rsc1_trace):
     batch = failure_rate_timeline(
         rsc1_trace,
         window_days=live.rolling.window_days,
         step_days=live.config.step_days,
-        use_columns=use_columns,
     )
     streamed = live.timeline()
     assert np.array_equal(streamed.times_days, batch.times_days)
@@ -54,7 +51,7 @@ def test_rolling_timeline_bit_exact(live, rsc1_trace, use_columns):
 
 def test_mttf_buckets_bit_exact(live, rsc1_trace):
     batch = empirical_mttf_by_size(
-        rsc1_trace.job_records, use_ground_truth=True
+        rsc1_trace.columns.jobs, use_ground_truth=True
     )
     streamed = live.mttf.buckets()
     assert len(batch) == len(streamed)
@@ -73,7 +70,7 @@ def test_rf_pinned_floor_bit_exact(rsc1_trace):
     )
     replay_trace(rsc1_trace, pinned)
     batch = node_failure_rate(
-        rsc1_trace.job_records, min_gpus=floor, use_ground_truth=True
+        rsc1_trace.columns.jobs, min_gpus=floor, use_ground_truth=True
     )
     failures, node_days = pinned.mttf.rf_inputs()
     assert failures == batch.events
@@ -84,7 +81,7 @@ def test_rf_pinned_floor_bit_exact(rsc1_trace):
 def test_rf_auto_floor_within_tolerance(live, rsc1_trace):
     floor = live.mttf.auto_floor()
     batch = node_failure_rate(
-        rsc1_trace.job_records, min_gpus=floor, use_ground_truth=True
+        rsc1_trace.columns.jobs, min_gpus=floor, use_ground_truth=True
     )
     failures, node_days = live.mttf.rf_inputs(floor)
     assert failures == batch.events  # counts are integral: always exact
@@ -92,9 +89,7 @@ def test_rf_auto_floor_within_tolerance(live, rsc1_trace):
 
 
 def test_ettr_comparison_measured_bit_exact(live, rsc1_trace):
-    batch = ettr_comparison(
-        rsc1_trace, use_ground_truth=True, use_columns=False
-    )
+    batch = ettr_comparison(rsc1_trace, use_ground_truth=True)
     live_rf = live.mttf.failure_rate(live.mttf.ettr_floor())
     assert live_rf.rate == batch.rf_per_node_day
     rows = live.ettr.comparison(live_rf)
@@ -133,12 +128,11 @@ def test_second_cluster_cross_validates_too(rsc2_trace):
         rsc2_trace,
         window_days=analytics.rolling.window_days,
         step_days=analytics.config.step_days,
-        use_columns=True,
     )
     streamed = analytics.timeline()
     assert np.array_equal(streamed.overall, batch.overall)
     batch_buckets = empirical_mttf_by_size(
-        rsc2_trace.job_records, use_ground_truth=True
+        rsc2_trace.columns.jobs, use_ground_truth=True
     )
     assert [
         (b.gpus, b.failures, b.runtime_hours) for b in batch_buckets

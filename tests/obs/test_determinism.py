@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro import CampaignConfig, ClusterSpec, run_campaign
+from repro import CampaignConfig, ClusterSpec, RunOptions, run_campaign
 from repro.obs import Telemetry
 from repro.runtime import TraceCache, config_digest, trace_digest
 
@@ -29,7 +29,7 @@ def plain_trace(config):
 @pytest.fixture(scope="module")
 def instrumented(config):
     telemetry = Telemetry.in_memory()
-    trace = run_campaign(config, telemetry=telemetry)
+    trace = run_campaign(config, RunOptions(telemetry=telemetry))
     return trace, telemetry
 
 
@@ -79,6 +79,6 @@ def test_cache_round_trip_across_instrumentation(config, instrumented, tmp_path)
 
 def test_disabled_telemetry_bundle_is_inert(config, plain_trace):
     telemetry = Telemetry.disabled()
-    trace = run_campaign(config, telemetry=telemetry)
+    trace = run_campaign(config, RunOptions(telemetry=telemetry))
     assert telemetry.tracer.events_emitted == 0
     assert trace_digest(trace) == trace_digest(plain_trace)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import CampaignConfig, ClusterSpec, run_campaign
+from repro import CampaignConfig, ClusterSpec, RunOptions, run_campaign
 from repro.obs import (
     Telemetry,
     check_stream_well_formed,
@@ -27,7 +27,7 @@ def telemetry_dir(tmp_path_factory):
         root=tmp_path_factory.mktemp("cache"), enabled=True, telemetry=telemetry
     )
     assert cache.get(config) is None  # miss
-    trace = run_campaign(config, telemetry=telemetry)
+    trace = run_campaign(config, RunOptions(telemetry=telemetry))
     cache.put(config, trace)
     assert cache.get(config) is not None  # hit
     telemetry.finalize()

@@ -8,11 +8,10 @@ transitions and deliberately-stale entries (quarantine flipped without a
 
 * :class:`SortedIntSet` against a model ``set`` — every interleaving of
   add/discard/contains, plus ordering of iteration.
-* :class:`FreeNodeIndex` in incremental mode against the legacy
-  per-query-``sorted()`` mode *and* against a brute-force rescan of the
-  node objects — ``find_partial`` must return the best-fit (smallest
-  adequate free count, lowest node id) schedulable node, and
-  ``find_full_nodes`` must pack the fullest pods first.
+* :class:`FreeNodeIndex` against a brute-force rescan of the node
+  objects — ``find_partial`` must return the best-fit (smallest adequate
+  free count, lowest node id) schedulable node, and ``find_full_nodes``
+  must pack the fullest pods first.
 """
 
 from hypothesis import given, settings
@@ -66,7 +65,7 @@ def test_sorted_int_set_constructor_dedupes_and_sorts(initial):
 
 
 # ----------------------------------------------------------------------
-# FreeNodeIndex churn: incremental vs legacy vs brute force
+# FreeNodeIndex churn vs brute force
 # ----------------------------------------------------------------------
 def _fleet():
     return {
@@ -179,50 +178,42 @@ def test_free_node_index_matches_brute_force_under_churn(ops, excluded):
     from repro.scheduler.placement import FreeNodeIndex
 
     nodes = _fleet()
-    fast = FreeNodeIndex(nodes, incremental=True)
-    slow = FreeNodeIndex(nodes, incremental=False)
+    index = FreeNodeIndex(nodes)
     job_counter = [0]
 
     for op, node_id, gpus in ops:
         if op == "query_p":
             want = 1 + (gpus - 1) % (GPUS_PER_NODE - 1)  # 1..7: sub-server
-            got_fast = fast.find_partial(want, excluded)
-            got_slow = slow.find_partial(want, excluded)
             expected = _brute_force_partial(nodes, want, excluded)
-            assert got_fast is got_slow is expected
+            assert index.find_partial(want, excluded) is expected
         elif op == "query_f":
             n_wanted = 1 + gpus % 3
-            got_fast = fast.find_full_nodes(n_wanted, excluded)
-            got_slow = slow.find_full_nodes(n_wanted, excluded)
+            got = index.find_full_nodes(n_wanted, excluded)
             expected = _brute_force_full(nodes, n_wanted, excluded)
             if expected is None:
-                assert got_fast is None and got_slow is None
+                assert got is None
             else:
-                assert got_fast == got_slow == expected
+                assert got == expected
         else:
             for touched in _apply(nodes, op, node_id, gpus, job_counter):
-                fast.refresh(touched)
-                slow.refresh(touched)
+                index.refresh(touched)
 
     # final: candidate lists and counts agree with a fresh rebuild
-    rebuilt = FreeNodeIndex(nodes, incremental=True)
-    assert (
-        fast.full_node_candidates(set())
-        == slow.full_node_candidates(set())
-        == rebuilt.full_node_candidates(set())
+    rebuilt = FreeNodeIndex(nodes)
+    assert index.full_node_candidates(set()) == rebuilt.full_node_candidates(
+        set()
     )
-    assert fast.free_full_node_count() == rebuilt.free_full_node_count()
+    assert index.free_full_node_count() == rebuilt.free_full_node_count()
 
 
 @given(ops=churn_ops)
 @settings(deadline=None, max_examples=100)
 def test_free_node_index_tolerates_stale_quarantine_entries(ops):
-    """Quarantine flips *without* refresh: modes agree, picks stay valid.
+    """Quarantine flips *without* refresh: picks stay valid.
 
     The index contract: entries that became ineligible since insertion
     are revalidated at query time (``can_host``), so a quarantined-but-
-    still-indexed node is never *returned*, and both modes make identical
-    choices.  Staleness may legitimately change which eligible nodes are
+    still-indexed node is never *returned*.  Staleness may legitimately change which eligible nodes are
     *preferred* (pod fill order uses the indexed counts), and a node
     un-quarantined without a refresh is not rediscovered — so brute-force
     equality is only owed after everything is re-indexed, asserted at the
@@ -231,8 +222,7 @@ def test_free_node_index_tolerates_stale_quarantine_entries(ops):
     from repro.scheduler.placement import FreeNodeIndex
 
     nodes = _fleet()
-    fast = FreeNodeIndex(nodes, incremental=True)
-    slow = FreeNodeIndex(nodes, incremental=False)
+    index = FreeNodeIndex(nodes)
     job_counter = [0]
 
     for op, node_id, gpus in ops:
@@ -241,35 +231,26 @@ def test_free_node_index_tolerates_stale_quarantine_entries(ops):
             nodes[node_id].quarantined = not nodes[node_id].quarantined
         elif op == "query_p":
             want = 1 + (gpus - 1) % (GPUS_PER_NODE - 1)
-            got_fast = fast.find_partial(want, set())
-            got_slow = slow.find_partial(want, set())
-            assert got_fast is got_slow
-            if got_fast is not None:
-                assert got_fast.can_host(want)
+            got = index.find_partial(want, set())
+            if got is not None:
+                assert got.can_host(want)
         elif op == "query_f":
             n_wanted = 1 + gpus % 3
-            got_fast = fast.find_full_nodes(n_wanted, set())
-            got_slow = slow.find_full_nodes(n_wanted, set())
-            assert got_fast == got_slow
-            if got_fast is not None:
-                assert len(got_fast) == n_wanted
-                assert all(n.can_host(GPUS_PER_NODE) for n in got_fast)
+            got = index.find_full_nodes(n_wanted, set())
+            if got is not None:
+                assert len(got) == n_wanted
+                assert all(n.can_host(GPUS_PER_NODE) for n in got)
         else:
             for touched in _apply(nodes, op, node_id, gpus, job_counter):
-                fast.refresh(touched)
-                slow.refresh(touched)
+                index.refresh(touched)
 
     # once every node is re-indexed, brute force is the ground truth again
     for node_id in nodes:
-        fast.refresh(node_id)
-        slow.refresh(node_id)
-    expected_p = _brute_force_partial(nodes, 1, set())
-    assert fast.find_partial(1, set()) is expected_p
-    assert slow.find_partial(1, set()) is expected_p
+        index.refresh(node_id)
+    assert index.find_partial(1, set()) is _brute_force_partial(nodes, 1, set())
     expected_f = _brute_force_full(nodes, 2, set())
-    got_fast = fast.find_full_nodes(2, set())
-    got_slow = slow.find_full_nodes(2, set())
+    got = index.find_full_nodes(2, set())
     if expected_f is None:
-        assert got_fast is None and got_slow is None
+        assert got is None
     else:
-        assert got_fast == got_slow == expected_f
+        assert got == expected_f

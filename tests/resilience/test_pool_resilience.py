@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+from repro import RunOptions
 from repro.resilience import (
     Backoff,
     ChaosPolicy,
@@ -164,18 +165,12 @@ def test_open_breaker_degrades_to_inline(tiny_configs, tiny_digests):
     assert pool.last_stats.workers == 1  # nothing ran pooled
 
 
-def test_legacy_kwargs_one_warning_identical_digests(tiny_configs, tiny_digests):
-    """The satellite contract: the pre-RunOptions spelling still works,
-    warns exactly once per call, and changes nothing about the results."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        traces = run_campaigns(tiny_configs, max_workers=1, cache=False)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "run_campaigns" in message
-    assert "cache=" in message and "max_workers=" in message
-    assert "RunOptions" in message
+def test_run_campaigns_options_identical_digests(tiny_configs, tiny_digests):
+    """The one-call sweep with RunOptions runs silently and changes
+    nothing about the results."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        traces = run_campaigns(
+            tiny_configs, RunOptions(workers=1, cache=False)
+        )
     assert [trace_digest(t) for t in traces] == tiny_digests

@@ -1,5 +1,6 @@
 """TraceCache mechanics: hit/miss accounting, stamps, and kill switches."""
 
+import operator
 import pickle
 
 import pytest
@@ -133,59 +134,37 @@ def test_stamp_mismatch_invalidates(tmp_path, config, trace):
     assert not path.exists()
 
 
-def _write_legacy_entry(cache, config, trace):
-    """Write an entry exactly as the v1 (pickle) cache format did."""
-    from repro.workload.trace import TRACE_SCHEMA_VERSION
+class _Poison:
+    """Unpickling this runs ``1 / 0``: a stand-in for a hostile payload."""
 
-    digest = config_digest(config)
-    path = cache._legacy_path(digest)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    entry = {
-        "cache_format": CACHE_FORMAT_VERSION,
-        "trace_schema": TRACE_SCHEMA_VERSION,
-        "digest": digest,
-        "trace": trace.to_dict(),
-    }
-    path.write_bytes(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
-    return path
+    def __reduce__(self):
+        return (operator.truediv, (1, 0))
 
 
-def test_legacy_pickle_entries_still_serve_hits(tmp_path, config, trace):
-    """A cache directory written by entry-format v1 keeps working as-is."""
+def test_pickle_beside_entry_is_never_read(tmp_path, config, trace):
+    """Nothing read from the cache directory is unpickled: a ``.pkl``
+    planted at the entry path is a miss and stays untouched."""
     cache = TraceCache(root=tmp_path, enabled=True)
-    legacy = _write_legacy_entry(cache, config, trace)
-    assert legacy.suffix == ".pkl"
+    planted = cache.path_for(config).with_suffix(".pkl")
+    planted.parent.mkdir(parents=True)
+    payload = pickle.dumps(_Poison())
+    with pytest.raises(ZeroDivisionError):
+        pickle.loads(payload)
+    planted.write_bytes(payload)
+    before = planted.stat()
 
-    loaded = cache.get(config)
-    assert loaded is not None
-    assert trace_digest(loaded) == trace_digest(trace)
-    assert loaded.metadata["runtime"]["source"] == "cache"
+    assert cache.get(config) is None
     assert cache.stats() == {
-        "hits": 1, "misses": 0, "writes": 0, "quarantined": 0
+        "hits": 0, "misses": 1, "writes": 0, "quarantined": 0
     }
-    assert legacy.exists()  # never discarded while valid
+    assert planted.read_bytes() == payload
+    assert planted.stat().st_mtime_ns == before.st_mtime_ns
+    assert not cache.quarantine_dir().exists()
 
-
-def test_npz_entry_preferred_over_legacy(tmp_path, config, trace):
-    cache = TraceCache(root=tmp_path, enabled=True)
-    _write_legacy_entry(cache, config, trace)
-    npz_path = cache.put(config, trace)
-    assert npz_path.suffix == ".npz"
-    loaded = cache.get(config)
-    assert loaded is not None
-    assert trace_digest(loaded) == trace_digest(trace)
-    assert cache.hits == 1
-
-
-def test_config_digest_stable_across_entry_formats(tmp_path, config, trace):
-    """The cache *key* does not depend on the entry encoding: a legacy
-    directory and a fresh npz directory address the same digest."""
-    digest = config_digest(config)
-    legacy_cache = TraceCache(root=tmp_path / "legacy", enabled=True)
-    legacy = _write_legacy_entry(legacy_cache, config, trace)
-    npz_cache = TraceCache(root=tmp_path / "npz", enabled=True)
-    npz = npz_cache.put(config, trace)
-    assert legacy.stem == npz.stem == digest
+    # The npz entry is written beside it and served; the pickle stays.
+    cache.put(config, trace)
+    assert trace_digest(cache.get(config)) == trace_digest(trace)
+    assert planted.read_bytes() == payload
 
 
 def test_disabled_cache_never_touches_disk(tmp_path, config, trace):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import CampaignConfig, ClusterSpec, run_campaign
+from repro import CampaignConfig, ClusterSpec, RunOptions, run_campaign
 from repro.runtime import (
     CampaignPool,
     TraceCache,
@@ -117,7 +117,9 @@ def test_empty_sweep():
 
 
 def test_run_campaigns_wrapper(sweep):
-    traces = run_campaigns(sweep.configs[:1], max_workers=1, cache=sweep.cache)
+    traces = run_campaigns(
+        sweep.configs[:1], RunOptions(workers=1, cache=sweep.cache)
+    )
     assert len(traces) == 1
     assert trace_digest(traces[0]) == trace_digest(sweep.serial[0])
     assert traces[0].metadata["runtime"]["source"] == "cache"

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from repro.cluster.node import Node
@@ -105,90 +103,3 @@ def test_quarantined_node_never_placed():
     index = FreeNodeIndex(nodes)
     policy = PlacementPolicy()
     assert policy.place(index, 1, excluded=set()) is None
-
-
-class _IndexArm:
-    """One FreeNodeIndex (incremental or legacy) over its own node fleet,
-    so the two modes can replay an identical operation script."""
-
-    def __init__(self, n, incremental):
-        self.nodes = make_nodes(n)
-        self.index = FreeNodeIndex(self.nodes, incremental=incremental)
-        self.policy = PlacementPolicy()
-        self.held = {}  # job_id -> list of node ids
-
-    def place(self, job_id, n_gpus, excluded):
-        placed = self.policy.place(self.index, n_gpus, excluded)
-        if placed is None:
-            return None
-        gpus_each = n_gpus if n_gpus < 8 else 8
-        for node in placed:
-            node.allocate(job_id, gpus_each)
-            self.index.refresh(node.node_id)
-        self.held[job_id] = [n.node_id for n in placed]
-        return tuple(self.held[job_id])
-
-    def release(self, job_id):
-        for node_id in self.held.pop(job_id):
-            self.nodes[node_id].release(job_id)
-            self.index.refresh(node_id)
-
-    def fail(self, node_id):
-        node = self.nodes[node_id]
-        for job_id in list(node.running_jobs):
-            # Gang semantics: losing one node tears down the whole job.
-            for nid in self.held.pop(job_id):
-                if nid != node_id:
-                    self.nodes[nid].release(job_id)
-                    self.index.refresh(nid)
-        node.enter_remediation()
-        self.index.remove(node_id)
-
-    def restore(self, node_id):
-        self.nodes[node_id].return_to_service()
-        self.index.refresh(node_id)
-
-
-def test_incremental_and_legacy_modes_allocate_identically():
-    """Allocation order is part of the trace contract: the incremental
-    sorted buckets must make the exact choice sequence the legacy
-    per-query ``sorted()`` path made, through arbitrary churn."""
-    rng = random.Random(42)
-    fast = _IndexArm(60, incremental=True)
-    slow = _IndexArm(60, incremental=False)
-    down = []
-    job_seq = iter(range(1, 10_000))
-    choices = {"fast": [], "slow": []}
-
-    for _step in range(600):
-        op = rng.random()
-        if op < 0.5:
-            job_id = next(job_seq)
-            n_gpus = rng.choice([1, 2, 3, 5, 7, 8, 16, 24, 40, 80])
-            excluded = (
-                {rng.randrange(60), rng.randrange(60)}
-                if rng.random() < 0.3
-                else set()
-            )
-            choices["fast"].append(fast.place(job_id, n_gpus, set(excluded)))
-            choices["slow"].append(slow.place(job_id, n_gpus, set(excluded)))
-        elif op < 0.75 and fast.held:
-            job_id = rng.choice(sorted(fast.held))
-            fast.release(job_id)
-            slow.release(job_id)
-        elif op < 0.9:
-            node_id = rng.randrange(60)
-            if fast.nodes[node_id].is_schedulable():
-                fast.fail(node_id)
-                slow.fail(node_id)
-                down.append(node_id)
-        elif down:
-            node_id = down.pop(rng.randrange(len(down)))
-            fast.restore(node_id)
-            slow.restore(node_id)
-
-    assert choices["fast"] == choices["slow"]
-    assert any(c is not None for c in choices["fast"])  # script placed jobs
-    assert any(c is None for c in choices["fast"])  # ... and saw pressure
-    assert fast.held.keys() == slow.held.keys()
-    assert fast.index.free_full_node_count() >= 0

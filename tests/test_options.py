@@ -1,10 +1,6 @@
-"""RunOptions + resolve_options: the legacy-kwarg shim contract.
+"""RunOptions: the one execution-strategy surface and its validation."""
 
-The deprecation story is only honest if the shim is *exactly* one
-warning per call, names every offending keyword, and produces the same
-RunOptions (hence the same results) the non-deprecated spelling would.
-"""
-
+import dataclasses
 import warnings
 
 import pytest
@@ -15,68 +11,33 @@ from repro import (
     DEFAULT_OPTIONS,
     RunOptions,
     run_campaign,
+    run_campaigns,
 )
-from repro.options import UNSET, resolve_options
-from repro.runtime import trace_digest
 
 
-@pytest.fixture(scope="module")
-def rsc1_small_config():
+def test_fields():
+    assert [f.name for f in dataclasses.fields(RunOptions)] == [
+        "telemetry",
+        "cache",
+        "cache_dir",
+        "workers",
+        "resilience",
+        "checkpoint_dir",
+        "backend",
+        "backend_options",
+    ]
+
+
+def test_removed_keywords_are_rejected():
+    """The pre-RunOptions keywords are gone, not silently ignored."""
     spec = ClusterSpec.rsc1_like(n_nodes=8, campaign_days=2)
-    return CampaignConfig(cluster_spec=spec, duration_days=2, seed=5)
-
-
-def _resolve(*args, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        return resolve_options(*args, **kw)
-
-
-def test_no_legacy_kwargs_no_warning_returns_base():
-    opts = RunOptions(workers=2)
-    assert _resolve(opts, "f") is opts
-    assert _resolve(None, "f") is DEFAULT_OPTIONS
-    # UNSET values mean "not passed" and stay silent.
-    assert _resolve(opts, "f", use_columns=UNSET, telemetry=UNSET) is opts
-
-
-def test_exactly_one_warning_naming_all_kwargs():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        opts = resolve_options(
-            None, "run_campaigns",
-            renames={"max_workers": "workers"},
-            max_workers=3, cache=False,
-        )
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, DeprecationWarning)
-    message = str(caught[0].message)
-    assert message == (
-        "run_campaigns: cache=, max_workers= is deprecated; "
-        "pass repro.RunOptions(...) via options= instead"
-    )
-    assert opts.workers == 3
-    assert opts.cache is False
-
-
-def test_legacy_values_override_options_fields():
-    base = RunOptions(use_columns=True, workers=8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        merged = resolve_options(base, "f", use_columns=False)
-    assert merged.use_columns is False
-    assert merged.workers == 8  # untouched fields survive the merge
-    assert base.use_columns is True  # frozen: base never mutated
-
-
-def test_explicit_none_is_passed_not_unset():
-    """``telemetry=None`` is a real (deprecated) argument, distinct from
-    not passing it at all."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        resolve_options(None, "f", telemetry=None)
-    assert len(caught) == 1
-    assert "telemetry=" in str(caught[0].message)
+    config = CampaignConfig(cluster_spec=spec, duration_days=2, seed=5)
+    with pytest.raises(TypeError):
+        RunOptions(use_columns=False)
+    with pytest.raises(TypeError):
+        run_campaign(config, telemetry=None)
+    with pytest.raises(TypeError):
+        run_campaigns([config], max_workers=1)
 
 
 def test_run_options_validation():
@@ -142,21 +103,3 @@ def test_inline_backend_worker_conflict_warns_exactly_once():
         CampaignPool(options=RunOptions(backend="inline"))
         CampaignPool(options=RunOptions(backend="inline", workers=1))
         CampaignPool(options=RunOptions(backend="local-pool", workers=2))
-
-
-def test_legacy_and_options_spellings_digest_equal(rsc1_small_config):
-    """End-to-end satellite check on run_campaign itself: deprecated
-    kwargs and the RunOptions spelling run the same code path and return
-    bit-identical traces."""
-    modern = run_campaign(
-        rsc1_small_config, RunOptions(incremental_indices=False)
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = run_campaign(rsc1_small_config, incremental_indices=False)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "run_campaign:" in str(deprecations[0].message)
-    assert trace_digest(legacy) == trace_digest(modern)
