@@ -33,9 +33,16 @@ def test_no_late_events_slipped_past_finalized_points(live):
     assert live.rolling.late_events == 0
 
 
-def test_rolling_timeline_bit_exact(live, rsc1_trace):
+@pytest.mark.parametrize("reloaded", [False, True])
+def test_rolling_timeline_bit_exact(live, rsc1_trace, reloaded, tmp_path):
+    """The batch side reads the in-memory trace, or the same trace saved
+    as JSONL and loaded back (its event columns rebuilt from the file)."""
+    trace = rsc1_trace
+    if reloaded:
+        trace.save(tmp_path / "trace.jsonl")
+        trace = type(rsc1_trace).load(tmp_path / "trace.jsonl")
     batch = failure_rate_timeline(
-        rsc1_trace,
+        trace,
         window_days=live.rolling.window_days,
         step_days=live.config.step_days,
     )
