@@ -19,6 +19,7 @@ import enum
 import hashlib
 import json
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, TYPE_CHECKING
 
 import numpy as np
@@ -43,6 +44,26 @@ def canonicalize(obj: Any) -> Any:
     numpy scalars.  Dataclasses are tagged with their class name so two
     different types with identical fields cannot collide.
     """
+    # Exact-type fast path for the JSON vocabulary a trace payload is made
+    # of.  Subclasses (IntEnum, str-mixin enums, numpy scalars, dict
+    # subclasses) and non-str keys fall through to the generic checks.
+    kind = type(obj)
+    if (
+        kind is str or kind is int or kind is float or kind is bool
+        or obj is None
+    ):
+        return obj
+    if kind is list or kind is tuple:
+        return [canonicalize(v) for v in obj]
+    if kind is dict and all(type(k) is str for k in obj):
+        # encode_basestring_ascii(k) is json.dumps(k, sort_keys=True) for
+        # an exact str, so this is the generic branch's order.
+        return {
+            "__dict__": [
+                [k, canonicalize(obj[k])]
+                for k in sorted(obj, key=encode_basestring_ascii)
+            ]
+        }
     if is_dataclass(obj) and not isinstance(obj, type):
         return {
             "__dataclass__": type(obj).__name__,

@@ -193,6 +193,7 @@ class SlurmLikeScheduler:
             already_free=self.index.free_full_node_count(),
             excluded=job.excluded_nodes,
             candidate_ids=cluster.schedulable_node_ids(),
+            summaries=self.index.resident_summaries,
         )
         if plan is None:
             return None
@@ -297,6 +298,7 @@ class SlurmLikeScheduler:
         if not flagged:
             # Re-baseline: the battery is start latency, not training time.
             job.start_time = now
+            self.index.forget_summaries(job.node_ids)
             self._begin_execution(job, now)
             return
         # Tear the reservation down without recording a run attempt —

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.cluster.components import GPUS_PER_NODE
 from repro.cluster.node import Node
 from repro.core.indices import SortedIntSet
+from repro.scheduler.preemption import ResidentSummary
 
 
 class FreeNodeIndex:
@@ -49,6 +50,17 @@ class FreeNodeIndex:
         self._pod_order: List[Tuple[int, int]] = []
         self._full_count = 0
         self._bucket_of: Dict[int, int] = {}
+        #: Preemption's per-node resident summaries (node id ->
+        #: ``preemption.resident_summary``), built lazily by
+        #: ``PreemptionPolicy.plan``.  An entry is dropped wherever the
+        #: node's residents, its free GPUs or a resident's start time can
+        #: change: ``refresh``/``remove`` (which follow every allocate and
+        #: release) and ``forget_summaries`` (a preflight re-baseline).
+        #: ``Node.enter_remediation`` clears residents without the index
+        #: seeing it, but the node then leaves the schedulable ids that
+        #: ``plan`` walks, and it only returns through the scheduler's
+        #: ``_on_node_available``, which refreshes it.
+        self.resident_summaries: Dict[int, Optional[ResidentSummary]] = {}
         for node in nodes.values():
             self.refresh(node.node_id)
 
@@ -79,8 +91,15 @@ class FreeNodeIndex:
             self._full_count += 1
             self._pod_count_changed(node.pod_id, old, old + 1)
 
+    def forget_summaries(self, node_ids: Iterable[int]) -> None:
+        """Drop cached resident summaries (a resident's start time moved)."""
+        summaries = self.resident_summaries
+        for node_id in node_ids:
+            summaries.pop(node_id, None)
+
     def refresh(self, node_id: int) -> None:
         """Re-index a node after any capacity or state change."""
+        self.resident_summaries.pop(node_id, None)
         node = self._nodes[node_id]
         old = self._bucket_of.pop(node_id, None)
         if old is not None:
@@ -97,6 +116,7 @@ class FreeNodeIndex:
 
     def remove(self, node_id: int) -> None:
         """Drop a node from the index (failed, draining, or quarantined)."""
+        self.resident_summaries.pop(node_id, None)
         node = self._nodes[node_id]
         old = self._bucket_of.pop(node_id, None)
         if old is not None:

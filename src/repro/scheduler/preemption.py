@@ -10,7 +10,7 @@ failures cascade into *many* small preemptions (Fig. 8's second-order
 effect).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.components import GPUS_PER_NODE
@@ -29,19 +29,38 @@ class PreemptionPlan:
     freed_nodes: List[Node]
 
 
+#: Cached per-node view of the residents that preemption planning needs:
+#: ``(max resident qos, min resident qos, latest resident start_time,
+#: held GPUs)``.  ``None`` marks a node that cannot be liberated: it has
+#: no residents, is fully free, or hosts a resident that is not RUNNING
+#: with a ``start_time``.
+ResidentSummary = Tuple[int, int, float, int]
+
+
+def resident_summary(
+    node: Node, jobs: Dict[int, Job]
+) -> Optional[ResidentSummary]:
+    """Summarize ``node``'s residents for :meth:`PreemptionPolicy.plan`."""
+    if not node.running_jobs or node.fully_free:
+        return None
+    residents = [jobs[jid] for jid in node.running_jobs]
+    for job in residents:
+        if job.state is not JobState.RUNNING or job.start_time is None:
+            return None
+    qos = [int(job.spec.qos) for job in residents]
+    return (
+        max(qos),
+        min(qos),
+        max(job.start_time for job in residents),
+        node.total_gpus - node.free_gpus,
+    )
+
+
 @dataclass
 class PreemptionPolicy:
     """Chooses preemption victims for a job that cannot otherwise place."""
 
     shield: float = PREEMPTION_SHIELD
-
-    def job_is_preemptible(self, job: Job, by: Job, now: float) -> bool:
-        """May ``job`` be preempted in favour of ``by`` right now?"""
-        if job.state is not JobState.RUNNING or job.start_time is None:
-            return False
-        if job.qos >= by.qos:
-            return False
-        return (now - job.start_time) >= self.shield
 
     def plan(
         self,
@@ -51,19 +70,25 @@ class PreemptionPolicy:
         now: float,
         already_free: int,
         excluded: Set[int],
-        candidate_ids: Optional[Iterable[int]] = None,
+        candidate_ids: Iterable[int],
+        summaries: Optional[Dict[int, Optional[ResidentSummary]]] = None,
     ) -> Optional[PreemptionPlan]:
         """Find victims so that ``pending`` can start; None if impossible.
 
         ``already_free`` is the count of fully free servers that placement
         already found; we only need to liberate the remainder.  A node is
-        liberable only if *every* resident job is preemptible — gang
-        semantics mean killing one job frees all its nodes, so we work at
-        node granularity and dedupe victims.
+        liberable only if *every* resident job is RUNNING, of strictly
+        lower QoS than ``pending`` and past the shield — gang semantics
+        mean killing one job frees all its nodes, so we work at node
+        granularity and dedupe victims.
 
-        ``candidate_ids``, when given, must be the schedulable node ids in
-        ascending order (the cluster's incremental index); it replaces the
-        full-fleet scan with an identical candidate sequence.
+        ``candidate_ids`` are the schedulable node ids in ascending order
+        (the cluster's incremental index).  ``summaries`` caches
+        :func:`resident_summary` per node id across calls; the caller
+        must drop a node's entry whenever its residents, its free GPUs or
+        a resident's ``start_time`` change (the scheduler's
+        :class:`~repro.scheduler.placement.FreeNodeIndex` does this).
+        Without it, summaries are built afresh for this call.
         """
         if pending.n_gpus < GPUS_PER_NODE:
             needed_nodes = 1
@@ -73,69 +98,36 @@ class PreemptionPolicy:
         if to_liberate <= 0:
             return PreemptionPlan(victims=[], freed_nodes=[])
 
-        candidates: List[Tuple[Tuple[int, int], Node]] = []
-        if candidate_ids is not None:
-            # Ascending schedulable ids == dict order minus unschedulable
-            # nodes, so the candidate sequence (and hence the plan) is
-            # identical to the scan below.  The loop body is a flattened
-            # equivalent of the scan path's all()/min() pass: the same
-            # per-resident predicate (RUNNING, started, strictly lower QoS,
-            # past the shield) with short-circuit exit, fusing the min-QoS
-            # fold into the same traversal.  This is the scheduler's
-            # hottest loop; the reference body below is kept verbatim.
-            running_state = JobState.RUNNING
-            pending_qos = int(pending.qos)
-            shield = self.shield
-            for node_id in candidate_ids:
-                if node_id in excluded:
-                    continue
-                node = nodes[node_id]
-                running = node.running_jobs
-                if not running or node.fully_free:
-                    continue
-                min_qos = pending_qos  # residents must all rank below it
-                liberable = True
-                for jid in running:
-                    job = jobs[jid]
-                    start_time = job.start_time
-                    if (
-                        job.state is not running_state
-                        or start_time is None
-                        or (now - start_time) < shield
-                    ):
-                        liberable = False
-                        break
-                    qos = int(job.spec.qos)
-                    if qos >= pending_qos:
-                        liberable = False
-                        break
-                    if qos < min_qos:
-                        min_qos = qos
-                if not liberable:
-                    continue
-                held = node.total_gpus - node.free_gpus
-                candidates.append(((min_qos, held), node))
-        else:
-            pool = (n for n in nodes.values() if n.is_schedulable())
-            for node in pool:
-                if node.node_id in excluded:
-                    continue
-                if not node.running_jobs or node.fully_free:
-                    continue
-                residents = [jobs[jid] for jid in node.running_jobs]
-                if not all(
-                    self.job_is_preemptible(job, pending, now)
-                    for job in residents
-                ):
-                    continue
-                min_qos = min(int(job.qos) for job in residents)
-                held = node.total_gpus - node.free_gpus
-                candidates.append(((min_qos, held), node))
+        if summaries is None:
+            summaries = {}
+        pending_qos = int(pending.qos)
+        shield = self.shield
+        candidates: List[Tuple[Tuple[int, int], int]] = []
+        for node_id in candidate_ids:
+            if node_id in excluded:
+                continue
+            try:
+                summary = summaries[node_id]
+            except KeyError:
+                summary = summaries[node_id] = resident_summary(
+                    nodes[node_id], jobs
+                )
+            if summary is None:
+                continue
+            max_qos, min_qos, latest_start, held = summary
+            # Every resident has run at least the shield iff the latest
+            # start has: IEEE subtraction is monotone, so now - latest is
+            # the minimum of now - start.  Keep the subtraction form; see
+            # docs/PERFORMANCE.md ("Preemption planning").
+            if max_qos < pending_qos and (now - latest_start) >= shield:
+                candidates.append(((min_qos, held), node_id))
         if len(candidates) < to_liberate:
             return None
 
-        candidates.sort(key=lambda item: (item[0], item[1].node_id))
-        chosen_nodes = [node for _key, node in candidates[:to_liberate]]
+        candidates.sort()
+        chosen_nodes = [
+            nodes[node_id] for _key, node_id in candidates[:to_liberate]
+        ]
         victim_ids: Set[int] = set()
         victims: List[Job] = []
         for node in chosen_nodes:

@@ -13,7 +13,7 @@ same content as typed NumPy column blocks (built lazily, cached) — see
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -58,6 +58,13 @@ class NodeTraceRecord:
         if not hasattr(self, name):
             raise KeyError(f"unknown lemon signal {name!r}")
         return float(getattr(self, name))
+
+
+#: Row keys of the job and node tables, in field order.  Every field is
+#: a scalar (``node_ids`` is re-listed per row), so rows are built by
+#: plain attribute reads instead of ``asdict``'s recursive deep copy.
+_JOB_FIELDS = tuple(f.name for f in fields(JobAttemptRecord))
+_NODE_FIELDS = tuple(f.name for f in fields(NodeTraceRecord))
 
 
 @dataclass
@@ -149,11 +156,15 @@ class Trace:
 
     @staticmethod
     def _job_row(rec: JobAttemptRecord) -> Dict[str, Any]:
-        row = asdict(rec)
+        row = {name: getattr(rec, name) for name in _JOB_FIELDS}
         row["state"] = rec.state.value
         row["qos"] = int(rec.qos)
         row["node_ids"] = list(rec.node_ids)
         return row
+
+    @staticmethod
+    def _node_row(node: NodeTraceRecord) -> Dict[str, Any]:
+        return {name: getattr(node, name) for name in _NODE_FIELDS}
 
     @staticmethod
     def _job_from_row(row: Dict[str, Any]) -> JobAttemptRecord:
@@ -183,7 +194,7 @@ class Trace:
             "schema": TRACE_SCHEMA_VERSION,
             "header": self._header_row(),
             "jobs": [self._job_row(rec) for rec in self.job_records],
-            "nodes": [asdict(node) for node in self.node_records],
+            "nodes": [self._node_row(node) for node in self.node_records],
             "events": [self._event_row(event) for event in self.events],
         }
 
@@ -221,7 +232,7 @@ class Trace:
             for rec in self.job_records:
                 fh.write(line("job", self._job_row(rec)))
             for node in self.node_records:
-                fh.write(line("node", asdict(node)))
+                fh.write(line("node", self._node_row(node)))
             for event in self.events:
                 fh.write(line("event", self._event_row(event)))
 

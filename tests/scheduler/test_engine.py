@@ -204,3 +204,38 @@ def test_lemon_counters_updated_on_failures():
     fails = sum(n.counters.single_node_node_fails for n in cluster.nodes.values())
     hw = [r for r in sched.records if r.is_hw_interruption and r.n_nodes == 1]
     assert fails == len(hw)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: _try_preempt_for passes free_full_node_count(), "
+        "which counts fully free nodes the job excludes, so plan() "
+        "liberates too few nodes and placement still fails; fixing it "
+        "changes simulated behaviour and every golden digest"
+    ),
+)
+def test_preemption_does_not_count_excluded_free_nodes():
+    engine, _cluster, sched = build(n_nodes=6)
+    for job_id in (1, 2, 3):
+        sched.submit(make_spec(job_id, n_gpus=8, work=30 * HOUR, qos=QosTier.LOW))
+    engine.run_until(HOUR)
+    busy = {n for jid in (1, 2, 3) for n in sched.jobs[jid].node_ids}
+    idle = sorted(set(range(6)) - busy)
+    assert len(idle) == 3
+    # A 4-node HIGH job past the shield that excludes two of the idle
+    # nodes: it needs all three LOW nodes plus the one usable idle node.
+    sched.submit(
+        make_spec(
+            4,
+            n_gpus=32,
+            work=HOUR,
+            qos=QosTier.HIGH,
+            submit=3 * HOUR,
+            exclude_nodes=frozenset(idle[:2]),
+        )
+    )
+    engine.run_until(3 * HOUR + 60.0)
+    preempted = [r for r in sched.records if r.state is JobState.PREEMPTED]
+    assert sorted(r.job_id for r in preempted) == [1, 2, 3]
+    assert 4 in sched.running

@@ -26,28 +26,48 @@ def make_job(job_id, qos, n_gpus=8, started_at=None, now=10 * HOUR):
     return job
 
 
+def _plan_over(residents, pending, now=10 * HOUR):
+    """Plan for ``pending`` over one node per resident (node i hosts i)."""
+    nodes = {i: Node(i, 0, 0) for i in range(len(residents))}
+    jobs = {}
+    for i, job in enumerate(residents):
+        nodes[i].allocate(job.job_id, job.spec.gpus_per_node)
+        jobs[job.job_id] = job
+    return PreemptionPolicy().plan(
+        pending,
+        nodes,
+        jobs,
+        now=now,
+        already_free=0,
+        excluded=set(),
+        candidate_ids=sorted(nodes),
+    )
+
+
 def test_shield_blocks_young_jobs():
-    policy = PreemptionPolicy()
     high = make_job(1, QosTier.HIGH)
     young = make_job(2, QosTier.LOW, started_at=9 * HOUR)
     old = make_job(3, QosTier.LOW, started_at=0.0)
     now = 10 * HOUR
-    assert not policy.job_is_preemptible(young, by=high, now=now)
-    assert policy.job_is_preemptible(old, by=high, now=now)
+    assert _plan_over([young], high, now=now) is None
+    plan = _plan_over([young, old], high, now=now)
+    assert plan.victims == [old]
+    assert [n.node_id for n in plan.freed_nodes] == [1]
+    # The shield is inclusive: exactly two hours of runtime is enough.
+    at_shield = make_job(4, QosTier.LOW, started_at=now - PREEMPTION_SHIELD)
+    assert _plan_over([at_shield], high, now=now).victims == [at_shield]
 
 
 def test_equal_or_higher_qos_not_preemptible():
-    policy = PreemptionPolicy()
     high = make_job(1, QosTier.HIGH)
     peer = make_job(2, QosTier.HIGH, started_at=0.0)
-    assert not policy.job_is_preemptible(peer, by=high, now=10 * HOUR)
+    assert _plan_over([peer], high) is None
 
 
 def test_pending_jobs_not_preemptible():
-    policy = PreemptionPolicy()
     high = make_job(1, QosTier.HIGH)
     pending = make_job(2, QosTier.LOW)
-    assert not policy.job_is_preemptible(pending, by=high, now=10 * HOUR)
+    assert _plan_over([pending], high) is None
 
 
 def _cluster_with_victims(now=10 * HOUR):
@@ -66,7 +86,13 @@ def test_plan_frees_enough_nodes():
     nodes, jobs = _cluster_with_victims()
     pending = make_job(1, QosTier.HIGH, n_gpus=16)
     plan = policy.plan(
-        pending, nodes, jobs, now=10 * HOUR, already_free=0, excluded=set()
+        pending,
+        nodes,
+        jobs,
+        now=10 * HOUR,
+        already_free=0,
+        excluded=set(),
+        candidate_ids=sorted(nodes),
     )
     assert plan is not None
     assert len(plan.freed_nodes) == 2
@@ -78,7 +104,13 @@ def test_plan_accounts_for_already_free_nodes():
     nodes, jobs = _cluster_with_victims()
     pending = make_job(1, QosTier.HIGH, n_gpus=16)
     plan = policy.plan(
-        pending, nodes, jobs, now=10 * HOUR, already_free=1, excluded=set()
+        pending,
+        nodes,
+        jobs,
+        now=10 * HOUR,
+        already_free=1,
+        excluded=set(),
+        candidate_ids=sorted(nodes),
     )
     assert len(plan.victims) == 1
 
@@ -88,7 +120,13 @@ def test_plan_returns_none_when_insufficient():
     nodes, jobs = _cluster_with_victims()
     pending = make_job(1, QosTier.HIGH, n_gpus=8 * 8)
     plan = policy.plan(
-        pending, nodes, jobs, now=10 * HOUR, already_free=0, excluded=set()
+        pending,
+        nodes,
+        jobs,
+        now=10 * HOUR,
+        already_free=0,
+        excluded=set(),
+        candidate_ids=sorted(nodes),
     )
     assert plan is None
 
@@ -100,7 +138,13 @@ def test_plan_skips_nodes_with_shielded_residents():
     jobs[10].start_time = 9.5 * HOUR
     pending = make_job(1, QosTier.HIGH, n_gpus=4 * 8)
     plan = policy.plan(
-        pending, nodes, jobs, now=10 * HOUR, already_free=0, excluded=set()
+        pending,
+        nodes,
+        jobs,
+        now=10 * HOUR,
+        already_free=0,
+        excluded=set(),
+        candidate_ids=sorted(nodes),
     )
     assert plan is None  # only 3 of 4 nodes liberable
 
@@ -115,7 +159,13 @@ def test_multi_node_victim_deduplicated():
     jobs = {9: victim}
     pending = make_job(1, QosTier.HIGH, n_gpus=16)
     plan = policy.plan(
-        pending, nodes, jobs, now=10 * HOUR, already_free=0, excluded=set()
+        pending,
+        nodes,
+        jobs,
+        now=10 * HOUR,
+        already_free=0,
+        excluded=set(),
+        candidate_ids=sorted(nodes),
     )
     assert plan is not None
     assert plan.victims == [victim]  # one victim even though two nodes free
