@@ -10,7 +10,12 @@ figure analyses produce.
 * ``figures``: for each fixture trace and every figure entry point, the
   sha256 of ``json.dumps(canonicalize(result), sort_keys=True)``, or of
   the rendered text where ``canonicalize`` cannot take the result (and
-  of ``"n/a: <message>"`` where the cohort is too small for the figure).
+  of ``"n/a: <message>"`` where the cohort is too small for the figure);
+* ``serve``: for each fixture trace, the sha256 of the body of every
+  read in :data:`SERVE_READS`, answered by a ``ReliabilityService`` over
+  a ``LiveAnalytics`` session replayed from that trace.  ``/v1/ettr`` is
+  read twice (plain, then with ``gpus=``), so a read answered from warm
+  estimator state is pinned as well as the first one.
 
 Trace digests still depend on the interpreter's hash seed (a frozenset
 of components is iterated when a false-positive health event is named),
@@ -111,6 +116,41 @@ def figure_entries():
     ]
 
 
+#: Read requests whose response bodies are pinned, as ``(path, query)``.
+SERVE_READS = (
+    ("/v1/ettr", {}),
+    ("/v1/ettr", {"gpus": "4096"}),
+    ("/v1/mttf", {}),
+    ("/v1/lemons", {}),
+    ("/v1/health", {}),
+)
+
+
+def serve_digests(trace) -> dict:
+    """sha256 of each :data:`SERVE_READS` body, keyed by request target."""
+    import asyncio
+    from urllib.parse import urlencode
+
+    from repro.live import LiveAnalytics, LiveConfig, replay_trace
+    from repro.runtime.cache import TraceCache
+    from repro.serve import ReliabilityService, Request
+
+    analytics = LiveAnalytics(LiveConfig.for_trace(trace))
+    replay_trace(trace, analytics)
+    service = ReliabilityService(
+        analytics, trace_cache=TraceCache(enabled=False)
+    )
+    digests = {}
+    for path, query in SERVE_READS:
+        target = f"{path}?{urlencode(query)}" if query else path
+        request = Request("GET", target, path, dict(query), {})
+        response = asyncio.run(service.dispatch(request))
+        if response.status != 200:
+            raise RuntimeError(f"{target} answered {response.status}")
+        digests[target] = hashlib.sha256(response.body).hexdigest()
+    return digests
+
+
 def result_digest(make) -> str:
     """sha256 of a figure result's canonical JSON (or its rendering)."""
     from repro.runtime.hashing import canonicalize
@@ -152,6 +192,7 @@ def compute_digests() -> dict:
         "python": python_version(),
         "traces": {name: trace_digest(t) for name, t in traces.items()},
         "figures": figures,
+        "serve": {name: serve_digests(traces[name]) for name in FIGURE_TRACES},
     }
 
 
@@ -184,6 +225,11 @@ def test_golden_digests():
         for fig, digest in figs.items():
             assert got["figures"][trace][fig] == digest, (
                 f"{trace}/{fig} digest moved"
+            )
+    for trace, bodies in want["serve"].items():
+        for target, digest in bodies.items():
+            assert got["serve"][trace][target] == digest, (
+                f"{trace} {target} body digest moved"
             )
     assert got == want
 
