@@ -468,8 +468,14 @@ class ETTRForecaster:
         # in arrival (record) order; dict insertion order is first-arrival
         # order, the same tie-break ``group_job_runs``'s stable sort sees.
         self._runs: Dict[int, List[List[float]]] = {}
+        # (key, rows): the rf-independent part of Fig. 9's rows, as
+        # (gpus, n_runs, mean, lo, hi, mean_queue, mean_runtime) tuples.
+        # ``observe_job`` drops it; ``key`` holds every attribute the rows
+        # read, so a mutated attribute recomputes them too.
+        self._measured: Optional[Tuple[tuple, List[tuple]]] = None
 
     def observe_job(self, record: JobAttemptRecord) -> None:
+        self._measured = None
         self._runs.setdefault(record.jobrun_id, []).append(
             [
                 record.start_time,
@@ -537,12 +543,16 @@ class ETTRForecaster:
         except ValueError:
             return 0.0
 
-    def comparison(self, rf: float) -> List[Dict[str, float]]:
-        """Fig. 9's rows at the current watermark.
-
-        Returns dicts with keys ``gpus, n_runs, measured_mean,
-        measured_lo, measured_hi, expected, mean_queue_seconds``.
-        """
+    def _measured_rows(self) -> List[tuple]:
+        key = (
+            self.checkpoint_interval,
+            self.restart_overhead,
+            self.min_total_runtime,
+            self.qos,
+            self.min_runs_per_bucket,
+        )
+        if self._measured is not None and self._measured[0] == key:
+            return self._measured[1]
         rows = []
         by_bucket = self._cohort_by_bucket()
         for gpus in sorted(by_bucket):
@@ -565,18 +575,31 @@ class ETTRForecaster:
             mean_runtime = float(
                 np.mean([sum(a[1] for a in attempts) for attempts in cohort])
             )
-            rows.append(
-                {
-                    "gpus": gpus,
-                    "n_runs": len(cohort),
-                    "measured_mean": mean,
-                    "measured_lo": lo,
-                    "measured_hi": hi,
-                    "expected": self.forecast(gpus, rf, mean_q, mean_runtime),
-                    "mean_queue_seconds": mean_q,
-                }
-            )
+            rows.append((gpus, len(cohort), mean, lo, hi, mean_q, mean_runtime))
+        self._measured = (key, rows)
         return rows
+
+    def comparison(self, rf: float) -> List[Dict[str, float]]:
+        """Fig. 9's rows at the current watermark.
+
+        Returns dicts with keys ``gpus, n_runs, measured_mean,
+        measured_lo, measured_hi, expected, mean_queue_seconds``.  The
+        measured part is memoized until the next ``observe_job``; only
+        ``expected`` is evaluated per call.
+        """
+        return [
+            {
+                "gpus": gpus,
+                "n_runs": n_runs,
+                "measured_mean": mean,
+                "measured_lo": lo,
+                "measured_hi": hi,
+                "expected": self.forecast(gpus, rf, mean_q, mean_runtime),
+                "mean_queue_seconds": mean_q,
+            }
+            for gpus, n_runs, mean, lo, hi, mean_q, mean_runtime
+            in self._measured_rows()
+        ]
 
     @property
     def n_runs_seen(self) -> int:

@@ -2,11 +2,57 @@
 
 Fig. 9 shows 90% confidence intervals around mean job-run ETTR per size
 bucket; we reproduce those with a nonparametric percentile bootstrap.
+
+Resample indices are drawn in blocks of rows (:func:`_resample_blocks`)
+instead of one ``integers`` call per resample.  A PCG64 ``Generator``
+yields the same bounded integers whether they are drawn in one call or
+in many, so the blocks hold exactly the indices the per-resample loop
+drew, in the same order; and each row's mean is the same contiguous
+1-D reduction ``np.mean`` performs on one resample.  The intervals are
+therefore bit-identical to the loop's (see ``docs/PERFORMANCE.md``).
 """
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
+
+#: Index elements per resample block (~0.5 MiB of int64), so a block's
+#: memory stays bounded for any sample size; a sample larger than this
+#: takes one resample, ``n`` elements, per block.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _resample_blocks(
+    n: int, n_resamples: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Yield ``(rows, n)`` index blocks, ``n_resamples`` rows in total.
+
+    The one definition of the bootstrap's RNG stream: row ``i`` holds the
+    indices of resample ``i``, drawn in resample order.
+    """
+    rows_per_block = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, n_resamples, rows_per_block):
+        rows = min(rows_per_block, n_resamples - start)
+        yield rng.integers(0, n, size=(rows, n))
+
+
+def _prepare(
+    samples: Sequence[float], confidence: float, n_resamples: int
+) -> np.ndarray:
+    arr = np.asarray(list(samples), dtype=float)
+    if arr.size == 0:
+        raise ValueError("cannot bootstrap an empty sample")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+    return arr
+
+
+def _interval(estimates: np.ndarray, confidence: float) -> Tuple[float, float]:
+    alpha = 1.0 - confidence
+    lo, hi = np.percentile(estimates, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return float(lo), float(hi)
 
 
 def bootstrap_ci(
@@ -21,23 +67,22 @@ def bootstrap_ci(
     Returns ``(point, lo, hi)``.  With fewer than two samples the interval
     degenerates to the point estimate.
     """
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    arr = _prepare(samples, confidence, n_resamples)
     point = float(statistic(arr))
     if arr.size < 2:
         return point, point, point
     if rng is None:
         rng = np.random.default_rng(0)
-    estimates = np.empty(n_resamples)
-    for i in range(n_resamples):
-        resample = arr[rng.integers(0, arr.size, size=arr.size)]
-        estimates[i] = statistic(resample)
-    alpha = 1.0 - confidence
-    lo, hi = np.percentile(estimates, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return point, float(lo), float(hi)
+    estimates = np.fromiter(
+        (
+            statistic(resample)
+            for block in _resample_blocks(arr.size, n_resamples, rng)
+            for resample in arr[block]
+        ),
+        dtype=float,
+        count=n_resamples,
+    )
+    return (point, *_interval(estimates, confidence))
 
 
 def bootstrap_mean_ci(
@@ -46,7 +91,21 @@ def bootstrap_mean_ci(
     n_resamples: int = 1000,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[float, float, float]:
-    """Percentile-bootstrap CI for the mean; returns ``(mean, lo, hi)``."""
-    return bootstrap_ci(
-        samples, lambda a: float(np.mean(a)), confidence, n_resamples, rng
+    """Percentile-bootstrap CI for the mean; returns ``(mean, lo, hi)``.
+
+    Equal, bit for bit, to ``bootstrap_ci`` with ``np.mean`` as the
+    statistic, with every block's means taken in one reduction.
+    """
+    arr = _prepare(samples, confidence, n_resamples)
+    point = float(np.mean(arr))
+    if arr.size < 2:
+        return point, point, point
+    if rng is None:
+        rng = np.random.default_rng(0)
+    estimates = np.concatenate(
+        [
+            arr[block].mean(axis=1)
+            for block in _resample_blocks(arr.size, n_resamples, rng)
+        ]
     )
+    return (point, *_interval(estimates, confidence))

@@ -2,12 +2,23 @@
 
 Campaigns are session-scoped because a 40-day, 64-node simulation takes a
 few seconds; every analysis test reads the same immutable trace.
+
+``HYPOTHESIS_PROFILE=ci`` selects the Hypothesis profile CI runs under:
+derandomized, so a property failure in CI replays locally with the same
+examples, and printing the reproduction blob of a failing example.
+Without it the default (randomized) profile applies.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro import CampaignConfig, ClusterSpec, run_campaign
 from repro.sim.rng import RngStreams
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,173 @@
+"""The blocked bootstrap equals the per-resample loop, bit for bit.
+
+``repro.stats.bootstrap`` draws resample indices in ``(rows, n)`` blocks
+and takes a block's means in one reduction.  The reference below is the
+module's bootstrap as it was before, one ``integers`` call and one
+statistic call per resample, kept verbatim.  Over sample sizes from 1
+through the block cap and above it (where a block holds one row),
+resample counts that do and do not divide into whole blocks, seeds,
+confidence levels and value magnitudes, both functions must return
+tuples equal to the reference's under ``==``.
+"""
+
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.stats.bootstrap import bootstrap_ci, bootstrap_mean_ci
+
+
+def reference_bootstrap_ci(
+    samples: Sequence[float],
+    statistic: Callable[[np.ndarray], float],
+    confidence: float = 0.90,
+    n_resamples: int = 1000,
+    rng: Optional[np.random.Generator] = None,
+) -> Tuple[float, float, float]:
+    """Percentile-bootstrap CI for an arbitrary statistic.
+
+    Returns ``(point, lo, hi)``.  With fewer than two samples the interval
+    degenerates to the point estimate.
+    """
+    arr = np.asarray(list(samples), dtype=float)
+    if arr.size == 0:
+        raise ValueError("cannot bootstrap an empty sample")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    point = float(statistic(arr))
+    if arr.size < 2:
+        return point, point, point
+    if rng is None:
+        rng = np.random.default_rng(0)
+    estimates = np.empty(n_resamples)
+    for i in range(n_resamples):
+        resample = arr[rng.integers(0, arr.size, size=arr.size)]
+        estimates[i] = statistic(resample)
+    alpha = 1.0 - confidence
+    lo, hi = np.percentile(estimates, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return point, float(lo), float(hi)
+
+
+def reference_bootstrap_mean_ci(
+    samples: Sequence[float],
+    confidence: float = 0.90,
+    n_resamples: int = 1000,
+    rng: Optional[np.random.Generator] = None,
+) -> Tuple[float, float, float]:
+    """Percentile-bootstrap CI for the mean; returns ``(mean, lo, hi)``."""
+    return reference_bootstrap_ci(
+        samples, lambda a: float(np.mean(a)), confidence, n_resamples, rng
+    )
+
+
+def median(a: np.ndarray) -> float:
+    return float(np.median(a))
+
+
+#: Sizes at the edges of the block layout: 2**16 index elements per block,
+#: so one row per block from 2**15 + 1 on.
+EDGE_SIZES = (
+    63, 64, 65, 127, 128, 129, 255, 256, 257, 655, 656, 1000, 3000,
+    2**15 - 1, 2**15, 2**15 + 1, 2**16 - 1, 2**16, 2**16 + 1, 70_000,
+)
+
+sizes = st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from(EDGE_SIZES))
+confidences = st.sampled_from((0.5, 0.8, 0.9, 0.95, 0.99))
+
+
+def sample(n: int, data_seed: int, magnitude: int) -> np.ndarray:
+    values = np.random.default_rng(data_seed).normal(size=n)
+    return values * 10.0**magnitude
+
+
+def resample_counts(n: int):
+    # Whole-sample resamples cost O(n) each in the reference loop.
+    if n > 5000:
+        return st.integers(min_value=1, max_value=4)
+    return st.one_of(
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from((999, 1000, 1001, 1537)),
+    )
+
+
+@st.composite
+def cases(draw):
+    n = draw(sizes)
+    return (
+        sample(n, draw(st.integers(0, 2**32 - 1)), draw(st.integers(-8, 8))),
+        draw(resample_counts(n)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(confidences),
+    )
+
+
+@given(case=cases())
+@settings(max_examples=150, deadline=None)
+def test_mean_ci_equals_loop(case):
+    data, n_resamples, seed, confidence = case
+    got = bootstrap_mean_ci(
+        data, confidence, n_resamples, np.random.default_rng(seed)
+    )
+    want = reference_bootstrap_mean_ci(
+        data, confidence, n_resamples, np.random.default_rng(seed)
+    )
+    assert got == want
+
+
+@given(case=cases())
+@settings(max_examples=100, deadline=None)
+def test_median_ci_equals_loop(case):
+    data, n_resamples, seed, confidence = case
+    got = bootstrap_ci(
+        data, median, confidence, n_resamples, np.random.default_rng(seed)
+    )
+    want = reference_bootstrap_ci(
+        data, median, confidence, n_resamples, np.random.default_rng(seed)
+    )
+    assert got == want
+
+
+@given(
+    n=st.integers(min_value=2, max_value=300),
+    n_resamples=st.integers(min_value=1, max_value=700),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_statistic_sees_the_loops_resamples_in_order(n, n_resamples, seed):
+    data = np.arange(n, dtype=float)
+    seen, want = [], []
+
+    def record(into):
+        def statistic(a):
+            into.append(a.tolist())
+            return float(a[0])
+        return statistic
+
+    bootstrap_ci(data, record(seen), 0.9, n_resamples, np.random.default_rng(seed))
+    reference_bootstrap_ci(
+        data, record(want), 0.9, n_resamples, np.random.default_rng(seed)
+    )
+    assert seen == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 256, 2**15 + 1])
+def test_default_rng_matches_loop(n):
+    data = sample(n, n, 0)
+    n_resamples = 1000 if n < 5000 else 3
+    assert bootstrap_mean_ci(data, n_resamples=n_resamples) == (
+        reference_bootstrap_mean_ci(data, n_resamples=n_resamples)
+    )
+    assert bootstrap_ci(data, median, n_resamples=n_resamples) == (
+        reference_bootstrap_ci(data, median, n_resamples=n_resamples)
+    )
+
+
+def test_rng_is_left_where_the_loop_leaves_it():
+    data = sample(100, 1, 0)
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    bootstrap_mean_ci(data, 0.9, 1001, ours)
+    reference_bootstrap_mean_ci(data, 0.9, 1001, theirs)
+    assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)

@@ -50,3 +50,11 @@ def test_deterministic_given_rng():
     a = bootstrap_mean_ci(data, rng=np.random.default_rng(9))
     b = bootstrap_mean_ci(data, rng=np.random.default_rng(9))
     assert a == b
+
+
+@pytest.mark.parametrize("n_resamples", [0, -1])
+def test_no_resamples_raises(n_resamples):
+    with pytest.raises(ValueError, match="n_resamples"):
+        bootstrap_mean_ci([1.0, 2.0], n_resamples=n_resamples)
+    with pytest.raises(ValueError, match="n_resamples"):
+        bootstrap_ci([1.0, 2.0], np.median, n_resamples=n_resamples)
