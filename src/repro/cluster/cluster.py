@@ -153,6 +153,10 @@ class Cluster:
         self._schedulable_ids = SortedIntSet(self.nodes)
         self._quarantined_ids = SortedIntSet()
         self._remediation_count = 0
+        #: Bumped on every node availability transition (state change or
+        #: quarantine flip).  A ``FreeNodeIndex`` that validated all its
+        #: fully free entries knows none went stale while this holds.
+        self.availability_epoch = 0
         for node in self.nodes.values():
             node.on_transition = self._on_node_transition
         self.on_node_down: Optional[Callable[[Node, FailureIncident], None]] = None
@@ -383,6 +387,7 @@ class Cluster:
         self, node: Node, old_state: NodeState, new_state: NodeState
     ) -> None:
         """Node availability changed: patch the indices, O(log n)."""
+        self.availability_epoch += 1
         node_id = node.node_id
         if node.is_schedulable():
             self._schedulable_ids.add(node_id)

@@ -84,7 +84,7 @@ class SlurmLikeScheduler:
         self.pending: List[Job] = []
         self.running: Set[int] = set()
         self.records: List[JobAttemptRecord] = []
-        self.index = FreeNodeIndex(cluster.nodes)
+        self.index = FreeNodeIndex(cluster.nodes, cluster)
         self._pass_pending = False
         #: invoked when a job COMPLETEs (used for job-run continuations:
         #: long training runs submit their next <=7-day segment here).

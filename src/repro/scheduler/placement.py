@@ -18,23 +18,42 @@ Iteration order is part of the determinism contract: buckets yield node
 ids ascending, and pods yield by (most free servers, lowest pod id).  The
 index maintains those orders as sorted structures updated on
 refresh/remove, so no ``sorted()`` runs inside the allocation loop.
+
+Most gang placements fail, and nearly all of those ask for more nodes
+than the index holds fully free entries.  An index built over a
+:class:`~repro.cluster.cluster.Cluster` answers those without a walk
+while it knows it holds no stale fully free entry (``docs/PERFORMANCE.md``,
+"Gang placement bound").
 """
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.components import GPUS_PER_NODE
 from repro.cluster.node import Node
 from repro.core.indices import SortedIntSet
 from repro.scheduler.preemption import ResidentSummary
 
+if TYPE_CHECKING:
+    from repro.cluster.cluster import Cluster
+
 
 class FreeNodeIndex:
     """Tracks free GPU capacity: per-free-count buckets + per-pod full nodes."""
 
-    def __init__(self, nodes: Dict[int, Node]):
+    def __init__(self, nodes: Dict[int, Node], cluster: Optional["Cluster"] = None):
         self._nodes = nodes
+        #: Source of ``availability_epoch``; without one the index never
+        #: trusts itself clean and ``find_full_nodes`` always walks.
+        self._cluster = cluster
+        #: The cluster's availability epoch when a failing
+        #: ``find_full_nodes`` walk last validated every fully free entry,
+        #: or None.  While it equals the current epoch no fully free entry
+        #: is stale: only an availability transition makes one stale
+        #: behind the index's back, and ``refresh``/``remove`` re-validate
+        #: the node they touch.
+        self._clean_epoch: Optional[int] = None
         # bucket[k] = node ids with exactly k free GPUs, kept sorted
         self._buckets: List[SortedIntSet] = [
             SortedIntSet() for _ in range(GPUS_PER_NODE + 1)
@@ -171,12 +190,22 @@ class FreeNodeIndex:
         self, n_nodes: int, excluded: Set[int]
     ) -> Optional[List[Node]]:
         """Pick ``n_nodes`` fully free servers, packing the fullest pods."""
+        if (
+            n_nodes > self._full_count
+            and self._clean_epoch is not None
+            and self._clean_epoch == self._cluster.availability_epoch
+        ):
+            # The count bounds the valid entries, so the walk would fail;
+            # with no stale entry it would not flush anything either.
+            return None
         nodes = self._nodes
         chosen: List[Node] = []
         stale: Optional[List[int]] = None
+        skipped_excluded = False
         for _pod_id, node_ids in self._iter_pods():
             for node_id in node_ids:
                 if node_id in excluded:
+                    skipped_excluded = True
                     continue
                 node = nodes[node_id]
                 if not node.can_host(GPUS_PER_NODE):
@@ -189,6 +218,9 @@ class FreeNodeIndex:
                     self._flush_stale(stale)
                     return chosen
         self._flush_stale(stale)
+        if self._cluster is not None and not skipped_excluded:
+            # Every entry was validated and the stale ones are now gone.
+            self._clean_epoch = self._cluster.availability_epoch
         return None
 
     def free_full_node_count(self) -> int:

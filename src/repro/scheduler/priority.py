@@ -11,6 +11,7 @@ wait forever behind trickles of small jobs).
 
 import math
 from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.scheduler.job import Job
 from repro.sim.timeunits import DAY
@@ -37,15 +38,42 @@ class PriorityPolicy:
 
     def priority(self, job: Job, now: float) -> float:
         """Compute the job's current priority (higher schedules first)."""
-        age = max(0.0, now - job.enqueue_time)
-        age_factor = min(age / self.age_norm, 1.0)
-        size_factor = math.log2(job.n_gpus) / 12.0  # 4096 GPUs -> 1.0
-        return (
-            self.qos_weight * int(job.qos)
-            + self.age_weight * age_factor
-            + self.size_weight * size_factor
-        )
+        return -self._sort_keys((job,), now)[0][0]
 
     def sort_pending(self, jobs, now: float):
         """Priority order with deterministic job-id tie-breaking."""
-        return sorted(jobs, key=lambda j: (-self.priority(j, now), j.job_id))
+        jobs = list(jobs)
+        keys = self._sort_keys(jobs, now)
+        return [jobs[i] for i in sorted(range(len(jobs)), key=keys.__getitem__)]
+
+    def _sort_keys(self, jobs: Sequence[Job], now: float) -> List[Tuple[float, int]]:
+        """``(-priority, job_id)`` per job: the one copy of the formula.
+
+        The QoS and size terms depend only on ``(qos, n_gpus)``, so each
+        pair is computed once per call.  The sum keeps the order
+        ``(qos + age) + size``, so every priority is bit-identical to
+        evaluating the three terms per job.
+        """
+        age_weight = self.age_weight
+        age_norm = self.age_norm
+        static: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        keys = []
+        for job in jobs:
+            spec = job.spec
+            pair = (spec.qos, spec.n_gpus)
+            terms = static.get(pair)
+            if terms is None:
+                terms = static[pair] = (
+                    self.qos_weight * int(spec.qos),
+                    # 4096 GPUs -> size factor 1.0
+                    self.size_weight * (math.log2(spec.n_gpus) / 12.0),
+                )
+            # max(0.0, age) and min(factor, 1.0), without the calls
+            age = now - job.enqueue_time
+            if not age > 0.0:
+                age = 0.0
+            age_factor = age / age_norm
+            if age_factor > 1.0:
+                age_factor = 1.0
+            keys.append((-(terms[0] + age_weight * age_factor + terms[1]), spec.job_id))
+        return keys

@@ -3,9 +3,16 @@
 The trace generator composes these small, validated specs: log-normal
 durations, discrete size mixtures, and Zipf-like tails.  Keeping them as
 frozen dataclasses makes workload profiles declarative and serializable.
+
+Weighted draws go through :func:`choice_cdf` and :func:`weighted_index`,
+which reproduce ``Generator.choice(n, p=p)`` draw for draw without
+re-validating ``p`` on every call (``docs/PERFORMANCE.md``, "Workload
+sampling").
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -62,9 +69,13 @@ class ZipfSizeSpec:
         weights = ranks ** (-self.exponent)
         return weights / weights.sum()
 
+    @cached_property
+    def cdf(self) -> Tuple[float, ...]:
+        """:func:`choice_cdf` of :meth:`probabilities`, aligned with ``support``."""
+        return choice_cdf(self.probabilities())
+
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        idx = rng.choice(len(self.support), size=size, p=self.probabilities())
-        return np.asarray(self.support, dtype=int)[idx]
+        return np.asarray(self.support, dtype=int)[_indices(self.cdf, rng, size)]
 
 
 @dataclass(frozen=True)
@@ -80,8 +91,8 @@ class MixtureSpec:
     def __post_init__(self):
         if len(self.weights) == 0:
             raise ValueError("mixture must have at least one component")
-        if any(w < 0 for _v, w in self.weights):
-            raise ValueError("mixture weights must be non-negative")
+        if not all(0 <= w < float("inf") for _v, w in self.weights):
+            raise ValueError("mixture weights must be finite and non-negative")
         if sum(w for _v, w in self.weights) <= 0:
             raise ValueError("mixture weights must sum to a positive value")
 
@@ -92,14 +103,70 @@ class MixtureSpec:
         w = np.asarray([w for _v, w in self.weights], dtype=float)
         return w / w.sum()
 
+    @cached_property
+    def cdf(self) -> Tuple[float, ...]:
+        """:func:`choice_cdf` of :meth:`probabilities`, aligned with :meth:`values`."""
+        return choice_cdf(self.probabilities())
+
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        return rng.choice(self.values(), size=size, p=self.probabilities())
+        return self.values()[_indices(self.cdf, rng, size)]
 
     def probability_of(self, value: int) -> float:
         for (v, _w), p in zip(self.weights, self.probabilities()):
             if v == value:
                 return float(p)
         return 0.0
+
+
+def choice_cdf(p) -> Tuple[float, ...]:
+    """The table ``Generator.choice(a, p=p)`` searches, built once.
+
+    NumPy's choice computes ``cdf = p.cumsum(); cdf /= cdf[-1]`` and then
+    ``cdf.searchsorted(rng.random(), side="right")``.  Building the same
+    array here, with the same NumPy operations, makes
+    :func:`weighted_index` over it return the same index from the same
+    uniform.  ``p`` is not validated: callers check it when their spec is
+    constructed.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
+def weighted_index(cdf: Sequence[float], rng: np.random.Generator) -> int:
+    """One draw of ``int(rng.choice(len(cdf), p=p))`` for ``cdf = choice_cdf(p)``.
+
+    Consumes exactly one ``rng.random()``, as choice does.
+    """
+    return bisect_right(cdf, rng.random())
+
+
+def _indices(cdf: Sequence[float], rng: np.random.Generator, size: int) -> list:
+    """``size`` successive :func:`weighted_index` draws."""
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    return [weighted_index(cdf, rng) for _ in range(size)]
+
+
+def truncated_lognormal(
+    rng: np.random.Generator,
+    mu: float,
+    sigma: float,
+    minimum: float,
+    maximum: float,
+) -> float:
+    """One draw of ``LogNormalSpec(mu, sigma, minimum, maximum).sample(rng)[0]``.
+
+    The same value and the same stream use as :func:`truncated_sample`
+    with ``size=1``: each round draws ``max(2 * 1, 8) = 8`` values and
+    keeps the first inside ``[minimum, maximum]``; after 100 empty rounds
+    one more draw is clipped into range.
+    """
+    for _round in range(100):
+        for value in rng.lognormal(mu, sigma, size=8).tolist():
+            if minimum <= value <= maximum:
+                return value
+    return float(np.clip(rng.lognormal(mu, sigma, size=1), minimum, maximum)[0])
 
 
 def sample_lognormal(

@@ -16,19 +16,43 @@ Each profile declares the marginal distributions the paper publishes:
   scheduler and failure dynamics.
 * **QoS**: large jobs run high priority (the paper: "large jobs tend to be
   higher priority and small jobs are the lowest priority").
+
+Every draw reads a table built once per profile (``cached_property``, not
+a field, so ``==`` and ``config_digest`` do not see it) and returns what
+``Generator.choice`` over the same probabilities, or ``LogNormalSpec.sample``
+for durations, would return from the same stream state, consuming the
+same draws (``docs/PERFORMANCE.md``, "Workload sampling").
 """
 
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.stats.distributions import MixtureSpec, sample_lognormal
+from repro.stats.distributions import (
+    MixtureSpec,
+    choice_cdf,
+    truncated_lognormal,
+    weighted_index,
+)
 from repro.workload.spec import IntendedOutcome, QosTier
 from repro.sim.timeunits import HOUR, DAY
 
 #: Hard cap on sampled work; keeps every job under the 7-day lifetime.
 MAX_WORK_SECONDS = 6.5 * DAY
+#: Sampled work bounds in hours: at least a minute, at most the cap.
+_MIN_WORK_HOURS = 1.0 / 60.0
+_MAX_WORK_HOURS = MAX_WORK_SECONDS / HOUR
+#: ``Generator.choice`` rejects ``p`` whose sum is further than this from 1.
+_CHOICE_ATOL = math.sqrt(sys.float_info.epsilon)
+_QOS_TIERS = (QosTier.LOW, QosTier.NORMAL, QosTier.HIGH)
+
+
+def _finite_non_negative(values) -> bool:
+    return all(0 <= v < math.inf for v in values)
 
 
 @dataclass(frozen=True)
@@ -70,53 +94,94 @@ class WorkloadProfile:
         missing = sizes - set(self.durations)
         if missing:
             raise ValueError(f"profile {self.name}: no duration spec for sizes {missing}")
+        if not _finite_non_negative(self.outcome_probabilities.values()):
+            raise ValueError(
+                f"profile {self.name}: outcome probabilities must be finite "
+                f"and non-negative: {self.outcome_probabilities}"
+            )
         total = sum(self.outcome_probabilities.values())
         if not 0.999 < total < 1.001:
             raise ValueError(
                 f"profile {self.name}: outcome probabilities sum to {total}, expected 1"
             )
         for probs in (self.qos_small_probs, self.qos_medium_probs, self.qos_large_probs):
-            if len(probs) != 3 or not 0.999 < sum(probs) < 1.001:
-                raise ValueError(f"QoS probabilities must be a 3-tuple summing to 1: {probs}")
+            if (
+                len(probs) != 3
+                or not _finite_non_negative(probs)
+                or abs(math.fsum(probs) - 1.0) > _CHOICE_ATOL
+            ):
+                raise ValueError(
+                    "QoS probabilities must be a 3-tuple of finite, non-negative "
+                    f"values summing to 1: {probs}"
+                )
+        if self.n_projects < 1:
+            raise ValueError(f"profile {self.name}: n_projects must be positive")
 
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
     def sample_size(self, rng: np.random.Generator) -> int:
-        return int(self.size_mixture.sample(rng, 1)[0])
+        sizes, cdf = self._size_table
+        return sizes[weighted_index(cdf, rng)]
 
     def sample_work_seconds(self, size: int, rng: np.random.Generator) -> float:
-        spec = self.durations[size]
-        hours = sample_lognormal(
-            rng,
-            median=spec.median_hours,
-            sigma=spec.sigma,
-            minimum=1.0 / 60.0,  # at least a minute of work
-            maximum=MAX_WORK_SECONDS / HOUR,
-        )[0]
-        return float(hours * HOUR)
+        mu, sigma = self._duration_params[size]
+        hours = truncated_lognormal(rng, mu, sigma, _MIN_WORK_HOURS, _MAX_WORK_HOURS)
+        return hours * HOUR
 
     def sample_qos(self, size: int, rng: np.random.Generator) -> QosTier:
+        small, medium, large = self._qos_cdfs
         if size >= self.large_size_threshold:
-            probs = self.qos_large_probs
+            cdf = large
         elif size >= self.medium_size_threshold:
-            probs = self.qos_medium_probs
+            cdf = medium
         else:
-            probs = self.qos_small_probs
-        tier = rng.choice(3, p=np.asarray(probs))
-        return (QosTier.LOW, QosTier.NORMAL, QosTier.HIGH)[int(tier)]
+            cdf = small
+        return _QOS_TIERS[weighted_index(cdf, rng)]
 
     def sample_outcome(self, rng: np.random.Generator) -> IntendedOutcome:
-        outcomes = list(self.outcome_probabilities)
-        probs = np.asarray([self.outcome_probabilities[o] for o in outcomes])
-        return outcomes[int(rng.choice(len(outcomes), p=probs / probs.sum()))]
+        outcomes, cdf = self._outcome_table
+        return outcomes[weighted_index(cdf, rng)]
 
     def sample_project(self, rng: np.random.Generator) -> str:
+        names, cdf = self._project_table
+        return names[weighted_index(cdf, rng)]
+
+    # sampling tables, built on first draw --------------------------------
+    @cached_property
+    def _size_table(self) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+        mixture = self.size_mixture
+        return tuple(int(v) for v in mixture.values()), mixture.cdf
+
+    @cached_property
+    def _duration_params(self) -> Dict[int, Tuple[float, float]]:
+        """size -> (mu, sigma) of its log-normal, in hours."""
+        return {
+            size: (float(np.log(spec.median_hours)), spec.sigma)
+            for size, spec in self.durations.items()
+        }
+
+    @cached_property
+    def _qos_cdfs(self) -> Tuple[Tuple[float, ...], ...]:
+        return tuple(
+            choice_cdf(probs)
+            for probs in (self.qos_small_probs, self.qos_medium_probs, self.qos_large_probs)
+        )
+
+    @cached_property
+    def _outcome_table(self) -> Tuple[Tuple[IntendedOutcome, ...], Tuple[float, ...]]:
+        outcomes = tuple(self.outcome_probabilities)
+        probs = np.asarray([self.outcome_probabilities[o] for o in outcomes])
+        return outcomes, choice_cdf(probs / probs.sum())
+
+    @cached_property
+    def _project_table(self) -> Tuple[Tuple[str, ...], Tuple[float, ...]]:
         # Zipf-ish project popularity: a few teams dominate submissions.
         ranks = np.arange(1, self.n_projects + 1, dtype=float)
         probs = ranks**-1.2
         probs /= probs.sum()
-        return f"project-{int(rng.choice(self.n_projects, p=probs)):02d}"
+        names = tuple(f"project-{i:02d}" for i in range(self.n_projects))
+        return names, choice_cdf(probs)
 
     # ------------------------------------------------------------------
     # analytic expectations (for calibration and Fig. 6's model series)

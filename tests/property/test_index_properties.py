@@ -12,6 +12,11 @@ transitions and deliberately-stale entries (quarantine flipped without a
   objects — ``find_partial`` must return the best-fit (smallest adequate
   free count, lowest node id) schedulable node, and ``find_full_nodes``
   must pack the fullest pods first.
+* A cluster-backed :class:`FreeNodeIndex`, which may answer an oversized
+  gang request from its capacity bound without walking, against a bare
+  index over the same nodes that always walks — same picks and the same
+  internal structures after every query, under churn that drains,
+  quarantines and remediates nodes behind the indices' backs.
 """
 
 from hypothesis import given, settings
@@ -254,3 +259,129 @@ def test_free_node_index_tolerates_stale_quarantine_entries(ops):
         assert got is None
     else:
         assert got == expected_f
+
+
+# ----------------------------------------------------------------------
+# Capacity bound: a cluster-backed index vs one that always walks
+# ----------------------------------------------------------------------
+BOUND_NODES = 26  # pods of 20 and 6 nodes (Cluster's topology)
+
+# One step = (kind, node index, amount): apply the change, then query
+# both indices.  Kinds ending in "_quiet" change a node without telling
+# either index, as Cluster-side transitions do.
+bound_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "alloc",
+                "alloc",
+                "release",
+                "drain_quiet",
+                "quar_quiet",
+                "remediate_quiet",
+                "ret",
+                "ret_quiet",
+                "refresh",
+                "remove",
+                "none",
+            ]
+        ),
+        # Half the steps touch nodes 0-3, the ones exclude lists name.
+        st.one_of(st.integers(0, 3), st.integers(0, BOUND_NODES - 1)),
+        st.integers(min_value=0, max_value=GPUS_PER_NODE * 5),
+    ),
+    max_size=100,
+)
+
+
+def _internals(index):
+    return (
+        [bucket.as_list() for bucket in index._buckets],
+        [(pod, ids.as_list()) for pod, ids in index._full_by_pod.items()],
+        list(index._pod_order),
+        index._full_count,
+        dict(index._bucket_of),
+    )
+
+
+def _change(cluster, bounded, walking, op, node_id, amount, job_counter):
+    """Apply one churn step; refresh both indices where the scheduler would."""
+    node = cluster.nodes[node_id]
+    touched = False
+    if op == "alloc":
+        gpus = GPUS_PER_NODE if amount % 2 else 1 + amount % GPUS_PER_NODE
+        if node.can_host(gpus):
+            job_counter[0] += 1
+            node.allocate(job_counter[0], gpus)
+            touched = True  # the scheduler refreshes every allocation
+    elif op == "release":
+        if node.running_jobs:
+            cluster.release_job(node_id, next(iter(node.running_jobs)))
+            touched = True
+    elif op == "drain_quiet":
+        node.start_drain()
+    elif op == "quar_quiet":
+        node.quarantined = not node.quarantined
+    elif op == "remediate_quiet":
+        if node.state is not NodeState.REMEDIATION:
+            node.enter_remediation()
+    elif op in ("ret", "ret_quiet"):
+        if node.state is NodeState.REMEDIATION:
+            node.return_to_service()
+            touched = op == "ret"
+    elif op == "refresh":
+        touched = True
+    elif op == "remove":
+        bounded.remove(node_id)
+        walking.remove(node_id)
+    if touched:
+        bounded.refresh(node_id)
+        walking.refresh(node_id)
+
+
+@given(
+    ops=bound_ops,
+    exclusions=st.lists(
+        st.sets(st.integers(0, 3), min_size=1, max_size=2), max_size=2
+    ),
+)
+@settings(deadline=None, max_examples=400)
+def test_capacity_bound_matches_an_index_that_always_walks(ops, exclusions):
+    from repro.cluster.cluster import Cluster, ClusterSpec
+    from repro.scheduler.placement import FreeNodeIndex
+    from repro.sim.engine import Engine
+    from repro.sim.rng import RngStreams
+
+    cluster = Cluster(
+        ClusterSpec.rsc1_like(n_nodes=BOUND_NODES, campaign_days=10),
+        Engine(),
+        RngStreams(0),
+    )
+    bounded = FreeNodeIndex(cluster.nodes, cluster)
+    walking = FreeNodeIndex(cluster.nodes)
+    job_counter = [0]
+    # Queries cycle through no exclusions (a failing walk then marks the
+    # index clean) and the drawn exclude lists (it then does not).
+    exclusions = [set()] + exclusions
+
+    for step, (op, node_id, amount) in enumerate(ops):
+        _change(cluster, bounded, walking, op, node_id, amount, job_counter)
+        excluded = exclusions[step % len(exclusions)]
+        # A single node (a walk that stops early), or around the bound:
+        # one or two below the count, at it, and above it.
+        count = walking.free_full_node_count()
+        n_nodes = 1 if amount % 6 == 0 else max(1, count + amount % 6 - 3)
+        got = bounded.find_full_nodes(n_nodes, excluded)
+        want = walking.find_full_nodes(n_nodes, excluded)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert [n.node_id for n in got] == [n.node_id for n in want]
+        assert _internals(bounded) == _internals(walking)
+        if amount % 4 == 0:
+            gpus = 1 + amount % (GPUS_PER_NODE - 1)
+            assert bounded.find_partial(gpus, excluded) is walking.find_partial(
+                gpus, excluded
+            )
+            assert _internals(bounded) == _internals(walking)

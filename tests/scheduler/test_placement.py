@@ -103,3 +103,84 @@ def test_quarantined_node_never_placed():
     index = FreeNodeIndex(nodes)
     policy = PlacementPolicy()
     assert policy.place(index, 1, excluded=set()) is None
+
+
+# ----------------------------------------------------------------------
+# capacity bound: which failing gang requests skip the walk
+# ----------------------------------------------------------------------
+def bounded_index(n_nodes):
+    """A cluster-backed index, plus a list that records every walk."""
+    from repro.cluster.cluster import Cluster, ClusterSpec
+    from repro.sim.engine import Engine
+    from repro.sim.rng import RngStreams
+
+    cluster = Cluster(
+        ClusterSpec.rsc1_like(n_nodes=n_nodes, campaign_days=10),
+        Engine(),
+        RngStreams(0),
+    )
+    index = FreeNodeIndex(cluster.nodes, cluster)
+    walks = []
+    iter_pods = index._iter_pods
+
+    def counted():
+        walks.append(1)
+        return iter_pods()
+
+    index._iter_pods = counted
+    return cluster, index, walks
+
+
+def test_oversized_request_skips_the_walk_once_clean():
+    _cluster, index, walks = bounded_index(4)
+    assert index.find_full_nodes(5, set()) is None
+    assert len(walks) == 1  # the first failure validates every entry
+    assert index.find_full_nodes(5, set()) is None
+    assert index.find_full_nodes(9, set()) is None
+    assert len(walks) == 1
+    assert len(index.find_full_nodes(4, set())) == 4  # within the bound: walks
+    assert len(walks) == 2
+
+
+def test_node_transition_forces_the_next_walk():
+    cluster, index, walks = bounded_index(4)
+    index.find_full_nodes(5, set())
+    cluster.nodes[2].start_drain()  # stale entry behind the index's back
+    assert index.find_full_nodes(5, set()) is None
+    assert len(walks) == 2
+    assert index.free_full_node_count() == 3  # the walk flushed it
+    cluster.nodes[1].quarantined = True
+    assert index.find_full_nodes(4, set()) is None
+    assert len(walks) == 3
+    assert index.free_full_node_count() == 2
+
+
+def test_refresh_and_remove_keep_the_index_clean():
+    cluster, index, walks = bounded_index(4)
+    index.find_full_nodes(5, set())
+    node = cluster.nodes[0]
+    node.allocate(1, 8)
+    index.refresh(0)
+    index.remove(3)
+    assert index.find_full_nodes(3, set()) is None
+    assert len(walks) == 1
+
+
+def test_walk_that_skips_an_excluded_entry_does_not_mark_clean():
+    cluster, index, walks = bounded_index(4)
+    cluster.nodes[1].start_drain()
+    assert index.find_full_nodes(5, {1}) is None  # node 1 never validated
+    assert index.free_full_node_count() == 4
+    assert index.find_full_nodes(5, set()) is None
+    assert len(walks) == 2
+    assert index.free_full_node_count() == 3
+
+
+def test_bare_index_always_walks():
+    index = FreeNodeIndex(make_nodes(4))
+    walks = []
+    iter_pods = index._iter_pods
+    index._iter_pods = lambda: walks.append(1) or iter_pods()
+    for _ in range(3):
+        assert index.find_full_nodes(5, set()) is None
+    assert len(walks) == 3

@@ -68,6 +68,15 @@ def test_mixture_rejects_bad_weights():
         MixtureSpec.from_dict({1: -1.0})
     with pytest.raises(ValueError):
         MixtureSpec.from_dict({1: 0.0})
+    with pytest.raises(ValueError):
+        MixtureSpec.from_dict({1: 1.0, 8: float("inf")})
+    with pytest.raises(ValueError):
+        MixtureSpec.from_dict({1: 1.0, 8: float("nan")})
+
+
+def test_mixture_rejects_negative_sample_size():
+    with pytest.raises(ValueError):
+        MixtureSpec.from_dict({1: 1.0}).sample(np.random.default_rng(0), size=-1)
 
 
 def test_sample_lognormal_median_form():

@@ -6,6 +6,7 @@ from repro.sim.timeunits import HOUR
 from repro.workload.profiles import (
     MAX_WORK_SECONDS,
     SizeDurationSpec,
+    WorkloadProfile,
     rsc1_profile,
     rsc2_profile,
 )
@@ -110,3 +111,70 @@ def test_projects_sampled_from_zipf(profile):
     # A few projects dominate.
     top = max(counts.values())
     assert top > len(projects) / profile.n_projects * 2
+
+
+# ----------------------------------------------------------------------
+# probabilities are validated when the profile is built
+# ----------------------------------------------------------------------
+def _with(**overrides):
+    base = rsc1_profile()
+    fields = dict(
+        name=base.name,
+        size_mixture=base.size_mixture,
+        durations=base.durations,
+        outcome_probabilities=base.outcome_probabilities,
+    )
+    fields.update(overrides)
+    return WorkloadProfile(**fields)
+
+
+@pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+def test_outcome_probability_must_be_finite_and_non_negative(bad):
+    outcomes = {
+        IntendedOutcome.COMPLETED: 0.9 - (bad if bad == -0.1 else 0.0),
+        IntendedOutcome.FAILED_USER: 0.1,
+        IntendedOutcome.CANCELLED: bad,
+    }
+    with pytest.raises(ValueError, match="outcome probabilities"):
+        _with(outcome_probabilities=outcomes)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        (0.6, 0.3995, 0.0),  # sums to 0.9995: choice would reject it
+        (0.6, 0.4, 1e-6),
+        (1.1, -0.1, 0.0),  # sums to 1 with a negative entry
+        (0.5, 0.5, float("nan")),
+        (0.5, 0.5),
+    ],
+)
+@pytest.mark.parametrize("which", ["qos_small_probs", "qos_medium_probs", "qos_large_probs"])
+def test_qos_probabilities_rejected_where_choice_would_reject(which, probs):
+    with pytest.raises(ValueError, match="QoS probabilities"):
+        _with(**{which: probs})
+
+
+def test_qos_sum_within_choice_tolerance_accepted():
+    profile = _with(qos_small_probs=(0.1, 0.2, 0.7))  # 0.1 + 0.2 != 0.3 exactly
+    rng = np.random.default_rng(0)
+    assert {profile.sample_qos(1, rng) for _ in range(200)} == set(QosTier)
+
+
+def test_n_projects_must_be_positive():
+    with pytest.raises(ValueError, match="n_projects"):
+        _with(n_projects=0)
+
+
+def test_sampling_tables_do_not_change_equality_or_digest():
+    from repro.runtime.hashing import canonicalize
+
+    fresh, drawn = rsc1_profile(), rsc1_profile()
+    before = canonicalize(drawn)
+    rng = np.random.default_rng(0)
+    drawn.sample_project(rng)
+    drawn.sample_qos(drawn.sample_size(rng), rng)
+    drawn.sample_outcome(rng)
+    drawn.sample_work_seconds(8, rng)
+    assert drawn == fresh
+    assert canonicalize(drawn) == before == canonicalize(fresh)
