@@ -26,8 +26,9 @@ obs-smoke:
 		-k "obs_smoke" --benchmark-disable -s
 
 # Streaming-analytics smoke: replays the shared benchmark trace through
-# repro.live, cross-checks the online estimators against the batch
-# pipeline (rolling timeline bit-exact, zero late events), round-trips a
+# repro.live, checks the live ingest path against the batch Fig. 5 fold
+# of the same estimator (timeline bit-exact, zero late events; the tier-1
+# checks are tests/live/test_cross_validation.py), round-trips a
 # mid-stream snapshot, and appends ingest events/sec to
 # BENCH_runtime.json.
 live-smoke:

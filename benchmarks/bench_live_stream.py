@@ -2,10 +2,11 @@
 
 ``make live-smoke`` runs this module.  It replays the shared RSC-1-like
 benchmark trace through ``repro.live`` end to end, times the ingest
-loop, cross-checks two estimators against the batch pipeline (the full
-contract lives in ``tests/live/test_cross_validation.py``; this is the
-fast canary), exercises a mid-stream snapshot/restore, and appends the
-throughput numbers to ``BENCH_runtime.json``.
+loop, checks the live ingest path against the batch Fig. 5 fold of the
+same estimator and the delivered GPU-seconds against a rowwise sum (the
+tier-1 checks live in ``tests/live/test_cross_validation.py``; this is
+the fast canary), exercises a mid-stream snapshot/restore, and appends
+the throughput numbers to ``BENCH_runtime.json``.
 """
 
 import json
@@ -35,7 +36,7 @@ def test_live_smoke_throughput_and_agreement(bench_rsc1_trace):
     n_items = bus.stats.delivered
     events_per_sec = n_items / ingest_s
 
-    # Canary cross-checks (full matrix lives in the tier-1 tests).
+    # Canary cross-checks (the tier-1 tests hold the rest).
     batch = failure_rate_timeline(
         trace,
         window_days=analytics.rolling.window_days,

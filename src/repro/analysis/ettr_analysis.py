@@ -8,18 +8,15 @@ methodology verbatim.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-import numpy as np
-
+from repro.analysis.mttf_analysis import fold_mttf
 from repro.analysis.report import render_table
-from repro.core.ettr import ETTRParameters, expected_ettr
-from repro.core.metrics import ETTRAssumptions, job_run_ettr
-from repro.core.mttf import node_failure_rate, size_bucket
+from repro.core.estimators import ETTRForecaster
+from repro.core.metrics import ETTRAssumptions
+from repro.core.mttf import ettr_rf_floor
 from repro.jobtypes import QosTier
-from repro.sim.timeunits import DAY, HOUR
-from repro.stats.bootstrap import bootstrap_mean_ci
-from repro.workload.jobruns import JobRun, filter_runs, group_job_runs
+from repro.sim.timeunits import HOUR
 from repro.workload.trace import Trace
 
 
@@ -83,72 +80,29 @@ def ettr_comparison(
     min_runs_per_bucket: int = 2,
     use_ground_truth: bool = True,
 ) -> ETTRComparison:
-    """Compute Fig. 9 from a trace.
-
-    r_f is estimated over the trace's job columns; run grouping walks the
-    records, since it builds :class:`JobRun` objects.
-    """
+    """Compute Fig. 9 by folding the trace's job records through an
+    :class:`ETTRForecaster`, with r_f from an MTTF fold pinned to
+    ``core.mttf.ettr_rf_floor``."""
     if assumptions is None:
         assumptions = ETTRAssumptions()
-    runs = filter_runs(
-        group_job_runs(trace.job_records),
+    forecaster = ETTRForecaster(
+        checkpoint_interval=assumptions.checkpoint_interval,
+        restart_overhead=assumptions.restart_overhead,
         min_total_runtime=min_total_runtime,
-        qos=qos,
+        qos=None if qos is None else int(qos),
+        min_runs_per_bucket=min_runs_per_bucket,
     )
-    if not runs:
+    for record in trace.job_records:
+        forecaster.observe_job(record)
+    if not forecaster.cohort_runs:
         raise ValueError(
             "no job runs pass the Fig. 9 cohort filter; relax "
             "min_total_runtime or qos"
         )
-    columns = trace.columns.jobs
-    largest = int(columns.n_gpus.max())
-    rf = node_failure_rate(
-        columns,
-        min_gpus=min(128, max(8, largest // 2)),
-        use_ground_truth=use_ground_truth,
-    ).rate
-
-    by_bucket: Dict[int, List[JobRun]] = {}
-    for run in runs:
-        by_bucket.setdefault(size_bucket(run.n_gpus), []).append(run)
-
-    buckets = []
-    for gpus in sorted(by_bucket):
-        cohort = by_bucket[gpus]
-        if len(cohort) < min_runs_per_bucket:
-            continue
-        ettrs = [job_run_ettr(run, assumptions).ettr for run in cohort]
-        mean, lo, hi = bootstrap_mean_ci(ettrs, confidence=0.90)
-        queue_waits = [run.mean_requeue_wait() for run in cohort]
-        initial_waits = [run.attempts[0].queue_wait for run in cohort]
-        mean_q = float(np.mean(queue_waits + initial_waits))
-        mean_runtime = float(np.mean([run.total_runtime for run in cohort]))
-        params = ETTRParameters(
-            n_nodes=max(1, gpus // 8),
-            failure_rate_per_node_day=rf,
-            checkpoint_interval=assumptions.checkpoint_interval,
-            restart_overhead=assumptions.restart_overhead,
-            queue_time=max(1.0, mean_q),
-            productive_runtime=max(HOUR, mean_runtime),
-        )
-        try:
-            expected = expected_ettr(params)
-        except ValueError:
-            expected = 0.0
-        buckets.append(
-            ETTRBucket(
-                gpus=gpus,
-                n_runs=len(cohort),
-                measured_mean=mean,
-                measured_lo=lo,
-                measured_hi=hi,
-                expected=expected,
-                mean_queue_seconds=mean_q,
-            )
-        )
+    rf = fold_mttf(trace, ettr_rf_floor, use_ground_truth).failure_rate().rate
     return ETTRComparison(
         cluster_name=trace.cluster_name,
-        buckets=buckets,
+        buckets=[ETTRBucket(**row) for row in forecaster.comparison(rf)],
         rf_per_node_day=rf,
         assumptions=assumptions,
     )

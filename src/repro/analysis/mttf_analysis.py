@@ -6,16 +6,11 @@ the paper's extrapolations to 16,384 and 131,072 GPUs.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.report import render_table
-from repro.core.mttf import (
-    MTTFBucket,
-    empirical_mttf_by_size,
-    mttf_projection_curve,
-    node_failure_rate,
-    project_mttf,
-)
+from repro.core.estimators import OnlineMTTFEstimator
+from repro.core.mttf import MTTFBucket, mttf_projection_curve, rf_floor
 from repro.stats.fitting import RateEstimate
 from repro.workload.trace import Trace
 
@@ -74,32 +69,43 @@ class MTTFAnalysis:
         return table + footer
 
 
+def fold_mttf(
+    trace: Trace, floor_rule: Callable[[int], int], use_ground_truth: bool
+) -> OnlineMTTFEstimator:
+    """An :class:`OnlineMTTFEstimator` folded over the trace's job records,
+    with r_f pinned to ``floor_rule(largest job's GPUs)``."""
+    estimator = OnlineMTTFEstimator(
+        use_ground_truth=use_ground_truth,
+        rf_min_gpus=floor_rule(int(trace.columns.jobs.n_gpus.max())),
+    )
+    for record in trace.job_records:
+        estimator.observe_job(record)
+    return estimator
+
+
 def mttf_analysis(
     trace: Trace,
     min_gpus_for_rate: int = 128,
     use_ground_truth: bool = True,
     projection_sizes: Sequence[int] = PROJECTION_SIZES,
 ) -> MTTFAnalysis:
-    """Compute Fig. 7 from the trace's job columns.
+    """Compute Fig. 7 by folding the trace's job records.
 
-    For scaled-down campaigns whose largest jobs do not reach 128 GPUs,
-    ``min_gpus_for_rate`` falls back to half the largest observed size.
+    r_f counts jobs above ``min_gpus_for_rate`` GPUs; for scaled-down
+    campaigns whose largest jobs do not reach it, the floor falls back to
+    half the largest observed size (``core.mttf.rf_floor``).
     """
     if not trace.job_records:
         raise ValueError("trace has no job records")
-    columns = trace.columns.jobs
-    largest = int(columns.n_gpus.max())
-    floor = min_gpus_for_rate
-    if largest <= floor:
-        floor = max(8, largest // 2)
-    rate = node_failure_rate(
-        columns, min_gpus=floor, use_ground_truth=use_ground_truth
+    estimator = fold_mttf(
+        trace,
+        lambda largest: rf_floor(largest, min_gpus_for_rate),
+        use_ground_truth,
     )
-    buckets = empirical_mttf_by_size(columns, use_ground_truth=use_ground_truth)
-    projection = mttf_projection_curve(list(projection_sizes), rate.rate)
+    rate = estimator.failure_rate()
     return MTTFAnalysis(
         cluster_name=trace.cluster_name,
-        buckets=buckets,
+        buckets=estimator.buckets(),
         failure_rate=rate,
-        projection=projection,
+        projection=mttf_projection_curve(list(projection_sizes), rate.rate),
     )

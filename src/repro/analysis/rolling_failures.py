@@ -8,13 +8,13 @@ episodic regimes (driver bug, mount wave, IB-link spike).
 """
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.analysis.report import render_series
+from repro.core.estimators import RollingFailureRateEstimator
 from repro.sim.timeunits import DAY
-from repro.stats.rolling import rolling_rate
 from repro.workload.trace import Trace
 
 
@@ -28,6 +28,29 @@ class FailureRateTimeline:
     by_component: Dict[str, np.ndarray]
     check_introductions: Dict[str, float]  # check name -> day introduced
     window_days: float
+
+    @classmethod
+    def from_estimator(
+        cls,
+        cluster_name: str,
+        estimator: RollingFailureRateEstimator,
+        window_days: Optional[float] = None,
+    ) -> "FailureRateTimeline":
+        """The series finalized so far by ``estimator``.
+
+        ``window_days`` defaults to the estimator's window converted back
+        to days; a caller that chose the window in days passes it as is.
+        """
+        return cls(
+            cluster_name=cluster_name,
+            times_days=estimator.times_days(),
+            overall=estimator.overall_series(),
+            by_component=estimator.component_series(),
+            check_introductions=estimator.check_introductions(),
+            window_days=(
+                estimator.window_days if window_days is None else window_days
+            ),
+        )
 
     def peak_rate(self) -> float:
         return float(np.max(self.overall)) if self.overall.size else 0.0
@@ -54,89 +77,34 @@ class FailureRateTimeline:
         )
 
 
+def default_window_days(span_seconds: float) -> float:
+    """Fig. 5's window: the paper's 30 days on an 11-month span, scaled
+    proportionally to the campaign span (at least one day)."""
+    return max(1.0, span_seconds / DAY * (30.0 / 330.0))
+
+
 def failure_rate_timeline(
     trace: Trace,
     window_days: float = None,
     step_days: float = 1.0,
 ) -> FailureRateTimeline:
-    """Compute Fig. 5 from the trace's incident events.
+    """Compute Fig. 5 by folding the trace's events.
 
     Failure events are ``cluster.incident`` records — the deduplicated,
     detection-level view (one event per incident regardless of how many
-    overlapping checks fired), filtered with array masks over the
-    trace's event columns.
+    overlapping checks fired); check introductions are the first
+    ``health.check_failed`` firings in stream order.
     """
-    span_days = trace.span_seconds / DAY
     if window_days is None:
-        # The paper's 30-day window on an 11-month span, proportionally.
-        window_days = max(1.0, span_days * (30.0 / 330.0))
-    times, comp_times_by_name, first_fire = _event_series(trace)
-    grid, overall = rolling_rate(
-        times,
+        window_days = default_window_days(trace.span_seconds)
+    estimator = RollingFailureRateEstimator(
         window=window_days * DAY,
-        start=0.0,
-        end=trace.span_seconds,
         step=step_days * DAY,
         exposure_per_time=trace.n_nodes / DAY / 1000.0,
     )
-    by_component: Dict[str, np.ndarray] = {}
-    for component, comp_times in comp_times_by_name.items():
-        _g, series = rolling_rate(
-            comp_times,
-            window=window_days * DAY,
-            start=0.0,
-            end=trace.span_seconds,
-            step=step_days * DAY,
-            exposure_per_time=trace.n_nodes / DAY / 1000.0,
-        )
-        by_component[component] = series
-
-    # Check introduction times are recoverable from the cluster spec's
-    # fractional placement; campaigns store the fractions in metadata when
-    # available, else we derive them from first-firing times.
-    introductions: Dict[str, float] = {}
-    for check in ("filesystem_mounts", "ipmi_critical_interrupt"):
-        if check in first_fire:
-            introductions[check] = first_fire[check] / DAY
-    return FailureRateTimeline(
-        cluster_name=trace.cluster_name,
-        times_days=grid / DAY,
-        overall=overall,
-        by_component=by_component,
-        check_introductions=introductions,
-        window_days=window_days,
+    for event in trace.events:
+        estimator.observe_event(event)
+    estimator.finish(trace.span_seconds)
+    return FailureRateTimeline.from_estimator(
+        trace.cluster_name, estimator, window_days
     )
-
-
-def _event_series(trace: Trace):
-    """(incident_times, per-component times, first health firings).
-
-    Incidents without a component field are listed under ``"?"``, a
-    bucket that matches only events whose component is literally ``"?"``
-    -- i.e. it stays empty.
-    """
-    ev = trace.columns.events
-    inc = ev.mask_for_kind("cluster.incident")
-    times = ev.time[inc]
-    comp = ev.component_code[inc]
-    table = ev.component_table
-    names = sorted({"?" if c < 0 else table[c] for c in np.unique(comp)})
-    comp_times_by_name: Dict[str, np.ndarray] = {}
-    for name in names:
-        try:
-            code = table.index(name)
-        except ValueError:
-            code = -2  # no event carries this literal string
-        comp_times_by_name[name] = times[comp == code]
-
-    first_fire: Dict[str, float] = {}
-    health = ev.mask_for_kind("health.check_failed")
-    for check in ("filesystem_mounts", "ipmi_critical_interrupt"):
-        try:
-            code = ev.check_table.index(check)
-        except ValueError:
-            continue
-        idx = np.flatnonzero(health & (ev.check_code == code))
-        if len(idx):  # stream order: the first firing
-            first_fire[check] = float(ev.time[idx[0]])
-    return times, comp_times_by_name, first_fire

@@ -29,8 +29,7 @@ from repro.core.attribution import (
 )
 from repro.core.metrics import (
     ETTRAssumptions,
-    JobRunETTR,
-    job_run_ettr,
+    run_ettr,
     model_flops_utilization,
     cluster_goodput_fraction,
 )
@@ -45,8 +44,8 @@ from repro.core.ettr import (
 )
 from repro.core.mttf import (
     MTTFBucket,
-    empirical_mttf_by_size,
-    node_failure_rate,
+    ettr_rf_floor,
+    rf_floor,
     project_mttf,
     mttf_projection_curve,
 )
@@ -77,8 +76,7 @@ __all__ = [
     "AttributedFailure",
     "FailureAttributor",
     "ETTRAssumptions",
-    "JobRunETTR",
-    "job_run_ettr",
+    "run_ettr",
     "model_flops_utilization",
     "cluster_goodput_fraction",
     "ETTRParameters",
@@ -89,8 +87,8 @@ __all__ = [
     "monte_carlo_ettr",
     "monte_carlo_ettr_samples",
     "MTTFBucket",
-    "empirical_mttf_by_size",
-    "node_failure_rate",
+    "ettr_rf_floor",
+    "rf_floor",
     "project_mttf",
     "mttf_projection_curve",
     "GoodputLoss",

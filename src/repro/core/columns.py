@@ -49,8 +49,6 @@ COLUMNAR_SCHEMA_VERSION = 1
 JOB_STATES: Tuple[JobState, ...] = tuple(JobState)
 _STATE_CODE: Dict[JobState, int] = {s: i for i, s in enumerate(JOB_STATES)}
 STATE_CODE_NODE_FAIL = _STATE_CODE[JobState.NODE_FAIL]
-STATE_CODE_FAILED = _STATE_CODE[JobState.FAILED]
-STATE_CODE_REQUEUED = _STATE_CODE[JobState.REQUEUED]
 STATE_CODE_PREEMPTED = _STATE_CODE[JobState.PREEMPTED]
 STATE_CODE_COMPLETED = _STATE_CODE[JobState.COMPLETED]
 
@@ -139,8 +137,8 @@ def sequential_sum(values: np.ndarray) -> float:
     ``np.sum`` adds pairwise and ``builtins.sum`` compensates on Python
     3.12+, so either can differ from a running accumulator in the last
     bit; ``np.cumsum`` is strictly sequential.  Totals that streaming
-    estimators also accumulate (GPU-seconds, node-days) use this so both
-    agree bit-for-bit.
+    estimators also accumulate (GPU-seconds) use this so both agree
+    bit-for-bit.
     """
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
@@ -229,21 +227,6 @@ class JobColumns:
             )
             self._is_hw = cached
         return cached
-
-    def hw_failure_mask(self, use_ground_truth: bool = True) -> np.ndarray:
-        """The MTTF hardware-failure rule per attempt.
-
-        Ground truth: any hardware interruption.  Observable: NODE_FAIL,
-        or FAILED/REQUEUED with an attributed health check.
-        """
-        if use_ground_truth:
-            return self.is_hw_interruption
-        observable = (self.state_code == STATE_CODE_FAILED) | (
-            self.state_code == STATE_CODE_REQUEUED
-        )
-        return (self.state_code == STATE_CODE_NODE_FAIL) | (
-            observable & self.hw_attributed
-        )
 
     def size_bucket(self) -> np.ndarray:
         """Fig. 7/8 bucketing: ceil to a server, then a power of two."""

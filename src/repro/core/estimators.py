@@ -1,22 +1,23 @@
-"""Online reliability estimators over the live stream.
+"""Online reliability estimators: the one implementation of Figs. 5/7/9.
 
-Each estimator consumes stream items incrementally and can answer at any
+Each estimator consumes trace items incrementally and can answer at any
 watermark; each also round-trips its full state through a JSON-safe
 ``state_dict()`` / ``load_state()`` pair (the snapshot format — see
-``docs/STREAMING.md``).  Exactness contracts versus the batch analyses:
+``docs/STREAMING.md``).  The batch figures are folds of these classes
+over a finished trace's records, and ``repro.live`` drives the same
+classes from the event stream:
 
-* :class:`RollingFailureRateEstimator` — **bit-identical** to
-  ``analysis.failure_rate_timeline`` (same window arithmetic, same grid
-  values, same count-over-exposure division).
-* :class:`OnlineMTTFEstimator` — per-size-bucket MTTF inputs and Gamma
-  CIs **bit-identical** to ``core.mttf.empirical_mttf_by_size`` (the
-  per-bucket runtime sums accumulate in record order, exactly like the
-  batch ``np.bincount``).  The r_f estimate is bit-identical when
-  ``min_gpus`` is pinned; the auto-floor mode regroups the sum by job
-  size and agrees within ~1e-9 relative (see STREAMING.md).
-* :class:`ETTRForecaster` — the measured per-bucket series (means and
-  bootstrap CIs) is **bit-identical** to ``analysis.ettr_comparison``;
-  the expected (Eq. 1) series inherits the r_f tolerance.
+* :class:`RollingFailureRateEstimator` — Fig. 5's trailing-window
+  incident rate (``analysis.failure_rate_timeline``).
+* :class:`OnlineMTTFEstimator` — Fig. 7's per-size-bucket MTTF inputs
+  and Gamma CIs, and the cluster rate r_f (``analysis.mttf_analysis``;
+  r_f also feeds ``analysis.ettr_comparison`` and
+  ``analysis.headline_numbers``).  The batch figures pin ``rf_min_gpus``
+  to the figure's floor; the live auto floor (half the largest job seen
+  so far) regroups the exposure sum by job size and agrees with the
+  pinned fold within ~1e-9 relative, the one remaining tolerance.
+* :class:`ETTRForecaster` — Fig. 9's cohort, measured per-run ETTR
+  series and Eq. 1/2 (``analysis.ettr_comparison``).
 * :class:`LiveLemonEstimator` — provisional per-node scores update
   incrementally from the job stream; once the end-of-stream node records
   land, the flagged cohort is **exactly** the batch
@@ -34,8 +35,9 @@ import numpy as np
 
 from repro.core.ettr import ETTRParameters, expected_ettr, expected_ettr_simple
 from repro.core.lemon import LemonDetector, LemonPolicy
-from repro.core.mttf import MTTFBucket, size_bucket
-from repro.jobtypes import JobAttemptRecord, JobState
+from repro.core.metrics import ETTRAssumptions, run_ettr
+from repro.core.mttf import MTTFBucket, rf_floor, size_bucket
+from repro.jobtypes import JobAttemptRecord
 from repro.sim.events import EventRecord
 from repro.sim.timeunits import DAY, HOUR
 from repro.stats.bootstrap import bootstrap_mean_ci
@@ -54,12 +56,13 @@ def _require(condition: bool, message: str) -> None:
 class RollingFailureRateEstimator:
     """Trailing-window incident rates on the Fig. 5 grid, online.
 
-    Grid point ``t_i = start + i*step`` finalizes once the watermark
-    passes ``t_i + allowed_lateness``; the rate is
-    ``#incidents in (t_i - window, t_i] / (window * exposure)`` — the
-    exact ``stats.rolling.rolling_rate`` arithmetic.  Incident times
-    older than the next grid point's window are evicted, so live memory
-    is O(window incidents), not O(campaign).
+    Grid point ``t_i = start + i*step`` (the values of
+    ``np.arange(start, end + step/2, step)``) finalizes once the
+    watermark passes ``t_i + allowed_lateness``; the rate is
+    ``#incidents in (t_i - window, t_i] / (window * exposure)``.
+    Incident times older than the next grid point's window are evicted,
+    so live memory is O(window incidents), not O(campaign).  A batch
+    fold observes every event and then calls :meth:`finish`.
 
     **Lateness.**  ``cluster.incident`` events are *backdated*: they
     carry the incident's true occurrence time but are appended to the
@@ -67,11 +70,11 @@ class RollingFailureRateEstimator:
     The stream therefore delivers them after the watermark may already
     have passed their timestamp.  ``allowed_lateness`` (default: one
     window) holds each grid point open long enough for every backdated
-    event to land; pending times are kept sorted under ``insort``, which
-    matches the batch path bit for bit (``rolling_rate`` sorts its input
-    array).  An event that arrives after its grid point finalized anyway
-    is counted in :attr:`late_events` — the cross-validation tests
-    assert it stays zero, so a lateness violation is loud, not silent.
+    event to land; pending times are kept sorted under ``insort``, so
+    the arrival order of backdated events cannot change a count.  An
+    event that arrives after its grid point finalized anyway is counted
+    in :attr:`late_events` — the cross-validation tests assert it stays
+    zero, so a lateness violation is loud, not silent.
     """
 
     def __init__(
@@ -270,14 +273,13 @@ class OnlineMTTFEstimator:
     """Incremental Gamma-fit inputs for Fig. 7.
 
     Per-size-bucket ``(records, failures, runtime-hours)`` accumulate in
-    arrival order — identical floating-point order to the batch
-    ``np.bincount``, so ``buckets()`` is bit-identical to
-    ``empirical_mttf_by_size``.  For r_f the exposure accumulates per
-    distinct ``n_gpus`` value, so the ``n_gpus > floor`` filter can be
-    applied at query time even though the auto floor (half the largest
-    observed job) moves as larger jobs arrive; regrouping reassociates
-    the sum, hence the documented ~1e-9 relative tolerance.  Pinning
-    ``rf_min_gpus`` keeps one sequential accumulator and is exact.
+    arrival order.  For r_f the exposure accumulates per distinct
+    ``n_gpus`` value, so the ``n_gpus > floor`` filter can be applied at
+    query time even though the auto floor (``core.mttf.rf_floor`` of the
+    largest observed job) moves as larger jobs arrive; regrouping
+    reassociates the sum, hence the documented ~1e-9 relative tolerance.
+    Pinning ``rf_min_gpus`` keeps one sequential accumulator in record
+    order; the batch figures pin it.
     """
 
     def __init__(
@@ -298,33 +300,23 @@ class OnlineMTTFEstimator:
         self._pinned_node_days = 0.0
         self._pinned_failures = 0
 
-    def _is_hw_failure(self, record: JobAttemptRecord) -> bool:
-        if self.use_ground_truth:
-            return record.is_hw_interruption
-        if record.state is JobState.NODE_FAIL:
-            return True
-        return (
-            record.state in (JobState.FAILED, JobState.REQUEUED)
-            and record.hw_attributed
-        )
-
     def observe_job(self, record: JobAttemptRecord) -> None:
-        failed = self._is_hw_failure(record)
-        bucket = self._buckets.setdefault(
-            size_bucket(record.n_gpus), [0, 0, 0.0]
-        )
+        failed = record.is_hw_failure(self.use_ground_truth)
+        n_gpus = record.n_gpus
+        runtime = record.runtime
+        node_days = runtime / DAY * record.n_nodes
+        bucket = self._buckets.setdefault(size_bucket(n_gpus), [0, 0, 0.0])
         bucket[0] += 1
+        bucket[2] += runtime / HOUR
+        group = self._by_gpus.setdefault(n_gpus, [0.0, 0])
+        group[0] += node_days
         if failed:
             bucket[1] += 1
-        bucket[2] += record.runtime / HOUR
-        group = self._by_gpus.setdefault(record.n_gpus, [0.0, 0])
-        group[0] += record.runtime / DAY * record.n_nodes
-        if failed:
             group[1] += 1
-        if record.n_gpus > self._largest:
-            self._largest = record.n_gpus
-        if self.rf_min_gpus is not None and record.n_gpus > self.rf_min_gpus:
-            self._pinned_node_days += record.runtime / DAY * record.n_nodes
+        if n_gpus > self._largest:
+            self._largest = n_gpus
+        if self.rf_min_gpus is not None and n_gpus > self.rf_min_gpus:
+            self._pinned_node_days += node_days
             if failed:
                 self._pinned_failures += 1
 
@@ -358,23 +350,21 @@ class OnlineMTTFEstimator:
         return out
 
     def auto_floor(self, default: int = 128) -> int:
-        """``mttf_analysis``'s floor rule: half the largest job when the
-        campaign never reaches ``default`` GPUs."""
-        if self._largest <= default:
-            return max(8, self._largest // 2)
-        return default
+        """Fig. 7's floor (``core.mttf.rf_floor``) of the largest job
+        seen so far."""
+        return rf_floor(self._largest, default)
 
-    def ettr_floor(self) -> int:
-        """``ettr_comparison``'s floor: ``min(128, max(8, largest//2))``."""
-        return min(128, max(8, self._largest // 2))
+    @property
+    def rf_floor_gpus(self) -> int:
+        """The floor r_f uses by default: pinned, else the auto floor."""
+        if self.rf_min_gpus is not None:
+            return self.rf_min_gpus
+        return self.auto_floor()
 
     def rf_inputs(self, min_gpus: Optional[int] = None) -> Tuple[int, float]:
         """(failures, node_days) over jobs with ``n_gpus > min_gpus``."""
         if min_gpus is None:
-            min_gpus = self.rf_min_gpus
-            if min_gpus is not None:
-                return self._pinned_failures, self._pinned_node_days
-            min_gpus = self.auto_floor()
+            min_gpus = self.rf_floor_gpus
         if min_gpus == self.rf_min_gpus:
             return self._pinned_failures, self._pinned_node_days
         node_days = 0.0
@@ -441,11 +431,12 @@ class ETTRForecaster:
     """Re-evaluates Eq. 1/2 and the measured job-run series as jobs land.
 
     Accumulates a compact per-attempt tuple per job run (start, runtime,
-    queue wait, gpus, qos) — enough to rebuild Fig. 9's cohort exactly:
-    run ordering, attempt ordering, filters, per-run ETTR arithmetic,
-    and the seeded bootstrap all replicate ``analysis.ettr_comparison``
-    operation-for-operation, so the measured series is bit-identical.
-    The expected series takes r_f as an input (from
+    queue wait, gpus, qos) — enough to rebuild Fig. 9's cohort: runs in
+    first-start order, attempts in start order, kept when their total
+    runtime reaches ``min_total_runtime`` and their first attempt's QoS
+    matches ``qos``, bucketed by ``core.mttf.size_bucket``.  Each run's
+    ETTR is ``core.metrics.run_ettr``; a bucket's mean carries a seeded
+    bootstrap CI.  The expected series takes r_f as an input (from
     :class:`OnlineMTTFEstimator`).
     """
 
@@ -468,11 +459,12 @@ class ETTRForecaster:
         # in arrival (record) order; dict insertion order is first-arrival
         # order, the same tie-break ``group_job_runs``'s stable sort sees.
         self._runs: Dict[int, List[List[float]]] = {}
-        # (key, rows): the rf-independent part of Fig. 9's rows, as
-        # (gpus, n_runs, mean, lo, hi, mean_queue, mean_runtime) tuples.
+        # (key, cohort_runs, rows): the rf-independent part of Fig. 9's
+        # rows, as (gpus, n_runs, mean, lo, hi, mean_queue, mean_runtime)
+        # tuples, and the cohort size before the per-bucket minimum.
         # ``observe_job`` drops it; ``key`` holds every attribute the rows
         # read, so a mutated attribute recomputes them too.
-        self._measured: Optional[Tuple[tuple, List[tuple]]] = None
+        self._measured: Optional[Tuple[tuple, int, List[tuple]]] = None
 
     def observe_job(self, record: JobAttemptRecord) -> None:
         self._measured = None
@@ -505,21 +497,6 @@ class ETTRForecaster:
             )
         return by_bucket
 
-    def _run_ettr(self, attempts: List[List[float]]) -> float:
-        # core.metrics.job_run_ettr's arithmetic, term for term.
-        u0 = self.restart_overhead
-        cp_loss = self.checkpoint_interval / 2
-        unproductive = 0.0
-        for i, attempt in enumerate(attempts):
-            loss = u0 if i == 0 else u0 + cp_loss
-            unproductive += min(loss, attempt[1])
-        productive = max(0.0, sum(a[1] for a in attempts) - unproductive)
-        queue = sum(a[2] for a in attempts)
-        wallclock = productive + unproductive + queue
-        if wallclock <= 0:
-            return 0.0
-        return productive / wallclock
-
     def forecast(self, n_gpus: int, rf: float, queue_time: float,
                  productive_runtime: float, simple: bool = False) -> float:
         """Eq. 1 (or Eq. 2 with ``simple=True``) for one hypothetical run.
@@ -543,7 +520,8 @@ class ETTRForecaster:
         except ValueError:
             return 0.0
 
-    def _measured_rows(self) -> List[tuple]:
+    def _measured_rows(self) -> Tuple[int, List[tuple]]:
+        """``(cohort_runs, rows)``, memoized until the next job."""
         key = (
             self.checkpoint_interval,
             self.restart_overhead,
@@ -552,14 +530,25 @@ class ETTRForecaster:
             self.min_runs_per_bucket,
         )
         if self._measured is not None and self._measured[0] == key:
-            return self._measured[1]
+            return self._measured[1:]
+        assumptions = ETTRAssumptions(
+            checkpoint_interval=self.checkpoint_interval,
+            restart_overhead=self.restart_overhead,
+        )
         rows = []
         by_bucket = self._cohort_by_bucket()
         for gpus in sorted(by_bucket):
             cohort = by_bucket[gpus]
             if len(cohort) < self.min_runs_per_bucket:
                 continue
-            ettrs = [self._run_ettr(attempts) for attempts in cohort]
+            ettrs = [
+                run_ettr(
+                    [a[1] for a in attempts],
+                    [a[2] for a in attempts],
+                    assumptions,
+                )
+                for attempts in cohort
+            ]
             mean, lo, hi = bootstrap_mean_ci(ettrs, confidence=0.90)
             # mean_requeue_wait: non-first attempts' queue waits (0 if none)
             queue_waits = [
@@ -576,8 +565,14 @@ class ETTRForecaster:
                 np.mean([sum(a[1] for a in attempts) for attempts in cohort])
             )
             rows.append((gpus, len(cohort), mean, lo, hi, mean_q, mean_runtime))
-        self._measured = (key, rows)
-        return rows
+        cohort_runs = sum(len(cohort) for cohort in by_bucket.values())
+        self._measured = (key, cohort_runs, rows)
+        return cohort_runs, rows
+
+    @property
+    def cohort_runs(self) -> int:
+        """Runs that pass the Fig. 9 cohort filter, in any bucket."""
+        return self._measured_rows()[0]
 
     def comparison(self, rf: float) -> List[Dict[str, float]]:
         """Fig. 9's rows at the current watermark.
@@ -598,7 +593,7 @@ class ETTRForecaster:
                 "mean_queue_seconds": mean_q,
             }
             for gpus, n_runs, mean, lo, hi, mean_q, mean_runtime
-            in self._measured_rows()
+            in self._measured_rows()[1]
         ]
 
     @property

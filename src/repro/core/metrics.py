@@ -9,10 +9,9 @@ are free parameters supplied as :class:`ETTRAssumptions`.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.sim.timeunits import HOUR, MINUTE
-from repro.workload.jobruns import JobRun
 
 
 @dataclass(frozen=True)
@@ -40,65 +39,32 @@ class ETTRAssumptions:
         return self.checkpoint_interval / 2
 
 
-@dataclass(frozen=True)
-class JobRunETTR:
-    """ETTR decomposition of one job run: W = R + U + Q."""
+def run_ettr(
+    runtimes: Sequence[float],
+    queue_waits: Sequence[float],
+    assumptions: Optional[ETTRAssumptions] = None,
+) -> float:
+    """Measured ETTR of one job run, W = R + U + Q, as R / W.
 
-    jobrun_id: int
-    n_gpus: int
-    productive: float  # R
-    unproductive: float  # U
-    queue: float  # Q
-    n_interruptions: int
-
-    @property
-    def wallclock(self) -> float:
-        return self.productive + self.unproductive + self.queue
-
-    @property
-    def ettr(self) -> float:
-        if self.wallclock <= 0:
-            return 0.0
-        return self.productive / self.wallclock
-
-
-def job_run_ettr(
-    run: JobRun, assumptions: Optional[ETTRAssumptions] = None
-) -> JobRunETTR:
-    """Measured ETTR of a job run under the stated assumptions.
-
-    Follows Appendix A's accounting: the first attempt pays the restart
-    overhead u0; every subsequent attempt pays u0 plus the expected
-    checkpoint recompute dt/2 (each term capped at the attempt's actual
-    runtime — a 2-minute attempt cannot waste 35 minutes).
+    ``runtimes`` and ``queue_waits`` are the run's attempts in start
+    order.  Follows Appendix A's accounting: the first attempt pays the
+    restart overhead u0; every subsequent attempt pays u0 plus the
+    expected checkpoint recompute dt/2 (each term capped at the attempt's
+    actual runtime — a 2-minute attempt cannot waste 35 minutes).
     """
     if assumptions is None:
         assumptions = ETTRAssumptions()
     u0 = assumptions.restart_overhead
     cp_loss = assumptions.expected_checkpoint_loss
     unproductive = 0.0
-    for i, attempt in enumerate(run.attempts):
+    for i, runtime in enumerate(runtimes):
         loss = u0 if i == 0 else u0 + cp_loss
-        unproductive += min(loss, attempt.runtime)
-    productive = run.total_runtime - unproductive
-    return JobRunETTR(
-        jobrun_id=run.jobrun_id,
-        n_gpus=run.n_gpus,
-        productive=max(0.0, productive),
-        unproductive=unproductive,
-        queue=run.total_queue_time,
-        n_interruptions=run.n_interruptions,
-    )
-
-
-def mean_ettr(
-    runs: Iterable[JobRun], assumptions: Optional[ETTRAssumptions] = None
-) -> float:
-    """Unweighted mean ETTR across job runs (Fig. 9's per-bucket statistic)."""
-    values = [job_run_ettr(run, assumptions).ettr for run in runs]
-    if not values:
-        raise ValueError("no job runs supplied")
-    return sum(values) / len(values)
+        unproductive += min(loss, runtime)
+    productive = max(0.0, sum(runtimes) - unproductive)
+    wallclock = productive + unproductive + sum(queue_waits)
+    if wallclock <= 0:
+        return 0.0
+    return productive / wallclock
 
 
 def model_flops_utilization(

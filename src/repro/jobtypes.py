@@ -133,3 +133,18 @@ class JobAttemptRecord:
         if self.state is JobState.NODE_FAIL:
             return True
         return self.hw_incident_id is not None
+
+    def is_hw_failure(self, use_ground_truth: bool = True) -> bool:
+        """The MTTF hardware-failure rule (Figs. 7 and 9, r_f).
+
+        Ground truth: any hardware interruption.  Observable: NODE_FAIL,
+        or FAILED/REQUEUED with an attributed health check.
+        """
+        if use_ground_truth:
+            return self.is_hw_interruption
+        if self.state is JobState.NODE_FAIL:
+            return True
+        return (
+            self.state in (JobState.FAILED, JobState.REQUEUED)
+            and self.hw_attributed
+        )

@@ -3,9 +3,9 @@
 The online counterpart of ``repro.analysis``: a bounded event bus, a
 deterministic trace replay, and a set of incrementally-updated
 estimators (rolling failure rates, per-size MTTF, ETTR forecasts, lemon
-scores, fleet gauges) whose answers are cross-validated against the
-batch analyses — bit-identical where the math permits, within
-documented tolerance otherwise.  See ``docs/STREAMING.md``.
+scores, fleet gauges).  The estimators live in ``repro.core.estimators``:
+the batch figures are folds of the same classes, so both paths share one
+implementation.  See ``docs/STREAMING.md``.
 
 Two ways in:
 
@@ -28,6 +28,13 @@ Sessions checkpoint with ``analytics.snapshot()`` /
 CLI subcommand wraps both modes.
 """
 
+from repro.core.estimators import (
+    ETTRForecaster,
+    FleetGauges,
+    LiveLemonEstimator,
+    OnlineMTTFEstimator,
+    RollingFailureRateEstimator,
+)
 from repro.live.analytics import (
     LIVE_SNAPSHOT_VERSION,
     LiveAnalytics,
@@ -44,13 +51,6 @@ from repro.live.bus import (
     BusStats,
     EventBus,
     StreamItem,
-)
-from repro.live.estimators import (
-    ETTRForecaster,
-    FleetGauges,
-    LiveLemonEstimator,
-    OnlineMTTFEstimator,
-    RollingFailureRateEstimator,
 )
 from repro.live.replay import iter_trace_stream, replay_trace
 from repro.live.tap import CampaignTap, live_campaign

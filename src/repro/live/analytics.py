@@ -15,15 +15,18 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.analysis.report import render_table
-from repro.analysis.rolling_failures import FailureRateTimeline
-from repro.live.bus import CHANNEL_EVENT, CHANNEL_JOB, CHANNEL_NODE, StreamItem
-from repro.live.estimators import (
+from repro.analysis.rolling_failures import (
+    FailureRateTimeline,
+    default_window_days,
+)
+from repro.core.estimators import (
     ETTRForecaster,
     FleetGauges,
     LiveLemonEstimator,
     OnlineMTTFEstimator,
     RollingFailureRateEstimator,
 )
+from repro.live.bus import CHANNEL_EVENT, CHANNEL_JOB, CHANNEL_NODE, StreamItem
 from repro.obs.health import FleetHealthScorer, HealthReport, HealthSignals
 from repro.sim.timeunits import DAY, HOUR
 
@@ -38,8 +41,8 @@ class LiveConfig:
 
     ``span_seconds`` and fleet sizes are known before the first item in
     both modes (a campaign config declares them; a trace header carries
-    them); the rolling window defaults to the batch Fig. 5 rule
-    (30 days scaled by span/330).
+    them); the rolling window defaults to Fig. 5's
+    ``default_window_days`` (30 days scaled by span/330).
     """
 
     cluster_name: str
@@ -59,8 +62,7 @@ class LiveConfig:
     def resolved_window_days(self) -> float:
         if self.window_days is not None:
             return self.window_days
-        span_days = self.span_seconds / DAY
-        return max(1.0, span_days * (30.0 / 330.0))
+        return default_window_days(self.span_seconds)
 
     @classmethod
     def for_trace(cls, trace, **overrides) -> "LiveConfig":
@@ -312,14 +314,9 @@ class LiveAnalytics:
     # derived views
     # ------------------------------------------------------------------
     def timeline(self) -> FailureRateTimeline:
-        """The streaming Fig. 5 object (batch-compatible type)."""
-        return FailureRateTimeline(
-            cluster_name=self.config.cluster_name,
-            times_days=self.rolling.times_days(),
-            overall=self.rolling.overall_series(),
-            by_component=self.rolling.component_series(),
-            check_introductions=self.rolling.check_introductions(),
-            window_days=self.rolling.window_days,
+        """The streaming Fig. 5 object (the batch figure's type)."""
+        return FailureRateTimeline.from_estimator(
+            self.config.cluster_name, self.rolling
         )
 
     def health(
@@ -377,7 +374,7 @@ class LiveReport:
                 (
                     "r_f",
                     f"{rf.rate * 1000:.2f} /1k node-days "
-                    f"(>{a.mttf.rf_min_gpus if a.mttf.rf_min_gpus is not None else a.mttf.auto_floor()} GPUs)",
+                    f"(>{a.mttf.rf_floor_gpus} GPUs)",
                 )
             )
         except ValueError:

@@ -418,11 +418,7 @@ class ReliabilityService:
                 "rf_per_1k_node_days": (
                     rf.rate * 1000.0 if rf is not None else None
                 ),
-                "rf_floor_gpus": (
-                    estimator.rf_min_gpus
-                    if estimator.rf_min_gpus is not None
-                    else estimator.auto_floor()
-                ),
+                "rf_floor_gpus": estimator.rf_floor_gpus,
                 "buckets": [
                     {
                         "gpus": bucket.gpus,

@@ -2,8 +2,7 @@
 
 These are the numeric building blocks behind the paper's figures: rate
 estimation with Gamma confidence intervals (Fig. 7's MTTF error bars),
-rolling-window failure rates (Fig. 5), weighted distribution summaries
-(Fig. 6), empirical CDFs (Fig. 11), and bootstrap confidence intervals
+weighted distribution summaries (Fig. 6), empirical CDFs (Fig. 11), and bootstrap confidence intervals
 (Fig. 9).
 """
 
@@ -16,7 +15,6 @@ from repro.stats.fitting import (
     gamma_fit,
 )
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_mean_ci
-from repro.stats.rolling import rolling_rate, rolling_mean
 from repro.stats.quantiles import ecdf, weighted_fractions, histogram_by_bucket
 from repro.stats.survival import SurvivalCurve, exponential_survival, kaplan_meier
 from repro.stats.distributions import (
@@ -36,8 +34,6 @@ __all__ = [
     "gamma_fit",
     "bootstrap_ci",
     "bootstrap_mean_ci",
-    "rolling_rate",
-    "rolling_mean",
     "ecdf",
     "weighted_fractions",
     "histogram_by_bucket",

@@ -7,7 +7,7 @@ heuristic reconstruction the paper had to perform on raw Slurm logs.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.jobtypes import JobAttemptRecord, JobState
 from repro.jobtypes import QosTier
@@ -90,22 +90,3 @@ def group_job_runs(records: Iterable[JobAttemptRecord]) -> List[JobRun]:
     runs = [JobRun(jobrun_id=rid, attempts=atts) for rid, atts in by_run.items()]
     runs.sort(key=lambda run: run.attempts[0].start_time)
     return runs
-
-
-def filter_runs(
-    runs: Sequence[JobRun],
-    min_total_runtime: float = 0.0,
-    qos: QosTier = None,
-    min_gpus: int = 1,
-) -> List[JobRun]:
-    """The paper's Fig. 9 cohort filter: long, high-priority runs."""
-    out = []
-    for run in runs:
-        if run.total_runtime < min_total_runtime:
-            continue
-        if qos is not None and run.qos is not qos:
-            continue
-        if run.n_gpus < min_gpus:
-            continue
-        out.append(run)
-    return out

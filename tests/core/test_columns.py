@@ -149,20 +149,6 @@ def test_job_columns_roundtrip_edge_cases():
     assert cols.hw_component_code[1] == -1
 
 
-def _is_hw_failure(record, use_ground_truth):
-    """Per-record statement of the MTTF hardware-failure rule."""
-    if use_ground_truth:
-        return record.is_hw_interruption
-    # Observable rule: NODE_FAIL always counts; FAILED/REQUEUED count when
-    # a health check was attributed.
-    if record.state is JobState.NODE_FAIL:
-        return True
-    return (
-        record.state in (JobState.FAILED, JobState.REQUEUED)
-        and record.hw_attributed
-    )
-
-
 def test_job_columns_vector_accessors_match_rowwise(rsc1_trace):
     cols = rsc1_trace.columns.jobs
     records = rsc1_trace.job_records
@@ -170,11 +156,6 @@ def test_job_columns_vector_accessors_match_rowwise(rsc1_trace):
         cols.is_hw_interruption,
         np.array([r.is_hw_interruption for r in records]),
     )
-    for gt in (True, False):
-        np.testing.assert_array_equal(
-            cols.hw_failure_mask(use_ground_truth=gt),
-            np.array([_is_hw_failure(r, gt) for r in records]),
-        )
     np.testing.assert_array_equal(
         cols.runtime, np.array([r.runtime for r in records])
     )

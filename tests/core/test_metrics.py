@@ -3,80 +3,35 @@ import pytest
 from repro.core.metrics import (
     ETTRAssumptions,
     cluster_goodput_fraction,
-    job_run_ettr,
-    mean_ettr,
     model_flops_utilization,
+    run_ettr,
 )
-from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.sim.timeunits import HOUR, MINUTE
-from repro.workload.jobruns import JobRun
-
-
-def attempt(jobrun_id, attempt_no, enqueue, start, end, state=JobState.COMPLETED):
-    return JobAttemptRecord(
-        job_id=jobrun_id,
-        attempt=attempt_no,
-        jobrun_id=jobrun_id,
-        project="p",
-        qos=QosTier.HIGH,
-        n_gpus=64,
-        n_nodes=8,
-        enqueue_time=enqueue,
-        start_time=start,
-        end_time=end,
-        state=state,
-        node_ids=tuple(range(8)),
-    )
 
 
 def test_single_attempt_ettr_accounting():
-    run = JobRun(jobrun_id=1, attempts=[attempt(1, 0, 0.0, 600.0, 600.0 + 10 * HOUR)])
-    assumptions = ETTRAssumptions()
-    result = job_run_ettr(run, assumptions)
     # First attempt loses only u0 (5 min); queue was 10 min.
-    assert result.unproductive == pytest.approx(5 * MINUTE)
-    assert result.queue == pytest.approx(600.0)
-    assert result.productive == pytest.approx(10 * HOUR - 5 * MINUTE)
-    assert 0.97 < result.ettr < 1.0
-    assert result.wallclock == pytest.approx(600.0 + 10 * HOUR)
+    ettr = run_ettr([10 * HOUR], [600.0], ETTRAssumptions())
+    assert ettr == pytest.approx((10 * HOUR - 5 * MINUTE) / (600.0 + 10 * HOUR))
+    assert 0.97 < ettr < 1.0
 
 
 def test_interrupted_run_pays_checkpoint_loss():
-    run = JobRun(
-        jobrun_id=1,
-        attempts=[
-            attempt(1, 0, 0.0, 0.0, 10 * HOUR, state=JobState.NODE_FAIL),
-            attempt(1, 1, 10 * HOUR, 10 * HOUR, 20 * HOUR),
-        ],
-    )
-    result = job_run_ettr(run)
     # u0 + (u0 + dt/2) = 5m + 35m = 40 minutes unproductive.
-    assert result.unproductive == pytest.approx(40 * MINUTE)
-    assert result.n_interruptions == 1
+    ettr = run_ettr([10 * HOUR, 10 * HOUR], [0.0, 0.0])
+    assert ettr == pytest.approx((20 * HOUR - 40 * MINUTE) / (20 * HOUR))
 
 
 def test_losses_capped_by_attempt_runtime():
-    run = JobRun(
-        jobrun_id=1,
-        attempts=[
-            attempt(1, 0, 0.0, 0.0, 10 * HOUR, state=JobState.NODE_FAIL),
-            attempt(1, 1, 10 * HOUR, 10 * HOUR, 10 * HOUR + 60.0),  # 1 min
-        ],
-    )
-    result = job_run_ettr(run)
-    assert result.unproductive == pytest.approx(5 * MINUTE + 60.0)
+    # The 1-minute second attempt loses 1 minute, not u0 + dt/2.
+    ettr = run_ettr([10 * HOUR, 60.0], [0.0, 0.0])
+    assert ettr == pytest.approx((10 * HOUR - 5 * MINUTE) / (10 * HOUR + 60.0))
 
 
 def test_ettr_bounds():
-    run = JobRun(jobrun_id=1, attempts=[attempt(1, 0, 0.0, 0.0, 60.0)])
-    result = job_run_ettr(run)
-    assert 0.0 <= result.ettr <= 1.0
-    assert result.productive == 0.0  # 1-minute attempt swallowed by u0
-
-
-def test_mean_ettr_requires_runs():
-    with pytest.raises(ValueError):
-        mean_ettr([])
+    assert run_ettr([60.0], [0.0]) == 0.0  # 1-minute attempt swallowed by u0
+    assert run_ettr([0.0], [0.0]) == 0.0  # no wallclock at all
+    assert 0.0 <= run_ettr([HOUR, 2 * HOUR], [HOUR, 0.0]) <= 1.0
 
 
 def test_assumption_validation():

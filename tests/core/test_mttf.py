@@ -1,18 +1,24 @@
 import pytest
 
-from repro.core.columns import JobColumns
+from repro.core.estimators import OnlineMTTFEstimator
 from repro.core.mttf import (
-    empirical_mttf_by_size,
+    ettr_rf_floor,
     mttf_projection_curve,
-    node_failure_rate,
     project_mttf,
+    rf_floor,
     size_bucket,
 )
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.sim.timeunits import HOUR
 
 
-as_columns = JobColumns.from_records
+def fold(records, use_ground_truth=True, rf_min_gpus=None):
+    estimator = OnlineMTTFEstimator(
+        use_ground_truth=use_ground_truth, rf_min_gpus=rf_min_gpus
+    )
+    for r in records:
+        estimator.observe_job(r)
+    return estimator
 
 
 def record(job_id, n_gpus, runtime_hours, state=JobState.COMPLETED, **kwargs):
@@ -53,7 +59,7 @@ def test_empirical_mttf_pools_exposure():
         record(3, 8, 100.0),
         record(4, 8, 100.0),
     ]
-    [bucket] = empirical_mttf_by_size(as_columns(records))
+    [bucket] = fold(records).buckets()
     assert bucket.gpus == 8
     assert bucket.failures == 1
     assert bucket.runtime_hours == pytest.approx(400.0)
@@ -62,7 +68,7 @@ def test_empirical_mttf_pools_exposure():
 
 
 def test_zero_failure_bucket_has_infinite_mttf():
-    [bucket] = empirical_mttf_by_size(as_columns([record(1, 16, 10.0)]))
+    [bucket] = fold([record(1, 16, 10.0)]).buckets()
     assert bucket.mttf_hours == float("inf")
     assert bucket.mttf_hours_lo < float("inf")  # upper rate bound is finite
 
@@ -73,16 +79,29 @@ def test_observable_mode_needs_attribution():
         record(2, 8, 100.0, state=JobState.FAILED, hw_incident_id=1,
                hw_attributed=True),
     ]
-    [gt] = empirical_mttf_by_size(as_columns(records), use_ground_truth=True)
-    [obs] = empirical_mttf_by_size(as_columns(records), use_ground_truth=False)
+    [gt] = fold(records, use_ground_truth=True).buckets()
+    [obs] = fold(records, use_ground_truth=False).buckets()
     assert gt.failures == 1
     assert obs.failures == 1
+
+
+def test_hw_failure_rule_per_mode():
+    node_fail = record(1, 8, 1.0, state=JobState.NODE_FAIL)
+    requeued = record(2, 8, 1.0, state=JobState.REQUEUED, hw_incident_id=1,
+                      hw_attributed=True)
+    unattributed = record(3, 8, 1.0, state=JobState.FAILED, hw_incident_id=2)
+    completed = record(4, 8, 1.0, hw_attributed=True)
+    assert node_fail.is_hw_failure(False) and requeued.is_hw_failure(False)
+    assert unattributed.is_hw_failure(True)
+    assert not unattributed.is_hw_failure(False)
+    assert not completed.is_hw_failure(True)
+    assert not completed.is_hw_failure(False)
 
 
 def test_node_failure_rate_units():
     # 2-node job runs 24h and fails once: 2 node-days -> rate 0.5/node-day.
     records = [record(1, 16, 24.0, state=JobState.NODE_FAIL)]
-    est = node_failure_rate(as_columns(records), min_gpus=8)
+    est = fold(records, rf_min_gpus=8).failure_rate()
     assert est.rate == pytest.approx(0.5)
 
 
@@ -91,14 +110,23 @@ def test_node_failure_rate_excludes_small_jobs():
         record(1, 8, 1000.0, state=JobState.NODE_FAIL),
         record(2, 256, 24.0),
     ]
-    est = node_failure_rate(as_columns(records), min_gpus=128)
+    est = fold(records, rf_min_gpus=128).failure_rate()
     assert est.events == 0
     assert est.exposure == pytest.approx(32.0)  # 32 nodes x 1 day
 
 
 def test_node_failure_rate_requires_large_jobs():
     with pytest.raises(ValueError, match="no runtime"):
-        node_failure_rate(as_columns([record(1, 8, 10.0)]), min_gpus=128)
+        fold([record(1, 8, 10.0)], rf_min_gpus=128).failure_rate()
+
+
+@pytest.mark.parametrize(
+    "largest,fig7,fig9",
+    [(4, 8, 8), (64, 32, 32), (128, 64, 64), (200, 128, 100), (4096, 128, 128)],
+)
+def test_rf_floors(largest, fig7, fig9):
+    assert rf_floor(largest) == fig7
+    assert ettr_rf_floor(largest) == fig9
 
 
 def test_project_mttf_paper_numbers():

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.jobtypes import JobAttemptRecord, JobState, QosTier
-from repro.live.estimators import (
+from repro.core.estimators import (
     ETTRForecaster,
     FleetGauges,
     LiveLemonEstimator,
     OnlineMTTFEstimator,
     RollingFailureRateEstimator,
 )
+from repro.core.mttf import ettr_rf_floor
+from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.sim.events import EventRecord
 from repro.sim.timeunits import DAY, HOUR
 
@@ -167,7 +168,7 @@ def test_mttf_rf_pinned_vs_auto_floor():
     assert est.auto_floor() == 128
     _f, nd_auto = est.rf_inputs(est.auto_floor())
     assert nd_auto == 32.0
-    assert est.ettr_floor() == 128
+    assert ettr_rf_floor(est.largest_gpus) == 128
 
 
 def test_mttf_failure_rate_requires_exposure():
@@ -227,8 +228,14 @@ def test_ettr_cohort_filters_by_runtime_and_qos():
         job(end=30 * HOUR, runtime=30 * HOUR, jobrun_id=2, qos=QosTier.LOW)
     )  # wrong tier
     assert est.comparison(rf=0.001) == []
+    assert est.cohort_runs == 0
     est.observe_job(job(end=30 * HOUR, runtime=30 * HOUR, jobrun_id=3))
     assert len(est.comparison(rf=0.001)) == 1
+    assert est.cohort_runs == 1
+    # The per-bucket minimum drops rows, not cohort members.
+    est.min_runs_per_bucket = 2
+    assert est.comparison(rf=0.001) == []
+    assert est.cohort_runs == 1
 
 
 # ----------------------------------------------------------------------

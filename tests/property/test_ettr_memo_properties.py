@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.live import LiveAnalytics, LiveConfig, replay_trace
-from repro.live.estimators import ETTRForecaster
+from repro.core.estimators import ETTRForecaster
 from repro.sim.timeunits import HOUR, MINUTE
 
 #: Values each keyed attribute is mutated to.

@@ -1,7 +1,27 @@
+"""Trailing-window rate arithmetic of the Fig. 5 estimator on a grid."""
+
 import numpy as np
 import pytest
 
-from repro.stats.rolling import rolling_mean, rolling_rate
+from repro.core.estimators import RollingFailureRateEstimator
+from repro.sim.events import EventRecord
+
+
+def rolling_rate(events, window, start, end, step, exposure_per_time=1.0):
+    """``(grid, rates)`` of a batch fold over incidents at ``events``."""
+    estimator = RollingFailureRateEstimator(
+        window=window, step=step, exposure_per_time=exposure_per_time,
+        start=start,
+    )
+    for time in events:
+        estimator.observe_event(
+            EventRecord(float(time), "cluster.incident", "node", {})
+        )
+    estimator.finish(end)
+    grid = np.asarray(
+        [estimator.grid_time(i) for i in range(len(estimator.overall))]
+    )
+    return grid, estimator.overall_series()
 
 
 def test_constant_rate_recovered():
@@ -29,28 +49,10 @@ def test_burst_shows_up_in_window():
 
 def test_empty_events_zero_rate():
     grid, rates = rolling_rate([], window=5.0, start=0.0, end=10.0, step=1.0)
+    assert len(grid) == 11
     assert np.allclose(rates, 0.0)
 
 
 def test_invalid_window_raises():
     with pytest.raises(ValueError):
         rolling_rate([1.0], window=0.0, start=0.0, end=1.0, step=0.5)
-
-
-def test_rolling_mean_tracks_level_shift():
-    times = np.arange(0.0, 100.0, 1.0)
-    values = np.where(times < 50, 1.0, 3.0)
-    grid, means = rolling_mean(times, values, window=10.0, start=10.0, end=99.0, step=1.0)
-    assert means[grid == 40.0][0] == pytest.approx(1.0)
-    assert means[grid == 70.0][0] == pytest.approx(3.0)
-
-
-def test_rolling_mean_nan_when_window_empty():
-    grid, means = rolling_mean([5.0], [2.0], window=1.0, start=0.0, end=10.0, step=1.0)
-    assert np.isnan(means[grid == 0.0][0])
-    assert means[grid == 5.0][0] == pytest.approx(2.0)
-
-
-def test_rolling_mean_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        rolling_mean([1.0, 2.0], [1.0], window=1.0, start=0.0, end=1.0, step=0.5)

@@ -1,8 +1,7 @@
 import pytest
 
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
-from repro.sim.timeunits import HOUR
-from repro.workload.jobruns import JobRun, filter_runs, group_job_runs
+from repro.workload.jobruns import JobRun, group_job_runs
 
 
 def attempt(
@@ -103,19 +102,3 @@ def test_group_job_runs_partitions_by_id():
     assert len(runs) == 2
     assert {r.jobrun_id for r in runs} == {1, 2}
     assert len(runs[0].attempts) + len(runs[1].attempts) == 3
-
-
-def test_filter_runs_cohort():
-    long_high = JobRun(
-        jobrun_id=1,
-        attempts=[attempt(1, 0, 0.0, 0.0, 30 * HOUR)],
-    )
-    short = JobRun(jobrun_id=2, attempts=[attempt(2, 0, 0.0, 0.0, HOUR)])
-    low = JobRun(
-        jobrun_id=3,
-        attempts=[attempt(3, 0, 0.0, 0.0, 30 * HOUR, qos=QosTier.LOW)],
-    )
-    out = filter_runs(
-        [long_high, short, low], min_total_runtime=24 * HOUR, qos=QosTier.HIGH
-    )
-    assert out == [long_high]
