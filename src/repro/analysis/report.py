@@ -1,8 +1,7 @@
 """ASCII rendering of analysis results.
 
-The benchmark harness prints the same rows/series the paper's tables and
-figures show; these helpers keep that output consistent and legible in CI
-logs.
+The reproduction report prints the same rows/series the paper's tables
+and figures show; these helpers keep that output consistent and legible.
 """
 
 from typing import Dict, Iterable, List, Optional, Sequence

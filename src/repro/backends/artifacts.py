@@ -19,14 +19,12 @@ built on and hardened for multi-writer use:
   rot, foreign bytes) is quarantined and treated as a miss — a corrupt
   shard re-simulates, it never poisons a resumed sweep.
 * **Write safety** — each ``put`` is an atomic temp-file +
-  ``os.replace`` *and* holds a per-key advisory ``flock`` (the same
-  treatment :func:`repro.runtime.trajectory.record_benchmark` got for
-  its append race), so two workers racing the same shard key leave one
-  complete, verified entry — never interleaved bytes.  Platforms
-  without ``fcntl`` fall back to the unlocked, still-atomic behavior.
+  ``os.replace`` *and* holds a per-key advisory ``flock``, so two
+  workers racing the same shard key leave one complete, verified
+  entry — never interleaved bytes.  Platforms without ``fcntl`` fall
+  back to the unlocked, still-atomic behavior.
 
-Layout (identical to the legacy checkpoint entry store, so checkpoint
-directories written by earlier builds keep serving hits)::
+Layout (the trace cache's entry layout)::
 
     <root>/v<CACHE_FORMAT_VERSION>/<digest[:2]>/<digest>.npz
     <root>/quarantine/...          # failed entries, kept for inspection

@@ -73,19 +73,11 @@ class BackendCapabilities:
         supports_timeout: ``poll(timeout_s=...)`` is honored; attempts
             past the deadline come back as ``"timeout"`` outcomes.
             Backends without it simply run every attempt to completion.
-        supports_kill: ``kill()`` actually terminates in-flight work
-            (hung workers are reclaimed).  Backends without it treat
-            ``kill()`` as a cooperative reset.
-        distributed: Work may execute outside this machine/process tree,
-            so the pool dispatches even single-config, single-worker
-            waves through it (a remote drainer may do the work).
         serial: Attempts run one at a time in the calling process; the
             pool reports ``workers=1`` and skips concurrency-only paths.
     """
 
     supports_timeout: bool = False
-    supports_kill: bool = False
-    distributed: bool = False
     serial: bool = False
 
 
@@ -198,7 +190,7 @@ def execute_task(task: TaskSpec, telemetry=None, in_process: bool = False):
 # registry
 # ----------------------------------------------------------------------
 
-#: name -> factory(workers=..., telemetry=..., mp_context=..., **options)
+#: name -> factory(workers=..., telemetry=..., **options)
 BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {}
 
 
@@ -206,7 +198,7 @@ def register_backend(name: str):
     """Decorator registering a backend factory under ``name``.
 
     The factory is called as ``factory(workers=..., telemetry=...,
-    mp_context=..., **backend_options)`` and must return an object
+    **backend_options)`` and must return an object
     satisfying :class:`ExecutionBackend`.  Registering an existing name
     replaces it (tests and downstream packages may shadow built-ins).
     """
@@ -227,7 +219,6 @@ def create_backend(
     name: str,
     workers: Optional[int] = None,
     telemetry=None,
-    mp_context: Optional[str] = None,
     options: Optional[Dict[str, Any]] = None,
 ) -> ExecutionBackend:
     """Instantiate a registered backend by name.
@@ -246,7 +237,6 @@ def create_backend(
     return factory(
         workers=workers,
         telemetry=telemetry,
-        mp_context=mp_context,
         **dict(options or {}),
     )
 

@@ -31,8 +31,6 @@ class InlineBackend:
     executor_label = "inline"
     capabilities = BackendCapabilities(
         supports_timeout=False,
-        supports_kill=False,
-        distributed=False,
         serial=True,
     )
 
@@ -82,7 +80,7 @@ class InlineBackend:
 
 
 @register_backend("inline")
-def _make_inline(workers=None, telemetry=None, mp_context=None):
+def _make_inline(workers=None, telemetry=None):
     return InlineBackend(telemetry=telemetry)
 
 

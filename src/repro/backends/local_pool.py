@@ -54,24 +54,17 @@ class LocalPoolBackend:
     executor_label = "process"
     capabilities = BackendCapabilities(
         supports_timeout=True,
-        supports_kill=True,
-        distributed=False,
         serial=False,
     )
 
-    def __init__(
-        self, workers: Optional[int] = None, mp_context: Optional[str] = None
-    ):
+    def __init__(self, workers: Optional[int] = None):
         """
         Args:
             workers: Worker process count (default: CPU count).
-            mp_context: multiprocessing start method (``"fork"`` /
-                ``"spawn"``); ``None`` uses the platform default.
         """
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.mp_context = mp_context
         self._executor = None
         self._pid_queue = None
         self._pids: set = set()
@@ -83,16 +76,10 @@ class LocalPoolBackend:
         if self._executor is not None:
             return self._executor
         try:
-            ctx = (
-                multiprocessing.get_context(self.mp_context)
-                if self.mp_context
-                else multiprocessing.get_context()
-            )
-            self._pid_queue = ctx.SimpleQueue()
+            self._pid_queue = multiprocessing.SimpleQueue()
             self._pids = set()
             self._executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers or os.cpu_count() or 1,
-                mp_context=ctx,
                 initializer=_announce_pid,
                 initargs=(self._pid_queue,),
             )
@@ -185,8 +172,8 @@ class LocalPoolBackend:
 
 
 @register_backend("local-pool")
-def _make_local_pool(workers=None, telemetry=None, mp_context=None):
-    return LocalPoolBackend(workers=workers, mp_context=mp_context)
+def _make_local_pool(workers=None, telemetry=None):
+    return LocalPoolBackend(workers=workers)
 
 
 __all__ = ["LocalPoolBackend"]

@@ -180,8 +180,6 @@ class WorkQueueBackend:
     executor_label = "work-queue"
     capabilities = BackendCapabilities(
         supports_timeout=True,
-        supports_kill=True,
-        distributed=True,
         serial=False,
     )
 
@@ -192,7 +190,6 @@ class WorkQueueBackend:
         embedded: bool = True,
         poll_interval: float = DEFAULT_POLL_INTERVAL_S,
         claim_timeout_s: Optional[float] = None,
-        mp_context: Optional[str] = None,
     ):
         """
         Args:
@@ -209,8 +206,6 @@ class WorkQueueBackend:
             claim_timeout_s: Reclaim a claim older than this back into
                 ``tasks/`` (an external drainer presumed dead); ``None``
                 disables reclaim.
-            mp_context: multiprocessing start method for embedded
-                drainers; ``None`` uses the platform default.
         """
         if root is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-queue-")
@@ -222,7 +217,6 @@ class WorkQueueBackend:
         self.embedded = embedded
         self.poll_interval = poll_interval
         self.claim_timeout_s = claim_timeout_s
-        self.mp_context = mp_context
         self._dirs = _ensure_layout(self.root)
         self.store = ArtifactStore(self.root / "store")
         self._procs: Dict[str, multiprocessing.Process] = {}
@@ -242,15 +236,10 @@ class WorkQueueBackend:
         if len(self._procs) >= want:
             return
         try:
-            ctx = (
-                multiprocessing.get_context(self.mp_context)
-                if self.mp_context
-                else multiprocessing.get_context()
-            )
             while len(self._procs) < want:
                 self._seq += 1
                 wid = f"embedded-{os.getpid()}-{self._seq}"
-                proc = ctx.Process(
+                proc = multiprocessing.Process(
                     target=drain_queue,
                     kwargs={
                         "root": str(self.root),
@@ -470,12 +459,8 @@ class WorkQueueBackend:
 
 
 @register_backend("work-queue")
-def _make_work_queue(
-    workers=None, telemetry=None, mp_context=None, **options
-):
-    return WorkQueueBackend(
-        workers=workers, mp_context=mp_context, **options
-    )
+def _make_work_queue(workers=None, telemetry=None, **options):
+    return WorkQueueBackend(workers=workers, **options)
 
 
 __all__ = [

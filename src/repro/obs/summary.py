@@ -25,7 +25,7 @@ def iter_event_dicts(path: Union[str, os.PathLike]) -> Iterator[Dict[str, Any]]:
     """Yield parsed event dicts from one JSONL stream.
 
     Raises ``ValueError`` (with the line number) on a malformed line —
-    the obs-smoke target leans on this being strict.
+    the stream-integrity tests lean on this being strict.
     """
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -392,7 +392,6 @@ def check_stream_well_formed(path: Union[str, os.PathLike]) -> int:
     """Validate one JSONL stream: parseable, monotone sim-time per category.
 
     Returns the number of records; raises ``ValueError`` on violations.
-    The obs-smoke make target calls this.
     """
     last_by_category: Dict[str, float] = {}
     n = 0

@@ -43,32 +43,17 @@ from repro.runtime.pool import (
     run_campaigns,
     seed_sweep_configs,
 )
-from repro.runtime.trajectory import (
-    BENCH_RUNTIME_FILENAME,
-    TRAJECTORY_FORMAT_VERSION,
-    default_trajectory_path,
-    latest_record,
-    load_trajectory,
-    record_benchmark,
-)
-
 __all__ = [
-    "BENCH_RUNTIME_FILENAME",
     "CACHE_FORMAT_VERSION",
     "CampaignPool",
     "ENV_VAR",
     "SweepStats",
-    "TRAJECTORY_FORMAT_VERSION",
     "TraceCache",
     "cache_enabled_by_env",
     "cached_run_campaign",
     "canonicalize",
     "config_digest",
     "default_cache_root",
-    "default_trajectory_path",
-    "latest_record",
-    "load_trajectory",
-    "record_benchmark",
     "run_campaigns",
     "seed_sweep_configs",
     "trace_digest",

@@ -60,7 +60,7 @@ from repro.backends import (
     create_backend,
     execute_task,
 )
-from repro.campaign import CampaignConfig, run_campaign
+from repro.campaign import CampaignConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import maybe_span
 from repro.options import RunOptions
@@ -82,41 +82,6 @@ _POOL_COUNTERS = (
     "resilience_retries_total",
     "resilience_worker_respawns_total",
 )
-
-
-@dataclass(frozen=True)
-class _SimTask:
-    """Back-compat alias shape for one dispatchable attempt.
-
-    The canonical spec is :class:`repro.backends.TaskSpec`; this wrapper
-    keeps the pre-backends field set (``subprocess``) for the in-process
-    fallback path.
-    """
-
-    config: CampaignConfig
-    digest: str
-    attempt: int
-    chaos: Optional[object] = None
-    subprocess: bool = True
-
-
-def _simulate_task(task: _SimTask, telemetry=None) -> Trace:
-    """Back-compat worker body: delegates to the shared backend body."""
-    return execute_task(
-        TaskSpec(
-            config=task.config,
-            digest=task.digest,
-            attempt=task.attempt,
-            chaos=task.chaos,
-        ),
-        telemetry=telemetry,
-        in_process=not task.subprocess,
-    )
-
-
-def _simulate(config: CampaignConfig) -> Trace:
-    """Back-compat worker body: one plain attempt, no chaos."""
-    return run_campaign(config)
 
 
 @dataclass(frozen=True)
@@ -168,7 +133,6 @@ class CampaignPool:
         self,
         max_workers: Optional[int] = None,
         cache: Union[TraceCache, bool, None] = _FROM_OPTIONS,
-        mp_context: Optional[str] = None,
         telemetry=None,
         resilience: Optional[ResilienceConfig] = None,
         options: Optional[RunOptions] = None,
@@ -180,8 +144,6 @@ class CampaignPool:
             cache: A :class:`TraceCache`, ``None`` for the default cache
                 (honors ``REPRO_TRACE_CACHE``), or ``False`` to disable
                 caching for this pool.
-            mp_context: multiprocessing start method (``"fork"``/
-                ``"spawn"``); ``None`` uses the platform default.
             telemetry: Optional :class:`repro.obs.Telemetry`; the pool
                 accounts into its registry (and emits dispatch events when
                 the tracer is enabled).  Without one, the pool still owns
@@ -229,7 +191,6 @@ class CampaignPool:
             )
         else:
             self.cache = cache
-        self.mp_context = mp_context
         self.telemetry = telemetry
         self.metrics: MetricsRegistry = (
             telemetry.metrics if telemetry is not None else MetricsRegistry()
@@ -417,7 +378,6 @@ class CampaignPool:
             self.backend,
             workers=workers,
             telemetry=self.telemetry,
-            mp_context=self.mp_context,
             options=self.backend_options,
         )
 
@@ -464,15 +424,15 @@ class CampaignPool:
         chaos = self.resilience.chaos
         for attempt in range(retry.max_attempts):
             try:
-                return _simulate_task(
-                    _SimTask(
+                return execute_task(
+                    TaskSpec(
                         config=config,
                         digest=digest,
                         attempt=attempt,
                         chaos=chaos,
-                        subprocess=False,
                     ),
                     telemetry=self.telemetry,
+                    in_process=True,
                 )
             except Exception as err:
                 if not retry.retryable(attempt):

@@ -65,3 +65,34 @@ def test_render(mount_heavy_trace):
     ).render()
     assert "Observation 6" in text
     assert "before check" in text
+
+
+def test_obs6_paper_claim_on_a_larger_campaign():
+    """Observation 6 on a 48-node, 40-day mount-heavy campaign (paper:
+    'a new health check ... has a tendency to cause an apparent increase
+    in failure rate simply because we suddenly are able to see a failure
+    mode that was likely previously present')."""
+    spec = ClusterSpec(
+        name="RSC-1-mounts",
+        n_nodes=48,
+        component_rates={
+            ComponentType.FILESYSTEM_MOUNT: 40.0,
+            ComponentType.GPU: 5.0,
+        },
+        campaign_days=40,
+        lemon_fraction=0.0,
+        enable_episodic_regimes=False,
+        mount_check_introduced_frac=0.5,
+    )
+    trace = run_campaign(
+        CampaignConfig(cluster_spec=spec, duration_days=40, seed=66)
+    )
+    effect = check_introduction_effect(trace, "filesystem_mounts")
+    # Invisible before, visible after.
+    assert effect.attributed_before == 0.0
+    assert effect.attributed_after > 0.0
+    # The hazard itself did not change.
+    ratio = effect.mode_incidents_after / effect.mode_incidents_before
+    assert 0.5 < ratio < 2.0
+    # Heartbeat-only NODE_FAILs shrink once the mode has a name.
+    assert effect.unattributed_after < effect.unattributed_before

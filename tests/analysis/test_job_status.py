@@ -36,3 +36,17 @@ def test_empty_trace_rejected():
     trace = Trace(cluster_name="x", n_nodes=1, n_gpus=8, start=0.0, end=1.0)
     with pytest.raises(ValueError):
         job_status_breakdown(trace)
+
+
+def test_fig3_paper_ordering(paper_rsc1_trace):
+    """Fig. 3 at figure scale (paper: COMPLETED 60%, FAILED 24%,
+    PREEMPTED 10%, REQUEUED 2%, TIMEOUT 0.6%, OOM 0.1%, NODE_FAIL 0.1%;
+    HW: 0.2% of jobs, 18.7% of runtime)."""
+    result = job_status_breakdown(paper_rsc1_trace)
+    jf = result.job_fraction
+    assert jf[JobState.COMPLETED] > jf[JobState.FAILED] > jf.get(
+        JobState.CANCELLED, 0.0
+    )
+    assert jf.get(JobState.NODE_FAIL, 0.0) < 0.01
+    assert result.hw_job_fraction < 0.01
+    assert result.hw_gpu_time_fraction > 5 * result.hw_job_fraction

@@ -48,3 +48,26 @@ def test_render(rsc1_trace):
     text = mttf_analysis(rsc1_trace).render()
     assert "Fig. 7" in text
     assert "r_f" in text
+
+
+def test_fig7_paper_scaling(paper_rsc1_trace):
+    """Fig. 7 RSC-1 at figure scale (paper: MTTF drops ~1/N; 8-GPU 47.7d
+    vs 1024-GPU 7.9h; projected 16,384 GPUs -> 1.8h, 131,072 -> 0.23h at
+    r_f = 6.50/1k node-days)."""
+    result = mttf_analysis(paper_rsc1_trace)
+    # MTTF strictly decreasing from the smallest observed bucket with
+    # failures to the largest.
+    with_failures = [b for b in result.buckets if b.failures >= 2]
+    if len(with_failures) >= 2:
+        assert with_failures[0].mttf_hours > with_failures[-1].mttf_hours
+    # Extrapolations scale exactly as 1/N.
+    assert result.projection[16384] / result.projection[131072] == (
+        131072 / 16384
+    )
+
+
+def test_fig7_rsc2_more_reliable(paper_rsc1_trace, paper_rsc2_trace):
+    """Fig. 7 RSC-2 (paper: tends to be more reliable)."""
+    rsc1 = mttf_analysis(paper_rsc1_trace)
+    rsc2 = mttf_analysis(paper_rsc2_trace)
+    assert rsc2.rf_per_1000_node_days < rsc1.rf_per_1000_node_days

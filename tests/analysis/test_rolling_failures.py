@@ -48,3 +48,23 @@ def test_gsp_era_elevates_gpu_failures(rsc1_trace):
 def test_render(rsc1_trace):
     text = failure_rate_timeline(rsc1_trace).render()
     assert "Fig. 5" in text
+
+
+def test_fig5_paper_evolution(paper_rsc1_trace):
+    """Fig. 5 at figure scale (paper: the rate swings by ~an order of
+    magnitude; a driver-bug era, a mount wave after its check lands, an
+    IB-link spike from a few nodes)."""
+    timeline = failure_rate_timeline(paper_rsc1_trace)
+    # Rate is dynamic: peak well above the floor.
+    positive = timeline.overall[timeline.overall > 0]
+    assert positive.size > 0
+    assert timeline.peak_rate() > 2 * float(np.median(positive))
+    # The IB spike era (62-72% of the span) elevates ib_link failures.
+    ib = timeline.by_component.get("ib_link")
+    if ib is not None:
+        days = timeline.times_days
+        span = days[-1]
+        inside = ib[(days > 0.62 * span) & (days < 0.75 * span)].mean()
+        outside = ib[days < 0.5 * span].mean()
+        assert inside > outside
+    assert "filesystem_mounts" in timeline.check_introductions

@@ -58,14 +58,10 @@ def test_instances_satisfy_the_structural_protocol(tmp_path):
 
 def test_capability_flags_match_each_backend_story(tmp_path):
     assert InlineBackend().capabilities.serial is True
-    assert InlineBackend().capabilities.supports_kill is False
     pool = LocalPoolBackend(workers=1)
     assert pool.capabilities.supports_timeout is True
-    assert pool.capabilities.supports_kill is True
-    assert pool.capabilities.distributed is False
     queue = WorkQueueBackend(root=tmp_path, embedded=False)
     try:
-        assert queue.capabilities.distributed is True
         assert queue.capabilities.supports_timeout is True
     finally:
         queue.close()
@@ -91,7 +87,7 @@ def test_register_backend_shadows_and_restores():
         executor_label = "fake"
         capabilities = BackendCapabilities(serial=True)
 
-        def __init__(self, workers=None, telemetry=None, mp_context=None):
+        def __init__(self, workers=None, telemetry=None):
             pass
 
         def submit_wave(self, tasks):

@@ -86,3 +86,24 @@ def test_validation():
 
 def test_infinite_mttf_at_zero_rate():
     assert rack_scale_mttf_hours(1024, 0.0) == float("inf")
+
+
+def test_hot_spares_recover_a_16k_gpu_job():
+    """Section V's GB200 future at a 16k-GPU job: rack-unit repair
+    benches ~9x the capacity of server-unit repair, and two hot spares
+    per rack buy the reliability back."""
+    n_gpus = 16_384
+    server_frac = capacity_in_repair_fraction(RF, SERVER_UNIT)
+    assert capacity_in_repair_fraction(RF, RACK_UNIT) > 8 * server_frac
+    mttf0 = rack_scale_mttf_hours(n_gpus, RF, spares_per_rack=0)
+    mttf2 = rack_scale_mttf_hours(n_gpus, RF, spares_per_rack=2)
+    assert mttf2 > 20 * mttf0
+    params = ETTRParameters(
+        n_nodes=n_gpus // 8,
+        failure_rate_per_node_day=RF,
+        checkpoint_interval=15 * MINUTE,
+        restart_overhead=5 * MINUTE,
+    )
+    assert ettr_with_spares(params, spares_per_rack=2) > ettr_with_spares(
+        params, spares_per_rack=0
+    )

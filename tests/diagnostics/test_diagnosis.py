@@ -126,3 +126,30 @@ def test_diagnoser_accuracy_over_random_scenarios():
 def test_empty_records_rejected():
     with pytest.raises(ValueError):
         diagnose_timeout([])
+
+
+def test_diagnoser_perfect_per_verdict_family():
+    """150 sampled fault scenarios (crashes, dataloader stalls,
+    in-collective hangs, SPMD ordering bugs, healthy runs): every verdict
+    family is diagnosed, and its culprits named, without a miss."""
+    rng = np.random.default_rng(2025)
+    per_family = {}
+    for _ in range(150):
+        scenario = random_scenario(rng)
+        result = diagnose_timeout(
+            simulate_collectives(scenario.programs, faults=scenario.faults)
+        )
+        slot = per_family.setdefault(
+            scenario.truth_verdict, {"n": 0, "verdict_ok": 0, "culprit_ok": 0}
+        )
+        slot["n"] += 1
+        if result.verdict.value == scenario.truth_verdict:
+            slot["verdict_ok"] += 1
+        if scenario.truth_verdict == "in_collective_hang":
+            # Every rank is inside the collective: no culprit expected.
+            slot["culprit_ok"] += result.culprit_ranks == ()
+        else:
+            slot["culprit_ok"] += result.culprit_ranks == scenario.truth_culprits
+    for family, stats in per_family.items():
+        assert stats["verdict_ok"] == stats["n"], family
+        assert stats["culprit_ok"] == stats["n"], family

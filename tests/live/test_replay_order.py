@@ -8,12 +8,19 @@ sequence — this is what lets the columnar pipeline feed the same online
 estimators without re-deriving the exactness arguments.
 """
 
+import time
+
 from repro.core.columns import ColumnarTrace
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.live.bus import CHANNEL_EVENT, CHANNEL_JOB, CHANNEL_NODE
+from repro.live import LiveAnalytics, LiveConfig, replay_trace
 from repro.live.replay import iter_trace_stream
 from repro.sim.events import EventRecord
 from repro.workload.trace import Trace
+
+#: Floor for end-to-end replay ingest: the loop is pure-python dict and
+#: bisect work and clears this by a wide margin on one core.
+MIN_EVENTS_PER_SEC = 5_000.0
 
 
 def test_stream_is_production_ordered(rsc1_trace):
@@ -117,3 +124,11 @@ def test_job_precedes_event_at_equal_timestamp():
         ("event", "sched.job_end"),
         ("event", "cluster.incident"),
     ]
+
+
+def test_full_replay_ingest_throughput_floor(paper_rsc1_trace):
+    analytics = LiveAnalytics(LiveConfig.for_trace(paper_rsc1_trace))
+    t0 = time.perf_counter()
+    bus = replay_trace(paper_rsc1_trace, analytics)
+    events_per_sec = bus.stats.delivered / (time.perf_counter() - t0)
+    assert events_per_sec >= MIN_EVENTS_PER_SEC, events_per_sec

@@ -7,12 +7,18 @@ tracer and registry never touch an RNG stream or simulation state.
 """
 
 import json
+import time
 
 import pytest
 
 from repro import CampaignConfig, ClusterSpec, RunOptions, run_campaign
 from repro.obs import Telemetry
 from repro.runtime import TraceCache, config_digest, trace_digest
+from repro.sim.engine import Engine
+
+#: Disabled-telemetry slowdown budget on a no-op engine microbench.  The
+#: real cost is ~5%; the margin absorbs timer noise on loaded machines.
+OVERHEAD_BUDGET = 1.25
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +88,28 @@ def test_disabled_telemetry_bundle_is_inert(config, plain_trace):
     trace = run_campaign(config, RunOptions(telemetry=telemetry))
     assert telemetry.tracer.events_emitted == 0
     assert trace_digest(trace) == trace_digest(plain_trace)
+
+
+def _noop_events_best_of(telemetry, n_events=100_000, best_of=5) -> float:
+    """Best-of-N wall time for ``n_events`` no-op engine events."""
+    best = float("inf")
+    for _ in range(best_of):
+        engine = Engine(telemetry=telemetry)
+        callback = lambda: None  # noqa: E731 - intentional no-op
+        for i in range(n_events):
+            engine.schedule_at(float(i), callback, label="noop:1")
+        t0 = time.perf_counter()
+        engine.run_until(float(n_events))
+        best = min(best, time.perf_counter() - t0)
+        assert engine.executed_events == n_events
+    return best
+
+
+def test_disabled_telemetry_stays_inside_the_overhead_budget():
+    """The engine's untraced hot path must not pay for instrumentation
+    that is wired in but switched off."""
+    none_s = _noop_events_best_of(None)
+    disabled = Telemetry.disabled()
+    disabled_s = _noop_events_best_of(disabled)
+    assert disabled.tracer.events_emitted == 0
+    assert disabled_s <= none_s * OVERHEAD_BUDGET, (disabled_s, none_s)

@@ -1,7 +1,17 @@
-"""Fleet health scoring: arithmetic, attribution, caps, and adapters."""
+"""Fleet health scoring: arithmetic, attribution, caps, adapters, and one
+end-to-end observed chaos sweep."""
+
+import json
 
 import pytest
 
+from repro import CampaignConfig, ClusterSpec
+from repro.obs import (
+    Telemetry,
+    reconstruct_timeline,
+    summarize,
+    write_chrome_trace,
+)
 from repro.obs.health import (
     COMPONENT_BY_CONDITION,
     DEFAULT_HEALTH_DELTA_MAP,
@@ -9,6 +19,13 @@ from repro.obs.health import (
     HealthSignals,
 )
 from repro.obs.summary import ObsSummary
+from repro.resilience import Backoff, ChaosPolicy, ResilienceConfig, RetryPolicy
+from repro.runtime import (
+    CampaignPool,
+    TraceCache,
+    seed_sweep_configs,
+    trace_digest,
+)
 
 
 def test_quiet_fleet_scores_100():
@@ -154,3 +171,85 @@ def test_from_analytics_snapshots_live_state():
     analytics.finish()
     fresh = HealthSignals.from_analytics(analytics, stale_after_days=1.0)
     assert not fresh.watermark_stale
+
+
+def test_observed_chaos_sweep_scores_profiles_and_reconstructs(tmp_path):
+    """End to end: a 3-seed sweep (24 nodes x 8 days) runs dark, then
+    fully observed under seeded worker kills and cache corruption, twice
+    (the second pass quarantines the entries the first one wrote).  The
+    observed traces stay digest-identical to the dark ones, the fleet
+    score attributes every injected fault class, the span export loads
+    with its sweep -> campaign -> phase hierarchy, and each resolved
+    incident's stage latencies sum to its downtime."""
+    n_nodes = 24
+    spec = ClusterSpec.rsc1_like(n_nodes=n_nodes, campaign_days=8)
+    configs = seed_sweep_configs(
+        CampaignConfig(cluster_spec=spec, duration_days=8, seed=0), range(3)
+    )
+    resilience = ResilienceConfig(
+        retry=RetryPolicy(max_attempts=3, backoff=Backoff(base_s=0.01, seed=1)),
+        chaos=ChaosPolicy(
+            seed=11,
+            worker_kill_rate=0.6,
+            max_kills_per_config=2,
+            cache_corruption_rate=0.6,
+        ),
+        circuit_threshold=10,
+    )
+    want = [
+        trace_digest(t)
+        for t in CampaignPool(max_workers=1, cache=False).run(configs)
+    ]
+
+    # max_workers=1 keeps execution in-process, so campaign and phase
+    # spans nest under the pool's sweep span and chaos kills land as
+    # inline retries.
+    telemetry = Telemetry.to_directory(tmp_path / "tel", stem="sweep")
+
+    def observed_pass():
+        cache = TraceCache(
+            root=tmp_path / "cache", enabled=True, telemetry=telemetry
+        )
+        pool = CampaignPool(
+            max_workers=1, cache=cache, resilience=resilience,
+            telemetry=telemetry,
+        )
+        traces = pool.run(configs)
+        assert [trace_digest(t) for t in traces] == want
+        return traces, pool.last_stats, cache
+
+    survived, stats, _cache = observed_pass()
+    assert stats.retries > 0  # chaos landed
+    _rebuilt, _stats, cache2 = observed_pass()
+    assert cache2.quarantined > 0  # corruption landed
+    spans_recorded = len(telemetry.spans.records)
+    assert spans_recorded > 0
+    telemetry.finalize()
+
+    signals = HealthSignals.from_summary(
+        summarize(tmp_path / "tel"), n_nodes=n_nodes
+    )
+    report = FleetHealthScorer().score(signals)
+    assert 0.0 <= report.score <= 100.0
+    for condition in ("hardware_failure", "retry", "cache_quarantine"):
+        assert condition in report.applied, report.messages
+        assert any(condition in m for m in report.messages)
+
+    chrome_path = tmp_path / "sweep.chrome.json"
+    assert write_chrome_trace(chrome_path, telemetry.spans.records) == (
+        spans_recorded
+    )
+    events = json.loads(chrome_path.read_text())["traceEvents"]
+    assert {"sweep", "campaign", "phase:simulate"} <= {e["name"] for e in events}
+    assert all(e["ph"] == "X" for e in events)
+
+    timelines = [reconstruct_timeline(t) for t in survived]
+    for incident in (i for tl in timelines for i in tl.resolved()):
+        stages = incident.stages()
+        assert all(v >= 0.0 for v in stages.values())
+        assert abs(sum(stages.values()) - incident.downtime_s) < 1e-9
+    timeline_path = tmp_path / "sweep.timeline.json"
+    timelines[0].write_json(timeline_path)
+    assert json.loads(timeline_path.read_text())["n_incidents"] == len(
+        timelines[0].incidents
+    )

@@ -10,6 +10,7 @@ from repro.obs import (
     check_stream_well_formed,
     find_telemetry_files,
     iter_event_dicts,
+    load_snapshot,
     summarize,
 )
 from repro.obs.telemetry import EVENTS_SUFFIX, METRICS_SUFFIX
@@ -119,3 +120,35 @@ def test_sim_time_regression_detected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="regression"):
         check_stream_well_formed(path)
+
+
+def test_stream_and_snapshot_account_for_the_whole_run(tmp_path):
+    """Every emitted record reaches the stream, and the metrics snapshot
+    carries the campaign phases and the engine's executed-event count."""
+    spec = ClusterSpec.rsc1_like(n_nodes=16, campaign_days=5)
+    config = CampaignConfig(cluster_spec=spec, duration_days=5, seed=17)
+    telemetry = Telemetry.to_directory(tmp_path, stem="run")
+    trace = run_campaign(config, RunOptions(telemetry=telemetry))
+    emitted = telemetry.tracer.events_emitted
+    telemetry.finalize()
+
+    stream = tmp_path / f"run{EVENTS_SUFFIX}"
+    metrics_path = tmp_path / f"run{METRICS_SUFFIX}"
+    assert stream.is_file() and metrics_path.is_file()
+    n_records = check_stream_well_formed(stream)
+    assert n_records == emitted
+    assert n_records > 100
+
+    snapshot = load_snapshot(metrics_path)
+    phases = {
+        h["labels"].get("phase")
+        for h in snapshot["histograms"]
+        if h["name"] == "campaign_phase_seconds"
+    }
+    assert {"generate", "simulate", "build_trace"} <= phases
+    executed = sum(
+        int(c["value"])
+        for c in snapshot["counters"]
+        if c["name"] == "sim_events_executed_total"
+    )
+    assert executed == trace.metadata["runtime"]["events_executed"]

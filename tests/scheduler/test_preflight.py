@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro import CampaignConfig, run_campaign
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.cluster.components import ComponentType
 from repro.cluster.node import Node, NodeState
@@ -129,3 +130,44 @@ def test_preflight_retries_do_not_burn_attempt_numbers():
     if records:
         # First real attempt is attempt 0 even after preflight bounces.
         assert records[0].attempt == 0
+
+
+def _multi_node_hw_rate(trace):
+    records = [r for r in trace.job_records if r.n_nodes >= 2]
+    if not records:
+        return 0.0
+    return sum(1 for r in records if r.is_hw_interruption) / len(records)
+
+
+def _median_large_wait(trace):
+    waits = [r.queue_wait for r in trace.job_records if r.n_nodes >= 2]
+    return float(np.median(waits)) if waits else 0.0
+
+
+def test_preflight_ablation_trades_start_latency_for_fewer_interruptions():
+    """Section V: a battery before every multi-node gang on a lemon-heavy
+    32-node, 40-day cluster intercepts degraded nodes before they kill
+    jobs, at the cost of slower starts."""
+    spec = ClusterSpec.rsc1_like(
+        n_nodes=32,
+        campaign_days=40,
+        lemon_fraction=0.10,
+        lemon_fail_per_day=0.5,
+        enable_episodic_regimes=False,
+    )
+    base = run_campaign(
+        CampaignConfig(cluster_spec=spec, duration_days=40, seed=55)
+    )
+    preflighted = run_campaign(
+        CampaignConfig(
+            cluster_spec=spec,
+            duration_days=40,
+            seed=55,
+            preflight=PreflightPolicy(
+                min_nodes=2, duration=10 * MINUTE, stress_days=3.0
+            ),
+        )
+    )
+    assert any(e.kind == "sched.preflight_failed" for e in preflighted.events)
+    assert _multi_node_hw_rate(preflighted) < _multi_node_hw_rate(base)
+    assert _median_large_wait(preflighted) >= _median_large_wait(base)

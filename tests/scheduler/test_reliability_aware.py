@@ -1,5 +1,6 @@
 import pytest
 
+from repro import CampaignConfig, ClusterSpec, run_campaign
 from repro.cluster.node import Node
 from repro.scheduler.placement import FreeNodeIndex
 from repro.scheduler.reliability_aware import (
@@ -126,3 +127,46 @@ def test_integrates_with_scheduler():
     engine.run_until(2 * HOUR)
     [record] = scheduler.records
     assert 0 not in record.node_ids
+
+
+def test_risk_aware_placement_ablation_steers_gangs_off_lemons():
+    """Section V's proposal on a lemon-heavy 32-node, 40-day cluster
+    with quarantine disabled: risk-aware placement alone routes
+    multi-node gangs around repeat offenders once history accrues."""
+    spec = ClusterSpec.rsc1_like(
+        n_nodes=32,
+        campaign_days=40,
+        lemon_fraction=0.10,
+        lemon_fail_per_day=0.5,
+        enable_episodic_regimes=False,
+    )
+    base, aware = (
+        run_campaign(
+            CampaignConfig(
+                cluster_spec=spec,
+                duration_days=40,
+                seed=33,
+                reliability_aware_placement=aware,
+            )
+        )
+        for aware in (False, True)
+    )
+
+    def lemon_hosted_multinode_attempts(trace):
+        lemons = {r.node_id for r in trace.node_records if r.is_lemon_truth}
+        return sum(
+            1
+            for r in trace.job_records
+            if r.n_nodes >= 2 and lemons & set(r.node_ids)
+        )
+
+    def multi_node_hw_rate(trace):
+        records = [r for r in trace.job_records if r.n_nodes >= 2]
+        if not records:
+            return 0.0
+        return sum(1 for r in records if r.is_hw_interruption) / len(records)
+
+    assert lemon_hosted_multinode_attempts(aware) < (
+        lemon_hosted_multinode_attempts(base)
+    )
+    assert multi_node_hw_rate(aware) <= multi_node_hw_rate(base)

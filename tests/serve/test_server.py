@@ -2,13 +2,21 @@
 
 import http.client
 import json
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.live import LiveAnalytics, LiveConfig, replay_trace
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.resilience import Backoff, CircuitBreaker, RetryPolicy
 from repro.runtime.cache import TraceCache
 from repro.serve import BackgroundServer, ReliabilityService
+
+#: Floor for the mixed-load test: a hand-rolled asyncio loop serving
+#: in-memory estimator reads clears this by a wide margin even on one
+#: busy core.
+MIN_REQUESTS_PER_SEC = 30.0
 
 
 @pytest.fixture()
@@ -183,3 +191,65 @@ def test_final_snapshot_written_on_stop(service, tmp_path):
     assert payload["watermark"] == service.analytics.watermark
     # no tmp-file litter from the atomic write
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_concurrent_mixed_load_over_the_wire(paper_rsc1_trace):
+    """Eight keep-alive clients x 50 requests against a server warmed on
+    the figure-scale trace: reads across /v1/health, /v1/ettr, /v1/mttf
+    and /metrics, every fifth request the same what-if.  Every request
+    succeeds, the what-ifs cost one simulation (the rest are cache hits
+    or joined the in-flight one), and throughput clears the floor."""
+    n_clients, per_client = 8, 50
+    whatif = json.dumps({"n_gpus": 100_000, "targets": [0.5, 0.9]}).encode()
+    reads = ("/v1/health", "/v1/ettr", "/v1/mttf", "/metrics")
+    analytics = LiveAnalytics(LiveConfig.for_trace(paper_rsc1_trace))
+    replay_trace(paper_rsc1_trace, analytics)
+    service = ReliabilityService(
+        analytics,
+        trace_cache=TraceCache(enabled=False),
+        max_concurrent_whatif=4,
+    )
+
+    def client(server, client_id):
+        conn = http.client.HTTPConnection(
+            server.bound_host, server.bound_port, timeout=60
+        )
+        statuses = []
+        try:
+            for i in range(per_client):
+                if i % 5 == 4:
+                    conn.request(
+                        "POST", "/v1/whatif/checkpoint-cadence", body=whatif
+                    )
+                else:
+                    conn.request("GET", reads[(client_id + i) % len(reads)])
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+        finally:
+            conn.close()
+        return statuses
+
+    with BackgroundServer(service) as server:
+        t0 = time.perf_counter()
+        with ThreadPoolExecutor(max_workers=n_clients) as pool:
+            statuses = [
+                status
+                for run in pool.map(
+                    lambda cid: client(server, cid), range(n_clients)
+                )
+                for status in run
+            ]
+        wall_s = time.perf_counter() - t0
+    assert statuses == [200] * (n_clients * per_client)
+    n_whatif = n_clients * per_client // 5
+    simulations = service.metrics.counter(
+        "serve_whatif_simulations_total"
+    ).value
+    cache_hits = service.metrics.counter("serve_whatif_cache_hits_total").value
+    assert simulations == 1
+    # Non-hits are the first miss plus requests that joined the in-flight
+    # computation: at most one per client.
+    assert n_whatif - n_clients <= cache_hits <= n_whatif - 1
+    rps = len(statuses) / wall_s
+    assert rps >= MIN_REQUESTS_PER_SEC, rps

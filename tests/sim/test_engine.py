@@ -1,7 +1,11 @@
+import time
+
+import numpy as np
 import pytest
 
 from repro.obs import Telemetry
 from repro.sim.engine import Engine
+from repro.sim.timeunits import DAY, MINUTE
 
 
 def test_events_execute_in_time_order():
@@ -233,3 +237,42 @@ def test_disabled_telemetry_changes_nothing():
     engine.run_until(2.0)
     assert fired == [1]
     assert engine.telemetry.tracer.events_emitted == 0
+
+
+def test_event_heap_beats_a_fixed_tick_loop_on_sparse_loads():
+    """DESIGN.md's case for an event heap: 200 processes firing 0.01
+    times a day over 30 days.  The heap fires the expected number of
+    events and does far less work than polling on a 5-minute tick."""
+    n_processes, span, rate_per_day = 200, 30 * DAY, 0.01
+
+    engine = Engine()
+    rng = np.random.default_rng(0)
+    fired = [0]
+
+    def arm(i):
+        gap = rng.exponential(DAY / rate_per_day)
+        if engine.now + gap <= span:
+            engine.schedule_after(gap, lambda i=i: fire(i))
+
+    def fire(i):
+        fired[0] += 1
+        arm(i)
+
+    t0 = time.perf_counter()
+    for i in range(n_processes):
+        arm(i)
+    engine.run_until(span)
+    event_time = time.perf_counter() - t0
+
+    dt = 5 * MINUTE
+    tick_rng = np.random.default_rng(0)
+    p_fire = rate_per_day * dt / DAY
+    ticked = 0
+    t0 = time.perf_counter()
+    for _step in range(int(span / dt)):
+        ticked += int((tick_rng.random(n_processes) < p_fire).sum())
+    tick_time = time.perf_counter() - t0
+
+    expected = n_processes * span / DAY * rate_per_day
+    assert abs(fired[0] - expected) < 4 * np.sqrt(expected) + 10
+    assert event_time < tick_time, (event_time, tick_time, ticked)

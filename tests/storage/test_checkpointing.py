@@ -1,7 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
-from repro.core.ettr import ETTRParameters
+from repro.core.ettr import ETTRParameters, dedicated_cluster_scenario
 from repro.sim.timeunits import DAY, HOUR, MINUTE
+from repro.storage import (
+    NFS,
+    OBJECTSTORE,
+    checkpoint_write_time,
+    model_checkpoint_gb,
+)
 from repro.storage.checkpointing import (
     CheckpointMode,
     blocking_overhead_fraction,
@@ -100,3 +108,31 @@ def test_zero_write_time_rejected():
         optimal_blocking_interval(params(), 0.0)
     with pytest.raises(ValueError):
         young_daly_interval(0.0, 100.0)
+
+
+def test_blocking_writes_at_405b_on_16k_gpus():
+    """Fig. 10 assumes non-blocking checkpoint writes.  For a
+    405B-parameter run on 16k GPUs at RSC-1 rates: async always
+    dominates blocking, the fast tier's gap at the paper's 5-minute
+    cadence is small, the slow tier pays heavily, and the slow tier's
+    blocking optimum sits at a longer interval."""
+    checkpoint_gb = model_checkpoint_gb(405.0)
+    base = dedicated_cluster_scenario(16_000, 6.5e-3, checkpoint_interval=MINUTE)
+    gaps = {}
+    optima = {}
+    for tier in (NFS, OBJECTSTORE):
+        write = checkpoint_write_time(checkpoint_gb, tier, n_writer_nodes=2000)
+        for dt_min in (5, 15, 30, 60):
+            p = replace(base, checkpoint_interval=dt_min * MINUTE)
+            blocking = ettr_with_checkpoint_writes(
+                p, write, CheckpointMode.BLOCKING
+            )
+            asynchronous = ettr_with_checkpoint_writes(
+                p, write, CheckpointMode.ASYNC
+            )
+            assert blocking <= asynchronous + 1e-9
+            gaps[tier.name, dt_min] = asynchronous - blocking
+        optima[tier.name] = optimal_blocking_interval(base, write)
+    assert gaps["ObjectStore", 5] < 0.08
+    assert gaps["NFS", 5] > 0.15
+    assert optima["NFS"] > optima["ObjectStore"]
