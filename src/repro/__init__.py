@@ -18,9 +18,9 @@ The package has three layers:
 Execution is configured through one object — :class:`repro.RunOptions`
 — accepted uniformly by :func:`run_campaign`, :func:`run_campaigns`,
 :class:`CampaignPool`, and ``repro.live``; the resilient execution
-layer (retry/backoff, chaos injection, crash-safe checkpointed sweeps)
-lives in :mod:`repro.resilience` and plugs in via
-``RunOptions(resilience=..., checkpoint_dir=...)``.  *Where* sweep
+layer (retry/backoff, chaos injection) lives in :mod:`repro.resilience`
+and plugs in via ``RunOptions(resilience=...)``; a sweep re-run against
+the same trace cache resumes where it stopped.  *Where* sweep
 attempts execute is pluggable too: :mod:`repro.backends` defines the
 :class:`ExecutionBackend` protocol with ``inline``, ``local-pool``,
 and ``work-queue`` implementations, selected via
@@ -75,11 +75,6 @@ _LAZY_EXPORTS = {
     "Telemetry": ("repro.obs.telemetry", "Telemetry"),
     "ResilienceConfig": ("repro.resilience.config", "ResilienceConfig"),
     "ChaosPolicy": ("repro.resilience.chaos", "ChaosPolicy"),
-    "CampaignCheckpoint": (
-        "repro.resilience.checkpoint",
-        "CampaignCheckpoint",
-    ),
-    "ArtifactStore": ("repro.backends.artifacts", "ArtifactStore"),
     "ExecutionBackend": ("repro.backends.base", "ExecutionBackend"),
     "InlineBackend": ("repro.backends.inline", "InlineBackend"),
     "LocalPoolBackend": ("repro.backends.local_pool", "LocalPoolBackend"),
@@ -93,9 +88,7 @@ def __dir__():
 
 
 __all__ = [
-    "ArtifactStore",
     "Campaign",
-    "CampaignCheckpoint",
     "CampaignConfig",
     "CampaignPool",
     "ChaosPolicy",

@@ -1,20 +1,23 @@
 """Pluggable execution backends for campaign dispatch.
 
 :class:`~repro.runtime.pool.CampaignPool` owns dispatch *policy*
-(waves, retries, the circuit breaker, checkpoint resume); a backend
+(waves, retries, the circuit breaker, the inline fallback); a backend
 owns the *mechanism* — where an attempt actually executes.  Three ship
 in-tree, all registered by name for ``RunOptions(backend=...)`` and
 ``repro campaign --backend ...``:
 
 ============  ==========================================================
 ``inline``    Serial, in the dispatcher's process.  The determinism
-              reference and the degradation target.
+              reference, and the pool's only fallback: one-worker
+              sweeps, an open breaker and spent retry budgets all
+              finish here.
 ``local-pool``  A ``ProcessPoolExecutor`` on this machine (the
               default): hard-kill/respawn of hung or dead workers,
               per-wave timeouts.
 ``work-queue``  A filesystem queue drained by embedded children or
               external ``repro worker`` processes on any host; results
-              flow through a shared :class:`ArtifactStore`.
+              flow through the queue's shared
+              :class:`~repro.runtime.cache.TraceCache`.
 ============  ==========================================================
 
 The backend never affects simulated content: the same
@@ -26,7 +29,6 @@ See ``docs/BACKENDS.md`` for the protocol contract and a guide to
 writing (and registering) a custom backend.
 """
 
-from repro.backends.artifacts import ArtifactStore
 from repro.backends.base import (
     BACKENDS,
     BackendCapabilities,
@@ -47,7 +49,6 @@ from repro.backends.local_pool import LocalPoolBackend
 from repro.backends.workqueue import WorkQueueBackend, drain_queue
 
 __all__ = [
-    "ArtifactStore",
     "BACKENDS",
     "BackendCapabilities",
     "BackendError",

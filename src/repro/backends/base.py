@@ -1,7 +1,7 @@
 """The ``ExecutionBackend`` protocol: where campaign attempts actually run.
 
 :class:`~repro.runtime.pool.CampaignPool` owns *policy* — wave-based
-dispatch, retry accounting, the circuit breaker, checkpoint resume —
+dispatch, retry accounting, the circuit breaker, the inline fallback —
 and delegates *mechanism* (where an attempt executes) to a backend.
 The boundary is four methods and a capability record:
 
@@ -105,7 +105,9 @@ class TaskOutcome:
 
     ``index`` is the task's position in the submitted wave (the pool
     maps it back to the sweep-level config index); ``kind`` is one of
-    :data:`OUTCOME_KINDS`.
+    :data:`OUTCOME_KINDS`.  ``attrs`` carries backend-specific detail
+    (an in-process backend puts the raised exception under
+    ``"exception"``; the pool re-raises it when the budget is spent).
     """
 
     index: int

@@ -5,12 +5,16 @@ process, one at a time, in wave order.  No concurrency, no IPC, no
 teardown — which makes it the backend of record for determinism
 (parity suites compare the others against it), the only backend whose
 attempts can observe into a live :class:`repro.obs.Telemetry` bundle,
-and the degradation target when pooled environments break.
+and :class:`~repro.runtime.pool.CampaignPool`'s one fallback: sweeps
+with one worker or one config, an open circuit breaker, and attempts
+whose backend retry budget ran out all finish here.
 
 Chaos compatibility: a :class:`~repro.resilience.chaos.ChaosPolicy`
 worker-kill draw lands as :class:`~repro.resilience.chaos.WorkerKilled`
 (an ``"error"`` outcome — the "worker", this process, survives), so
-retry accounting is exercised without taking the caller down.
+retry accounting is exercised without taking the caller down.  The
+raised exception rides on the outcome as ``attrs["exception"]``, so a
+spent retry budget re-raises the genuine error.
 """
 
 from typing import Any, List, Optional, Sequence
@@ -62,6 +66,7 @@ class InlineBackend:
                         digest=task.digest,
                         kind="error",
                         error=type(err).__name__,
+                        attrs={"exception": err},
                     )
                 )
             else:

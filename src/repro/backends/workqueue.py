@@ -4,10 +4,10 @@ The distributed backend: the dispatcher writes one file per attempt
 into a queue directory, and *drainer* processes — embedded children it
 spawns itself, or completely external ``repro worker <dir>`` processes
 on any machine sharing the filesystem — claim, simulate, and ack them.
-Results land in a shared :class:`~repro.backends.artifacts.ArtifactStore`,
-so the store (not any process) is the unit of progress: a sweep killed
-mid-wave resumes from whatever shards any drainer finished, on any
-backend.
+Results land in a shared :class:`~repro.runtime.cache.TraceCache` under
+``<root>/store``, so the store (not any process) is the unit of
+progress: completed shards survive a killed wave, and a retried or
+re-dispatched task resolves from the store without re-running.
 
 Queue layout (all writes atomic; claims are a single ``os.rename``, the
 POSIX test-and-set, so two drainers can never run the same task)::
@@ -16,7 +16,7 @@ POSIX test-and-set, so two drainers can never run the same task)::
     <root>/claims/<name>.task.<wid>   # claimed by drainer <wid>
     <root>/done/<name>.task.json      # ok ack (trace is in the store)
     <root>/failed/<name>.task.json    # error ack ({"error": ...})
-    <root>/store/...                  # ArtifactStore of completed traces
+    <root>/store/...                  # TraceCache of completed traces
     <root>/STOP                       # sentinel: drainers exit
 
 Failure semantics map onto the backend outcome kinds: an attempt that
@@ -38,7 +38,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.backends.artifacts import ArtifactStore
 from repro.backends.base import (
     BackendCapabilities,
     BackendUnavailable,
@@ -47,6 +46,7 @@ from repro.backends.base import (
     execute_task,
     register_backend,
 )
+from repro.runtime.cache import TraceCache
 
 #: Sentinel file name; its presence tells every drainer to exit.
 STOP_SENTINEL = "STOP"
@@ -90,6 +90,13 @@ def _write_json(path: Path, payload: Dict[str, Any]) -> None:
         raise
 
 
+def _result_store(root: Path) -> TraceCache:
+    """The queue's shared result store: always on (independent of
+    ``REPRO_TRACE_CACHE``), and loads keep the provenance the drainer
+    stamped."""
+    return TraceCache(root / "store", enabled=True, source_label=None)
+
+
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     try:
         return json.loads(path.read_text("utf-8"))
@@ -108,19 +115,19 @@ def drain_queue(
 
     Claims pending tasks one at a time (atomic ``os.rename`` into
     ``claims/``), simulates each, stores the trace in the queue's
-    :class:`ArtifactStore`, and acks ``done/`` or ``failed/``.  Runs
+    result store, and acks ``done/`` or ``failed/``.  Runs
     until the ``STOP`` sentinel appears, ``max_tasks`` tasks have been
     processed, or — with ``stop_when_empty`` — the queue runs dry.
 
     Safe to run many of, on many hosts: a claim either succeeds for
     exactly one drainer or raises ``FileNotFoundError`` for the losers,
-    and same-key store writes are serialized by the store's lock.
+    and same-key store writes are serialized by the cache's key lock.
 
     Returns ``{"worker", "drained", "failed"}``.
     """
     root = Path(root)
     dirs = _ensure_layout(root)
-    store = ArtifactStore(root / "store")
+    store = _result_store(root)
     wid = worker_id or f"worker-{os.getpid()}"
     stop_path = root / STOP_SENTINEL
     drained = 0
@@ -149,7 +156,7 @@ def drain_queue(
             # Chaos worker-death lands here as os._exit — no ack, claim
             # left behind as the tombstone the dispatcher keys on.
             trace = execute_task(task)
-            store.put_digest(task.digest, trace)
+            store.put_by_digest(task.digest, trace)
             _write_json(
                 dirs["done"] / f"{name}.json",
                 {"digest": task.digest, "worker": wid},
@@ -218,7 +225,7 @@ class WorkQueueBackend:
         self.poll_interval = poll_interval
         self.claim_timeout_s = claim_timeout_s
         self._dirs = _ensure_layout(self.root)
-        self.store = ArtifactStore(self.root / "store")
+        self.store = _result_store(self.root)
         self._procs: Dict[str, multiprocessing.Process] = {}
         self._seq = 0
 
@@ -274,17 +281,16 @@ class WorkQueueBackend:
                 # Store dedupe: a shard someone (an earlier attempt, a
                 # different dispatcher, a previous backend) already
                 # completed resolves without re-queueing.
-                if self.store.has_digest(task.digest):
-                    trace = self.store.get_digest(task.digest)
-                    if trace is not None:
-                        handle["resolved"][index] = TaskOutcome(
-                            index=index,
-                            digest=task.digest,
-                            kind="ok",
-                            trace=trace,
-                            attrs={"deduped": True},
-                        )
-                        continue
+                trace = self.store.get_by_digest(task.digest)
+                if trace is not None:
+                    handle["resolved"][index] = TaskOutcome(
+                        index=index,
+                        digest=task.digest,
+                        kind="ok",
+                        trace=trace,
+                        attrs={"deduped": True},
+                    )
+                    continue
                 self._seq += 1
                 name = (
                     f"{os.getpid():06d}-{self._seq:06d}"
@@ -345,7 +351,7 @@ class WorkQueueBackend:
                 done_ack = self._dirs["done"] / f"{name}.json"
                 failed_ack = self._dirs["failed"] / f"{name}.json"
                 if done_ack.exists():
-                    trace = self.store.get_digest(task.digest)
+                    trace = self.store.get_by_digest(task.digest)
                     if trace is not None:
                         outcomes[index] = TaskOutcome(
                             index=index,

@@ -5,7 +5,7 @@ Subcommands::
     repro campaign  --cluster rsc1 --nodes 64 --days 30 --seed 42 \
                     --out trace.jsonl [--lemon-detection] [--risk-aware]
     repro campaign  --seeds 0,1,2,3 --workers 4      # pooled multi-seed sweep
-    repro campaign  --seeds 0..7 --resume ckpt/      # crash-safe, resumable
+    repro campaign  --seeds 0..7 --resume dir/       # crash-safe, resumable
     repro campaign  --seeds 0..7 --backend work-queue \
                     --backend-opt root=/shared/queue # distributed dispatch
     repro worker    /shared/queue [--once]           # drain a work queue
@@ -26,7 +26,7 @@ The shared flags are normalized across subcommands (parent parsers):
 ``--cluster/--nodes/--days/--seed`` mean the same thing to ``campaign``
 and ``live``; ``--telemetry DIR`` is the same observability switch
 everywhere; ``--resume`` always means "continue from saved state" (a
-sweep checkpoint directory for ``campaign``, an estimator snapshot for
+trace cache directory for ``campaign``, an estimator snapshot for
 ``live``).
 
 ``repro live`` streams a trace (or a freshly simulated campaign) through
@@ -139,72 +139,6 @@ def _parse_backend_opts(pairs) -> dict:
     return options
 
 
-def _run_campaigns_with_telemetry(args, configs, seeds) -> int:
-    """The ``--telemetry DIR`` path: instrumented, inline execution.
-
-    Each seed gets its own ``<stem>.events.jsonl`` + ``<stem>.metrics.json``
-    pair next to its trace output name, so ``repro obs summary DIR``
-    can aggregate the run.  Worker processes cannot stream telemetry back,
-    so this path always simulates in-process.
-    """
-    from repro.campaign import run_campaign
-    from repro.obs import Telemetry
-    from repro.options import RunOptions
-    from repro.runtime import TraceCache
-
-    telemetry_dir = Path(args.telemetry)
-    telemetry_dir.mkdir(parents=True, exist_ok=True)
-    cache = None if args.no_cache else TraceCache()
-    checkpoint = None
-    if getattr(args, "resume", None):
-        from repro.resilience import CampaignCheckpoint
-
-        checkpoint = CampaignCheckpoint(args.resume)
-        try:
-            checkpoint.begin(configs)
-        except ValueError as err:
-            logger.error("%s", err)
-            return 2
-    multi = len(seeds) > 1
-    for seed, config in zip(seeds, configs):
-        out = _seed_out_path(args.out, seed, multi=multi)
-        telemetry = Telemetry.to_directory(telemetry_dir, stem=out.stem)
-        if cache is not None:
-            # Route this seed's cache traffic into this seed's stream.
-            cache.telemetry = telemetry
-        try:
-            trace = checkpoint.load(config) if checkpoint is not None else None
-            if trace is None:
-                trace = cache.get(config) if cache is not None else None
-            if trace is None:
-                trace = run_campaign(
-                    config, options=RunOptions(telemetry=telemetry)
-                )
-                if cache is not None:
-                    cache.put(config, trace)
-            if checkpoint is not None:
-                checkpoint.record(config, trace)
-        finally:
-            telemetry.finalize()
-        trace.save(out)
-        runtime = trace.metadata.get("runtime", {})
-        logger.info(
-            "wrote %s: %d attempt records, %d events (%s); telemetry: %s",
-            out,
-            len(trace.job_records),
-            len(trace.events),
-            runtime.get("source", "simulated"),
-            telemetry.tracer.sink.path,
-        )
-    logger.info(
-        "telemetry streams + metrics snapshots in %s "
-        "(render with: repro obs summary %s)",
-        telemetry_dir,
-        telemetry_dir,
-    )
-    return 0
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.runtime import CampaignPool, seed_sweep_configs
 
@@ -241,9 +175,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         "s" if len(seeds) > 1 else "",
         ",".join(str(s) for s in seeds),
     )
-    if args.telemetry:
-        return _run_campaigns_with_telemetry(args, configs, seeds)
     from repro.options import RunOptions
+    from repro.runtime import TraceCache
 
     try:
         backend_options = _parse_backend_opts(
@@ -252,23 +185,46 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except ValueError as err:
         logger.error("%s", err)
         return 2
-    pool = CampaignPool(
-        options=RunOptions(
-            workers=args.workers,
-            cache=False if args.no_cache else None,
-            checkpoint_dir=args.resume,
-            backend=getattr(args, "backend", None) or "local-pool",
-            backend_options=backend_options or None,
-        )
+    if args.resume:
+        # The resume directory is a cache that is always on: seeds a
+        # killed run finished are hits, the rest simulate.
+        cache = TraceCache(args.resume, enabled=True)
+    else:
+        cache = None if args.no_cache else TraceCache()
+    options = RunOptions(
+        workers=args.workers,
+        cache=False if cache is None else cache,
+        backend=getattr(args, "backend", None) or "local-pool",
+        backend_options=backend_options or None,
     )
-    try:
+    multi = len(seeds) > 1
+    if args.telemetry:
+        # Worker processes cannot stream telemetry back, so each seed
+        # runs inline into its own <stem>.events.jsonl + .metrics.json
+        # pair, which ``repro obs summary DIR`` aggregates.
+        from repro.obs import Telemetry
+
+        telemetry_dir = Path(args.telemetry)
+        telemetry_dir.mkdir(parents=True, exist_ok=True)
+        options = options.replace(backend="inline")
+        traces = []
+        for seed, config in zip(seeds, configs):
+            stem = _seed_out_path(args.out, seed, multi=multi).stem
+            telemetry = Telemetry.to_directory(telemetry_dir, stem=stem)
+            if cache is not None:
+                # Route this seed's cache traffic into this seed's stream.
+                cache.telemetry = telemetry
+            pool = CampaignPool(options=options.replace(telemetry=telemetry))
+            try:
+                traces.extend(pool.run([config]))
+            finally:
+                telemetry.finalize()
+            logger.info("telemetry: %s", telemetry.tracer.sink.path)
+    else:
+        pool = CampaignPool(options=options)
         traces = pool.run(configs)
-    except ValueError as err:
-        # e.g. --resume directory belonging to a different sweep
-        logger.error("%s", err)
-        return 2
     for seed, trace in zip(seeds, traces):
-        out = _seed_out_path(args.out, seed, multi=len(seeds) > 1)
+        out = _seed_out_path(args.out, seed, multi=multi)
         trace.save(out)
         source = trace.metadata.get("runtime", {}).get("source", "simulated")
         logger.info(
@@ -278,7 +234,15 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             len(trace.events),
             source,
         )
-    logger.info("%s", pool.last_stats.render())
+    if args.telemetry:
+        logger.info(
+            "telemetry streams + metrics snapshots in %s "
+            "(render with: repro obs summary %s)",
+            args.telemetry,
+            args.telemetry,
+        )
+    else:
+        logger.info("%s", pool.last_stats.render())
     return 0
 
 
@@ -826,9 +790,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="trace.jsonl")
     p.add_argument("--resume", default=None, metavar="DIR",
-                   help="crash-safe sweep checkpoint directory: completed "
-                        "seeds persist there and a re-run with the same "
-                        "DIR resumes bit-identically")
+                   help="trace cache directory that is always on (even "
+                        "with --no-cache or REPRO_TRACE_CACHE=off): "
+                        "completed seeds persist there and a re-run with "
+                        "the same DIR resumes bit-identically")
     p.add_argument("--lemon-detection", action="store_true")
     p.add_argument("--risk-aware", action="store_true",
                    help="reliability-aware gang placement")

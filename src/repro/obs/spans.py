@@ -2,17 +2,18 @@
 
 Where :class:`~repro.obs.tracer.Tracer` answers *what happened*, spans
 answer *where the wall time went*: every instrumented scope (a sweep, a
-campaign, a sim phase, one scheduler pass, one checkpoint write) opens a
+dispatch wave, a campaign, a sim phase, one scheduler pass) opens a
 :class:`SpanRecord` with wall-clock (``perf_counter``) and CPU
 (``process_time``) timings and a parent link, so a run profiles as a
 tree::
 
     sweep
-    └── campaign (seed 3)
-        ├── phase:generate
-        ├── phase:simulate
-        │   └── sched.pass  × N
-        └── phase:build_trace
+    └── backend.wave
+        └── campaign (seed 3)
+            ├── phase:generate
+            ├── phase:simulate
+            │   └── sched.pass  × N
+            └── phase:build_trace
 
 Spans follow the telemetry contract everywhere: off by default, gated on
 the tracer's ``enabled`` flag, and never touching any RNG stream — an

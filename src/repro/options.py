@@ -1,8 +1,8 @@
 """``RunOptions``: the one object that configures *how* things run.
 
 :class:`RunOptions` is the single frozen, versioned surface for
-execution knobs -- telemetry, caching, pooled workers, resilience,
-checkpoints and the execution backend.  ``run_campaign``,
+execution knobs -- telemetry, caching, pooled workers, resilience
+and the execution backend.  ``run_campaign``,
 ``run_campaigns``, ``CampaignPool`` and ``repro.live`` all accept it
 uniformly::
 
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: Bump when the meaning of an existing field changes or a field is
 #: removed (new fields with backward-compatible defaults do not require a
 #: bump).
-RUN_OPTIONS_VERSION = 2
+RUN_OPTIONS_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,9 @@ class RunOptions:
             the run.  Never affects simulated content.
         cache: A :class:`repro.runtime.TraceCache`, ``None`` for the
             default cache (honoring ``REPRO_TRACE_CACHE``), or ``False``
-            to disable caching.
+            to disable caching.  The cache is also the resume point: an
+            interrupted sweep re-run against the same cache simulates
+            only the configs it had not finished.
         cache_dir: Root directory for the default cache when ``cache``
             is ``None`` (overrides the environment resolution).
         workers: Max worker processes for pooled sweeps (``None`` =
@@ -51,9 +53,6 @@ class RunOptions:
         resilience: A :class:`repro.resilience.ResilienceConfig`
             controlling retry/backoff, chaos injection, and the circuit
             breaker; ``None`` uses the default policy.
-        checkpoint_dir: Directory for crash-safe sweep checkpoints
-            (completed-seed manifest + partial results); ``None``
-            disables checkpointing.
         backend: Execution backend name for sweeps — ``"local-pool"``
             (process pool on this machine, the default), ``"inline"``
             (serial, in-process), ``"work-queue"`` (filesystem queue
@@ -72,7 +71,6 @@ class RunOptions:
     cache_dir: Optional[str] = None
     workers: Optional[int] = None
     resilience: Optional["ResilienceConfig"] = None
-    checkpoint_dir: Optional[str] = None
     backend: str = "local-pool"
     backend_options: Optional[Mapping[str, Any]] = None
 

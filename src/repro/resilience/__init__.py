@@ -2,7 +2,7 @@
 
 The simulator models a cluster where failure is the steady state; this
 package applies the same stance to the machinery *running* the
-simulator.  Four pieces:
+simulator.  Three pieces:
 
 * :mod:`repro.resilience.chaos` — :class:`ChaosPolicy`, deterministic
   seed-driven injection of harness faults (worker death mid-seed, cache
@@ -12,9 +12,6 @@ simulator.  Four pieces:
   :class:`Backoff` (exponential, seeded jitter, deterministic) and the
   :class:`CircuitBreaker` that degrades pooled execution to inline
   after repeated pool-level failures.
-* :mod:`repro.resilience.checkpoint` — :class:`CampaignCheckpoint`,
-  the completed-seed manifest + atomic partial-result store behind
-  crash-safe, bit-identically resumable ``run_campaigns`` sweeps.
 * :mod:`repro.resilience.config` — :class:`ResilienceConfig`, the
   bundle the execution layer consumes (via
   ``RunOptions(resilience=...)`` or ``CampaignPool(resilience=...)``).
@@ -28,15 +25,15 @@ Quickstart::
 
     from repro import CampaignConfig, ClusterSpec, RunOptions, run_campaigns
     from repro.resilience import ChaosPolicy, ResilienceConfig
-    from repro.runtime import seed_sweep_configs
+    from repro.runtime import TraceCache, seed_sweep_configs
 
     spec = ClusterSpec.rsc1_like(n_nodes=32, campaign_days=10)
     base = CampaignConfig(cluster_spec=spec, duration_days=10)
     configs = seed_sweep_configs(base, range(8))
 
     # Chaotic sweep: workers die, cache entries rot — results are still
-    # bit-identical to a fault-free run, and the sweep resumes from
-    # sweep-ckpt/ if this process itself is killed.
+    # bit-identical to a fault-free run, and if this process itself is
+    # killed, running the sweep again against the same cache resumes it.
     traces = run_campaigns(
         configs,
         options=RunOptions(
@@ -44,7 +41,7 @@ Quickstart::
                 chaos=ChaosPolicy(seed=7, worker_kill_rate=0.5,
                                   cache_corruption_rate=0.5),
             ),
-            checkpoint_dir="sweep-ckpt/",
+            cache=TraceCache("sweep-cache/", enabled=True),
         ),
     )
 """
@@ -56,28 +53,18 @@ from repro.resilience.chaos import (
     FaultySink,
     WorkerKilled,
 )
-from repro.resilience.checkpoint import (
-    MANIFEST_NAME,
-    MANIFEST_VERSION,
-    CampaignCheckpoint,
-    sweep_run_id,
-)
 from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
 from repro.resilience.retry import Backoff, CircuitBreaker, RetryPolicy
 
 __all__ = [
     "Backoff",
     "CHAOS_EXIT_CODE",
-    "CampaignCheckpoint",
     "ChaosError",
     "ChaosPolicy",
     "CircuitBreaker",
     "DEFAULT_RESILIENCE",
     "FaultySink",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
     "ResilienceConfig",
     "RetryPolicy",
     "WorkerKilled",
-    "sweep_run_id",
 ]

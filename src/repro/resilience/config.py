@@ -1,7 +1,7 @@
 """``ResilienceConfig``: one object describing the recovery posture.
 
 Bundles the retry budget, the optional chaos-injection policy, and the
-circuit-breaker / verification knobs that the execution layer consumes.
+circuit-breaker threshold that the execution layer consumes.
 Handed to :class:`repro.runtime.CampaignPool` directly or through
 :class:`repro.RunOptions(resilience=...) <repro.options.RunOptions>`.
 
@@ -28,28 +28,19 @@ class ResilienceConfig:
             production posture).
         circuit_threshold: Consecutive pool-level failures before the
             pooled path is abandoned for inline execution.
-        verify_cache_integrity: Recompute and check the stored trace
-            digest on every cache read (quarantining mismatches).
-        checkpoint_every: Write the sweep manifest after every N
-            completed configs (1 = after each; higher trades durability
-            for fewer manifest rewrites).
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     chaos: Optional[ChaosPolicy] = None
     circuit_threshold: int = 3
-    verify_cache_integrity: bool = True
-    checkpoint_every: int = 1
 
     def __post_init__(self):
         if self.circuit_threshold < 1:
             raise ValueError("circuit_threshold must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
 
 
 #: The implicit posture when no config is supplied: retries on, no
-#: chaos, integrity verification on.
+#: chaos.
 DEFAULT_RESILIENCE = ResilienceConfig()
 
 __all__ = ["DEFAULT_RESILIENCE", "ResilienceConfig"]

@@ -30,12 +30,17 @@ Control knobs:
 * ``REPRO_TRACE_CACHE=/some/dir`` relocates it.
 * ``TraceCache(enabled=False)`` / ``CampaignPool(cache=False)`` disable it
   per call site.
-* ``TraceCache(verify=False)`` skips the digest re-check on read (the
-  npz CRC still catches most corruption).
+
+The cache is also the resume point of an interrupted sweep and the
+work-queue backend's shared result store: every write is an atomic
+temp-file + ``os.replace`` under a per-key ``flock``, so processes on
+any host racing the same key leave one complete, verified entry.
 """
 
+import hashlib
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
@@ -46,6 +51,11 @@ from repro.runtime.hashing import (
     trace_digest,
 )
 from repro.workload.trace import TRACE_SCHEMA_VERSION, Trace
+
+try:  # POSIX advisory locking; absent on some platforms (e.g. Windows)
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX fallback
+    fcntl = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign import CampaignConfig
@@ -79,6 +89,31 @@ def default_cache_root() -> Path:
     return base / "repro" / "traces"
 
 
+@contextmanager
+def _key_lock(root: Path, digest: str):
+    """Exclusive cross-process lock for one entry's writes.
+
+    The lock file lives in the system temp dir, keyed by the resolved
+    cache root + digest, so (1) the cache directory holds only entries
+    and (2) the lock file is never replaced out from under a waiting
+    locker (``os.replace`` swaps the entry's inode, not the lock's).
+    ``flock`` releases on close even if the holder dies mid-write.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX fallback
+        yield
+        return
+    key = hashlib.sha256(
+        f"{root.resolve()}\x1f{digest}".encode("utf-8")
+    ).hexdigest()[:16]
+    lock_path = Path(tempfile.gettempdir()) / f"repro-trace-{key}.lock"
+    with open(lock_path, "a+", encoding="utf-8") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+
+
 class TraceCache:
     """Content-addressed trace store with hit/miss accounting."""
 
@@ -87,20 +122,14 @@ class TraceCache:
         root: Optional[os.PathLike] = None,
         enabled: Optional[bool] = None,
         telemetry=None,
-        verify: bool = True,
         source_label: Optional[str] = "cache",
     ):
         self.root = Path(root) if root is not None else default_cache_root()
         self.enabled = cache_enabled_by_env() if enabled is None else enabled
-        #: Recompute the stored trace digest on every read and reject
-        #: mismatches (quarantining the entry).  Entries without a digest
-        #: stamp are served unverified either way.
-        self.verify = verify
         #: Stamped into ``metadata["runtime"]["source"]`` on every hit;
         #: ``None`` preserves whatever provenance the stored trace
-        #: carried (the :class:`~repro.backends.artifacts.ArtifactStore`
-        #: posture — a shard a remote worker simulated stays
-        #: ``"simulated"``).
+        #: carried (the work-queue store's posture — a shard a remote
+        #: worker simulated stays ``"simulated"``).
         self.source_label = source_label
         self.hits = 0
         self.misses = 0
@@ -167,16 +196,21 @@ class TraceCache:
     # read / write
     # ------------------------------------------------------------------
     def _load_npz_entry(self, path: Path, digest: str) -> Trace:
-        stamps = ColumnarTrace.read_extra(path) or {}
-        if (
-            stamps.get("cache_format") != CACHE_FORMAT_VERSION
-            or stamps.get("trace_schema") != TRACE_SCHEMA_VERSION
-            or stamps.get("digest") != digest
-        ):
-            raise ValueError("stale or mismatched cache entry")
-        trace = ColumnarTrace.load_npz(path).to_trace()
+        # Open the entry ourselves: ``np.load(path)`` leaks its handle
+        # when ``zipfile`` rejects a torn archive.
+        with open(path, "rb") as fh:
+            stamps = ColumnarTrace.read_extra(fh) or {}
+            if (
+                stamps.get("cache_format") != CACHE_FORMAT_VERSION
+                or stamps.get("trace_schema") != TRACE_SCHEMA_VERSION
+                or stamps.get("digest") != digest
+            ):
+                raise ValueError("stale or mismatched cache entry")
+            fh.seek(0)
+            columns = ColumnarTrace.load_npz(fh)
+        trace = columns.to_trace()
         stored_sha = stamps.get("trace_sha")
-        if self.verify and stored_sha is not None:
+        if stored_sha is not None:
             actual = trace_digest(trace)
             if actual != stored_sha:
                 raise ValueError(
@@ -194,11 +228,10 @@ class TraceCache:
     def get_by_digest(self, digest: str) -> Optional[Trace]:
         """Digest-keyed read: the entry machinery without config hashing.
 
-        This is the surface :class:`~repro.backends.artifacts.ArtifactStore`
-        shares across hosts — a caller holding only a content address
-        (e.g. a work-queue dispatcher) loads the entry, with the same
-        stamp checks, integrity verification, and quarantine treatment
-        as a config-keyed read.
+        The surface shared across hosts — a caller holding only a
+        content address (e.g. a work-queue dispatcher) loads the entry,
+        with the same stamp checks, integrity verification, and
+        quarantine treatment as a config-keyed read.
         """
         if not self.enabled:
             return None
@@ -235,7 +268,8 @@ class TraceCache:
         return self.put_by_digest(config_digest(config), trace)
 
     def put_by_digest(self, digest: str, trace: Trace) -> Optional[Path]:
-        """Digest-keyed write (see :meth:`get_by_digest`)."""
+        """Digest-keyed write (see :meth:`get_by_digest`); same-key
+        writers are serialized by a per-key ``flock``."""
         if not self.enabled:
             return None
         path = self._entry_path(digest)
@@ -249,19 +283,20 @@ class TraceCache:
             "trace_sha": trace_digest(trace),
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".npz"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                trace.columns.save_npz(fh, extra=stamps)
-            os.replace(tmp_name, path)
-        except BaseException:
+        with _key_lock(self.root, digest):
+            fd, tmp_name = tempfile.mkstemp(
+                dir=path.parent, prefix=".tmp-", suffix=".npz"
+            )
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "wb") as fh:
+                    trace.columns.save_npz(fh, extra=stamps)
+                os.replace(tmp_name, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
         self.writes += 1
         self._observe("write", digest)
         return path

@@ -11,7 +11,7 @@ checkpoint/size grids.  Semantics:
   :class:`~repro.runtime.cache.TraceCache` before any work is dispatched;
   only misses are simulated, and fresh results are written back.
 * **Pluggable mechanism, fixed policy** — the pool owns dispatch policy
-  (waves, retry budgets, the circuit breaker, checkpoint resume) and
+  (waves, retry budgets, the circuit breaker, the inline fallback) and
   delegates *where* attempts run to an
   :class:`~repro.backends.ExecutionBackend`:
   ``inline`` (serial, in-process), ``local-pool`` (this machine's
@@ -30,16 +30,19 @@ checkpoint/size grids.  Semantics:
   actions are accounted in ``resilience_*`` metrics, and every dispatch
   wave is measured (``backend.wave`` spans,
   ``backend_dispatch_total{backend=...}`` counters).
-* **Crash-safe sweeps** — pass a
-  :class:`~repro.resilience.checkpoint.CampaignCheckpoint` (or
-  ``RunOptions(checkpoint_dir=...)``) and every completed config is
-  persisted (manifest + partial results, both atomic); re-running the
-  interrupted sweep resumes bit-identically — on the *same* backend or
-  a different one.
-* **Graceful degradation** — with one usable core, a single miss, or a
-  broken ``multiprocessing`` environment, the pool runs in-process with
-  identical results (campaign determinism is seeded, not scheduling-
-  dependent).
+* **Crash-safe sweeps** — the cache is the resume point.  Entries are
+  atomic and digest-verified, so re-running an interrupted sweep
+  against the same cache resumes it bit-identically: stored configs
+  are cache hits, the rest simulate — on the *same* backend or a
+  different one.
+* **One attempt loop, one fallback** — :meth:`CampaignPool._execute_waves`
+  is the only place attempts are dispatched and retried.  With one
+  usable core or a single miss on the default backend, an open breaker,
+  a broken ``multiprocessing`` environment, or a spent backend retry
+  budget, the pool runs the remaining attempts through
+  :class:`~repro.backends.InlineBackend` with identical results
+  (campaign determinism is seeded, not scheduling-dependent); when its
+  budget is spent too, the genuine error is re-raised.
 
 Each returned trace carries a ``metadata["runtime"]`` block (wall time,
 events executed, events/sec, source, executor) and ``pool.last_stats``
@@ -48,23 +51,23 @@ speedups and recoveries are measurable, not anecdotal.
 """
 
 import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.backends import (
+    BackendError,
     BackendUnavailable,
     DEFAULT_BACKEND,
     ExecutionBackend,
+    InlineBackend,
+    TaskOutcome,
     TaskSpec,
     create_backend,
-    execute_task,
 )
 from repro.campaign import CampaignConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import maybe_span
 from repro.options import RunOptions
-from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
 from repro.resilience.retry import CircuitBreaker
 from repro.runtime.cache import TraceCache
@@ -78,7 +81,6 @@ _POOL_COUNTERS = (
     "pool_cache_hits_total",
     "pool_simulated_total",
     "pool_events_executed_total",
-    "pool_resumed_total",
     "resilience_retries_total",
     "resilience_worker_respawns_total",
 )
@@ -94,7 +96,6 @@ class SweepStats:
     workers: int
     wall_time_s: float
     events_executed: int
-    resumed: int = 0
     retries: int = 0
     respawns: int = 0
     backend: str = DEFAULT_BACKEND
@@ -107,10 +108,10 @@ class SweepStats:
 
     def render(self) -> str:
         recovered = ""
-        if self.retries or self.respawns or self.resumed:
+        if self.retries or self.respawns:
             recovered = (
                 f", recovered: {self.retries} retries / "
-                f"{self.respawns} respawns / {self.resumed} resumed"
+                f"{self.respawns} respawns"
             )
         via = f" via {self.backend}" if self.backend != DEFAULT_BACKEND else ""
         return (
@@ -153,15 +154,14 @@ class CampaignPool:
                 circuit breaker); ``None`` uses the default policy.
             options: A :class:`repro.RunOptions`; fills any of the above
                 that were not passed explicitly (workers, cache +
-                cache_dir, telemetry, resilience, checkpoint_dir), and
-                selects the execution backend (``backend`` +
-                ``backend_options``).
+                cache_dir, telemetry, resilience), and selects the
+                execution backend (``backend`` + ``backend_options``).
         """
         opts = options if options is not None else RunOptions()
         if max_workers is None:
             max_workers = opts.workers
-        if cache is _FROM_OPTIONS:
-            cache = opts.cache
+        if cache is not _FROM_OPTIONS:
+            opts = opts.replace(cache=cache)
         if telemetry is None:
             telemetry = opts.telemetry
         if resilience is None:
@@ -170,32 +170,13 @@ class CampaignPool:
             raise ValueError("max_workers must be >= 1")
         self.backend = opts.backend or DEFAULT_BACKEND
         self.backend_options = dict(opts.backend_options or {})
-        if self.backend == "inline" and max_workers not in (None, 1):
-            warnings.warn(
-                f"CampaignPool: max_workers={max_workers} conflicts with "
-                "backend='inline' (serial); forcing workers=1 — pass "
-                "repro.RunOptions(backend=..., workers=...) consistently "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            max_workers = 1
         self.max_workers = max_workers
         self.resilience = resilience
-        if cache is False:
-            self.cache: Optional[TraceCache] = None
-        elif cache is None or cache is True:
-            self.cache = TraceCache(
-                root=opts.cache_dir,
-                verify=resilience.verify_cache_integrity,
-            )
-        else:
-            self.cache = cache
+        self.cache: Optional[TraceCache] = opts.resolved_cache()
         self.telemetry = telemetry
         self.metrics: MetricsRegistry = (
             telemetry.metrics if telemetry is not None else MetricsRegistry()
         )
-        self.checkpoint_dir = opts.checkpoint_dir
         #: One breaker per pool: once open, this pool never goes back to
         #: backend execution (a broken mp environment does not heal).
         self.breaker = CircuitBreaker(threshold=resilience.circuit_threshold)
@@ -210,11 +191,7 @@ class CampaignPool:
             limit = os.cpu_count() or 1
         return max(1, min(limit, n_misses))
 
-    def run(
-        self,
-        configs: Sequence[CampaignConfig],
-        checkpoint: Optional[CampaignCheckpoint] = None,
-    ) -> List[Trace]:
+    def run(self, configs: Sequence[CampaignConfig]) -> List[Trace]:
         """Simulate (or load) every config; results in input order.
 
         All accounting flows through the metrics registry (counters are
@@ -222,23 +199,15 @@ class CampaignPool:
         this run's counter deltas, so the registry is the single source
         of truth for sweep statistics.
 
-        ``checkpoint`` (or a pool built with ``options.checkpoint_dir``)
-        makes the sweep crash-safe: completed configs are persisted as
-        they finish and an interrupted sweep, re-run with the same
-        checkpoint — on *any* backend — resumes bit-identically.
+        Fresh traces are written back to the cache, so a sweep re-run
+        against the same cache — on *any* backend — simulates only the
+        configs the cache does not hold.
         """
         metrics = self.metrics
         baseline = {
             name: metrics.counter(name).value for name in _POOL_COUNTERS
         }
         configs = list(configs)
-        if checkpoint is None and self.checkpoint_dir is not None:
-            checkpoint = CampaignCheckpoint(self.checkpoint_dir)
-        if checkpoint is not None:
-            checkpoint.begin(configs)
-            if getattr(checkpoint, "telemetry", None) is None:
-                # Checkpoint writes profile into this sweep's spans.
-                checkpoint.telemetry = self.telemetry
         chaos = self.resilience.chaos
         results: List[Optional[Trace]] = [None] * len(configs)
         miss_indices: List[int] = []
@@ -246,13 +215,6 @@ class CampaignPool:
             self.telemetry, "sweep", campaigns=len(configs)
         ), metrics.timer("pool_sweep_wall_seconds") as sweep_timer:
             for i, config in enumerate(configs):
-                restored = (
-                    checkpoint.load(config) if checkpoint is not None else None
-                )
-                if restored is not None:
-                    results[i] = restored
-                    metrics.counter("pool_resumed_total").inc()
-                    continue
                 if self.cache is not None and chaos is not None:
                     # Chaos models a torn write / bit rot landing between
                     # the entry's write and this read.
@@ -263,8 +225,6 @@ class CampaignPool:
                 if cached is not None:
                     results[i] = cached
                     metrics.counter("pool_cache_hits_total").inc()
-                    if checkpoint is not None:
-                        checkpoint.record(config, cached)
                 else:
                     miss_indices.append(i)
 
@@ -272,30 +232,17 @@ class CampaignPool:
             if miss_indices:
                 miss_configs = [configs[i] for i in miss_indices]
                 executed, workers = self._execute(miss_configs, workers)
-                recorded = 0
                 for i, (trace, executor) in zip(miss_indices, executed):
                     runtime = dict(trace.metadata.get("runtime", {}))
                     runtime["executor"] = executor
                     trace.metadata["runtime"] = runtime
                     if self.cache is not None:
                         self.cache.put(configs[i], trace)
-                    if checkpoint is not None:
-                        recorded += 1
-                        checkpoint.record(
-                            configs[i],
-                            trace,
-                            flush=(
-                                recorded % self.resilience.checkpoint_every
-                                == 0
-                            ),
-                        )
                     results[i] = trace
                     metrics.counter("pool_simulated_total").inc()
                     metrics.histogram("campaign_wall_seconds").observe(
                         float(runtime.get("wall_time_s", 0.0))
                     )
-                if checkpoint is not None:
-                    checkpoint.flush()
             metrics.counter("pool_campaigns_total").inc(len(configs))
             metrics.counter("pool_events_executed_total").inc(
                 sum(
@@ -316,7 +263,6 @@ class CampaignPool:
             workers=int(metrics.gauge("pool_workers").value),
             wall_time_s=sweep_timer.elapsed,
             events_executed=delta("pool_events_executed_total"),
-            resumed=delta("pool_resumed_total"),
             retries=delta("resilience_retries_total"),
             respawns=delta("resilience_worker_respawns_total"),
             backend=self.backend,
@@ -334,7 +280,6 @@ class CampaignPool:
                 wall_time_s=self.last_stats.wall_time_s,
                 retries=self.last_stats.retries,
                 respawns=self.last_stats.respawns,
-                resumed=self.last_stats.resumed,
                 backend=self.backend,
             )
         return [t for t in results if t is not None]
@@ -356,24 +301,20 @@ class CampaignPool:
 
     def _select_backend(
         self, n_configs: int, workers: int
-    ) -> Optional[ExecutionBackend]:
-        """Instantiate the backend for this dispatch, or None for the
-        guaranteed in-process path.
+    ) -> ExecutionBackend:
+        """Instantiate the backend for this dispatch.
 
-        The default backend keeps its historical fast path: one worker
-        or one config means no pool is worth spinning up.  An explicit
-        non-default backend always dispatches (a distributed queue may
-        be drained remotely even for a single config; an explicit
-        ``inline`` request should exercise the backend loop it asked
-        for).  An open breaker never dispatches — a broken environment
-        does not heal.
+        An open breaker never dispatches to a pool again (a broken
+        environment does not heal), and the default backend spins up no
+        pool for one worker or one config: both run on
+        :class:`InlineBackend`.  An explicit non-default backend always
+        dispatches (a distributed queue may be drained remotely even for
+        a single config).
         """
-        if self.breaker.open:
-            return None
-        if self.backend == DEFAULT_BACKEND and (
-            workers <= 1 or n_configs <= 1
+        if self.breaker.open or (
+            self.backend == DEFAULT_BACKEND and (workers <= 1 or n_configs <= 1)
         ):
-            return None
+            return InlineBackend(telemetry=self.telemetry)
         return create_backend(
             self.backend,
             workers=workers,
@@ -387,59 +328,31 @@ class CampaignPool:
         """Run the given configs through the backend, falling back inline.
 
         Returns ``([(trace, executor_label), ...], workers_used)`` in
-        input order.
+        input order.  Attempts the backend left unresolved (breaker
+        open, backend unavailable, retry budget spent) get a fresh
+        budget on :class:`InlineBackend`.
         """
         digests = [config_digest(c) for c in configs]
         results: List[Optional[Tuple[Trace, str]]] = [None] * len(configs)
-        dispatched = 0
-        serial_backend = False
         backend = self._select_backend(len(configs), workers)
-        if backend is not None:
-            serial_backend = backend.capabilities.serial
-            try:
-                self._execute_waves(backend, configs, digests, results)
-            finally:
-                backend.close()
-            dispatched = sum(1 for r in results if r is not None)
-        for i, config in enumerate(configs):
-            if results[i] is None:
-                results[i] = (
-                    self._simulate_inline(config, digests[i]),
-                    "inline",
-                )
-        if not dispatched or serial_backend:
+        try:
+            self._execute_waves(
+                backend, configs, digests, results, list(range(len(configs)))
+            )
+        finally:
+            backend.close()
+        leftover = [i for i, r in enumerate(results) if r is None]
+        if leftover:
+            self._execute_waves(
+                InlineBackend(telemetry=self.telemetry),
+                configs,
+                digests,
+                results,
+                leftover,
+            )
+        if len(leftover) == len(configs) or backend.capabilities.serial:
             return list(results), 1
         return list(results), workers
-
-    def _simulate_inline(self, config: CampaignConfig, digest: str) -> Trace:
-        """In-process attempt loop: retry with backoff, then re-raise.
-
-        The guaranteed-completion path: runs when no backend was
-        selected, after the circuit opened, or for attempts whose
-        backend retry budget ran dry — re-raising the genuine error if
-        it persists, so real failures still surface with their real
-        exception.
-        """
-        retry = self.resilience.retry
-        chaos = self.resilience.chaos
-        for attempt in range(retry.max_attempts):
-            try:
-                return execute_task(
-                    TaskSpec(
-                        config=config,
-                        digest=digest,
-                        attempt=attempt,
-                        chaos=chaos,
-                    ),
-                    telemetry=self.telemetry,
-                    in_process=True,
-                )
-            except Exception as err:
-                if not retry.retryable(attempt):
-                    raise
-                self._note_retry(digest, attempt, type(err).__name__)
-                retry.backoff.sleep(digest, attempt)
-        raise AssertionError("unreachable: retry loop exited")  # pragma: no cover
 
     def _execute_waves(
         self,
@@ -447,29 +360,32 @@ class CampaignPool:
         configs: List[CampaignConfig],
         digests: List[str],
         results: List[Optional[Tuple[Trace, str]]],
+        pending: List[int],
     ) -> None:
-        """Dispatch waves of attempts until done, dead, or circuit-open.
+        """Dispatch waves of the ``pending`` attempts until done, dead,
+        or circuit-open: the pool's only attempt loop.
 
-        Backend-agnostic policy loop.  Fills ``results`` in place;
-        indices still ``None`` on return are the inline fallback's
-        responsibility (budget exhausted or breaker open), so the sweep
-        always completes and real errors still surface — from the
-        inline path, with the genuine exception.
+        Backend-agnostic policy loop.  Fills ``results`` in place.  On a
+        serial backend (the inline fallback) the loop ignores the
+        breaker and re-raises the genuine error of a config whose budget
+        is spent; on any other backend, indices still ``None`` on return
+        are left for that fallback.
 
         Outcome kinds map to recovery actions: ``"error"`` retries in
-        place (the worker survived); ``"lost"`` and ``"timeout"`` mark
-        the backend broken — it is hard-killed, the breaker records a
-        failure, and a seeded backoff precedes the respawn.
+        place after a seeded backoff (the worker survived); ``"lost"``
+        and ``"timeout"`` mark the backend broken — it is hard-killed,
+        the breaker records a failure, and a seeded backoff precedes
+        the respawn.
         """
         retry = self.resilience.retry
         chaos = self.resilience.chaos
         metrics = self.metrics
         label = backend.executor_label
+        final = backend.capabilities.serial
         attempts = [0] * len(configs)
-        pending = list(range(len(configs)))
         wave = 0
         respawn_needed = False
-        while pending and not self.breaker.open:
+        while pending and (final or not self.breaker.open):
             if respawn_needed:
                 metrics.counter("resilience_worker_respawns_total").inc()
                 respawn_needed = False
@@ -516,14 +432,14 @@ class CampaignPool:
                     else None
                 )
                 outcomes = backend.poll(handle, timeout_s=timeout_s)
-            failed: List[int] = []
+            failed: List[Tuple[int, TaskOutcome]] = []
             broken = False
             for outcome in outcomes:
                 i = pending[outcome.index]
                 if outcome.kind == "ok":
                     results[i] = (outcome.trace, label)
                     continue
-                failed.append(i)
+                failed.append((i, outcome))
                 if outcome.kind == "timeout":
                     metrics.counter("resilience_timeouts_total").inc()
                     broken = True  # hung worker: backend must die
@@ -531,15 +447,18 @@ class CampaignPool:
                     broken = True  # dead worker took the backend down
                 # "error": attempt raised; the worker survives.
             pending = []
-            for i in failed:
+            for i, outcome in failed:
                 if retry.retryable(attempts[i]):
                     self._note_retry(
-                        digests[i], attempts[i], "pool-attempt-failed"
+                        digests[i], attempts[i], outcome.error or outcome.kind
                     )
                     attempts[i] += 1
                     pending.append(i)
-                # else: leave results[i] None for the inline fallback,
-                # which re-raises the genuine error if it persists.
+                elif final:
+                    raise outcome.attrs.get("exception") or BackendError(
+                        f"{backend.name} attempt failed: {outcome.error}"
+                    )
+                # else: leave results[i] None for the inline fallback.
             if broken:
                 opened = self.breaker.record_failure()
                 if opened:
@@ -549,24 +468,23 @@ class CampaignPool:
                 respawn_needed = True
             else:
                 self.breaker.record_success()
+                if pending:
+                    retry.backoff.sleep("pool-retry", wave)
             wave += 1
 
 
 def run_campaigns(
     configs: Sequence[CampaignConfig],
     options: Optional[RunOptions] = None,
-    *,
-    checkpoint: Optional[CampaignCheckpoint] = None,
 ) -> List[Trace]:
     """One-call sweep: pool + cache with defaults; results in input order.
 
     ``options`` (:class:`repro.RunOptions`) configures workers, cache and
     backend selection (``RunOptions(backend="work-queue",
-    backend_options={...})``).  ``checkpoint`` (or
-    ``options.checkpoint_dir``) makes the sweep crash-safe and resumable
-    on any backend.
+    backend_options={...})``).  Re-running an interrupted sweep with
+    the same cache resumes it on any backend.
     """
-    return CampaignPool(options=options).run(configs, checkpoint=checkpoint)
+    return CampaignPool(options=options).run(configs)
 
 
 def seed_sweep_configs(

@@ -48,6 +48,7 @@ from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.spans import maybe_span
 from repro.obs.telemetry import Telemetry
+from repro.options import RunOptions
 from repro.resilience import Backoff, CircuitBreaker, RetryPolicy
 from repro.runtime.cache import TraceCache
 from repro.serve.cache import ResponseCache, payload_digest
@@ -256,8 +257,7 @@ class ReliabilityService:
         #: Optional repro.RunOptions selecting how what-if campaigns
         #: execute (notably ``backend=``/``backend_options=`` — a serve
         #: deployment can dispatch simulations to a shared work queue
-        #: instead of its own process).  ``None`` keeps the historical
-        #: in-process cached path.
+        #: instead of its own process).  ``None`` runs them inline.
         self.run_options = run_options
         #: digest -> in-flight Task; concurrent identical queries await
         #: the same computation (single-flight).
@@ -574,24 +574,20 @@ class ReliabilityService:
         """
         from repro.analysis.checkpoint_sweep import checkpoint_sweep
         from repro.analysis.mttf_analysis import mttf_analysis
-        from repro.runtime.cache import cached_run_campaign
         from repro.runtime.hashing import config_digest
+        from repro.runtime.pool import CampaignPool
 
         rates = [r / 1000.0 for r in spec.failure_rates_per_1k]
         campaign_block: Optional[Dict[str, Any]] = None
         if spec.campaign is not None:
             config = spec.campaign.to_config()
-            if self.run_options is not None:
-                # Route through the configured execution backend (the
-                # cache-first pool path, so repeats are still disk reads).
-                from repro.runtime.pool import CampaignPool
-
-                pool = CampaignPool(
-                    options=self.run_options.replace(cache=self.trace_cache)
+            # The cache-first pool path, so repeats are disk reads.
+            pool = CampaignPool(
+                options=(self.run_options or RunOptions()).replace(
+                    cache=self.trace_cache
                 )
-                trace = pool.run([config])[0]
-            else:
-                trace = cached_run_campaign(config, cache=self.trace_cache)
+            )
+            trace = pool.run([config])[0]
             analysis = mttf_analysis(trace)
             measured = analysis.failure_rate
             rates = [measured.rate] + [r for r in rates if r != measured.rate]

@@ -1,9 +1,9 @@
 """Shared fixtures for the backend suite: one tiny sweep, one set of
-reference digests produced by the guaranteed serial in-process path.
+reference digests produced by the serial in-process (inline) path.
 
 Every parity test in this package reduces to "does backend X reproduce
-exactly these digests" — the reference is computed once per session on
-the legacy inline path, which five PRs of tests have pinned down.
+exactly these digests" — the reference is computed once per session by
+a one-worker pool, which runs on the inline backend.
 """
 
 import pytest

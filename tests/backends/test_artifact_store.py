@@ -1,18 +1,25 @@
-"""``ArtifactStore``: the shared content-addressed result store.
+"""The work queue's result store: a plain ``TraceCache`` shared by hosts.
 
 The store is what makes backends interchangeable mid-sweep: a shard
 completed by anyone, anywhere, under any backend serves every later
-reader.  These tests pin its three guarantees — content addressing,
+reader.  It is ``<root>/store`` of the queue, an always-on
+:class:`~repro.runtime.TraceCache` that keeps the provenance its writer
+stamped.  These tests pin the three guarantees — content addressing,
 integrity (torn entries quarantine, never poison), and multi-writer
-safety — plus compatibility with the legacy checkpoint entry layout.
+safety through the per-key lock in ``TraceCache.put_by_digest``.
 """
 
 import multiprocessing
 
 import pytest
 
-from repro import ArtifactStore, run_campaign
+from repro import run_campaign
 from repro.runtime import TraceCache, config_digest, trace_digest
+
+
+def _store(root):
+    """The queue store's posture: always on, provenance preserved."""
+    return TraceCache(root, enabled=True, source_label=None)
 
 
 @pytest.fixture(scope="module")
@@ -21,17 +28,14 @@ def tiny_trace(tiny_configs):
 
 
 def test_round_trip_by_config_and_by_digest(tmp_path, tiny_configs, tiny_trace):
-    store = ArtifactStore(tmp_path)
+    store = _store(tmp_path)
     config = tiny_configs[0]
     digest = config_digest(config)
     assert store.get(config) is None
-    assert digest not in store
+    assert store.get_by_digest(digest) is None
 
     store.put(config, tiny_trace)
-    assert digest in store
-    assert store.has_digest(digest)
-    assert list(store.digests()) == [digest]
-    for loaded in (store.get(config), store.get_digest(digest)):
+    for loaded in (store.get(config), store.get_by_digest(digest)):
         assert loaded is not None
         assert trace_digest(loaded) == trace_digest(tiny_trace)
 
@@ -39,13 +43,13 @@ def test_round_trip_by_config_and_by_digest(tmp_path, tiny_configs, tiny_trace):
 def test_store_preserves_provenance_unlike_the_cache(
     tmp_path, tiny_configs, tiny_trace
 ):
-    """The cache stamps loads ``source="cache"``; the store stamps
-    nothing — the caller (checkpoint resume, queue dispatch) decides
-    what a load *means*."""
+    """The default cache stamps loads ``source="cache"``; the queue's
+    store stamps nothing — a shard a drainer simulated stays
+    ``"simulated"``."""
     config = tiny_configs[0]
     original = tiny_trace.metadata["runtime"]["source"]
 
-    store = ArtifactStore(tmp_path / "store")
+    store = _store(tmp_path / "store")
     store.put(config, tiny_trace)
     assert store.get(config).metadata["runtime"]["source"] == original
 
@@ -57,7 +61,7 @@ def test_store_preserves_provenance_unlike_the_cache(
 def test_torn_entry_quarantines_and_reads_as_miss(
     tmp_path, tiny_configs, tiny_trace
 ):
-    store = ArtifactStore(tmp_path)
+    store = _store(tmp_path)
     config = tiny_configs[0]
     store.put(config, tiny_trace)
 
@@ -73,29 +77,33 @@ def test_torn_entry_quarantines_and_reads_as_miss(
     assert store.get(config) is not None
 
 
-def test_legacy_checkpoint_entries_keep_serving(
+def test_cache_entries_serve_through_the_queue_store(
     tmp_path, tiny_configs, tiny_trace
 ):
-    """Entry layout is identical to the pre-promotion checkpoint store
-    (the trace cache's), so old checkpoint directories resume cleanly."""
+    """One entry format everywhere: a directory a user's cache wrote
+    serves a queue store rooted there, and the other way round."""
     config = tiny_configs[0]
-    TraceCache(root=tmp_path, enabled=True).put(config, tiny_trace)
+    TraceCache(root=tmp_path / "a", enabled=True).put(config, tiny_trace)
+    loaded = _store(tmp_path / "a").get(config)
+    assert loaded is not None
+    assert trace_digest(loaded) == trace_digest(tiny_trace)
 
-    store = ArtifactStore(tmp_path)
-    loaded = store.get(config)
+    _store(tmp_path / "b").put(config, tiny_trace)
+    loaded = TraceCache(root=tmp_path / "b", enabled=True).get(config)
     assert loaded is not None
     assert trace_digest(loaded) == trace_digest(tiny_trace)
 
 
 def _hammer_same_key(root, digest, trace, rounds):
-    store = ArtifactStore(root)
+    store = _store(root)
     for _ in range(rounds):
-        store.put_digest(digest, trace)
+        store.put_by_digest(digest, trace)
 
 
 def test_racing_writers_never_tear_an_entry(tmp_path, tiny_configs, tiny_trace):
-    """Regression for the multi-writer story: N processes hammering the
-    same shard key leave exactly one complete, verified entry."""
+    """Regression for the multi-writer story: three processes hammering
+    the same key through ``put_by_digest`` leave exactly one complete,
+    verified entry."""
     digest = config_digest(tiny_configs[0])
     procs = [
         multiprocessing.Process(
@@ -110,9 +118,10 @@ def test_racing_writers_never_tear_an_entry(tmp_path, tiny_configs, tiny_trace):
         proc.join(timeout=60)
         assert proc.exitcode == 0
 
-    store = ArtifactStore(tmp_path)
-    loaded = store.get_digest(digest)
+    store = _store(tmp_path)
+    loaded = store.get_by_digest(digest)
     assert loaded is not None
     assert trace_digest(loaded) == trace_digest(tiny_trace)
     assert store.stats()["quarantined"] == 0
-    assert list(store.digests()) == [digest]
+    entry = store.path_for(tiny_configs[0])
+    assert [p.name for p in entry.parent.iterdir()] == [entry.name]

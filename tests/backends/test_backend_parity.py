@@ -16,8 +16,8 @@ from repro import (
     RunOptions,
     run_campaign,
 )
-from repro.resilience import Backoff, CampaignCheckpoint, RetryPolicy
-from repro.runtime import trace_digest
+from repro.resilience import Backoff, RetryPolicy
+from repro.runtime import TraceCache, trace_digest
 
 ALL_BACKENDS = ["inline", "local-pool", "work-queue"]
 
@@ -29,10 +29,8 @@ EXECUTOR_LABELS = {
 
 
 def _options(backend, **extra):
-    # inline is serial: asking for 2 workers there would (deliberately)
-    # warn; every other backend gets a small worker pool.
-    workers = None if backend == "inline" else 2
-    return RunOptions(backend=backend, workers=workers, cache=False, **extra)
+    extra.setdefault("cache", False)
+    return RunOptions(backend=backend, workers=2, **extra)
 
 
 def _chaos_resilience():
@@ -82,28 +80,26 @@ def test_kill_at_half_then_resume_on_a_different_backend(
     tmp_path, tiny_configs, tiny_digests, first, second
 ):
     """A sweep killed at 50% on one backend finishes on another,
-    bit-identically — the checkpoint, not the backend, is the unit of
+    bit-identically — the cache, not the backend, is the unit of
     progress."""
     half = len(tiny_configs) // 2
-    # The on-disk state a SIGKILL at 50% leaves behind: a checkpoint
-    # holding traces the *first* backend produced for the first half.
-    pool_a = CampaignPool(options=_options(first))
+    # The on-disk state a SIGKILL at 50% leaves behind: a cache holding
+    # traces the *first* backend produced for the first half.
+    pool_a = CampaignPool(
+        options=_options(first, cache=TraceCache(tmp_path, enabled=True))
+    )
     half_traces = pool_a.run(tiny_configs[:half])
     assert [trace_digest(t) for t in half_traces] == tiny_digests[:half]
-    ckpt = CampaignCheckpoint(tmp_path)
-    ckpt.begin(tiny_configs)
-    for config, trace in zip(tiny_configs[:half], half_traces):
-        ckpt.record(config, trace)
 
-    pool_b = CampaignPool(options=_options(second))
-    traces = pool_b.run(
-        tiny_configs, checkpoint=CampaignCheckpoint(tmp_path)
+    pool_b = CampaignPool(
+        options=_options(second, cache=TraceCache(tmp_path, enabled=True))
     )
+    traces = pool_b.run(tiny_configs)
     assert [trace_digest(t) for t in traces] == tiny_digests
-    assert pool_b.last_stats.resumed == half
+    assert pool_b.last_stats.cache_hits == half
     assert pool_b.last_stats.simulated == len(tiny_configs) - half
     sources = [t.metadata["runtime"]["source"] for t in traces]
-    assert sources[:half] == ["checkpoint"] * half
+    assert sources[:half] == ["cache"] * half
 
 
 def test_run_campaign_reference_matches_pool_digests(tiny_configs, tiny_digests):

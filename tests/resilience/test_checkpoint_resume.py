@@ -1,17 +1,21 @@
 """Crash-safe sweeps: kill at any point, resume bit-identically.
 
-An "interrupted" sweep is modeled by a checkpoint that recorded only a
-prefix of the configs (exactly the on-disk state a SIGKILL mid-sweep
-leaves behind, since both store entries and manifest are written
-atomically); resuming is just running the full sweep again against the
-same directory.
+The trace cache is the resume point.  An "interrupted" sweep is modeled
+by a cache holding only a prefix of the configs — exactly the on-disk
+state a SIGKILL mid-sweep leaves behind, since entries are written
+atomically — and resuming is just running the full sweep again against
+the same directory.
 """
 
 import pytest
 
 from repro import CampaignConfig, ClusterSpec, run_campaign
-from repro.resilience import CampaignCheckpoint, sweep_run_id
-from repro.runtime import CampaignPool, seed_sweep_configs, trace_digest
+from repro.runtime import (
+    CampaignPool,
+    TraceCache,
+    seed_sweep_configs,
+    trace_digest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,30 +31,33 @@ def sweep_digests(sweep_configs):
     return [trace_digest(t) for t in traces]
 
 
-def _interrupt_after(directory, configs, completed: int) -> CampaignCheckpoint:
-    """Produce the checkpoint state a sweep killed after ``completed``
+def _interrupt_after(directory, configs, completed: int) -> TraceCache:
+    """Produce the cache state a sweep killed after ``completed``
     configs leaves on disk."""
-    ckpt = CampaignCheckpoint(directory)
-    ckpt.begin(configs)
+    cache = TraceCache(directory, enabled=True)
     for config in configs[:completed]:
-        ckpt.record(config, run_campaign(config))
-    return ckpt
+        cache.put(config, run_campaign(config))
+    return cache
+
+
+def _resume(directory, configs):
+    pool = CampaignPool(
+        max_workers=1, cache=TraceCache(directory, enabled=True)
+    )
+    return pool, pool.run(configs)
 
 
 @pytest.mark.parametrize("completed", [1, 2, 3])  # ≈25%, 50%, 75–90%
 def test_resume_is_bit_identical(tmp_path, sweep_configs, sweep_digests, completed):
     _interrupt_after(tmp_path, sweep_configs, completed)
 
-    pool = CampaignPool(max_workers=1, cache=False)
-    traces = pool.run(
-        sweep_configs, checkpoint=CampaignCheckpoint(tmp_path)
-    )
+    pool, traces = _resume(tmp_path, sweep_configs)
     assert [trace_digest(t) for t in traces] == sweep_digests
-    assert pool.last_stats.resumed == completed
+    assert pool.last_stats.cache_hits == completed
     assert pool.last_stats.simulated == len(sweep_configs) - completed
     # Resumed traces are labeled, so provenance is auditable...
     sources = [t.metadata["runtime"]["source"] for t in traces]
-    assert sources[:completed] == ["checkpoint"] * completed
+    assert sources[:completed] == ["cache"] * completed
     # ...but the label lives in runtime metadata, outside the digest.
 
 
@@ -58,76 +65,45 @@ def test_completed_checkpoint_resumes_everything(
     tmp_path, sweep_configs, sweep_digests
 ):
     _interrupt_after(tmp_path, sweep_configs, len(sweep_configs))
-    pool = CampaignPool(max_workers=1, cache=False)
-    traces = pool.run(sweep_configs, checkpoint=CampaignCheckpoint(tmp_path))
+    pool, traces = _resume(tmp_path, sweep_configs)
     assert [trace_digest(t) for t in traces] == sweep_digests
     assert pool.last_stats.simulated == 0
-    assert pool.last_stats.resumed == len(sweep_configs)
+    assert pool.last_stats.cache_hits == len(sweep_configs)
 
 
-def test_checkpoint_refuses_a_different_sweep(tmp_path, sweep_configs):
-    _interrupt_after(tmp_path, sweep_configs, 1)
-    other = seed_sweep_configs(sweep_configs[0], range(100, 103))
-    with pytest.raises(ValueError, match="different sweep"):
-        CampaignCheckpoint(tmp_path).begin(other)
+def test_overlapping_sweeps_share_a_directory(
+    tmp_path, sweep_configs, sweep_digests
+):
+    """Entries are keyed by the full config digest, so a directory two
+    sweeps share can only ever serve a config its own trace: sweep B,
+    overlapping sweep A by two configs, digests equal to a cache-off run
+    of B."""
+    sweep_a = sweep_configs[:3]
+    sweep_b = sweep_configs[1:] + seed_sweep_configs(sweep_configs[0], [100])
+    _resume(tmp_path, sweep_a)
 
-
-def test_run_id_depends_on_order_and_content(sweep_configs):
-    from repro.runtime import config_digest
-
-    digests = [config_digest(c) for c in sweep_configs]
-    assert sweep_run_id(digests) != sweep_run_id(list(reversed(digests)))
-    assert sweep_run_id(digests) == sweep_run_id(list(digests))
+    pool, traces = _resume(tmp_path, sweep_b)
+    cold = CampaignPool(max_workers=1, cache=False).run(sweep_b)
+    assert [trace_digest(t) for t in traces] == [
+        trace_digest(t) for t in cold
+    ]
+    assert [trace_digest(t) for t in traces[:3]] == sweep_digests[1:]
+    assert pool.last_stats.cache_hits == 2
+    assert pool.last_stats.simulated == 2
 
 
 def test_torn_partial_result_resimulates(
     tmp_path, sweep_configs, sweep_digests
 ):
-    """A manifest that claims completion whose stored entry is torn must
-    re-simulate that config, not serve garbage: the manifest is
-    optimistic, the digest-verified store is the authority."""
-    ckpt = _interrupt_after(tmp_path, sweep_configs, 2)
-    victim = ckpt.store.path_for(sweep_configs[0])
+    """A torn entry must re-simulate that config, not serve garbage:
+    the digest-verified cache quarantines it and reads it as a miss."""
+    cache = _interrupt_after(tmp_path, sweep_configs, 2)
+    victim = cache.path_for(sweep_configs[0])
     data = victim.read_bytes()
     victim.write_bytes(data[: len(data) // 2])
 
-    pool = CampaignPool(max_workers=1, cache=False)
-    traces = pool.run(sweep_configs, checkpoint=CampaignCheckpoint(tmp_path))
+    pool, traces = _resume(tmp_path, sweep_configs)
     assert [trace_digest(t) for t in traces] == sweep_digests
-    assert pool.last_stats.resumed == 1  # only the intact entry
+    assert pool.last_stats.cache_hits == 1  # only the intact entry
     assert pool.last_stats.simulated == len(sweep_configs) - 1
-
-
-def test_deferred_flush_batches_manifest_writes(tmp_path, sweep_configs):
-    ckpt = CampaignCheckpoint(tmp_path)
-    ckpt.begin(sweep_configs)
-    trace = run_campaign(sweep_configs[0])
-    ckpt.record(sweep_configs[0], trace, flush=False)
-    # Entry written immediately; manifest line deferred.
-    assert ckpt.store.path_for(sweep_configs[0]).exists()
-    reread = CampaignCheckpoint(tmp_path)
-    reread.begin(sweep_configs)
-    assert len(reread.completed_digests) == 0
-    ckpt.flush()
-    reread = CampaignCheckpoint(tmp_path)
-    reread.begin(sweep_configs)
-    assert len(reread.completed_digests) == 1
-    # Even an unflushed manifest only costs re-simulation, never
-    # correctness: load() on the stale checkpoint just returns None.
-    assert reread.load(sweep_configs[1]) is None
-
-
-def test_checkpoint_every_batching_via_pool(tmp_path, sweep_configs, sweep_digests):
-    from repro.resilience import ResilienceConfig
-
-    pool = CampaignPool(
-        max_workers=1,
-        cache=False,
-        resilience=ResilienceConfig(checkpoint_every=3),
-    )
-    traces = pool.run(sweep_configs, checkpoint=CampaignCheckpoint(tmp_path))
-    assert [trace_digest(t) for t in traces] == sweep_digests
-    # The final flush() makes the directory complete despite batching.
-    resumed = CampaignCheckpoint(tmp_path)
-    resumed.begin(sweep_configs)
-    assert len(resumed.completed_digests) == len(sweep_configs)
+    assert pool.cache.quarantined == 1

@@ -77,6 +77,26 @@ def test_exhausted_retry_budget_raises_the_genuine_error(tiny_configs):
         pool.run(tiny_configs[:1])
 
 
+def test_spent_pool_budget_falls_back_inline_then_raises(tiny_configs):
+    """Attempts a pooled backend could not finish get one fresh budget
+    on the inline fallback; when that is spent too, the genuine
+    in-process error surfaces, not a backend outcome."""
+    chaos = ChaosPolicy(seed=0, worker_kill_rate=1.0, max_kills_per_config=5)
+    retry = RetryPolicy(max_attempts=2, backoff=Backoff(base_s=0.0, jitter=0.0))
+    pool = CampaignPool(
+        max_workers=2,
+        cache=False,
+        resilience=ResilienceConfig(
+            retry=retry, chaos=chaos, circuit_threshold=10
+        ),
+    )
+    with pytest.raises(WorkerKilled):
+        pool.run(tiny_configs[:2])
+    # Two pooled attempts and two inline attempts per config, so one
+    # retry each in both loops.
+    assert pool.metrics.counter("resilience_retries_total").value == 4
+
+
 def test_cache_corruption_quarantines_and_rebuilds(
     tmp_path, tiny_configs, tiny_digests
 ):

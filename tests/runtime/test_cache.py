@@ -1,8 +1,10 @@
 """TraceCache mechanics: hit/miss accounting, stamps, and kill switches."""
 
+import gc
 import operator
 import pickle
 import time
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -112,11 +114,20 @@ def test_interrupted_put_leaves_no_entry(tmp_path, config, trace, monkeypatch):
     assert loaded is not None and trace_digest(loaded) == trace_digest(trace)
 
 
-def test_verify_false_skips_digest_recheck(tmp_path, config, trace):
-    cache = TraceCache(root=tmp_path, enabled=True, verify=False)
-    cache.put(config, trace)
-    assert cache.get(config) is not None
-    assert cache.verify is False
+def test_quarantining_a_torn_entry_closes_its_file(tmp_path, config, trace):
+    """Reading a truncated npz must not leak the entry's file handle
+    (``np.load(path)`` does when ``zipfile`` rejects the archive)."""
+    cache = TraceCache(root=tmp_path, enabled=True)
+    path = cache.put(config, trace)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache.get(config) is None
+        gc.collect()
+    assert cache.quarantined == 1
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == [], [str(w.message) for w in leaks]
 
 
 def test_stamp_mismatch_invalidates(tmp_path, config, trace):

@@ -268,6 +268,43 @@ def test_campaign_backend_work_queue_sweep(tmp_path):
     assert (tmp_path / "queue" / "store").is_dir()
 
 
+@pytest.mark.parametrize("observed", [False, True])
+def test_campaign_resume_twice_simulates_nothing(
+    tmp_path, monkeypatch, capsys, observed
+):
+    """``--resume DIR`` is an always-on trace cache: the second run of
+    the same sweep is all hits, even with the default cache disabled."""
+    import repro.campaign
+    from repro.runtime import trace_digest
+    from repro.workload.trace import Trace
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    argv = ["campaign", "--nodes", "8", "--days", "2", "--seeds", "0,1",
+            "--workers", "1", "--resume", str(tmp_path / "resume"),
+            "--out", str(tmp_path / "trace.jsonl")]
+    if observed:
+        argv += ["--telemetry", str(tmp_path / "tel")]
+    assert main(argv) == 0
+    first = [
+        trace_digest(Trace.load(tmp_path / f"trace-seed{seed}.jsonl"))
+        for seed in (0, 1)
+    ]
+    capsys.readouterr()
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a resumed sweep re-simulated a finished seed")
+
+    monkeypatch.setattr(repro.campaign, "run_campaign", no_simulation)
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert "(cache)" in err
+    assert "(simulated)" not in err
+    assert [
+        trace_digest(Trace.load(tmp_path / f"trace-seed{seed}.jsonl"))
+        for seed in (0, 1)
+    ] == first
+
+
 def test_campaign_malformed_backend_opt_errors(tmp_path, capsys):
     code = main(
         ["campaign", "--nodes", "8", "--days", "2", "--no-cache",

@@ -1,7 +1,6 @@
 """RunOptions: the one execution-strategy surface and its validation."""
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -22,7 +21,6 @@ def test_fields():
         "cache_dir",
         "workers",
         "resilience",
-        "checkpoint_dir",
         "backend",
         "backend_options",
     ]
@@ -76,30 +74,3 @@ def test_backend_options_normalized_to_plain_dict():
     opts = RunOptions(backend_options=MappingProxyType({"root": "/q"}))
     assert type(opts.backend_options) is dict
     assert opts.backend_options == {"root": "/q"}
-
-
-def test_inline_backend_worker_conflict_warns_exactly_once():
-    """Satellite contract: backend='inline' plus workers>1 is a real
-    conflict (inline is serial) — exactly one DeprecationWarning, then
-    the pool forces workers=1."""
-    from repro import CampaignPool
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pool = CampaignPool(options=RunOptions(backend="inline", workers=2))
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert message.startswith(
-        "CampaignPool: max_workers=2 conflicts with backend='inline'"
-    )
-    assert pool.max_workers == 1
-
-    # No conflict, no warning: unset or already-serial worker counts.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        CampaignPool(options=RunOptions(backend="inline"))
-        CampaignPool(options=RunOptions(backend="inline", workers=1))
-        CampaignPool(options=RunOptions(backend="local-pool", workers=2))

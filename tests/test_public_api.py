@@ -14,9 +14,7 @@ import repro
 
 #: The one-package import surface.  Keep sorted; additions append here.
 REPRO_ALL = [
-    "ArtifactStore",
     "Campaign",
-    "CampaignCheckpoint",
     "CampaignConfig",
     "CampaignPool",
     "ChaosPolicy",
@@ -51,7 +49,6 @@ REPRO_ALL = [
 ]
 
 BACKENDS_ALL = [
-    "ArtifactStore",
     "BACKENDS",
     "BackendCapabilities",
     "BackendError",
@@ -74,18 +71,14 @@ BACKENDS_ALL = [
 RESILIENCE_ALL = [
     "Backoff",
     "CHAOS_EXIT_CODE",
-    "CampaignCheckpoint",
     "ChaosError",
     "ChaosPolicy",
     "CircuitBreaker",
     "DEFAULT_RESILIENCE",
     "FaultySink",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
     "ResilienceConfig",
     "RetryPolicy",
     "WorkerKilled",
-    "sweep_run_id",
 ]
 
 
@@ -128,10 +121,10 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_lazy_exports_match_their_home_modules():
-    from repro.backends import ArtifactStore, ExecutionBackend, create_backend
+    from repro.backends import ExecutionBackend, create_backend
     from repro.live.analytics import LiveAnalytics
     from repro.obs.telemetry import Telemetry
-    from repro.resilience import CampaignCheckpoint, ChaosPolicy
+    from repro.resilience import ChaosPolicy
     from repro.runtime import CampaignPool, TraceCache, run_campaigns
 
     assert repro.CampaignPool is CampaignPool
@@ -140,8 +133,6 @@ def test_lazy_exports_match_their_home_modules():
     assert repro.LiveAnalytics is LiveAnalytics
     assert repro.Telemetry is Telemetry
     assert repro.ChaosPolicy is ChaosPolicy
-    assert repro.CampaignCheckpoint is CampaignCheckpoint
-    assert repro.ArtifactStore is ArtifactStore
     assert repro.ExecutionBackend is ExecutionBackend
     assert repro.create_backend is create_backend
 
