@@ -14,7 +14,6 @@ from repro.analysis.mttf_analysis import fold_mttf
 from repro.analysis.report import render_table
 from repro.core.estimators import ETTRForecaster
 from repro.core.metrics import ETTRAssumptions
-from repro.core.mttf import ettr_rf_floor
 from repro.jobtypes import QosTier
 from repro.sim.timeunits import HOUR
 from repro.workload.trace import Trace
@@ -81,8 +80,8 @@ def ettr_comparison(
     use_ground_truth: bool = True,
 ) -> ETTRComparison:
     """Compute Fig. 9 by folding the trace's job records through an
-    :class:`ETTRForecaster`, with r_f from an MTTF fold pinned to
-    ``core.mttf.ettr_rf_floor``."""
+    :class:`ETTRForecaster`, with r_f from an MTTF fold pinned to Fig. 7's
+    floor, ``core.mttf.rf_floor``."""
     if assumptions is None:
         assumptions = ETTRAssumptions()
     forecaster = ETTRForecaster(
@@ -99,7 +98,7 @@ def ettr_comparison(
             "no job runs pass the Fig. 9 cohort filter; relax "
             "min_total_runtime or qos"
         )
-    rf = fold_mttf(trace, ettr_rf_floor, use_ground_truth).failure_rate().rate
+    rf = fold_mttf(trace, use_ground_truth).failure_rate().rate
     return ETTRComparison(
         cluster_name=trace.cluster_name,
         buckets=[ETTRBucket(**row) for row in forecaster.comparison(rf)],

@@ -12,7 +12,6 @@ from repro.analysis.job_sizes import job_size_distribution
 from repro.analysis.job_status import job_status_breakdown
 from repro.analysis.mttf_analysis import fold_mttf
 from repro.analysis.report import render_table
-from repro.core.mttf import ettr_rf_floor
 from repro.workload.trace import Trace
 
 
@@ -74,7 +73,7 @@ def headline_numbers(
     status = job_status_breakdown(trace)
     sizes = job_size_distribution(trace)
     utilization = trace.total_gpu_seconds() / (trace.n_gpus * trace.span_seconds)
-    rf = fold_mttf(trace, ettr_rf_floor, use_ground_truth).failure_rate()
+    rf = fold_mttf(trace, use_ground_truth).failure_rate()
     small_gpu_time = sum(
         f for s, f in sizes.compute_fraction.items() if s <= 8
     )

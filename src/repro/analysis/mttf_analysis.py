@@ -6,7 +6,7 @@ the paper's extrapolations to 16,384 and 131,072 GPUs.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.report import render_table
 from repro.core.estimators import OnlineMTTFEstimator
@@ -70,13 +70,15 @@ class MTTFAnalysis:
 
 
 def fold_mttf(
-    trace: Trace, floor_rule: Callable[[int], int], use_ground_truth: bool
+    trace: Trace, use_ground_truth: bool, min_gpus_for_rate: int = 128
 ) -> OnlineMTTFEstimator:
     """An :class:`OnlineMTTFEstimator` folded over the trace's job records,
-    with r_f pinned to ``floor_rule(largest job's GPUs)``."""
+    with r_f pinned to ``core.mttf.rf_floor`` of the largest job — the
+    one floor of Figs. 7 and 9 and the headline numbers."""
+    largest = int(trace.columns.jobs.n_gpus.max())
     estimator = OnlineMTTFEstimator(
         use_ground_truth=use_ground_truth,
-        rf_min_gpus=floor_rule(int(trace.columns.jobs.n_gpus.max())),
+        rf_min_gpus=rf_floor(largest, min_gpus_for_rate),
     )
     for record in trace.job_records:
         estimator.observe_job(record)
@@ -97,11 +99,7 @@ def mttf_analysis(
     """
     if not trace.job_records:
         raise ValueError("trace has no job records")
-    estimator = fold_mttf(
-        trace,
-        lambda largest: rf_floor(largest, min_gpus_for_rate),
-        use_ground_truth,
-    )
+    estimator = fold_mttf(trace, use_ground_truth, min_gpus_for_rate)
     rate = estimator.failure_rate()
     return MTTFAnalysis(
         cluster_name=trace.cluster_name,

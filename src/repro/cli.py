@@ -108,6 +108,13 @@ def _render_figure(name: str, trace: Trace) -> str:
     raise KeyError(name)
 
 
+def _spec_from_args(args: argparse.Namespace) -> ClusterSpec:
+    """The ``--cluster``/``--nodes``/``--days`` cluster."""
+    if args.cluster == "rsc1":
+        return ClusterSpec.rsc1_like(n_nodes=args.nodes, campaign_days=args.days)
+    return ClusterSpec.rsc2_like(n_nodes=args.nodes, campaign_days=args.days)
+
+
 def _seed_out_path(out: str, seed: int, multi: bool) -> Path:
     """Per-seed output path: ``trace.jsonl`` -> ``trace-seed3.jsonl``."""
     path = Path(out)
@@ -142,10 +149,7 @@ def _parse_backend_opts(pairs) -> dict:
 def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.runtime import CampaignPool, seed_sweep_configs
 
-    if args.cluster == "rsc1":
-        spec = ClusterSpec.rsc1_like(n_nodes=args.nodes, campaign_days=args.days)
-    else:
-        spec = ClusterSpec.rsc2_like(n_nodes=args.nodes, campaign_days=args.days)
+    spec = _spec_from_args(args)
     base = CampaignConfig(
         cluster_spec=spec,
         duration_days=args.days,
@@ -284,12 +288,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 def cmd_live(args: argparse.Namespace) -> int:
     from repro.campaign import Campaign
-    from repro.live import (
-        CampaignTap,
-        LiveAnalytics,
-        LiveConfig,
-        replay_trace,
-    )
+    from repro.live import LiveAnalytics, LiveConfig, replay_trace, tap_campaign
     from repro.sim.timeunits import DAY
 
     overrides = {"step_days": args.step_days}
@@ -306,19 +305,24 @@ def cmd_live(args: argparse.Namespace) -> int:
 
     state = {"next_report": args.report_every, "reported_at": -1.0}
 
-    def maybe_report(analytics: "LiveAnalytics") -> None:
-        if not args.report_every:
-            return
-        emitted = False
-        while analytics.watermark / DAY >= state["next_report"]:
-            if not emitted:
-                print(analytics.report().render())
-                print()
-                emitted = True
-                state["reported_at"] = analytics.watermark
+    def maybe_report() -> None:
+        # Marks at or past the span end are left to the final report,
+        # which sees the whole stream (node items included) closed.
+        due = False
+        while (
+            analytics.watermark / DAY >= state["next_report"]
+            and state["next_report"] * DAY < analytics.config.span_seconds
+        ):
             state["next_report"] += args.report_every
-        if emitted and args.snapshot_out:
-            analytics.save_snapshot(args.snapshot_out)
+            due = True
+        if due:
+            print(analytics.report().render())
+            print()
+            state["reported_at"] = analytics.watermark
+            if args.snapshot_out:
+                analytics.save_snapshot(args.snapshot_out)
+
+    on_item = maybe_report if args.report_every else None
 
     if args.trace:
         trace = Trace.load(args.trace)
@@ -339,36 +343,17 @@ def cmd_live(args: argparse.Namespace) -> int:
             analytics = LiveAnalytics(
                 LiveConfig.for_trace(trace, **overrides), telemetry=telemetry
             )
-        bus = replay_trace(
-            trace,
-            analytics,
-            batch_size=args.batch,
-            on_batch=lambda: maybe_report(analytics),
-        )
+        replay_trace(trace, analytics, on_item=on_item)
     else:
         if args.resume:
             logger.error("--resume requires --trace (replay mode)")
             return 2
-        if args.cluster == "rsc1":
-            spec = ClusterSpec.rsc1_like(
-                n_nodes=args.nodes, campaign_days=args.days
-            )
-        else:
-            spec = ClusterSpec.rsc2_like(
-                n_nodes=args.nodes, campaign_days=args.days
-            )
+        spec = _spec_from_args(args)
         config = CampaignConfig(
             cluster_spec=spec, duration_days=args.days, seed=args.seed
         )
         analytics = LiveAnalytics(
-            LiveConfig(
-                cluster_name=spec.name,
-                n_nodes=spec.n_nodes,
-                n_gpus=spec.n_gpus,
-                span_seconds=args.days * DAY,
-                **overrides,
-            ),
-            telemetry=telemetry,
+            LiveConfig.for_config(config, **overrides), telemetry=telemetry
         )
         logger.info(
             "tapping a fresh %s campaign: %d nodes x %s days (seed %d)",
@@ -377,14 +362,7 @@ def cmd_live(args: argparse.Namespace) -> int:
             args.days,
             args.seed,
         )
-        tap = CampaignTap(
-            Campaign(config),
-            analytics,
-            batch_size=args.batch,
-            on_batch=lambda: maybe_report(analytics),
-        )
-        tap.run()
-        bus = tap.bus
+        tap_campaign(Campaign(config), analytics, on_item=on_item)
 
     if state["reported_at"] != analytics.watermark:
         print(analytics.report().render())
@@ -398,14 +376,7 @@ def cmd_live(args: argparse.Namespace) -> int:
             args.telemetry,
             args.telemetry,
         )
-    stats = bus.stats
-    logger.info(
-        "stream: %d items in %d flushes (max depth %d, dropped %d)",
-        stats.delivered,
-        stats.flushes,
-        stats.max_depth,
-        stats.dropped,
-    )
+    logger.info("stream: %d items", sum(analytics.counts.values()))
     return 0
 
 
@@ -434,24 +405,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
             sum(analytics.counts.values()),
         )
         if args.trace:
-            replay_trace(Trace.load(args.trace), analytics, batch_size=args.batch)
+            replay_trace(Trace.load(args.trace), analytics)
     elif args.trace:
         trace = Trace.load(args.trace)
         analytics = LiveAnalytics(
             LiveConfig.for_trace(trace), telemetry=telemetry
         )
-        replay_trace(trace, analytics, batch_size=args.batch)
+        replay_trace(trace, analytics)
     else:
         from repro.runtime.cache import cached_run_campaign
 
-        if args.cluster == "rsc1":
-            spec = ClusterSpec.rsc1_like(
-                n_nodes=args.nodes, campaign_days=args.days
-            )
-        else:
-            spec = ClusterSpec.rsc2_like(
-                n_nodes=args.nodes, campaign_days=args.days
-            )
+        spec = _spec_from_args(args)
         config = CampaignConfig(
             cluster_spec=spec, duration_days=args.days, seed=args.seed
         )
@@ -463,7 +427,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         analytics = LiveAnalytics(
             LiveConfig.for_trace(trace), telemetry=telemetry
         )
-        replay_trace(trace, analytics, batch_size=args.batch)
+        replay_trace(trace, analytics)
 
     run_options = None
     if getattr(args, "backend", None):
@@ -824,8 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, metavar="PATH",
                    help="restore a snapshot and continue the replay "
                         "exactly (requires --trace)")
-    p.add_argument("--batch", type=int, default=4096,
-                   help="bus flush batch size")
     p.set_defaults(func=cmd_live)
 
     p = sub.add_parser(
@@ -874,8 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grace", type=float, default=1.0,
                    help="seconds in-flight requests get to finish on "
                         "SIGTERM/SIGINT")
-    p.add_argument("--batch", type=int, default=4096,
-                   help="bus flush batch size for warm-start replay")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the content-addressed trace cache for "
                         "on-demand what-if campaigns")

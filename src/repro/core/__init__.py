@@ -44,7 +44,6 @@ from repro.core.ettr import (
 )
 from repro.core.mttf import (
     MTTFBucket,
-    ettr_rf_floor,
     rf_floor,
     project_mttf,
     mttf_projection_curve,
@@ -87,7 +86,6 @@ __all__ = [
     "monte_carlo_ettr",
     "monte_carlo_ettr_samples",
     "MTTFBucket",
-    "ettr_rf_floor",
     "rf_floor",
     "project_mttf",
     "mttf_projection_curve",

@@ -9,8 +9,8 @@ Three pieces, matching the paper's Section III:
    (:class:`MTTFBucket`).
 2. **Cluster failure rate r_f** — failures per node-day over jobs larger
    than a GPU floor (the paper uses >128 GPUs so small-job noise doesn't
-   contaminate the estimate; :func:`rf_floor` and :func:`ettr_rf_floor`
-   scale it down for small campaigns).
+   contaminate the estimate; :func:`rf_floor` scales it down for small
+   campaigns, for Figs. 7 and 9 and the headline numbers alike).
 3. **Projection** — MTTF(N) = 1 / (N_nodes * r_f), the curve the paper
    validates against buckets from 32 to 4096 GPUs and then extrapolates to
    16k (1.8 h) and 131k (0.23 h) GPUs.
@@ -64,17 +64,11 @@ class MTTFBucket:
 
 
 def rf_floor(largest_gpus: int, default: int = 128) -> int:
-    """Fig. 7's r_f GPU floor: ``default``, or half the largest job (at
-    least 8) when the campaign never runs a job above ``default``."""
+    """The r_f GPU floor: ``default``, or half the largest job (at least
+    8) when the campaign never runs a job above ``default``."""
     if largest_gpus <= default:
         return max(8, largest_gpus // 2)
     return default
-
-
-def ettr_rf_floor(largest_gpus: int) -> int:
-    """The r_f GPU floor of Fig. 9 and the headline numbers:
-    ``min(128, max(8, largest // 2))``."""
-    return min(128, max(8, largest_gpus // 2))
 
 
 def project_mttf(

@@ -1,13 +1,14 @@
 """repro.live — streaming reliability analytics over the event stream.
 
-The online counterpart of ``repro.analysis``: a bounded event bus, a
-deterministic trace replay, and a set of incrementally-updated
+The online counterpart of ``repro.analysis``: a deterministic trace
+replay, a tap on a running campaign, and a set of incrementally-updated
 estimators (rolling failure rates, per-size MTTF, ETTR forecasts, lemon
 scores, fleet gauges).  The estimators live in ``repro.core.estimators``:
 the batch figures are folds of the same classes, so both paths share one
 implementation.  See ``docs/STREAMING.md``.
 
-Two ways in:
+Replay and tap both feed one entry point, ``LiveAnalytics.ingest(time,
+channel, payload)``, one item at a time.  Two ways in:
 
 * **Replay** a finished trace::
 
@@ -21,7 +22,7 @@ Two ways in:
 
       from repro.live import live_campaign
 
-      trace, analytics, bus = live_campaign(config)
+      trace, analytics = live_campaign(config)
 
 Sessions checkpoint with ``analytics.snapshot()`` /
 ``LiveAnalytics.from_snapshot`` (exact resume), and the ``repro live``
@@ -36,24 +37,17 @@ from repro.core.estimators import (
     RollingFailureRateEstimator,
 )
 from repro.live.analytics import (
+    CHANNEL_EVENT,
+    CHANNEL_JOB,
+    CHANNEL_NODE,
+    CHANNELS,
     LIVE_SNAPSHOT_VERSION,
     LiveAnalytics,
     LiveConfig,
     LiveReport,
 )
-from repro.live.bus import (
-    CHANNEL_EVENT,
-    CHANNEL_JOB,
-    CHANNEL_NODE,
-    CHANNELS,
-    CHANNEL_RANK,
-    BusOverflow,
-    BusStats,
-    EventBus,
-    StreamItem,
-)
 from repro.live.replay import iter_trace_stream, replay_trace
-from repro.live.tap import CampaignTap, live_campaign
+from repro.live.tap import live_campaign, tap_campaign
 
 __all__ = [
     "LIVE_SNAPSHOT_VERSION",
@@ -64,11 +58,6 @@ __all__ = [
     "CHANNEL_JOB",
     "CHANNEL_EVENT",
     "CHANNEL_NODE",
-    "CHANNEL_RANK",
-    "BusOverflow",
-    "BusStats",
-    "EventBus",
-    "StreamItem",
     "ETTRForecaster",
     "FleetGauges",
     "LiveLemonEstimator",
@@ -76,6 +65,6 @@ __all__ = [
     "RollingFailureRateEstimator",
     "iter_trace_stream",
     "replay_trace",
-    "CampaignTap",
+    "tap_campaign",
     "live_campaign",
 ]

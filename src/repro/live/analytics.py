@@ -1,12 +1,11 @@
 """`LiveAnalytics`: the estimator bundle behind one live session.
 
-One instance subscribes to a bus (its ``ingest`` method is the
-consumer), routes each stream item to every estimator, tracks the
-watermark, and serves snapshots, reports, and telemetry.  Snapshots are
-plain JSON documents; ``LiveAnalytics.from_snapshot`` restores an
-instance whose continued ingestion is bit-identical to one that never
-stopped (test-enforced; Python's JSON round-trips finite floats
-exactly).
+One instance takes the stream one item at a time through ``ingest``,
+routes each item to every estimator, tracks the watermark, and serves
+snapshots, reports, and telemetry.  Snapshots are plain JSON documents;
+``LiveAnalytics.from_snapshot`` restores an instance whose continued
+ingestion is bit-identical to one that never stopped (test-enforced;
+Python's JSON round-trips finite floats exactly).
 """
 
 import json
@@ -26,13 +25,21 @@ from repro.core.estimators import (
     OnlineMTTFEstimator,
     RollingFailureRateEstimator,
 )
-from repro.live.bus import CHANNEL_EVENT, CHANNEL_JOB, CHANNEL_NODE, StreamItem
 from repro.obs.health import FleetHealthScorer, HealthReport, HealthSignals
 from repro.sim.timeunits import DAY, HOUR
 
 #: Bump when the snapshot document shape changes; restore rejects
 #: mismatches rather than guessing.
 LIVE_SNAPSHOT_VERSION = 1
+
+#: Stream channels.  At equal timestamps job items precede event items
+#: (the scheduler appends the accounting row before emitting
+#: ``sched.job_end``); node items close the stream.  ``docs/STREAMING.md``
+#: has the full ordering contract.
+CHANNEL_JOB = "job"
+CHANNEL_EVENT = "event"
+CHANNEL_NODE = "node"
+CHANNELS = (CHANNEL_JOB, CHANNEL_EVENT, CHANNEL_NODE)
 
 
 @dataclass(frozen=True)
@@ -74,6 +81,18 @@ class LiveConfig:
             **overrides,
         )
 
+    @classmethod
+    def for_config(cls, config, **overrides) -> "LiveConfig":
+        """The session for a campaign that has not run yet."""
+        spec = config.cluster_spec
+        return cls(
+            cluster_name=spec.name,
+            n_nodes=spec.n_nodes,
+            n_gpus=spec.n_gpus,
+            span_seconds=config.duration_days * DAY,
+            **overrides,
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "cluster_name": self.cluster_name,
@@ -97,15 +116,7 @@ class LiveConfig:
 class LiveAnalytics:
     """All online estimators behind one ingest point."""
 
-    def __init__(
-        self,
-        config: LiveConfig,
-        telemetry=None,
-        strict: bool = True,
-        options: Optional["RunOptions"] = None,
-    ):
-        if telemetry is None and options is not None:
-            telemetry = options.telemetry
+    def __init__(self, config: LiveConfig, telemetry=None, strict: bool = True):
         self.config = config
         self.telemetry = telemetry
         #: ``strict=True`` (default) raises on malformed stream items —
@@ -118,11 +129,7 @@ class LiveAnalytics:
         self.malformed = 0
         self.watermark = 0.0
         self.finished = False
-        self.counts: Dict[str, int] = {
-            CHANNEL_JOB: 0,
-            CHANNEL_EVENT: 0,
-            CHANNEL_NODE: 0,
-        }
+        self.counts: Dict[str, int] = dict.fromkeys(CHANNELS, 0)
         self.rolling = RollingFailureRateEstimator(
             window=config.resolved_window_days() * DAY,
             step=config.step_days * DAY,
@@ -143,7 +150,7 @@ class LiveAnalytics:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def _reject(self, item, why: str) -> None:
+    def _reject(self, why: str) -> None:
         if self.strict:
             raise ValueError(why)
         self.malformed += 1
@@ -151,23 +158,18 @@ class LiveAnalytics:
         if telemetry is not None and telemetry.enabled:
             telemetry.metrics.counter("live_malformed_total").inc()
 
-    def ingest(self, item: StreamItem) -> None:
-        """Consume one stream item (the bus subscriber).
+    def ingest(self, time: float, channel: str, payload: Any) -> None:
+        """Consume one stream item: a record on ``channel`` at ``time``.
 
         In strict mode (default) a malformed item raises ``ValueError``;
         otherwise it is counted in ``self.malformed`` and dropped before
         it can touch any estimator or the watermark.
         """
-        channel = getattr(item, "channel", None)
         if channel not in self.counts:
-            self._reject(item, f"unknown stream channel {channel!r}")
+            self._reject(f"unknown stream channel {channel!r}")
             return
-        payload = item.payload
-        time = item.time
         if payload is None or not isinstance(time, (int, float)):
-            self._reject(
-                item, f"malformed stream item on channel {channel!r}"
-            )
+            self._reject(f"malformed stream item on channel {channel!r}")
             return
         self.counts[channel] += 1
         if time > self.watermark:

@@ -30,15 +30,10 @@ sequences (columnar round trips are exact), which
 ``tests/live/test_replay_order.py`` enforces.
 """
 
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.core.columns import ColumnarTrace
-from repro.live.bus import (
-    CHANNEL_EVENT,
-    CHANNEL_JOB,
-    CHANNEL_NODE,
-    EventBus,
-)
+from repro.live.analytics import CHANNEL_EVENT, CHANNEL_JOB, CHANNEL_NODE
 from repro.workload.trace import Trace
 
 TraceLike = Union[Trace, ColumnarTrace]
@@ -55,11 +50,7 @@ def _as_trace(source: TraceLike) -> Trace:
 
 
 def iter_trace_stream(source: TraceLike):
-    """Yield ``(time, channel, payload)`` triples in stream order.
-
-    Sequence numbers are assigned by whichever bus the triples are
-    published to; the triple order itself is the contract.
-    """
+    """Yield ``(time, channel, payload)`` triples in stream order."""
     trace = _as_trace(source)
     jobs = trace.job_records
     events = trace.events
@@ -88,38 +79,23 @@ def iter_trace_stream(source: TraceLike):
 def replay_trace(
     source: TraceLike,
     analytics,
-    bus: Optional[EventBus] = None,
-    batch_size: int = 4096,
-    on_batch: Optional[Callable[[], None]] = None,
-) -> EventBus:
-    """Push a trace through a bus into a :class:`LiveAnalytics`.
+    on_item: Optional[Callable[[], None]] = None,
+) -> None:
+    """Ingest a trace's stream into a :class:`LiveAnalytics`, then close it.
 
-    Items are published in stream order and flushed every ``batch_size``
-    publishes (and at the end), so the bounded bus never overflows.
-    ``on_batch`` runs after each flush — the CLI uses it for periodic
-    reports.  If ``analytics`` has already ingested part of this stream
-    (a restored snapshot), the already-seen prefix of each channel is
-    skipped, which resumes the replay exactly where the snapshot left
-    off.  Returns the bus (with its traffic stats).
+    ``on_item`` runs after each ingested item — the CLI uses it for
+    periodic reports.  If ``analytics`` has already ingested part of
+    this stream (a restored snapshot), the already-seen prefix of each
+    channel is skipped, which resumes the replay exactly where the
+    snapshot left off.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    if bus is None:
-        bus = EventBus(capacity=max(batch_size, 2))
-    bus.subscribe(analytics.ingest)
     skip = dict(analytics.counts)  # per-channel items already ingested
     trace = _as_trace(source)
     for time, channel, payload in iter_trace_stream(trace):
         if skip.get(channel, 0) > 0:
             skip[channel] -= 1
             continue
-        bus.publish(time, channel, payload)
-        if bus.depth >= batch_size:
-            bus.flush()
-            if on_batch is not None:
-                on_batch()
-    bus.flush()
-    if on_batch is not None:
-        on_batch()
+        analytics.ingest(time, channel, payload)
+        if on_item is not None:
+            on_item()
     analytics.finish(trace.end)
-    return bus

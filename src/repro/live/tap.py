@@ -1,12 +1,10 @@
-"""Tap a running campaign into the live bus.
+"""Tap a running campaign into a live analytics session.
 
-The tap attaches to a :class:`~repro.campaign.Campaign`'s two production
-hooks — the scheduler's ``on_record`` (fires as each accounting row is
-appended) and the event log's ``listener`` (fires on every emitted
-event) — publishes each fact onto the bus, and flushes whenever the
-queue reaches the batch size, so the bounded bus never overflows while
-the simulation runs.  After the run it feeds the end-of-campaign node
-records and closes the stream.
+:func:`tap_campaign` attaches to a :class:`~repro.campaign.Campaign`'s
+two production hooks — the scheduler's ``on_record`` (fires as each
+accounting row is appended) and the event log's ``listener`` (fires on
+every emitted event) — and ingests each fact as it happens.  After the
+run it feeds the end-of-campaign node records and closes the stream.
 
 Because both hooks fire at the exact code points the trace lists are
 built from, the tapped stream carries the same items, in the same
@@ -18,118 +16,63 @@ the two ingestion modes to bit-identical final snapshots.
 from typing import Callable, Optional, Tuple
 
 from repro.campaign import Campaign, CampaignConfig
-from repro.live.analytics import LiveAnalytics, LiveConfig
-from repro.live.bus import CHANNEL_EVENT, CHANNEL_JOB, CHANNEL_NODE, EventBus
-from repro.sim.timeunits import DAY
+from repro.live.analytics import (
+    CHANNEL_EVENT,
+    CHANNEL_JOB,
+    CHANNEL_NODE,
+    LiveAnalytics,
+    LiveConfig,
+)
 from repro.workload.trace import Trace
 
 
-class CampaignTap:
-    """Wires one campaign's hooks to one bus and one analytics session."""
+def tap_campaign(
+    campaign: Campaign,
+    analytics: LiveAnalytics,
+    on_item: Optional[Callable[[], None]] = None,
+) -> Trace:
+    """Run ``campaign`` with ``analytics`` ingesting its stream live.
 
-    def __init__(
-        self,
-        campaign: Campaign,
-        analytics: LiveAnalytics,
-        bus: Optional[EventBus] = None,
-        batch_size: int = 4096,
-        on_batch: Optional[Callable[[], None]] = None,
-    ):
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.campaign = campaign
-        self.analytics = analytics
-        self.bus = bus if bus is not None else EventBus(
-            capacity=max(batch_size, 2)
-        )
-        self.batch_size = batch_size
-        self.on_batch = on_batch
-        self.bus.subscribe(analytics.ingest)
-        self._attached = False
+    Refuses hooks another consumer already holds, and detaches its own
+    even if the run raises.  ``on_item`` runs after each ingested item.
+    """
+    scheduler, event_log = campaign.scheduler, campaign.event_log
+    if scheduler.on_record is not None:
+        raise RuntimeError("scheduler.on_record is already taken")
+    if event_log.listener is not None:
+        raise RuntimeError("event_log.listener is already taken")
 
-    # ------------------------------------------------------------------
-    # hook plumbing
-    # ------------------------------------------------------------------
-    def attach(self) -> "CampaignTap":
-        if self._attached:
-            return self
-        if self.campaign.scheduler.on_record is not None:
-            raise RuntimeError("scheduler.on_record is already taken")
-        if self.campaign.event_log.listener is not None:
-            raise RuntimeError("event_log.listener is already taken")
-        self.campaign.scheduler.on_record = self._on_record
-        self.campaign.event_log.listener = self._on_event
-        self._attached = True
-        return self
+    def ingest(time, channel, payload) -> None:
+        analytics.ingest(time, channel, payload)
+        if on_item is not None:
+            on_item()
 
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        self.campaign.scheduler.on_record = None
-        self.campaign.event_log.listener = None
-        self._attached = False
-
-    def _on_record(self, record) -> None:
-        self.bus.publish(record.end_time, CHANNEL_JOB, record)
-        self._maybe_flush()
-
-    def _on_event(self, event) -> None:
-        self.bus.publish(event.time, CHANNEL_EVENT, event)
-        self._maybe_flush()
-
-    def _maybe_flush(self) -> None:
-        if self.bus.depth >= self.batch_size:
-            self.bus.flush()
-            if self.on_batch is not None:
-                self.on_batch()
-
-    # ------------------------------------------------------------------
-    # driving
-    # ------------------------------------------------------------------
-    def run(self) -> Trace:
-        """Run the campaign with the tap attached; close the stream."""
-        self.attach()
-        try:
-            trace = self.campaign.run()
-        finally:
-            self.detach()
-        for node in trace.node_records:
-            self.bus.publish(trace.end, CHANNEL_NODE, node)
-            self._maybe_flush()
-        self.bus.flush()
-        if self.on_batch is not None:
-            self.on_batch()
-        self.analytics.finish(trace.end)
-        return trace
+    scheduler.on_record = lambda record: ingest(
+        record.end_time, CHANNEL_JOB, record
+    )
+    event_log.listener = lambda event: ingest(event.time, CHANNEL_EVENT, event)
+    try:
+        trace = campaign.run()
+    finally:
+        scheduler.on_record = None
+        event_log.listener = None
+    for node in trace.node_records:
+        ingest(trace.end, CHANNEL_NODE, node)
+    analytics.finish(trace.end)
+    return trace
 
 
 def live_campaign(
-    config: CampaignConfig,
-    telemetry=None,
-    batch_size: int = 4096,
-    on_batch: Optional[Callable[[], None]] = None,
-    **analytics_overrides,
-) -> Tuple[Trace, LiveAnalytics, EventBus]:
+    config: CampaignConfig, telemetry=None, **analytics_overrides
+) -> Tuple[Trace, LiveAnalytics]:
     """Run a fresh campaign with live analytics attached.
 
-    Returns ``(trace, analytics, bus)``; ``analytics_overrides`` forward
-    to :class:`LiveConfig` (``window_days``, ``rf_min_gpus``, ...).
+    Returns ``(trace, analytics)``; ``analytics_overrides`` forward to
+    :class:`LiveConfig` (``window_days``, ``rf_min_gpus``, ...).
     """
-    spec = config.cluster_spec
-    live_config = LiveConfig(
-        cluster_name=spec.name,
-        n_nodes=spec.n_nodes,
-        n_gpus=spec.n_gpus,
-        span_seconds=config.duration_days * DAY,
-        **analytics_overrides,
+    analytics = LiveAnalytics(
+        LiveConfig.for_config(config, **analytics_overrides),
+        telemetry=telemetry,
     )
-    analytics = LiveAnalytics(live_config, telemetry=telemetry)
-    campaign = Campaign(config, telemetry=telemetry)
-    tap = CampaignTap(
-        campaign,
-        analytics,
-        batch_size=batch_size,
-        on_batch=on_batch,
-    )
-    trace = tap.run()
-    return trace, analytics, tap.bus
+    trace = tap_campaign(Campaign(config, telemetry=telemetry), analytics)
+    return trace, analytics

@@ -3,8 +3,7 @@
 :class:`RunOptions` is the single frozen, versioned surface for
 execution knobs -- telemetry, caching, pooled workers, resilience
 and the execution backend.  ``run_campaign``,
-``run_campaigns``, ``CampaignPool`` and ``repro.live`` all accept it
-uniformly::
+``run_campaigns`` and ``CampaignPool`` all accept it uniformly::
 
     from repro import RunOptions, run_campaign
 
@@ -36,7 +35,7 @@ RUN_OPTIONS_VERSION = 3
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Execution strategy for campaigns, sweeps, and live sessions.
+    """Execution strategy for campaigns and sweeps.
 
     Attributes:
         telemetry: Optional :class:`repro.obs.Telemetry` bundle observing

@@ -206,7 +206,7 @@ class ChaosPolicy:
         seconds behind the current stream time, exercising the
         late-arrival path as well as the malformed one.
         """
-        from repro.live.bus import CHANNELS
+        from repro.live.analytics import CHANNELS
 
         for index, (time, channel, payload) in enumerate(items):
             if _unit_draw(self.seed, "mangle", index) < self.malformed_item_rate:

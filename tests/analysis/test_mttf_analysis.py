@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
 
+from repro.analysis.ettr_analysis import ettr_comparison
+from repro.analysis.headline import headline_numbers
 from repro.analysis.mttf_analysis import mttf_analysis
+from repro.sim.timeunits import HOUR
 
 
 def test_buckets_cover_observed_sizes(rsc1_trace):
@@ -71,3 +76,21 @@ def test_fig7_rsc2_more_reliable(paper_rsc1_trace, paper_rsc2_trace):
     rsc1 = mttf_analysis(paper_rsc1_trace)
     rsc2 = mttf_analysis(paper_rsc2_trace)
     assert rsc2.rf_per_1000_node_days < rsc1.rf_per_1000_node_days
+
+
+def test_fig9_and_headline_share_fig7_rf_floor(rsc1_trace):
+    """With the largest job between 129 and 255 GPUs, Fig. 7's floor is
+    128 while half the largest job is below it; Fig. 9 and the headline
+    must still count r_f over the same >128-GPU jobs as Fig. 7."""
+    records = [
+        dataclasses.replace(r, n_gpus=192) if r.n_gpus > 128 else r
+        for r in rsc1_trace.job_records
+    ]
+    trace = dataclasses.replace(rsc1_trace, job_records=records)
+    sizes = {r.n_gpus for r in records}
+    assert max(sizes) == 192 and 128 in sizes  # the floors would differ
+
+    fig7 = mttf_analysis(trace).failure_rate.rate
+    fig9 = ettr_comparison(trace, min_total_runtime=12 * HOUR, qos=None)
+    assert fig9.rf_per_node_day == fig7
+    assert headline_numbers(trace).rf_per_1000_node_days == fig7 * 1000.0

@@ -9,7 +9,7 @@ from repro.core.estimators import (
     OnlineMTTFEstimator,
     RollingFailureRateEstimator,
 )
-from repro.core.mttf import ettr_rf_floor
+from repro.core.mttf import rf_floor
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.sim.events import EventRecord
 from repro.sim.timeunits import DAY, HOUR
@@ -168,7 +168,7 @@ def test_mttf_rf_pinned_vs_auto_floor():
     assert est.auto_floor() == 128
     _f, nd_auto = est.rf_inputs(est.auto_floor())
     assert nd_auto == 32.0
-    assert ettr_rf_floor(est.largest_gpus) == 128
+    assert rf_floor(est.largest_gpus) == 128
 
 
 def test_mttf_failure_rate_requires_exposure():

@@ -13,7 +13,6 @@ import pytest
 
 from repro.live import (
     LIVE_SNAPSHOT_VERSION,
-    EventBus,
     LiveAnalytics,
     LiveConfig,
     replay_trace,
@@ -31,14 +30,8 @@ def _partial(trace, fraction):
     """Ingest a prefix of the stream and return the analytics."""
     analytics = LiveAnalytics(LiveConfig.for_trace(trace))
     items = list(iter_trace_stream(trace))
-    cut = int(len(items) * fraction)
-    bus = EventBus()
-    bus.subscribe(analytics.ingest)
-    for time, channel, payload in items[:cut]:
-        bus.publish(time, channel, payload)
-        if bus.depth >= 1024:
-            bus.flush()
-    bus.flush()
+    for item in items[: int(len(items) * fraction)]:
+        analytics.ingest(*item)
     return analytics
 
 

@@ -7,11 +7,11 @@ import pytest
 from repro.campaign import Campaign, CampaignConfig
 from repro.cluster.cluster import ClusterSpec
 from repro.live import (
-    CampaignTap,
     LiveAnalytics,
     LiveConfig,
     live_campaign,
     replay_trace,
+    tap_campaign,
 )
 
 
@@ -27,8 +27,8 @@ def test_tapped_campaign_equals_replay_bit_for_bit():
     every estimator's floating-point accumulation sequence is identical
     and the final snapshots must match byte for byte.
     """
-    trace, tapped, bus = live_campaign(_config())
-    assert bus.stats.published == bus.stats.delivered > 0
+    trace, tapped = live_campaign(_config())
+    assert sum(tapped.counts.values()) > 0
 
     replayed = LiveAnalytics(LiveConfig.for_trace(trace))
     replay_trace(trace, replayed)
@@ -42,7 +42,7 @@ def test_tap_does_not_change_the_trace():
     """Attaching the tap must not perturb the simulation itself."""
     config = _config(n_nodes=12, days=8, seed=5)
     plain = Campaign(config).run()
-    tapped_trace, _analytics, _bus = live_campaign(config)
+    tapped_trace, _analytics = live_campaign(config)
     assert tapped_trace.job_records == plain.job_records
     assert tapped_trace.events == plain.events
     assert tapped_trace.node_records == plain.node_records
@@ -51,16 +51,8 @@ def test_tap_does_not_change_the_trace():
 def test_tap_detaches_hooks_after_run():
     config = _config(n_nodes=8, days=5, seed=1)
     campaign = Campaign(config)
-    analytics = LiveAnalytics(
-        LiveConfig(
-            cluster_name=config.cluster_spec.name,
-            n_nodes=config.cluster_spec.n_nodes,
-            n_gpus=config.cluster_spec.n_gpus,
-            span_seconds=config.duration_days * 86400.0,
-        )
-    )
-    tap = CampaignTap(campaign, analytics)
-    tap.run()
+    analytics = LiveAnalytics(LiveConfig.for_config(config))
+    tap_campaign(campaign, analytics)
     assert campaign.scheduler.on_record is None
     assert campaign.event_log.listener is None
 
@@ -78,20 +70,21 @@ def test_tap_refuses_taken_hooks():
         )
     )
     with pytest.raises(RuntimeError, match="already taken"):
-        CampaignTap(campaign, analytics).attach()
+        tap_campaign(campaign, analytics)
+    assert campaign.event_log.listener is None  # nothing half-attached
+    assert sum(analytics.counts.values()) == 0
 
 
-def test_tap_rejects_bad_batch_size():
+def test_on_item_runs_after_every_ingested_item():
+    seen = []
+
+    def on_item():
+        seen.append(sum(analytics.counts.values()))
+
     config = _config(n_nodes=8, days=5, seed=1)
-    analytics = LiveAnalytics(
-        LiveConfig(cluster_name="x", n_nodes=8, n_gpus=64, span_seconds=1.0)
+    analytics = LiveAnalytics(LiveConfig.for_config(config))
+    trace = tap_campaign(Campaign(config), analytics, on_item=on_item)
+    assert seen == list(range(1, len(seen) + 1))
+    assert len(seen) == (
+        len(trace.job_records) + len(trace.events) + len(trace.node_records)
     )
-    with pytest.raises(ValueError, match="batch_size"):
-        CampaignTap(Campaign(config), analytics, batch_size=0)
-
-
-def test_on_batch_fires_periodically():
-    calls = []
-    live_campaign(_config(n_nodes=8, days=5, seed=1), batch_size=256,
-                  on_batch=lambda: calls.append(1))
-    assert len(calls) >= 2  # several flush batches plus the final one

@@ -169,7 +169,7 @@ def test_live_replay_reports_and_snapshots(small_trace_path, tmp_path, capsys):
     snap = tmp_path / "live.json"
     code = main(
         ["live", "--trace", str(small_trace_path), "--report-every", "3",
-         "--snapshot-out", str(snap), "--batch", "512"]
+         "--snapshot-out", str(snap)]
     )
     assert code == 0
     assert snap.exists()
@@ -195,7 +195,7 @@ def test_live_resume_continues_bit_identically(small_trace_path, tmp_path,
                                                capsys):
     import json
 
-    from repro.live import EventBus, LiveAnalytics, LiveConfig
+    from repro.live import LiveAnalytics, LiveConfig
     from repro.live.replay import iter_trace_stream
     from repro.workload.trace import Trace
 
@@ -206,11 +206,8 @@ def test_live_resume_continues_bit_identically(small_trace_path, tmp_path,
     trace = Trace.load(small_trace_path)
     partial = LiveAnalytics(LiveConfig.for_trace(trace))
     items = list(iter_trace_stream(trace))
-    bus = EventBus()
-    bus.subscribe(partial.ingest)
-    for time, channel, payload in items[: len(items) // 2]:
-        bus.publish(time, channel, payload)
-    bus.flush()
+    for item in items[: len(items) // 2]:
+        partial.ingest(*item)
     mid = tmp_path / "mid.json"
     partial.save_snapshot(mid)
 
