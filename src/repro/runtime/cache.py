@@ -14,14 +14,19 @@ writes the npz beside it.  Each entry stores the format/schema stamps;
 a stamp mismatch or unreadable file is treated as a miss (and the entry
 discarded), never as an error.
 
-Integrity: every entry carries the trace's content digest
-(``trace_digest``) in its stamps; reads recompute and compare, so silent
-payload corruption (bit rot, a torn write that still parses) can never
-serve a wrong trace.  A failed entry — unparseable, mis-stamped, or
-digest-mismatched — is *quarantined* (moved under ``<root>/quarantine/``
-and counted), treated as a miss, and rebuilt by the next ``put``; the
-returned traces of the surrounding sweep are unaffected, which
-``tests/resilience`` asserts under chaos-driven corruption.
+Integrity: every entry ``put`` writes carries the trace's content
+digest (``trace_digest``) in its stamps; reads recompute the full digest
+of the materialized trace and compare, so silent payload corruption
+(bit rot, a torn write that still parses) can never serve a wrong trace.
+A verified hit spends most of its time rebuilding the trace's records
+(``ColumnarTrace.to_trace``) and digesting them, not decoding the npz
+(``docs/PERFORMANCE.md``, "Trace digest").  A failed entry —
+unparseable, mis-stamped, or digest-mismatched — is *quarantined*
+(moved under ``<root>/quarantine/`` and counted), treated as a miss, and
+rebuilt by the next ``put``; the returned traces of the surrounding
+sweep are unaffected, which ``tests/resilience`` asserts under
+chaos-driven corruption, and ``tests/runtime/test_cache.py`` under
+truncation, bit flips and garbage at any offset.
 
 Control knobs:
 

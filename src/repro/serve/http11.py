@@ -278,7 +278,10 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
             raise HttpError(400, "truncated request body") from None
-    parts = urlsplit(target)
+    try:
+        parts = urlsplit(target)
+    except ValueError:  # e.g. an unclosed IPv6 host: "http://[/"
+        raise HttpError(400, "malformed request target") from None
     query = dict(parse_qsl(parts.query, keep_blank_values=True))
     return Request(
         method=method.upper(),

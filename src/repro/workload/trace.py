@@ -14,6 +14,7 @@ same content as typed NumPy column blocks (built lazily, cached) — see
 
 import json
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -60,11 +61,18 @@ class NodeTraceRecord:
         return float(getattr(self, name))
 
 
-#: Row keys of the job and node tables, in field order.  Every field is
-#: a scalar (``node_ids`` is re-listed per row), so rows are built by
-#: plain attribute reads instead of ``asdict``'s recursive deep copy.
-_JOB_FIELDS = tuple(f.name for f in fields(JobAttemptRecord))
-_NODE_FIELDS = tuple(f.name for f in fields(NodeTraceRecord))
+#: The row schema: the keys of the job, node and event tables, in field
+#: order.  Every field is a scalar (``node_ids`` is re-listed per row),
+#: so rows are built by plain attribute reads instead of ``asdict``'s
+#: recursive deep copy.  ``repro.runtime.hashing`` encodes rows from the
+#: same schema without building them.
+JOB_ROW_FIELDS = tuple(f.name for f in fields(JobAttemptRecord))
+NODE_ROW_FIELDS = tuple(f.name for f in fields(NodeTraceRecord))
+EVENT_ROW_FIELDS = tuple(f.name for f in fields(EventRecord))
+
+#: Job fields whose row value is not the attribute itself: the state by
+#: value, the tier as a plain int, the node ids as a list.
+JOB_ROW_CASTS = {"state": attrgetter("value"), "qos": int, "node_ids": list}
 
 
 @dataclass
@@ -156,15 +164,14 @@ class Trace:
 
     @staticmethod
     def _job_row(rec: JobAttemptRecord) -> Dict[str, Any]:
-        row = {name: getattr(rec, name) for name in _JOB_FIELDS}
-        row["state"] = rec.state.value
-        row["qos"] = int(rec.qos)
-        row["node_ids"] = list(rec.node_ids)
+        row = {name: getattr(rec, name) for name in JOB_ROW_FIELDS}
+        for name, cast in JOB_ROW_CASTS.items():
+            row[name] = cast(row[name])
         return row
 
     @staticmethod
     def _node_row(node: NodeTraceRecord) -> Dict[str, Any]:
-        return {name: getattr(node, name) for name in _NODE_FIELDS}
+        return {name: getattr(node, name) for name in NODE_ROW_FIELDS}
 
     @staticmethod
     def _job_from_row(row: Dict[str, Any]) -> JobAttemptRecord:
@@ -176,12 +183,7 @@ class Trace:
 
     @staticmethod
     def _event_row(event: EventRecord) -> Dict[str, Any]:
-        return {
-            "time": event.time,
-            "kind": event.kind,
-            "subject": event.subject,
-            "data": event.data,
-        }
+        return {name: getattr(event, name) for name in EVENT_ROW_FIELDS}
 
     def to_dict(self) -> Dict[str, Any]:
         """Exact, JSON-compatible representation (see ``from_dict``).

@@ -1,11 +1,11 @@
-"""``canonicalize`` equals its generic form on every input.
+"""``canonicalize`` equals its verbatim reference on every input.
 
-``repro.runtime.canonicalize`` takes an exact-type fast path for the
-JSON vocabulary of a trace payload (plain str/int/float/bool/None, list,
-tuple, and dicts whose keys are all exact ``str``) before its generic
-checks.  The reference below is the function as it was before the fast
-path, kept verbatim.  Over a recursive Hypothesis strategy, and over
-named cases aimed at the fast path's type boundaries (enums that
+``repro.runtime.canonicalize`` defines every digest in the repository:
+config digests, what-if cache keys, and the text ``trace_digest`` writes
+(``tests/property/test_trace_digest_properties.py`` builds its reference
+digest on ``reference_canonicalize`` below).  The reference is the
+generic function kept verbatim.  Over a recursive Hypothesis strategy,
+and over named cases at the type boundaries of JSON (enums that
 subclass ``int``/``str``, NumPy scalars, dict subclasses, non-str and
 mixed keys, keys that JSON escapes), the two must return equal
 structures that serialize to the same canonical bytes, or raise the same
@@ -83,15 +83,15 @@ class Level(enum.IntEnum):
 
 
 class Tag(str):
-    """A str subclass: never takes the fast path."""
+    """A str subclass: canonicalizes as itself, encodes as its str."""
 
 
 class Count(int):
-    """An int subclass: never takes the fast path."""
+    """An int subclass: canonicalizes as itself, encodes as its int."""
 
 
 class Mapping(dict):
-    """A dict subclass: never takes the fast path."""
+    """A dict subclass: canonicalized like any dict."""
 
 
 @dataclass(frozen=True)

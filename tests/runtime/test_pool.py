@@ -178,9 +178,10 @@ def test_timed_sweep_cold_simulates_and_warm_loads(timed_sweep):
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "known cost: a verified cache get re-runs trace_digest over the "
-        "whole trace, so a warm sweep is only ~2x faster than a cold "
-        "one; an exact one-pass trace digest is the fix"
+        "known cost: every warm seed is a verified get, which rebuilds "
+        "the trace's records (ColumnarTrace.to_trace) and recomputes "
+        "trace_digest over them; the warm 4-seed RSC-1 32n x 20d sweep "
+        "took 0.44 s against 2.15 s cold, 4.9x, not 10x (2-vCPU host)"
     ),
 )
 def test_timed_sweep_cache_hits_10x_faster_than_simulating(timed_sweep):

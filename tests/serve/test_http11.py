@@ -4,6 +4,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serve.http11 import (
     MAX_BODY_BYTES,
@@ -149,3 +151,95 @@ def test_http_error_response_carries_retry_after():
     response = HttpError(503, "overload", retry_after=12.4).response()
     assert response.status == 503
     assert ("Retry-After", "12") in response.headers
+
+
+#: Valid requests the fuzzer mutates: a GET with a query, a POST with a
+#: JSON body, an HTTP/1.0 request with bare-LF line ends.
+VALID_REQUESTS = [
+    b"GET /v1/ettr?size=1024&verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n",
+    b"POST /v1/whatif/checkpoint-cadence HTTP/1.1\r\nHost: x\r\n"
+    b"Content-Type: application/json\r\nContent-Length: 15\r\n\r\n"
+    b'{"n_gpus": 512}',
+    b"GET /v1/health HTTP/1.0\nConnection: keep-alive\n\n",
+]
+#: Fragments that reach the parser's branches: framing, limits,
+#: separators, and targets ``urlsplit`` rejects.
+FRAGMENTS = [
+    b"\r\n", b"\n", b"\r", b":", b" ", b"\x00", b"\xff", b"%", b"?", b"#",
+    b"HTTP/1.1", b"HTTP/2.0", b"Content-Length: ", b"-1", b"1_0", b"9" * 30,
+    b"Transfer-Encoding: chunked\r\n", b"http://[", b"//[::1", b"[",
+    b"a" * 9000, b"b" * 70000,
+]
+
+
+@st.composite
+def mutated_requests(draw):
+    data = bytearray(draw(st.sampled_from(VALID_REQUESTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace", "cut"]))
+        at = draw(st.integers(0, len(data)))
+        if op == "cut":
+            del data[at:]
+            continue
+        if op == "delete":
+            del data[at: at + draw(st.integers(1, 8))]
+            continue
+        chunk = draw(
+            st.one_of(st.sampled_from(FRAGMENTS), st.binary(max_size=8))
+        )
+        if op == "replace":
+            data[at: at + len(chunk)] = chunk
+        else:
+            data[at:at] = chunk
+    return bytes(data)
+
+
+@st.composite
+def assembled_requests(draw):
+    """Requests built from fuzzed parts: method, target (origin- and
+    absolute-form), version, headers, body and line ends."""
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    target = draw(st.sampled_from(["", "/", "//", "http://", "http://h"]))
+    target += draw(st.text(alphabet="/:[]?#%&=@.aZ09-_~ ", max_size=16))
+    line = " ".join([
+        draw(st.sampled_from(["GET", "POST", "get", "BREW", ""])),
+        target,
+        draw(st.sampled_from(
+            ["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "http/1.1"]
+        )),
+    ])
+    headers = draw(st.lists(
+        st.tuples(
+            st.sampled_from([
+                "Host", "Content-Length", "Transfer-Encoding", "Connection",
+                "X-Pad", "",
+            ]),
+            st.text(alphabet="0123456789-+_ abc\t", max_size=8),
+        ),
+        max_size=4,
+    ))
+    head = [line] + [f"{name}:{value}" for name, value in headers]
+    return (
+        eol.join(part.encode("latin-1") for part in head)
+        + eol + eol + draw(st.binary(max_size=32))
+    )
+
+
+@given(raw=st.one_of(
+    st.binary(max_size=256), mutated_requests(), assembled_requests()
+))
+@example(raw=b"GET http://[/ HTTP/1.1\r\n\r\n")
+@example(raw=b"GET / HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n")
+@example(raw=b"GET / HTTP/1.1\r\nX: " + b"v" * 70000 + b"\r\n\r\n")
+@settings(deadline=None, max_examples=600)
+def test_arbitrary_bytes_parse_or_fail_cleanly(raw):
+    """Whatever arrives, ``read_request`` returns a Request, returns None
+    (clean EOF), or raises HttpError with a status the protocol names."""
+    try:
+        request = parse(raw)
+    except HttpError as err:
+        assert err.status in {400, 413, 431, 501}, err.status
+        return
+    assert request is None or isinstance(request, Request)
+    if request is None:
+        assert raw == b""
