@@ -12,7 +12,6 @@ would not fit, so a 128-node campaign exhibits the same *shapes* as a
 """
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Optional, TYPE_CHECKING
 
@@ -80,13 +79,6 @@ class CampaignConfig:
         if self.cluster_spec.name.startswith("RSC-2"):
             return rsc2_profile()
         return rsc1_profile()
-
-
-def _phase_timer(telemetry: Optional["Telemetry"], observing: bool, phase: str):
-    """Per-phase profiling timer; a no-op context when telemetry is off."""
-    if not observing:
-        return nullcontext()
-    return telemetry.metrics.timer("campaign_phase_seconds", phase=phase)
 
 
 class Campaign:
@@ -170,15 +162,6 @@ class Campaign:
                     node_id=node.node_id,
                 )
                 if observing:
-                    telemetry.tracer.emit(
-                        "lemon.flagged",
-                        node.name,
-                        self.engine.now,
-                        node_id=node.node_id,
-                        votes=self._detector.policy.votes(
-                            lambda name: node.counters.as_dict()[name]
-                        ),
-                    )
                     telemetry.metrics.counter(
                         "lemon_nodes_flagged_total"
                     ).inc()
@@ -194,16 +177,6 @@ class Campaign:
         t0 = time.perf_counter()
         span = self.config.duration_days * DAY
         telemetry = self.telemetry
-        observing = telemetry is not None and telemetry.enabled
-        if observing:
-            telemetry.tracer.emit(
-                "campaign.begin",
-                self.config.cluster_spec.name,
-                0.0,
-                seed=self.config.seed,
-                n_nodes=self.config.cluster_spec.n_nodes,
-                duration_days=self.config.duration_days,
-            )
         self.scheduler.on_job_completed = self._submit_continuation
         with maybe_span(
             telemetry,
@@ -212,21 +185,15 @@ class Campaign:
             cluster=self.config.cluster_spec.name,
             duration_days=self.config.duration_days,
         ):
-            with _phase_timer(telemetry, observing, "generate"), maybe_span(
-                telemetry, "phase:generate"
-            ):
+            with maybe_span(telemetry, "phase:generate"):
                 for spec in self.generator.generate(0.0, span):
                     # Eligibility is deferred to each spec's submit_time.
                     self.scheduler.submit(spec)
-            with _phase_timer(telemetry, observing, "simulate"), maybe_span(
-                telemetry, "phase:simulate"
-            ):
+            with maybe_span(telemetry, "phase:simulate"):
                 self.cluster.start()
                 self.engine.run_until(span, max_events=self.config.max_events)
                 self.scheduler.stop()
-            with _phase_timer(telemetry, observing, "build_trace"), maybe_span(
-                telemetry, "phase:build_trace"
-            ):
+            with maybe_span(telemetry, "phase:build_trace"):
                 trace = self._build_trace(span)
         elapsed = time.perf_counter() - t0
         executed = self.engine.executed_events
@@ -239,22 +206,6 @@ class Campaign:
             "events_per_sec": executed / elapsed if elapsed > 0 else 0.0,
             "source": "simulated",
         }
-        if observing:
-            telemetry.tracer.emit(
-                "campaign.end",
-                self.config.cluster_spec.name,
-                span,
-                seed=self.config.seed,
-                events_executed=executed,
-                wall_time_s=elapsed,
-            )
-            telemetry.metrics.counter("campaigns_run_total").inc()
-            telemetry.metrics.counter("engine_events_executed_total").inc(
-                executed
-            )
-            telemetry.metrics.histogram("campaign_wall_seconds").observe(
-                elapsed
-            )
         return trace
 
     def _build_trace(self, span: float) -> Trace:

@@ -159,18 +159,6 @@ class FailureInjector:
         self.incidents.append(incident)
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            telemetry.tracer.emit(
-                "failure.injected",
-                node.name,
-                t,
-                node_id=node_id,
-                incident_id=incident.incident_id,
-                component=component.value,
-                failure_class=failure_class.value,
-                attributed=incident.attributed,
-                heartbeat_only=heartbeat_only,
-                detection_latency_s=detection_time - t,
-            )
             metrics = telemetry.metrics
             metrics.counter(
                 "failures_injected_total", component=component.value

@@ -235,20 +235,6 @@ class HealthMonitor:
             incident_id=incident_id,
             component=component.value,
         )
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.tracer.emit(
-                "health.heartbeat_only",
-                f"node-{node_id:05d}",
-                t,
-                node_id=node_id,
-                incident_id=incident_id,
-                component=component.value,
-                detection_time=detection_time,
-            )
-            telemetry.metrics.counter(
-                "health_heartbeat_only_total"
-            ).inc()
         return [], detection_time, True
 
     def _fire(
@@ -281,19 +267,6 @@ class HealthMonitor:
         )
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            # Traced at the incident time t (not result.time) so the
-            # telemetry stream stays monotone per category.
-            telemetry.tracer.emit(
-                "health.check_fired",
-                f"node-{node_id:05d}",
-                t,
-                node_id=node_id,
-                check=check.name,
-                severity=int(check.severity),
-                component=component.value,
-                incident_id=incident_id,
-                latency_s=latency,
-            )
             telemetry.metrics.counter(
                 "health_checks_fired_total", check=check.name
             ).inc()

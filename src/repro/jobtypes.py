@@ -8,6 +8,7 @@ workload <-> scheduler import cycle.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -104,6 +105,17 @@ class JobAttemptRecord:
     instigator_job_id: Optional[int] = None
 
     def __post_init__(self):
+        # NaN slips through every ordering check below, so test first.
+        if not (
+            math.isfinite(self.enqueue_time)
+            and math.isfinite(self.start_time)
+            and math.isfinite(self.end_time)
+        ):
+            raise ValueError(
+                f"job {self.job_id} attempt {self.attempt}: non-finite time "
+                f"(enqueue {self.enqueue_time}, start {self.start_time}, "
+                f"end {self.end_time})"
+            )
         if self.end_time < self.start_time:
             raise ValueError(
                 f"job {self.job_id} attempt {self.attempt}: "

@@ -1,8 +1,10 @@
 """repro.obs — telemetry: structured tracing, metrics, profiling hooks.
 
-The observability layer turns the simulator into a producer of the same
-kinds of operational streams the paper analyzes (accounting logs,
-health-check event streams, repair tickets):
+The paper's evidence — accounting logs, health-check event streams,
+repair tickets — is what a campaign's ``Trace`` records.  The
+observability layer adds what the trace cannot hold: how much (metrics),
+how long (spans), and the few events no other record carries.  Its
+modules:
 
 * :mod:`repro.obs.tracer` — :class:`Tracer` emits typed, timestamped
   :class:`ObsEvent` records (sim-time + wall-time, category, attrs) to a

@@ -145,7 +145,7 @@ class HealthSignals:
     def from_summary(cls, summary, n_nodes: int) -> "HealthSignals":
         """Build signals from an :class:`repro.obs.summary.ObsSummary`.
 
-        Telemetry streams carry injections and recovery actions but not
+        Metrics snapshots carry injections and recovery actions but not
         remediation state, so ``nodes_down`` stays 0 on this path; the
         failure-injection and resilience counters carry the signal.
         """

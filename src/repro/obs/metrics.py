@@ -159,8 +159,8 @@ class Timer:
 
     ::
 
-        with registry.timer("campaign_phase_seconds", phase="simulate"):
-            engine.run_until(span)
+        with registry.timer("pool_sweep_wall_seconds"):
+            pool.run(configs)
     """
 
     def __init__(

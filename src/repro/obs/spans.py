@@ -19,13 +19,11 @@ Spans follow the telemetry contract everywhere: off by default, gated on
 the tracer's ``enabled`` flag, and never touching any RNG stream — an
 instrumented run stays digest-identical to an uninstrumented one.
 
-Completed spans surface three ways:
-
-* in memory on :attr:`SpanTracer.records` (bounded; see ``max_records``),
-* as ``span.end`` events on the tracer's sink, so ``repro obs summary``
-  can render p50/p95 phase tables from a stream alone,
-* as Chrome trace-event JSON (:func:`write_chrome_trace`), loadable in
-  ``chrome://tracing`` / Perfetto via ``repro obs profile``.
+Each completed span has one record: a ``span.end`` event on the
+tracer's sink.  ``repro obs summary`` renders p50/p95 phase tables from
+those events, and :func:`spans_from_stream` plus
+:func:`write_chrome_trace` turn them into Chrome trace-event JSON,
+loadable in ``chrome://tracing`` / Perfetto via ``repro obs profile``.
 
 ``span.end`` events are emitted at completion in completion order, with
 ``sim_time`` carrying the span's *wall-clock offset* since the span
@@ -46,12 +44,6 @@ from repro.obs.tracer import Tracer
 
 #: Category of the one event each completed span emits.
 SPAN_END_CATEGORY = "span.end"
-
-#: Default bound on in-memory span records.  High-frequency spans
-#: (scheduler passes) can outnumber it on long runs; overflow is counted
-#: in :attr:`SpanTracer.dropped`, and the event stream still carries
-#: every span.
-DEFAULT_MAX_RECORDS = 262_144
 
 
 @dataclass
@@ -86,7 +78,7 @@ class SpanRecord:
 
 
 class SpanTracer:
-    """Maintains the open-span stack and records completed spans.
+    """Maintains the open-span stack and emits completed spans.
 
     One :class:`SpanTracer` lives on each
     :class:`~repro.obs.telemetry.Telemetry` bundle (``telemetry.spans``)
@@ -94,17 +86,8 @@ class SpanTracer:
     stream as everything else and obey the same enabled gate.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        max_records: int = DEFAULT_MAX_RECORDS,
-    ):
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1")
+    def __init__(self, tracer: Optional[Tracer] = None):
         self.tracer = tracer
-        self.max_records = max_records
-        self.records: List[SpanRecord] = []
-        self.dropped = 0
         self._stack: List[SpanRecord] = []
         self._next_id = 0
         self._epoch = time.perf_counter()
@@ -149,10 +132,6 @@ class SpanTracer:
             ) - record.start_s
             record.cpu_s = time.process_time() - cpu0
             self._stack.pop()
-            if len(self.records) < self.max_records:
-                self.records.append(record)
-            else:
-                self.dropped += 1
             tracer = self.tracer
             if tracer is not None and tracer.enabled:
                 # sim_time is the span's *end* wall offset: span.end
@@ -170,9 +149,6 @@ class SpanTracer:
                     cpu_s=record.cpu_s,
                     **record.attrs,
                 )
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def maybe_span(telemetry, name: str, **attrs: Any):
@@ -346,7 +322,6 @@ def span_phase_stats(
 
 
 __all__ = [
-    "DEFAULT_MAX_RECORDS",
     "PhaseStat",
     "SPAN_END_CATEGORY",
     "SpanRecord",

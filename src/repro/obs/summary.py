@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import load_snapshot
+from repro.obs.spans import SPAN_END_CATEGORY, phase_stats
 from repro.obs.telemetry import EVENTS_SUFFIX, METRICS_SUFFIX
 
 
@@ -97,14 +98,24 @@ def _fmt_seconds(s: float) -> str:
     return f"{s * 1e6:.1f}us"
 
 
+def _add(counts: Dict[str, int], key: str, value: int) -> None:
+    counts[key] = counts.get(key, 0) + value
+
+
 @dataclass
 class ObsSummary:
-    """Aggregated view over one or more telemetry streams."""
+    """Aggregated view over one or more telemetry streams.
+
+    Every count comes from the metrics snapshots, each fact from the one
+    metric that records it; the event streams contribute only their own
+    volume (``n_events``, ``by_category``) and the ``span.end`` timings.
+    """
 
     streams: List[str] = field(default_factory=list)
     n_events: int = 0
     by_category: Dict[str, int] = field(default_factory=dict)
-    #: label group -> (executions, total wall seconds) from sim.execute.
+    #: label group -> (executions, total wall seconds), from the
+    #: ``sim_event_duration_seconds{label}`` histograms.
     label_timings: Dict[str, Tuple[int, float]] = field(default_factory=dict)
     failures_by_component: Dict[str, int] = field(default_factory=dict)
     failures_attributed: int = 0
@@ -114,9 +125,6 @@ class ObsSummary:
     cache_hits: int = 0
     cache_misses: int = 0
     sched_attempts_by_state: Dict[str, int] = field(default_factory=dict)
-    engine_events_executed: int = 0
-    engine_wall_seconds: float = 0.0
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: counter name -> value for ``resilience_*_total`` recovery
     #: counters (retries, respawns, quarantines, timeouts, ...), plus
     #: the tracer degradation signals (``tracer_self_disabled``,
@@ -125,6 +133,14 @@ class ObsSummary:
     #: span name -> wall durations (seconds) from ``span.end`` events;
     #: feeds the p50/p95 phase table.
     span_durations: Dict[str, List[float]] = field(default_factory=dict)
+
+    @property
+    def engine_events_executed(self) -> int:
+        return sum(count for count, _ in self.label_timings.values())
+
+    @property
+    def engine_wall_seconds(self) -> float:
+        return sum(total for _, total in self.label_timings.values())
 
     @property
     def cache_hit_ratio(self) -> Optional[float]:
@@ -144,51 +160,10 @@ class ObsSummary:
     # ------------------------------------------------------------------
     def add_event(self, payload: Dict[str, Any]) -> None:
         category = payload["category"]
-        attrs = payload.get("attrs", {})
         self.n_events += 1
-        self.by_category[category] = self.by_category.get(category, 0) + 1
-        if category == "sim.execute":
-            group = attrs.get("group", payload.get("label", "")) or "unlabeled"
-            count, total = self.label_timings.get(group, (0, 0.0))
-            self.label_timings[group] = (
-                count + 1,
-                total + float(attrs.get("duration_s", 0.0)),
-            )
-            self.engine_events_executed += 1
-            self.engine_wall_seconds += float(attrs.get("duration_s", 0.0))
-        elif category == "failure.injected":
-            component = attrs.get("component", "unknown")
-            self.failures_by_component[component] = (
-                self.failures_by_component.get(component, 0) + 1
-            )
-            if attrs.get("attributed"):
-                self.failures_attributed += 1
-            else:
-                self.failures_unattributed += 1
-        elif category in ("health.check_fired", "health.heartbeat_only"):
-            check = attrs.get("check", "node_fail_heartbeat")
-            self.checks_fired[check] = self.checks_fired.get(check, 0) + 1
-        elif category == "lemon.flagged":
-            self.lemon_flags += 1
-        elif category == "cache.hit":
-            self.cache_hits += 1
-        elif category == "cache.miss":
-            self.cache_misses += 1
-        elif category == "sched.finish":
-            state = attrs.get("state", "unknown")
-            self.sched_attempts_by_state[state] = (
-                self.sched_attempts_by_state.get(state, 0) + 1
-            )
-        elif category == "resilience.retry":
-            self.resilience["resilience_retries_total"] = (
-                self.resilience.get("resilience_retries_total", 0) + 1
-            )
-        elif category == "cache.quarantine":
-            self.resilience["resilience_cache_quarantined_total"] = (
-                self.resilience.get("resilience_cache_quarantined_total", 0)
-                + 1
-            )
-        elif category == "span.end":
+        _add(self.by_category, category, 1)
+        if category == SPAN_END_CATEGORY:
+            attrs = payload.get("attrs", {})
             name = attrs.get("name") or payload.get("label") or "span"
             self.span_durations.setdefault(str(name), []).append(
                 float(attrs.get("dur_s", 0.0))
@@ -196,24 +171,41 @@ class ObsSummary:
 
     def add_metrics_snapshot(self, snapshot: Dict[str, Any]) -> None:
         for entry in snapshot.get("counters", []):
-            name = entry.get("name")
+            name = entry.get("name") or ""
+            labels = entry.get("labels", {})
             value = int(entry.get("value", 0))
-            if name == "trace_cache_hits_total":
+            if name == "failures_injected_total":
+                _add(
+                    self.failures_by_component,
+                    labels.get("component", "unknown"),
+                    value,
+                )
+            elif name == "failures_attributed_total":
+                self.failures_attributed += value
+            elif name == "failures_unattributed_total":
+                # A failure no check attributed is caught by the
+                # heartbeat alone.
+                self.failures_unattributed += value
+                _add(self.checks_fired, "node_fail_heartbeat", value)
+            elif name == "health_checks_fired_total":
+                _add(self.checks_fired, labels.get("check", "unknown"), value)
+            elif name == "lemon_nodes_flagged_total":
+                self.lemon_flags += value
+            elif name == "sched_attempts_total":
+                _add(
+                    self.sched_attempts_by_state,
+                    labels.get("state", "unknown"),
+                    value,
+                )
+            elif name == "trace_cache_hits_total":
                 self.cache_hits += value
             elif name == "trace_cache_misses_total":
                 self.cache_misses += value
-            elif name and name.startswith("resilience_"):
-                # Event-derived counts (resilience.retry/cache.quarantine
-                # streams) already cover the tracer-enabled case; prefer
-                # the registry value when both exist rather than double
-                # counting.
-                self.resilience[name] = max(
-                    self.resilience.get(name, 0), value
-                )
-            elif name == "tracer_sink_errors_total":
-                self.resilience[name] = max(
-                    self.resilience.get(name, 0), value
-                )
+            elif (
+                name.startswith("resilience_")
+                or name == "tracer_sink_errors_total"
+            ):
+                _add(self.resilience, name, value)
         for entry in snapshot.get("gauges", []):
             if entry.get("name") == "tracer_self_disabled":
                 self.resilience["tracer_self_disabled"] = max(
@@ -221,11 +213,12 @@ class ObsSummary:
                     int(float(entry.get("value", 0.0))),
                 )
         for entry in snapshot.get("histograms", []):
-            if entry.get("name") == "campaign_phase_seconds":
-                phase = entry.get("labels", {}).get("phase", "unknown")
-                self.phase_seconds[phase] = (
-                    self.phase_seconds.get(phase, 0.0)
-                    + float(entry.get("sum", 0.0))
+            if entry.get("name") == "sim_event_duration_seconds":
+                group = entry.get("labels", {}).get("label", "unlabeled")
+                count, total = self.label_timings.get(group, (0, 0.0))
+                self.label_timings[group] = (
+                    count + int(entry.get("count", 0)),
+                    total + float(entry.get("sum", 0.0)),
                 )
 
     # ------------------------------------------------------------------
@@ -331,21 +324,7 @@ class ObsSummary:
                 f"(hit ratio {100.0 * ratio:.1f}%)"
             )
 
-        if self.phase_seconds:
-            rows = [
-                (phase, _fmt_seconds(total))
-                for phase, total in sorted(
-                    self.phase_seconds.items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            ]
-            parts.append(
-                "\nCampaign phases (wall time)\n"
-                + _table(["phase", "total"], rows)
-            )
-
         if self.span_durations:
-            from repro.obs.spans import phase_stats
-
             rows = [
                 (
                     stat.name,

@@ -105,13 +105,11 @@ class Telemetry:
         """Expose the tracer's degradation state in the metrics snapshot.
 
         Sink-error self-disable used to be silent; now every snapshot
-        records whether (and how hard) the event stream degraded, and
-        the span profiler's volume.  Registered only when there is
-        something to report or the bundle was ever live, so a disabled
-        bundle's registry stays empty.
+        records whether (and how hard) the event stream degraded.
+        Registered only when there is something to report or the bundle
+        was ever live, so a disabled bundle's registry stays empty.
         """
         tracer = self.tracer
-        spans = self.spans
         if not (
             tracer.enabled
             or tracer.self_disabled
@@ -127,10 +125,6 @@ class Telemetry:
             metrics.counter("tracer_sink_errors_total").inc(
                 tracer.sink_errors
             )
-        if len(spans) or spans.dropped:
-            metrics.counter("spans_recorded_total").inc(len(spans))
-            if spans.dropped:
-                metrics.counter("spans_dropped_total").inc(spans.dropped)
 
     def __repr__(self) -> str:
         return (

@@ -1,10 +1,14 @@
 """Structured event tracing: typed, timestamped records with pluggable sinks.
 
-The tracer is the simulator's own operational log — the analogue of the
-health-check event streams and Slurm accounting logs the paper mines.
-Instrumented subsystems (the event engine, failure injector, health
-monitor, scheduler, runtime pool/cache) emit :class:`ObsEvent` records
-through one :class:`Tracer`; where the events land is a sink decision:
+The tracer carries what no other record holds: span timings
+(``span.end``), engine callback errors (``sim.error``), pool retries
+(``resilience.retry``) and quarantined cache entries
+(``cache.quarantine``).  Simulated facts — job attempts, failures,
+health checks, quarantines — live in the trace itself (the analogue of
+the accounting logs and health-check streams the paper mines), and
+counts in the metrics registry.  Instrumented code emits
+:class:`ObsEvent` records through one :class:`Tracer`; where the events
+land is a sink decision:
 
 * :class:`RingBufferSink` — bounded in-memory buffer for tests and
   interactive inspection,
@@ -47,8 +51,8 @@ class ObsEvent:
         sim_time: Simulation clock at emission (seconds).  Within one
             campaign run, non-decreasing per category.
         wall_time: Host ``perf_counter`` clock at emission.
-        category: Namespaced event category (``"sim.execute"``,
-            ``"failure.injected"``, ``"cache.hit"``, ...).
+        category: Namespaced event category (``"span.end"``,
+            ``"sim.error"``, ``"cache.quarantine"``, ...).
         label: The concerned entity or engine-event label.
         attrs: Free-form JSON-serializable payload.
     """

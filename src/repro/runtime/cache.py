@@ -15,17 +15,18 @@ a stamp mismatch or unreadable file is treated as a miss (and the entry
 discarded), never as an error.
 
 Integrity: every entry ``put`` writes carries the trace's content
-digest (``trace_digest``) in its stamps; reads recompute the full digest
-of the materialized trace and compare, so silent payload corruption
-(bit rot, a torn write that still parses) can never serve a wrong trace.
+digest (``trace_digest``) in its ``trace_sha`` stamp; reads recompute
+the full digest of the materialized trace and compare, so silent payload
+corruption (bit rot, a torn write that still parses) can never serve a
+wrong trace.  An entry without the stamp fails like a mismatched one.
 A verified hit spends most of its time rebuilding the trace's records
 (``ColumnarTrace.to_trace``) and digesting them, not decoding the npz
 (``docs/PERFORMANCE.md``, "Trace digest").  A failed entry —
-unparseable, mis-stamped, or digest-mismatched — is *quarantined*
-(moved under ``<root>/quarantine/`` and counted), treated as a miss, and
-rebuilt by the next ``put``; the returned traces of the surrounding
-sweep are unaffected, which ``tests/resilience`` asserts under
-chaos-driven corruption, and ``tests/runtime/test_cache.py`` under
+unparseable, mis-stamped, unstamped, or digest-mismatched — is
+*quarantined* (moved under ``<root>/quarantine/`` and counted), treated
+as a miss, and rebuilt by the next ``put``; the returned traces of the
+surrounding sweep are unaffected, which ``tests/resilience`` asserts
+under chaos-driven corruption, and ``tests/runtime/test_cache.py`` under
 truncation, bit flips and garbage at any offset.
 
 Control knobs:
@@ -140,27 +141,16 @@ class TraceCache:
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
-        #: obs.Telemetry bundle; hit/miss/write traffic is mirrored into
-        #: its tracer + registry when enabled.  Reassignable per call site
+        #: obs.Telemetry bundle; hit/miss/write/quarantine traffic is
+        #: counted in its registry when enabled, and each quarantine is
+        #: traced with the entry's digest.  Reassignable per call site
         #: (the CLI routes each seed's cache traffic to that seed's stream).
         self.telemetry = telemetry
 
-    def _observe(self, outcome: str, digest: str) -> None:
+    def _count(self, counter: str) -> None:
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            # sim_time 0.0: cache traffic happens outside simulation time.
-            telemetry.tracer.emit(
-                f"cache.{outcome}", digest[:12], 0.0, digest=digest
-            )
-            if outcome == "quarantine":
-                telemetry.metrics.counter(
-                    "resilience_cache_quarantined_total"
-                ).inc()
-                return
-            plural = {"hit": "hits", "miss": "misses", "write": "writes"}
-            telemetry.metrics.counter(
-                f"trace_cache_{plural[outcome]}_total"
-            ).inc()
+            telemetry.metrics.counter(counter).inc()
 
     # ------------------------------------------------------------------
     # addressing
@@ -195,7 +185,13 @@ class TraceCache:
             except OSError:
                 return
         self.quarantined += 1
-        self._observe("quarantine", digest)
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
+            # sim_time 0.0: cache traffic happens outside simulation time.
+            telemetry.tracer.emit(
+                "cache.quarantine", digest[:12], 0.0, digest=digest
+            )
+        self._count("resilience_cache_quarantined_total")
 
     # ------------------------------------------------------------------
     # read / write
@@ -213,15 +209,16 @@ class TraceCache:
                 raise ValueError("stale or mismatched cache entry")
             fh.seek(0)
             columns = ColumnarTrace.load_npz(fh)
-        trace = columns.to_trace()
         stored_sha = stamps.get("trace_sha")
-        if stored_sha is not None:
-            actual = trace_digest(trace)
-            if actual != stored_sha:
-                raise ValueError(
-                    f"cache entry integrity failure: stored trace digest "
-                    f"{stored_sha[:12]} != recomputed {actual[:12]}"
-                )
+        if not isinstance(stored_sha, str):
+            raise ValueError("cache entry carries no trace digest")
+        trace = columns.to_trace()
+        actual = trace_digest(trace)
+        if actual != stored_sha:
+            raise ValueError(
+                f"cache entry integrity failure: stored trace digest "
+                f"{stored_sha[:12]} != recomputed {actual[:12]}"
+            )
         return trace
 
     def get(self, config: "CampaignConfig") -> Optional[Trace]:
@@ -252,10 +249,10 @@ class TraceCache:
             self._quarantine(path, digest)
         if trace is None:
             self.misses += 1
-            self._observe("miss", digest)
+            self._count("trace_cache_misses_total")
             return None
         self.hits += 1
-        self._observe("hit", digest)
+        self._count("trace_cache_hits_total")
         if self.source_label is not None:
             runtime = dict(trace.metadata.get("runtime", {}))
             runtime["source"] = self.source_label
@@ -303,7 +300,7 @@ class TraceCache:
                     pass
                 raise
         self.writes += 1
-        self._observe("write", digest)
+        self._count("trace_cache_writes_total")
         return path
 
     # ------------------------------------------------------------------

@@ -146,10 +146,10 @@ class CampaignPool:
                 (honors ``REPRO_TRACE_CACHE``), or ``False`` to disable
                 caching for this pool.
             telemetry: Optional :class:`repro.obs.Telemetry`; the pool
-                accounts into its registry (and emits dispatch events when
-                the tracer is enabled).  Without one, the pool still owns
-                a private :class:`MetricsRegistry` — ``last_stats`` is
-                always derived from registry counters.
+                accounts into its registry (and traces its spans and
+                retries when the tracer is enabled).  Without one, the
+                pool still owns a private :class:`MetricsRegistry` —
+                ``last_stats`` is always derived from registry counters.
             resilience: Recovery posture (retry budget, chaos injection,
                 circuit breaker); ``None`` uses the default policy.
             options: A :class:`repro.RunOptions`; fills any of the above
@@ -267,21 +267,6 @@ class CampaignPool:
             respawns=delta("resilience_worker_respawns_total"),
             backend=self.backend,
         )
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.tracer.emit(
-                "pool.sweep",
-                f"{len(configs)}-campaigns",
-                0.0,
-                campaigns=self.last_stats.campaigns,
-                cache_hits=self.last_stats.cache_hits,
-                simulated=self.last_stats.simulated,
-                workers=self.last_stats.workers,
-                wall_time_s=self.last_stats.wall_time_s,
-                retries=self.last_stats.retries,
-                respawns=self.last_stats.respawns,
-                backend=self.backend,
-            )
         return [t for t in results if t is not None]
 
     # ------------------------------------------------------------------

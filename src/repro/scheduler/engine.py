@@ -120,14 +120,6 @@ class SlurmLikeScheduler:
         self.jobs[spec.job_id] = job
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            telemetry.tracer.emit(
-                "sched.submit",
-                f"job-{spec.job_id}",
-                self.engine.now,
-                job_id=spec.job_id,
-                n_gpus=spec.n_gpus,
-                submit_time=spec.submit_time,
-            )
             telemetry.metrics.counter("sched_jobs_submitted_total").inc()
         if self.engine.now >= spec.submit_time:
             job.enqueue_time = self.engine.now
@@ -201,14 +193,6 @@ class SlurmLikeScheduler:
         observing = telemetry is not None and telemetry.enabled
         for victim in plan.victims:
             if observing:
-                telemetry.tracer.emit(
-                    "sched.preempt",
-                    f"job-{victim.job_id}",
-                    now,
-                    job_id=victim.job_id,
-                    instigator_job_id=job.job_id,
-                    n_gpus=victim.n_gpus,
-                )
                 telemetry.metrics.counter("sched_preemptions_total").inc()
             self._interrupt(
                 victim,
@@ -236,15 +220,6 @@ class SlurmLikeScheduler:
         self.running.add(job.job_id)
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            telemetry.tracer.emit(
-                "sched.start",
-                f"job-{job.job_id}",
-                now,
-                job_id=job.job_id,
-                attempt=job.attempt,
-                n_gpus=job.n_gpus,
-                nodes=len(nodes),
-            )
             telemetry.metrics.counter("sched_attempts_started_total").inc()
         if self.preflight is not None and self.preflight.applies_to(job.n_nodes):
             # Hold the allocation while the hardware battery runs; the
@@ -364,15 +339,6 @@ class SlurmLikeScheduler:
         )
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            telemetry.tracer.emit(
-                "sched.finish",
-                f"job-{job.job_id}",
-                self.engine.now,
-                job_id=job.job_id,
-                attempt=record.attempt,
-                state=record.state.value,
-                n_gpus=record.n_gpus,
-            )
             telemetry.metrics.counter(
                 "sched_attempts_total", state=record.state.value
             ).inc()
@@ -459,14 +425,6 @@ class SlurmLikeScheduler:
                 self.pending.append(job)
                 telemetry = self.telemetry
                 if telemetry is not None and telemetry.enabled:
-                    telemetry.tracer.emit(
-                        "sched.requeue",
-                        f"job-{job.job_id}",
-                        now,
-                        job_id=job.job_id,
-                        failing_node_id=node.node_id,
-                        requeues_used=job.requeues_used,
-                    )
                     telemetry.metrics.counter("sched_requeues_total").inc()
         self.index.remove(node.node_id)
         self._request_pass()

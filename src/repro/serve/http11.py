@@ -259,19 +259,27 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             raise HttpError(400, "undecodable header") from None
         if not _:
             raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            # RFC 9112 section 6.3: two lengths leave the body boundary
+            # unknown.
+            raise HttpError(400, "repeated Content-Length")
+        headers[name] = value.strip()
     if "transfer-encoding" in headers:
         # Chunked framing is not part of this server's subset; refusing
         # is safer than guessing the body boundary.
         raise HttpError(501, "transfer-encoding is not supported")
     body = b""
     if "content-length" in headers:
+        value = headers["content-length"]
         try:
-            length = int(headers["content-length"])
+            # 1*DIGIT only: int() also takes signs, "_" and non-ASCII
+            # digits, and raises on more digits than it converts.
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(value)
+            length = int(value)
         except ValueError:
             raise HttpError(400, "malformed Content-Length") from None
-        if length < 0:
-            raise HttpError(400, "malformed Content-Length")
         if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         try:

@@ -45,15 +45,6 @@ class ScheduledEvent:
         owner = self._owner
         if owner is not None:
             owner._live -= 1
-            telemetry = owner.telemetry
-            if telemetry is not None and telemetry.enabled:
-                telemetry.tracer.emit(
-                    "sim.cancel",
-                    self.label,
-                    owner._now,
-                    seq=self.seq,
-                    scheduled_for=self.time,
-                )
 
 
 class Engine:
@@ -196,19 +187,7 @@ class Engine:
                         if event.label
                         else "unlabeled"
                     )
-                    telemetry.tracer.emit(
-                        "sim.execute",
-                        event.label,
-                        event.time,
-                        seq=event.seq,
-                        group=group,
-                        duration_s=duration,
-                    )
-                    metrics = telemetry.metrics
-                    metrics.counter(
-                        "sim_events_executed_total", label=group
-                    ).inc()
-                    metrics.histogram(
+                    telemetry.metrics.histogram(
                         "sim_event_duration_seconds", label=group
                     ).observe(duration)
             # Advance the clock to the horizon even if the heap drained

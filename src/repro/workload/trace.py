@@ -13,6 +13,7 @@ same content as typed NumPy column blocks (built lazily, cached) — see
 """
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -90,6 +91,8 @@ class Trace:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError("trace start and end must be finite")
         if self.end <= self.start:
             raise ValueError("trace end must exceed start")
         if self.n_nodes <= 0 or self.n_gpus <= 0:

@@ -49,9 +49,13 @@ def test_instrumentation_actually_ran(instrumented):
     _trace, telemetry = instrumented
     assert telemetry.tracer.events_emitted > 100
     categories = {e.category for e in telemetry.events()}
-    assert "sim.execute" in categories
-    assert "sched.finish" in categories
-    assert len(telemetry.metrics) > 0
+    assert "span.end" in categories
+    assert telemetry.metrics.histogram(
+        "sim_event_duration_seconds", label="end"
+    ).count > 0
+    assert telemetry.metrics.counter(
+        "sched_attempts_total", state="COMPLETED"
+    ).value > 0
 
 
 def test_trace_to_dict_byte_identical(plain_trace, instrumented):

@@ -9,6 +9,7 @@ from repro import CampaignConfig, ClusterSpec
 from repro.obs import (
     Telemetry,
     reconstruct_timeline,
+    spans_from_stream,
     summarize,
     write_chrome_trace,
 )
@@ -129,15 +130,23 @@ def test_to_dict_round_trips_applied():
 
 def test_from_summary_splits_network_components():
     summary = ObsSummary()
-    for component in ("gpu", "gpu", "ib_link"):
-        summary.add_event(
-            {
-                "category": "failure.injected",
-                "label": "node-1",
-                "sim_time": 1.0,
-                "attrs": {"component": component, "attributed": True},
-            }
-        )
+    summary.add_metrics_snapshot(
+        {
+            "counters": [
+                {
+                    "name": "failures_injected_total",
+                    "labels": {"component": "gpu"},
+                    "value": 2,
+                },
+                {
+                    "name": "failures_injected_total",
+                    "labels": {"component": "ib_link"},
+                    "value": 1,
+                },
+                {"name": "failures_attributed_total", "value": 3},
+            ]
+        }
+    )
     summary.resilience["resilience_retries_total"] = 4
     summary.resilience["resilience_circuit_open_total"] = 1
     summary.resilience["tracer_self_disabled"] = 1
@@ -222,9 +231,9 @@ def test_observed_chaos_sweep_scores_profiles_and_reconstructs(tmp_path):
     assert stats.retries > 0  # chaos landed
     _rebuilt, _stats, cache2 = observed_pass()
     assert cache2.quarantined > 0  # corruption landed
-    spans_recorded = len(telemetry.spans.records)
-    assert spans_recorded > 0
     telemetry.finalize()
+    spans = spans_from_stream(tmp_path / "tel" / "sweep.events.jsonl")
+    assert spans
 
     signals = HealthSignals.from_summary(
         summarize(tmp_path / "tel"), n_nodes=n_nodes
@@ -236,9 +245,7 @@ def test_observed_chaos_sweep_scores_profiles_and_reconstructs(tmp_path):
         assert any(condition in m for m in report.messages)
 
     chrome_path = tmp_path / "sweep.chrome.json"
-    assert write_chrome_trace(chrome_path, telemetry.spans.records) == (
-        spans_recorded
-    )
+    assert write_chrome_trace(chrome_path, spans) == len(spans)
     events = json.loads(chrome_path.read_text())["traceEvents"]
     assert {"sweep", "campaign", "phase:simulate"} <= {e["name"] for e in events}
     assert all(e["ph"] == "X" for e in events)

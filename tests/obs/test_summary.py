@@ -58,7 +58,9 @@ def test_summarize_aggregates_the_run(telemetry_dir):
         str(next(iter(telemetry_dir.glob(f"*{EVENTS_SUFFIX}"))))
     ]
     assert summary.engine_events_executed > 0
-    assert summary.by_category["sim.execute"] == summary.engine_events_executed
+    assert summary.by_category["span.end"] == sum(
+        len(durations) for durations in summary.span_durations.values()
+    )
     assert sum(summary.failures_by_component.values()) == (
         summary.failures_attributed + summary.failures_unattributed
     )
@@ -69,11 +71,10 @@ def test_summarize_aggregates_the_run(telemetry_dir):
 
 def test_summary_cache_hit_ratio(telemetry_dir):
     summary = summarize(telemetry_dir)
-    # The fixture drove exactly one miss and one hit through the cache,
-    # counted twice: once from the event stream, once from the metrics
-    # snapshot (streams without snapshots still get a ratio).
-    assert summary.cache_hits == 2
-    assert summary.cache_misses == 2
+    # The fixture drove exactly one miss and one hit through the cache;
+    # the metrics snapshot is the one record of them.
+    assert summary.cache_hits == 1
+    assert summary.cache_misses == 1
     assert summary.cache_hit_ratio == pytest.approx(0.5)
     assert "hit ratio 50.0%" in summary.render()
 
@@ -85,7 +86,7 @@ def test_render_contains_all_sections(telemetry_dir):
     assert "Top event labels by wall time" in report
     assert "Failure injections" in report
     assert "Scheduler attempts by final state" in report
-    assert "Campaign phases (wall time)" in report
+    assert "Span phases (wall time)" in report
 
 
 def test_check_stream_well_formed(telemetry_dir):
@@ -123,8 +124,9 @@ def test_sim_time_regression_detected(tmp_path):
 
 
 def test_stream_and_snapshot_account_for_the_whole_run(tmp_path):
-    """Every emitted record reaches the stream, and the metrics snapshot
-    carries the campaign phases and the engine's executed-event count."""
+    """Every emitted record reaches the stream, the stream carries the
+    campaign phases as spans, and the metrics snapshot carries the
+    engine's executed-event count."""
     spec = ClusterSpec.rsc1_like(n_nodes=16, campaign_days=5)
     config = CampaignConfig(cluster_spec=spec, duration_days=5, seed=17)
     telemetry = Telemetry.to_directory(tmp_path, stem="run")
@@ -139,16 +141,17 @@ def test_stream_and_snapshot_account_for_the_whole_run(tmp_path):
     assert n_records == emitted
     assert n_records > 100
 
-    snapshot = load_snapshot(metrics_path)
     phases = {
-        h["labels"].get("phase")
-        for h in snapshot["histograms"]
-        if h["name"] == "campaign_phase_seconds"
+        event["label"]
+        for event in iter_event_dicts(stream)
+        if event["category"] == "span.end"
     }
-    assert {"generate", "simulate", "build_trace"} <= phases
+    assert {"phase:generate", "phase:simulate", "phase:build_trace"} <= phases
+    snapshot = load_snapshot(metrics_path)
     executed = sum(
-        int(c["value"])
-        for c in snapshot["counters"]
-        if c["name"] == "sim_events_executed_total"
+        int(h["count"])
+        for h in snapshot["histograms"]
+        if h["name"] == "sim_event_duration_seconds"
     )
     assert executed == trace.metadata["runtime"]["events_executed"]
+    assert summarize(tmp_path).engine_events_executed == executed

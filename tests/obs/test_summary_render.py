@@ -63,7 +63,6 @@ def test_instrumented_run_renders_every_section(rendered):
     assert "engine executed" in rendered
     assert "\nEvents by category\n" in rendered
     assert "span.end" in rendered
-    assert "\nCampaign phases (wall time)\n" in rendered
     assert "\nSpan phases (wall time)\n" in rendered
     # The span table carries the full campaign hierarchy.
     for name in ("campaign", "phase:simulate", "phase:generate",

@@ -128,6 +128,7 @@ def test_finalize_publishes_tracer_state(tmp_path):
     from repro.obs import Telemetry, load_snapshot
 
     telemetry = Telemetry.to_directory(tmp_path, stem="t")
+    telemetry.tracer.sink.close()  # the JsonlSink being replaced
     telemetry.tracer.sink = _FailingSink()
     for _ in range(Tracer.SINK_ERROR_LIMIT):
         telemetry.tracer.emit("sim.execute", "x", 0.0)

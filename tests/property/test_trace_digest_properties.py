@@ -7,8 +7,8 @@ through ``canonicalize``.  The reference below is the digest as it was
 defined before, kept verbatim: ``Trace.to_dict()``, the canonical tree
 (built by ``reference_canonicalize``, so it does not depend on ``src``),
 one ``json.dumps`` and one SHA-256.  Over traces whose rows carry NumPy
-scalars, enums, non-finite times, escaped and non-ASCII strings, and
-event data whose keys sort differently escaped than plain, the two
+scalars, enums, non-finite event data, escaped and non-ASCII strings,
+and event data whose keys sort differently escaped than plain, the two
 digests must be equal, or both raise the same ``TypeError``.
 """
 
@@ -100,19 +100,19 @@ optional_text = st.one_of(st.none(), tricky_text)
 
 @st.composite
 def times(draw, n):
-    """``n`` non-decreasing times: NaN compares false, so it passes the
-    record's ordering checks in any slot; ±inf keep the order."""
-    stamps = sorted(
-        draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
-    )
-    kinds = st.sampled_from(["float", "float64", "nan", "int"])
+    """``n`` non-decreasing finite times (records reject NaN and ±inf;
+    ``non_finite`` event data carries those through the digest)."""
+    stamps = sorted(draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=n,
+        max_size=n,
+    )))
+    kinds = st.sampled_from(["float", "float64", "int"])
     out = []
     for t in stamps:
         kind = draw(kinds)
         if kind == "float64":
             t = np.float64(t)
-        elif kind == "nan":
-            t = float("nan")
         elif kind == "int" and t.is_integer():
             t = int(t)
         out.append(t)
@@ -173,14 +173,20 @@ def node_records(draw):
     )
 
 
+non_finite = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), np.float64("nan")]
+)
 data_values = st.one_of(
     values,
+    non_finite,
+    st.lists(non_finite, max_size=3),
     st.sets(st.one_of(st.integers(), st.text(max_size=2)), max_size=3),
 )
 event_data = st.one_of(
     st.dictionaries(st.sampled_from(TRICKY_KEYS), data_values, max_size=6),
     st.dictionaries(tricky_text, values, max_size=4),
     values,
+    non_finite,
 )
 
 

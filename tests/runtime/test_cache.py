@@ -154,6 +154,35 @@ def test_stamp_mismatch_invalidates(tmp_path, config, trace):
     assert not path.exists()
 
 
+def test_entry_without_trace_sha_is_a_quarantined_miss(tmp_path, config, trace):
+    """Every entry must carry its content digest: one with correct
+    format, schema and key stamps but no ``trace_sha`` is never served,
+    even when its columns parse (here: another trace's)."""
+    from repro.workload.trace import TRACE_SCHEMA_VERSION
+
+    cache = TraceCache(root=tmp_path, enabled=True)
+    path = cache.put(config, trace)
+    forged = Trace(
+        cluster_name="forged",
+        n_nodes=trace.n_nodes,
+        n_gpus=trace.n_gpus,
+        start=trace.start,
+        end=trace.end,
+    )
+    forged.columns.save_npz(
+        path,
+        extra={
+            "cache_entry": 2,
+            "cache_format": CACHE_FORMAT_VERSION,
+            "trace_schema": TRACE_SCHEMA_VERSION,
+            "digest": config_digest(config),
+        },
+    )
+    assert cache.get(config) is None
+    assert cache.quarantined == 1
+    assert not path.exists()
+
+
 class _Poison:
     """Unpickling this runs ``1 / 0``: a stand-in for a hostile payload."""
 

@@ -175,6 +175,25 @@ def test_timed_sweep_cold_simulates_and_warm_loads(timed_sweep):
     assert timed_sweep.per_seed == n_seeds
 
 
+def test_in_process_telemetry_observes_each_seed_once():
+    """With ``max_workers=1`` the campaigns run in-process on the pool's
+    telemetry bundle; the per-seed wall histogram still gets exactly one
+    observation per simulated seed."""
+    from repro.obs import Telemetry
+
+    spec = ClusterSpec.rsc1_like(n_nodes=8, campaign_days=3)
+    configs = seed_sweep_configs(
+        CampaignConfig(cluster_spec=spec, duration_days=3, seed=0), SEEDS
+    )
+    telemetry = Telemetry.in_memory()
+    pool = CampaignPool(max_workers=1, cache=False, telemetry=telemetry)
+    pool.run(configs)
+    assert pool.last_stats.simulated == len(SEEDS)
+    assert telemetry.metrics.histogram("campaign_wall_seconds").count == len(
+        SEEDS
+    )
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(

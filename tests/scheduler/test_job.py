@@ -84,6 +84,19 @@ def test_record_time_ordering_validated():
         )
 
 
+@pytest.mark.parametrize("field", ["enqueue_time", "start_time", "end_time"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_record_rejects_non_finite_times(field, bad):
+    times = {"enqueue_time": 0.0, "start_time": 5.0, "end_time": 10.0}
+    times[field] = bad
+    with pytest.raises(ValueError, match="non-finite time"):
+        JobAttemptRecord(
+            job_id=1, attempt=0, jobrun_id=1, project="p", qos=QosTier.LOW,
+            n_gpus=1, n_nodes=1, state=JobState.COMPLETED, node_ids=(0,),
+            **times,
+        )
+
+
 def test_record_hw_interruption_flag():
     base = dict(
         job_id=1, attempt=0, jobrun_id=1, project="p", qos=QosTier.LOW,

@@ -103,6 +103,23 @@ def test_truncated_body_is_400():
     assert err.value.status == 400
 
 
+@pytest.mark.parametrize(
+    "length_headers",
+    [
+        b"Content-Length: +1_0 \r\n",
+        b"Content-Length: 5\r\nContent-Length: 3\r\n",
+    ],
+    ids=["not-1*DIGIT", "repeated"],
+)
+def test_ambiguous_content_length_is_400(length_headers):
+    """RFC 9112 section 6.3: a Content-Length that is not 1*DIGIT, or
+    that is sent twice, leaves the body boundary unknown; refuse it."""
+    raw = b"POST / HTTP/1.1\r\n" + length_headers + b"\r\n" + b"x" * 10
+    with pytest.raises(HttpError) as err:
+        parse(raw)
+    assert err.value.status == 400
+
+
 def test_keep_alive_defaults():
     r11 = Request("GET", "/", "/", {}, {})
     assert r11.keep_alive
@@ -229,6 +246,11 @@ def assembled_requests(draw):
     st.binary(max_size=256), mutated_requests(), assembled_requests()
 ))
 @example(raw=b"GET http://[/ HTTP/1.1\r\n\r\n")
+@example(raw=b"POST / HTTP/1.1\r\nContent-Length: +1_0 \r\n\r\n" + b"x" * 10)
+@example(
+    raw=b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n"
+    b"\r\nxxxxx"
+)
 @example(raw=b"GET / HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n")
 @example(raw=b"GET / HTTP/1.1\r\nX: " + b"v" * 70000 + b"\r\n\r\n")
 @settings(deadline=None, max_examples=600)

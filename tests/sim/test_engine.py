@@ -209,25 +209,28 @@ def test_callback_exception_traced():
     assert errors[0].sim_time == 3.0
 
 
-def test_telemetry_traces_execution_and_cancel():
+def test_telemetry_times_executed_events_per_label_group():
+    """Each executed callback is one observation of its label group's
+    duration histogram; a cancelled event is none, and neither is
+    traced as an event."""
     telemetry = Telemetry.in_memory()
     engine = Engine(telemetry=telemetry)
     engine.schedule_at(1.0, lambda: None, label="tick:1")
-    victim = engine.schedule_at(2.0, lambda: None, label="tick:2")
+    engine.schedule_at(1.5, lambda: None, label="tick:3")
+    engine.schedule_at(2.0, lambda: None)
+    victim = engine.schedule_at(2.5, lambda: None, label="tick:2")
     victim.cancel()
     engine.run_until(5.0)
-    by_category = {}
-    for event in telemetry.events():
-        by_category.setdefault(event.category, []).append(event)
-    [executed] = by_category["sim.execute"]
-    assert executed.label == "tick:1"
-    assert executed.attrs["group"] == "tick"
-    assert executed.attrs["duration_s"] >= 0
-    [cancelled] = by_category["sim.cancel"]
-    assert cancelled.attrs["scheduled_for"] == 2.0
-    assert telemetry.metrics.counter(
-        "sim_events_executed_total", label="tick"
-    ).value == 1
+    ticks = telemetry.metrics.histogram(
+        "sim_event_duration_seconds", label="tick"
+    )
+    assert ticks.count == 2
+    assert ticks.total >= 0.0
+    assert telemetry.metrics.histogram(
+        "sim_event_duration_seconds", label="unlabeled"
+    ).count == 1
+    assert engine.executed_events == 3
+    assert telemetry.events() == []
 
 
 def test_disabled_telemetry_changes_nothing():

@@ -117,8 +117,9 @@ def test_campaign_telemetry_then_obs_summary(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "Telemetry summary" in report
     assert "Events by category" in report
-    assert "sim.execute" in report
-    assert "Campaign phases (wall time)" in report
+    assert "span.end" in report
+    assert "Top event labels by wall time" in report
+    assert "Span phases (wall time)" in report
 
 
 def test_obs_summary_missing_path_errors(tmp_path, capsys):

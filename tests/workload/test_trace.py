@@ -114,6 +114,20 @@ def test_trace_validation():
         Trace(cluster_name="x", n_nodes=0, n_gpus=8, start=0.0, end=5.0)
 
 
+@pytest.mark.parametrize(
+    "start, end",
+    [
+        (float("nan"), 5.0),
+        (0.0, float("nan")),
+        (0.0, float("inf")),
+        (float("-inf"), 5.0),
+    ],
+)
+def test_trace_rejects_non_finite_span(start, end):
+    with pytest.raises(ValueError, match="finite"):
+        Trace(cluster_name="x", n_nodes=1, n_gpus=8, start=start, end=end)
+
+
 def test_events_log_rebuild(trace):
     log = trace.events_log()
     assert len(log) == 2
