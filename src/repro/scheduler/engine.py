@@ -17,7 +17,8 @@ from repair) schedules at most one pass at the current timestamp, plus a
 periodic tick so age-based priority keeps the queue moving.
 """
 
-from typing import Callable, Dict, List, Optional, Set
+import math
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.failures import FailureIncident
@@ -30,7 +31,7 @@ from repro.scheduler.job import (
     JobState,
 )
 from repro.scheduler.placement import FreeNodeIndex, PlacementPolicy
-from repro.scheduler.preemption import PreemptionPolicy
+from repro.scheduler.preemption import PreemptionPlan, PreemptionPolicy
 from repro.scheduler.preflight import PreflightPolicy
 from repro.scheduler.priority import PriorityPolicy
 from repro.scheduler.quota import QuotaManager
@@ -75,8 +76,9 @@ class SlurmLikeScheduler:
         self.event_log = event_log if event_log is not None else cluster.event_log
         self.requeued_status_probability = requeued_status_probability
         self.exclude_probability = exclude_probability
-        #: obs.Telemetry bundle; job lifecycle transitions are traced when
-        #: enabled (submit/start/preempt/requeue/finish).
+        #: obs.Telemetry bundle; when enabled, job lifecycle transitions
+        #: are counted (the ``sched_*_total`` counters) and every
+        #: scheduling pass is timed (the ``sched.pass`` span).
         self.telemetry = telemetry
         self._rng = rngs.stream("scheduler")
 
@@ -86,6 +88,14 @@ class SlurmLikeScheduler:
         self.records: List[JobAttemptRecord] = []
         self.index = FreeNodeIndex(cluster.nodes, cluster)
         self._pass_pending = False
+        #: (inputs, shielded start) of the last preemption plan that
+        #: failed; see ``_plan_preemption``.
+        self._failed_plan: Optional[Tuple[tuple, float]] = None
+        #: node id -> resident attempts per QoS tier, and the number of
+        #: nodes whose highest resident tier is each tier: an O(1) bound
+        #: on the nodes a preemption could liberate.
+        self._resident_tiers: Dict[int, List[int]] = {}
+        self._top_tier_nodes: List[int] = [0] * (max(QosTier) + 1)
         #: invoked when a job COMPLETEs (used for job-run continuations:
         #: long training runs submit their next <=7-day segment here).
         self.on_job_completed: Optional[
@@ -154,39 +164,114 @@ class SlurmLikeScheduler:
 
     def _schedule_pass_body(self) -> None:
         now = self.engine.now
+        queue = self.pending
+        if not queue:
+            return
+        index = self.index
+        # A plan made before the loop, for the first preemption attempt.
+        plan: Optional[PreemptionPlan] = None
+        if not index.may_fit(min([job.spec.n_gpus for job in queue])):
+            # Nothing can start without preemption, and the failing
+            # placements would not touch the index: the one open decision
+            # is the preemption attempt of the first job that may make it.
+            quotas = self.quotas
+            head = self.priority.first(
+                [
+                    job
+                    for job in queue
+                    if job.qos > QosTier.LOW
+                    and quotas.may_start(job.spec.project, job.n_gpus)
+                ],
+                now,
+            )
+            if head is None:
+                return
+            plan = self._plan_preemption(head, now)
+            if plan is None:
+                return
+            # Every placement still fails, so the loop's first preemption
+            # attempt is head's, on this index: it takes this plan.
         # Swap the queue out: anything enqueued *during* the pass (e.g.
         # preemption victims) lands on the fresh self.pending and is picked
         # up next pass rather than being lost when we write back.
-        queue, self.pending = self.pending, []
+        self.pending = []
         ordered = self.priority.sort_pending(queue, now)
         still_pending: List[Job] = []
         preemption_spent = False
+        # The smallest request that failed with no exclusions, and the
+        # index version it failed on.  While the version stands (no
+        # start, no preemption), every request at least as large fails
+        # too (the PlacementPolicy contract), so it is not placed.
+        fail_floor = math.inf
+        floor_version = -1
         for job in ordered:
-            if not self.quotas.may_start(job.spec.project, job.n_gpus):
+            n_gpus = job.n_gpus
+            if not self.quotas.may_start(job.spec.project, n_gpus):
                 still_pending.append(job)
                 continue
-            nodes = self.placement.place(self.index, job.n_gpus, job.excluded_nodes)
+            if n_gpus >= fail_floor and index.version == floor_version:
+                nodes = None
+            else:
+                nodes = self.placement.place(index, n_gpus, job.excluded_nodes)
+                if nodes is None and not job.excluded_nodes:
+                    fail_floor = n_gpus
+                    floor_version = index.version
             if nodes is None and not preemption_spent and job.qos > QosTier.LOW:
                 preemption_spent = True
-                nodes = self._try_preempt_for(job, now)
+                nodes = self._try_preempt_for(job, now, plan)
             if nodes is None:
                 still_pending.append(job)
             else:
                 self._start(job, nodes, now)
         self.pending.extend(still_pending)
 
-    def _try_preempt_for(self, job: Job, now: float) -> Optional[List[Node]]:
+    def _plan_preemption(self, job: Job, now: float) -> Optional[PreemptionPlan]:
+        """``plan`` for ``job``, or a remembered None while it must repeat.
+
+        A failed plan holds until the index or the cluster's availability
+        changes, the request differs, or the clock lifts the shield off
+        the earliest shielded candidate (``docs/PERFORMANCE.md``,
+        "Scheduling pass").
+        """
+        index = self.index
+        already_free = index.free_full_node_count()
+        key = (
+            index.version,
+            self.cluster.availability_epoch,
+            job.qos,
+            job.n_gpus,
+            already_free,
+            frozenset(job.excluded_nodes),
+        )
+        failed = self._failed_plan
+        # Keep the subtraction form (docs/PERFORMANCE.md, "Preemption
+        # planning").
+        if (
+            failed is not None
+            and failed[0] == key
+            and not (now - failed[1]) >= self.preemption.shield
+        ):
+            return None
         cluster = self.cluster
-        plan = self.preemption.plan(
+        plan, shielded_start = self.preemption.plan_with_shielded_start(
             pending=job,
             nodes=cluster.nodes,
             jobs=self.jobs,
             now=now,
-            already_free=self.index.free_full_node_count(),
+            already_free=already_free,
             excluded=job.excluded_nodes,
             candidate_ids=cluster.schedulable_node_ids(),
-            summaries=self.index.resident_summaries,
+            summaries=index.resident_summaries,
+            lower_ranked_nodes=sum(self._top_tier_nodes[: job.qos]),
         )
+        self._failed_plan = (key, shielded_start) if plan is None else None
+        return plan
+
+    def _try_preempt_for(
+        self, job: Job, now: float, plan: Optional[PreemptionPlan] = None
+    ) -> Optional[List[Node]]:
+        if plan is None:
+            plan = self._plan_preemption(job, now)
         if plan is None:
             return None
         telemetry = self.telemetry
@@ -203,6 +288,23 @@ class SlurmLikeScheduler:
             self.pending.append(victim)
         return self.placement.place(self.index, job.n_gpus, job.excluded_nodes)
 
+    def _count_residents(self, job: Job, node_ids: List[int], delta: int) -> None:
+        """Add (+1) or drop (-1) ``job`` as a resident of ``node_ids``."""
+        qos = int(job.qos)
+        top_tier_nodes = self._top_tier_nodes
+        for node_id in node_ids:
+            tiers = self._resident_tiers.get(node_id)
+            if tiers is None:
+                tiers = self._resident_tiers[node_id] = [0] * len(top_tier_nodes)
+            before = _top_tier(tiers)
+            tiers[qos] += delta
+            after = _top_tier(tiers)
+            if after != before:
+                if before:
+                    top_tier_nodes[before] -= 1
+                if after:
+                    top_tier_nodes[after] += 1
+
     # ------------------------------------------------------------------
     # attempt lifecycle
     # ------------------------------------------------------------------
@@ -217,6 +319,7 @@ class SlurmLikeScheduler:
         job.state = JobState.RUNNING
         job.start_time = now
         job.node_ids = [n.node_id for n in nodes]
+        self._count_residents(job, job.node_ids, 1)
         self.running.add(job.job_id)
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
@@ -285,6 +388,7 @@ class SlurmLikeScheduler:
         job.end_event = None
         self.running.discard(job.job_id)
         self.quotas.release(job.spec.project, job.n_gpus)
+        self._count_residents(job, node_ids, -1)
         for node_id in node_ids:
             self.cluster.release_job(node_id, job.job_id)
             self.index.refresh(node_id)
@@ -325,6 +429,7 @@ class SlurmLikeScheduler:
             self.on_record(record)
         self.running.discard(job.job_id)
         self.quotas.release(job.spec.project, job.n_gpus)
+        self._count_residents(job, record.node_ids, -1)
         for node_id in record.node_ids:
             self.cluster.release_job(node_id, job.job_id)
             self.index.refresh(node_id)
@@ -445,3 +550,11 @@ class SlurmLikeScheduler:
     def stop(self) -> None:
         """Stop periodic passes (end of campaign)."""
         self._ticker.stop()
+
+
+def _top_tier(tiers: List[int]) -> int:
+    """The highest tier with a resident, or 0 for none."""
+    tier = len(tiers) - 1
+    while tier and not tiers[tier]:
+        tier -= 1
+    return tier

@@ -80,6 +80,12 @@ class FreeNodeIndex:
         #: ``plan`` walks, and it only returns through the scheduler's
         #: ``_on_node_available``, which refreshes it.
         self.resident_summaries: Dict[int, Optional[ResidentSummary]] = {}
+        #: Bumped by every ``refresh``, ``remove`` and
+        #: ``forget_summaries``.  While it stands no entry and no resident
+        #: summary has changed, so the scheduler may reuse a failed
+        #: placement within a pass, and (with the cluster's availability
+        #: epoch) a failed preemption plan.
+        self.version = 0
         for node in nodes.values():
             self.refresh(node.node_id)
 
@@ -112,12 +118,14 @@ class FreeNodeIndex:
 
     def forget_summaries(self, node_ids: Iterable[int]) -> None:
         """Drop cached resident summaries (a resident's start time moved)."""
+        self.version += 1
         summaries = self.resident_summaries
         for node_id in node_ids:
             summaries.pop(node_id, None)
 
     def refresh(self, node_id: int) -> None:
         """Re-index a node after any capacity or state change."""
+        self.version += 1
         self.resident_summaries.pop(node_id, None)
         node = self._nodes[node_id]
         old = self._bucket_of.pop(node_id, None)
@@ -135,6 +143,7 @@ class FreeNodeIndex:
 
     def remove(self, node_id: int) -> None:
         """Drop a node from the index (failed, draining, or quarantined)."""
+        self.version += 1
         self.resident_summaries.pop(node_id, None)
         node = self._nodes[node_id]
         old = self._bucket_of.pop(node_id, None)
@@ -186,15 +195,36 @@ class FreeNodeIndex:
                 return found
         return None
 
+    def _known_clean(self) -> bool:
+        """Whether the index knows it holds no stale fully free entry."""
+        return (
+            self._clean_epoch is not None
+            and self._clean_epoch == self._cluster.availability_epoch
+        )
+
+    def may_fit(self, gpus: int) -> bool:
+        """Whether a ``place`` of ``gpus`` or more GPUs may succeed.
+
+        False only if every such call fails without touching the index.
+        The bucket lengths and the full count include stale entries, so
+        they bound the valid ones and "no" is exact.  A walk over a
+        stale entry would flush it, which moves the pod fill order and
+        ``free_full_node_count``, so a gang request answers "no" only
+        while no fully free entry can be stale.
+        """
+        if gpus < GPUS_PER_NODE:
+            buckets = self._buckets
+            return any(buckets[k] for k in range(gpus, GPUS_PER_NODE + 1))
+        full = self._full_count
+        return gpus // GPUS_PER_NODE <= full or (
+            full > 0 and not self._known_clean()
+        )
+
     def find_full_nodes(
         self, n_nodes: int, excluded: Set[int]
     ) -> Optional[List[Node]]:
         """Pick ``n_nodes`` fully free servers, packing the fullest pods."""
-        if (
-            n_nodes > self._full_count
-            and self._clean_epoch is not None
-            and self._clean_epoch == self._cluster.availability_epoch
-        ):
+        if n_nodes > self._full_count and self._known_clean():
             # The count bounds the valid entries, so the walk would fail;
             # with no stale entry it would not flush anything either.
             return None
@@ -253,7 +283,16 @@ class FreeNodeIndex:
 
 @dataclass
 class PlacementPolicy:
-    """Stateless placement decisions over a :class:`FreeNodeIndex`."""
+    """Stateless placement decisions over a :class:`FreeNodeIndex`.
+
+    Contract (subclasses keep it): on one index state, a failed
+    ``place(index, g, E)`` implies a failed ``place(index, g2, E2)``
+    for every ``g2 >= g`` and ``E2 ⊇ E``, and that second call would
+    re-index no entry.  Larger requests and longer exclude lists only
+    shrink what fits, and the first call already flushed every stale
+    entry the second one would meet.  A scheduling pass relies on this
+    to skip placements it knows fail.
+    """
 
     def place(
         self, index: FreeNodeIndex, n_gpus: int, excluded: Set[int]

@@ -10,6 +10,7 @@ failures cascade into *many* small preemptions (Fig. 8's second-order
 effect).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -90,19 +91,57 @@ class PreemptionPolicy:
         :class:`~repro.scheduler.placement.FreeNodeIndex` does this).
         Without it, summaries are built afresh for this call.
         """
+        return self.plan_with_shielded_start(
+            pending,
+            nodes,
+            jobs,
+            now,
+            already_free,
+            excluded,
+            candidate_ids,
+            summaries,
+        )[0]
+
+    def plan_with_shielded_start(
+        self,
+        pending: Job,
+        nodes: Dict[int, Node],
+        jobs: Dict[int, Job],
+        now: float,
+        already_free: int,
+        excluded: Set[int],
+        candidate_ids: Iterable[int],
+        summaries: Optional[Dict[int, Optional[ResidentSummary]]] = None,
+        lower_ranked_nodes: Optional[int] = None,
+    ) -> Tuple[Optional[PreemptionPlan], float]:
+        """:meth:`plan`, plus when a failed plan may next succeed.
+
+        The second value is the smallest latest resident start among the
+        nodes that only the shield still protects (``inf`` if none).
+        Until ``now - start >= shield`` for it, or the nodes' residents
+        or the candidate ids change, ``plan`` keeps returning None: the
+        clock only adds candidates by lifting the shield.
+
+        ``lower_ranked_nodes``, if given, bounds the nodes whose
+        residents all rank below ``pending``.  When it is short of the
+        nodes to liberate, no walk is needed and no clock step helps.
+        """
         if pending.n_gpus < GPUS_PER_NODE:
             needed_nodes = 1
         else:
             needed_nodes = pending.n_gpus // GPUS_PER_NODE
         to_liberate = needed_nodes - already_free
         if to_liberate <= 0:
-            return PreemptionPlan(victims=[], freed_nodes=[])
+            return PreemptionPlan(victims=[], freed_nodes=[]), math.inf
+        if lower_ranked_nodes is not None and lower_ranked_nodes < to_liberate:
+            return None, math.inf
 
         if summaries is None:
             summaries = {}
         pending_qos = int(pending.qos)
         shield = self.shield
         candidates: List[Tuple[Tuple[int, int], int]] = []
+        shielded_start = math.inf
         for node_id in candidate_ids:
             if node_id in excluded:
                 continue
@@ -119,10 +158,13 @@ class PreemptionPolicy:
             # start has: IEEE subtraction is monotone, so now - latest is
             # the minimum of now - start.  Keep the subtraction form; see
             # docs/PERFORMANCE.md ("Preemption planning").
-            if max_qos < pending_qos and (now - latest_start) >= shield:
-                candidates.append(((min_qos, held), node_id))
+            if max_qos < pending_qos:
+                if (now - latest_start) >= shield:
+                    candidates.append(((min_qos, held), node_id))
+                elif latest_start < shielded_start:
+                    shielded_start = latest_start
         if len(candidates) < to_liberate:
-            return None
+            return None, shielded_start
 
         candidates.sort()
         chosen_nodes = [
@@ -135,4 +177,4 @@ class PreemptionPolicy:
                 if jid not in victim_ids:
                     victim_ids.add(jid)
                     victims.append(jobs[jid])
-        return PreemptionPlan(victims=victims, freed_nodes=chosen_nodes)
+        return PreemptionPlan(victims=victims, freed_nodes=chosen_nodes), math.inf

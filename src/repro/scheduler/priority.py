@@ -11,7 +11,7 @@ wait forever behind trickles of small jobs).
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.scheduler.job import Job
 from repro.sim.timeunits import DAY
@@ -45,6 +45,13 @@ class PriorityPolicy:
         jobs = list(jobs)
         keys = self._sort_keys(jobs, now)
         return [jobs[i] for i in sorted(range(len(jobs)), key=keys.__getitem__)]
+
+    def first(self, jobs: Sequence[Job], now: float) -> Optional[Job]:
+        """The job ``sort_pending`` would put first, without the sort."""
+        if not jobs:
+            return None
+        keys = self._sort_keys(jobs, now)
+        return jobs[min(range(len(jobs)), key=keys.__getitem__)]
 
     def _sort_keys(self, jobs: Sequence[Job], now: float) -> List[Tuple[float, int]]:
         """``(-priority, job_id)`` per job: the one copy of the formula.

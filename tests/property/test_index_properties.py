@@ -17,6 +17,10 @@ transitions and deliberately-stale entries (quarantine flipped without a
   index over the same nodes that always walks — same picks and the same
   internal structures after every query, under churn that drains,
   quarantines and remediates nodes behind the indices' backs.
+* The ``PlacementPolicy`` contract, for both placement policies: on one
+  index state a failed request rules out every larger request with a
+  longer exclude list, and those re-index nothing; so does ``may_fit``
+  saying no.
 """
 
 from hypothesis import given, settings
@@ -385,3 +389,76 @@ def test_capacity_bound_matches_an_index_that_always_walks(ops, exclusions):
                 gpus, excluded
             )
             assert _internals(bounded) == _internals(walking)
+
+
+# ----------------------------------------------------------------------
+# The placement contract a scheduling pass relies on
+# ----------------------------------------------------------------------
+REQUESTS = [1, 2, 3, 4, 7, 8, 16, 24, 32, 64]
+exclude_lists = st.sets(st.integers(0, 5), max_size=2)
+
+
+def _policies():
+    from repro.scheduler.placement import PlacementPolicy
+    from repro.scheduler.reliability_aware import ReliabilityAwarePlacement
+
+    return [
+        PlacementPolicy(),
+        # Uneven risk tiers, so the order is not the base policy's.
+        ReliabilityAwarePlacement(risk_of=lambda node: node.node_id % 3),
+    ]
+
+
+@given(
+    ops=bound_ops,
+    first=st.tuples(st.sampled_from(REQUESTS), exclude_lists),
+    later=st.lists(
+        st.tuples(st.integers(0, len(REQUESTS) - 1), exclude_lists),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(deadline=None, max_examples=300)
+def test_a_failed_placement_rules_out_larger_requests(ops, first, later):
+    """``place(g, E)`` fails => ``place(g2 >= g, E2 ⊇ E)`` fails, flushing
+    nothing, on one index state, for both placement policies.
+
+    A cluster-backed index is driven through churn that drains,
+    quarantines and remediates nodes behind its back, so failing walks
+    meet stale entries.  ``may_fit`` saying no is checked the same way.
+    """
+    from repro.cluster.cluster import Cluster, ClusterSpec
+    from repro.scheduler.placement import FreeNodeIndex
+    from repro.sim.engine import Engine
+    from repro.sim.rng import RngStreams
+
+    cluster = Cluster(
+        ClusterSpec.rsc1_like(n_nodes=BOUND_NODES, campaign_days=10),
+        Engine(),
+        RngStreams(0),
+    )
+    index = FreeNodeIndex(cluster.nodes, cluster)
+    shadow = FreeNodeIndex(cluster.nodes)  # _change refreshes two indices
+    job_counter = [0]
+    gpus, excluded = first
+
+    def state():
+        return _internals(index), index.version
+
+    def larger_requests_fail(floor, base_excluded):
+        for offset, extra in later:
+            bigger = [g for g in REQUESTS if g >= floor]
+            g2 = bigger[offset % len(bigger)]
+            before = state()
+            assert policy.place(index, g2, base_excluded | extra) is None
+            assert state() == before
+
+    for step, (op, node_id, amount) in enumerate(ops):
+        _change(cluster, index, shadow, op, node_id, amount, job_counter)
+        policy = _policies()[step % 2]
+        for g in REQUESTS:
+            if not index.may_fit(g):
+                larger_requests_fail(g, set())
+                break
+        if policy.place(index, gpus, excluded) is None:
+            larger_requests_fail(gpus, excluded)

@@ -1,10 +1,14 @@
 """Scheduler engine behaviour on a failure-free (and then failing) cluster."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.jobtypes import IntendedOutcome, JobState, QosTier
 from repro.scheduler.engine import SlurmLikeScheduler
+from repro.scheduler.placement import PlacementPolicy
+from repro.scheduler.preemption import PreemptionPolicy
 from repro.sim.engine import Engine
 from repro.sim.events import EventLog
 from repro.sim.rng import RngStreams
@@ -239,3 +243,56 @@ def test_preemption_does_not_count_excluded_free_nodes():
     preempted = [r for r in sched.records if r.state is JobState.PREEMPTED]
     assert sorted(r.job_id for r in preempted) == [1, 2, 3]
     assert 4 in sched.running
+
+
+@dataclass
+class CountingPlacement(PlacementPolicy):
+    calls: int = 0
+
+    def place(self, index, n_gpus, excluded):
+        self.calls += 1
+        return super().place(index, n_gpus, excluded)
+
+
+@dataclass
+class CountingPreemption(PreemptionPolicy):
+    calls: int = 0
+
+    def plan_with_shielded_start(self, *args, **kwargs):
+        self.calls += 1
+        return super().plan_with_shielded_start(*args, **kwargs)
+
+
+@pytest.mark.parametrize("qos", [QosTier.LOW, QosTier.NORMAL])
+def test_pass_over_identical_jobs_that_cannot_fit_places_once(qos):
+    placement = CountingPlacement()
+    engine, _cluster, sched = build(n_nodes=2, placement=placement)
+    for job_id in range(1, 21):
+        sched.submit(make_spec(job_id, n_gpus=24, qos=qos))
+    engine.run_until(0.0)
+    assert sched.pending_count() == 20
+    assert placement.calls <= 1
+    calls = placement.calls
+    # The next passes find the same index and place nothing new.
+    engine.run_until(HOUR)
+    assert sched.pending_count() == 20
+    assert placement.calls == calls
+
+
+def test_failed_plan_is_not_repeated_before_the_shield_lifts():
+    preemption = CountingPreemption()
+    engine, _cluster, sched = build(n_nodes=2, preemption=preemption)
+    sched.submit(make_spec(1, n_gpus=16, work=DAY, qos=QosTier.LOW))
+    sched.submit(make_spec(2, n_gpus=16, qos=QosTier.HIGH, submit=HOUR))
+    engine.run_until(HOUR)
+    assert preemption.calls == 1  # job 1 is shielded until 2 h
+    # Periodic passes find the same index: no new plan.
+    engine.run_until(2 * HOUR - 1.0)
+    assert preemption.calls == 1
+    assert sched.jobs[2].state is JobState.PENDING
+    # On the boundary, now - start == shield: plan again, and preempt.
+    engine.run_until(2 * HOUR)
+    assert preemption.calls == 2
+    [preempted] = [r for r in sched.records if r.state is JobState.PREEMPTED]
+    assert (preempted.job_id, preempted.end_time) == (1, 2 * HOUR)
+    assert sched.jobs[2].state is JobState.RUNNING
