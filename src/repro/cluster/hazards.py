@@ -148,27 +148,60 @@ class HazardModel:
         return rate
 
     def total_rate(self, node_id: int, t: float) -> float:
-        """Total hazard rate (failures per node-day) of a node at time t."""
-        return sum(self.component_rate(node_id, c, t) for c in self.base)
+        """Total hazard rate (failures per node-day) of a node at time t.
+
+        Added left to right, as ``total_rates`` adds its columns: the
+        built-in ``sum`` compensates float rounding on Python 3.12+, and
+        the two paths must agree bit for bit on every version.
+        """
+        total = 0.0
+        for component in self.base:
+            total += self.component_rate(node_id, component, t)
+        return total
 
     def total_rates(self, node_ids: Sequence[int], t: float) -> np.ndarray:
         """Vectorized :meth:`total_rate` over many nodes at one instant.
 
         Bit-identical to calling ``total_rate`` per node (the failure
-        injector's determinism depends on that); the win is the fleet-wide
-        fast path — with no active regime and no lemons every node shares
-        the baseline sum, so arming N nodes costs one Python sum, not
-        N * n_components.
+        injector's determinism depends on that).  With no active regime
+        and no lemons every node shares the baseline sum.  Otherwise a
+        nodes x components array takes each active regime's multiplier,
+        then the lemon multipliers, in ``component_rate``'s order, and
+        its columns are added left to right.
         """
-        if not self._lemons and not any(
-            r.start <= t < r.end for r in self.regimes
-        ):
+        active = [r for r in self.regimes if r.start <= t < r.end]
+        if not self._lemons and not active:
             return np.full(len(node_ids), self.baseline_total_rate())
-        return np.array([self.total_rate(nid, t) for nid in node_ids])
+        components = list(self.base)
+        column = {component: i for i, component in enumerate(components)}
+        ids = np.asarray(node_ids, dtype=np.int64)
+        rates = np.empty((len(ids), len(components)))
+        rates[:] = [self.base[c].rate_per_day for c in components]
+        for regime in active:
+            col = column.get(regime.component)
+            if col is None:
+                continue
+            if regime.node_ids is None:
+                rates[:, col] *= regime.multiplier
+            else:
+                rows = np.isin(ids, np.fromiter(regime.node_ids, dtype=np.int64))
+                rates[rows, col] *= regime.multiplier
+        lemons = self._lemons
+        for row, node_id in enumerate(node_ids):
+            lemon = lemons.get(node_id)
+            if lemon is not None and lemon.component in column:
+                rates[row, column[lemon.component]] *= lemon.multiplier
+        total = np.zeros(len(ids))
+        for col in range(len(components)):
+            total += rates[:, col]
+        return total
 
     def baseline_total_rate(self) -> float:
         """Fleet baseline ``r_f`` in failures per node-day (no regimes/lemons)."""
-        return sum(h.rate_per_day for h in self.base.values())
+        total = 0.0
+        for hazard in self.base.values():
+            total += hazard.rate_per_day
+        return total
 
     def sample_component(
         self, node_id: int, t: float, rng: np.random.Generator

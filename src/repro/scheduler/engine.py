@@ -31,6 +31,7 @@ from repro.scheduler.job import (
     JobState,
 )
 from repro.scheduler.placement import FreeNodeIndex, PlacementPolicy
+from repro.scheduler.pending import PendingQueue
 from repro.scheduler.preemption import PreemptionPlan, PreemptionPolicy
 from repro.scheduler.preflight import PreflightPolicy
 from repro.scheduler.priority import PriorityPolicy
@@ -83,7 +84,7 @@ class SlurmLikeScheduler:
         self._rng = rngs.stream("scheduler")
 
         self.jobs: Dict[int, Job] = {}
-        self.pending: List[Job] = []
+        self.pending = PendingQueue(self.priority)
         self.running: Set[int] = set()
         self.records: List[JobAttemptRecord] = []
         self.index = FreeNodeIndex(cluster.nodes, cluster)
@@ -133,7 +134,7 @@ class SlurmLikeScheduler:
             telemetry.metrics.counter("sched_jobs_submitted_total").inc()
         if self.engine.now >= spec.submit_time:
             job.enqueue_time = self.engine.now
-            self.pending.append(job)
+            self.pending.add(job)
             self._request_pass()
         else:
             self.engine.schedule_at(
@@ -144,7 +145,7 @@ class SlurmLikeScheduler:
         return job
 
     def _become_eligible(self, job: Job) -> None:
-        self.pending.append(job)
+        self.pending.add(job)
         self._request_pass()
 
     def _request_pass(self) -> None:
@@ -168,22 +169,19 @@ class SlurmLikeScheduler:
         if not queue:
             return
         index = self.index
+        quotas = self.quotas
         # A plan made before the loop, for the first preemption attempt.
         plan: Optional[PreemptionPlan] = None
-        if not index.may_fit(min([job.spec.n_gpus for job in queue])):
+        if not index.may_fit(queue.min_gpus()):
             # Nothing can start without preemption, and the failing
             # placements would not touch the index: the one open decision
             # is the preemption attempt of the first job that may make it.
-            quotas = self.quotas
-            head = self.priority.first(
-                [
-                    job
-                    for job in queue
-                    if job.qos > QosTier.LOW
-                    and quotas.may_start(job.spec.project, job.n_gpus)
-                ],
-                now,
-            )
+            head = None
+            for job in queue.begin_pass(now, above=QosTier.LOW):
+                if quotas.may_start(job.spec.project, job.n_gpus):
+                    head = job
+                    break
+            queue.end_pass(())
             if head is None:
                 return
             plan = self._plan_preemption(head, now)
@@ -191,12 +189,10 @@ class SlurmLikeScheduler:
                 return
             # Every placement still fails, so the loop's first preemption
             # attempt is head's, on this index: it takes this plan.
-        # Swap the queue out: anything enqueued *during* the pass (e.g.
-        # preemption victims) lands on the fresh self.pending and is picked
-        # up next pass rather than being lost when we write back.
-        self.pending = []
-        ordered = self.priority.sort_pending(queue, now)
-        still_pending: List[Job] = []
+        # Jobs enqueued *during* the pass (preemption victims) are held
+        # back until it ends, so this pass does not visit them.
+        merge = queue.begin_pass(now)
+        started: List[Job] = []
         preemption_spent = False
         # The smallest request that failed with no exclusions, and the
         # index version it failed on.  While the version stands (no
@@ -204,26 +200,40 @@ class SlurmLikeScheduler:
         # too (the PlacementPolicy contract), so it is not placed.
         fail_floor = math.inf
         floor_version = -1
-        for job in ordered:
-            n_gpus = job.n_gpus
-            if not self.quotas.may_start(job.spec.project, n_gpus):
-                still_pending.append(job)
-                continue
-            if n_gpus >= fail_floor and index.version == floor_version:
-                nodes = None
-            else:
-                nodes = self.placement.place(index, n_gpus, job.excluded_nodes)
-                if nodes is None and not job.excluded_nodes:
-                    fail_floor = n_gpus
-                    floor_version = index.version
-            if nodes is None and not preemption_spent and job.qos > QosTier.LOW:
-                preemption_spent = True
-                nodes = self._try_preempt_for(job, now, plan)
-            if nodes is None:
-                still_pending.append(job)
-            else:
-                self._start(job, nodes, now)
-        self.pending.extend(still_pending)
+        try:
+            for job in merge:
+                n_gpus = job.n_gpus
+                if quotas.may_start(job.spec.project, n_gpus):
+                    if n_gpus >= fail_floor and index.version == floor_version:
+                        nodes = None
+                    else:
+                        nodes = self.placement.place(
+                            index, n_gpus, job.excluded_nodes
+                        )
+                        if nodes is None and not job.excluded_nodes:
+                            fail_floor = n_gpus
+                            floor_version = index.version
+                    if (
+                        nodes is None
+                        and not preemption_spent
+                        and job.qos > QosTier.LOW
+                    ):
+                        preemption_spent = True
+                        nodes = self._try_preempt_for(job, now, plan)
+                    if nodes is not None:
+                        self._start(job, nodes, now)
+                        started.append(job)
+                # The rest of a bucket cannot act while the floor covers
+                # its size and it has no preemption attempt to make.
+                if index.version != floor_version:
+                    if merge.parked:
+                        merge.wake()
+                elif n_gpus >= fail_floor and (
+                    preemption_spent or job.qos is QosTier.LOW
+                ):
+                    merge.park()
+        finally:
+            queue.end_pass(started)
 
     def _plan_preemption(self, job: Job, now: float) -> Optional[PreemptionPlan]:
         """``plan`` for ``job``, or a remembered None while it must repeat.
@@ -285,7 +295,7 @@ class SlurmLikeScheduler:
                 instigator_job_id=job.job_id,
             )
             victim.reenqueue(now)
-            self.pending.append(victim)
+            self.pending.add(victim)
         return self.placement.place(self.index, job.n_gpus, job.excluded_nodes)
 
     def _count_residents(self, job: Job, node_ids: List[int], delta: int) -> None:
@@ -419,7 +429,7 @@ class SlurmLikeScheduler:
             self.index.remove(node.node_id)
         job.reenqueue(now)
         job.attempt -= 1  # the reservation was not an attempt
-        self.pending.append(job)
+        self.pending.add(job)
         self._request_pass()
 
     def _finish_attempt(self, job: Job, record: JobAttemptRecord) -> None:
@@ -527,7 +537,7 @@ class SlurmLikeScheduler:
             if job.can_requeue():
                 job.requeues_used += 1
                 job.reenqueue(now)
-                self.pending.append(job)
+                self.pending.add(job)
                 telemetry = self.telemetry
                 if telemetry is not None and telemetry.enabled:
                     telemetry.metrics.counter("sched_requeues_total").inc()

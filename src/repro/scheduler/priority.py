@@ -11,7 +11,7 @@ wait forever behind trickles of small jobs).
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.scheduler.job import Job
 from repro.sim.timeunits import DAY
@@ -41,28 +41,47 @@ class PriorityPolicy:
         return -self._sort_keys((job,), now)[0][0]
 
     def sort_pending(self, jobs, now: float):
-        """Priority order with deterministic job-id tie-breaking."""
+        """Priority order with deterministic job-id tie-breaking.
+
+        The scheduler keeps this order incrementally in
+        :class:`~repro.scheduler.pending.PendingQueue`; this full sort is
+        its reference.
+        """
         jobs = list(jobs)
         keys = self._sort_keys(jobs, now)
         return [jobs[i] for i in sorted(range(len(jobs)), key=keys.__getitem__)]
 
-    def first(self, jobs: Sequence[Job], now: float) -> Optional[Job]:
-        """The job ``sort_pending`` would put first, without the sort."""
-        if not jobs:
-            return None
-        keys = self._sort_keys(jobs, now)
-        return jobs[min(range(len(jobs)), key=keys.__getitem__)]
+    def static_terms(self, qos: int, n_gpus: int) -> Tuple[float, float]:
+        """The QoS and size terms, shared by every job of one ``(qos, n_gpus)``."""
+        return (
+            self.qos_weight * int(qos),
+            # 4096 GPUs -> size factor 1.0
+            self.size_weight * (math.log2(n_gpus) / 12.0),
+        )
+
+    def neg_priority(
+        self, terms: Tuple[float, float], enqueue_time: float, now: float
+    ) -> float:
+        """``-priority`` of a job with these static terms: the one copy of
+        the formula.
+
+        The sum keeps the order ``(qos + age) + size``.  Every operation
+        is monotone in ``enqueue_time``, so among jobs with the same terms
+        a later enqueue never has a higher priority (the pending queue's
+        bucket order relies on it).
+        """
+        # max(0.0, age) and min(factor, 1.0), without the calls
+        age = now - enqueue_time
+        if not age > 0.0:
+            age = 0.0
+        age_factor = age / self.age_norm
+        if age_factor > 1.0:
+            age_factor = 1.0
+        return -(terms[0] + self.age_weight * age_factor + terms[1])
 
     def _sort_keys(self, jobs: Sequence[Job], now: float) -> List[Tuple[float, int]]:
-        """``(-priority, job_id)`` per job: the one copy of the formula.
-
-        The QoS and size terms depend only on ``(qos, n_gpus)``, so each
-        pair is computed once per call.  The sum keeps the order
-        ``(qos + age) + size``, so every priority is bit-identical to
-        evaluating the three terms per job.
-        """
-        age_weight = self.age_weight
-        age_norm = self.age_norm
+        """``(-priority, job_id)`` per job, with the static terms computed
+        once per ``(qos, n_gpus)``."""
         static: Dict[Tuple[int, int], Tuple[float, float]] = {}
         keys = []
         for job in jobs:
@@ -70,17 +89,8 @@ class PriorityPolicy:
             pair = (spec.qos, spec.n_gpus)
             terms = static.get(pair)
             if terms is None:
-                terms = static[pair] = (
-                    self.qos_weight * int(spec.qos),
-                    # 4096 GPUs -> size factor 1.0
-                    self.size_weight * (math.log2(spec.n_gpus) / 12.0),
-                )
-            # max(0.0, age) and min(factor, 1.0), without the calls
-            age = now - job.enqueue_time
-            if not age > 0.0:
-                age = 0.0
-            age_factor = age / age_norm
-            if age_factor > 1.0:
-                age_factor = 1.0
-            keys.append((-(terms[0] + age_weight * age_factor + terms[1]), spec.job_id))
+                terms = static[pair] = self.static_terms(*pair)
+            keys.append(
+                (self.neg_priority(terms, job.enqueue_time, now), spec.job_id)
+            )
         return keys

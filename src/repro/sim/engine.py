@@ -12,30 +12,32 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.telemetry import Telemetry
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class ScheduledEvent:
     """A pending callback on the engine's heap.
 
-    Ordering is (time, seq); ``seq`` is a monotonically increasing counter
-    that makes the schedule a stable total order.  Slotted: a campaign
-    allocates one of these per scheduled callback — millions per run — so
-    the per-instance dict is pure overhead.
+    The heap holds ``(time, seq, event)`` tuples, so it orders by
+    ``(time, seq)`` in C; ``seq`` is a monotonically increasing counter
+    that makes the schedule a stable total order, and no two entries
+    tie on it, so events themselves are never compared.  Slotted: a
+    campaign allocates one of these per scheduled callback — millions
+    per run — so the per-instance dict is pure overhead.
     """
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[[], None]
+    label: str = ""
+    cancelled: bool = False
     #: Owning engine; lets ``cancel`` keep the live-event counter exact
-    #: without a heap scan.  Compare-excluded so ordering stays (time, seq).
-    _owner: Optional["Engine"] = field(compare=False, default=None, repr=False)
+    #: without a heap scan.
+    _owner: Optional["Engine"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped (idempotent)."""
@@ -54,7 +56,7 @@ class Engine:
         self, start_time: float = 0.0, telemetry: Optional["Telemetry"] = None
     ):
         self._now = float(start_time)
-        self._heap: List[ScheduledEvent] = []
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._executed = 0
         self._live = 0  # non-cancelled events on the heap, kept exact
@@ -96,14 +98,16 @@ class Engine:
             raise ValueError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
+        time = float(time)
+        seq = next(self._seq)
         event = ScheduledEvent(
-            time=float(time),
-            seq=next(self._seq),
+            time=time,
+            seq=seq,
             callback=callback,
             label=label,
             _owner=self,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -142,11 +146,11 @@ class Engine:
         telemetry = self.telemetry
         traced = telemetry is not None and telemetry.enabled
         try:
-            while self._heap and not self._stopped:
-                event = self._heap[0]
-                if event.time > end_time:
+            heap = self._heap
+            while heap and not self._stopped:
+                if heap[0][0] > end_time:
                     break
-                heapq.heappop(self._heap)
+                event = heapq.heappop(heap)[2]
                 if event.cancelled:
                     continue  # counter already decremented at cancel time
                 self._live -= 1

@@ -86,7 +86,6 @@ def test_sort_pending_matches_reference_order(case):
     want = sorted(jobs, key=lambda j: (-reference_priority(policy, j, NOW), j.job_id))
     assert policy.sort_pending(jobs, NOW) == want
     assert policy.sort_pending(iter(jobs), NOW) == want
-    assert policy.first(jobs, NOW) is (want[0] if want else None)
 
 
 def test_equal_priorities_break_ties_by_job_id():

@@ -3,16 +3,21 @@
 ``SlurmLikeScheduler._schedule_pass_body`` skips work whose answer is
 known: a pass in which nothing fits only makes the one preemption
 attempt, placements a failed smaller request rules out are not made,
-and a failed preemption plan is reused while its inputs stand
-(``docs/PERFORMANCE.md``, "Scheduling pass").  ``ReferenceScheduler``
-keeps the loop as it was before those shortcuts: a full sort, ``place``
-for every job and ``plan`` on every attempt.
+a failed preemption plan is reused while its inputs stand, and the
+pending queue stays ordered between passes and stops visiting a
+bucket whose rest cannot act (``docs/PERFORMANCE.md``, "Priority
+keys" and "Scheduling pass").  ``ReferenceScheduler`` keeps the loop
+as it was before those shortcuts: a full sort, ``place`` for every job
+and ``plan`` on every attempt.
 
 Two copies of one small cluster, one per scheduler, take the same
 random churn: sub-server and multi-node jobs in every QoS tier,
-exclude lists, a quota cap, reliability-aware placement, preflight
-batteries, node failures and drains, lemon quarantines, and clock steps
-that land exactly on a running job's shield boundary.  After every
+bursts of identical jobs at one timestamp, exclude lists, a quota cap,
+reliability-aware placement, preflight batteries, a weak QoS weight
+under which the tiers interleave, node failures and drains, lemon
+quarantines, clock steps past the age at which priorities saturate,
+and clock steps that land exactly on a running job's shield boundary.
+After every
 step both must have made the same starts on the same nodes and the same
 preemptions in the same order, and their placement indices must hold
 the same entries (a skipped placement must not have flushed a stale
@@ -31,6 +36,7 @@ from repro.scheduler.engine import SlurmLikeScheduler
 from repro.scheduler.job import JobState
 from repro.scheduler.preemption import PREEMPTION_SHIELD
 from repro.scheduler.preflight import PreflightPolicy
+from repro.scheduler.priority import PriorityPolicy
 from repro.scheduler.quota import QuotaManager
 from repro.scheduler.reliability_aware import ReliabilityAwarePlacement
 from repro.sim.engine import Engine
@@ -46,7 +52,8 @@ class ReferenceScheduler(SlurmLikeScheduler):
 
     def _schedule_pass_body(self) -> None:
         now = self.engine.now
-        queue, self.pending = self.pending, []
+        queue = list(self.pending)
+        self.pending.clear()
         ordered = self.priority.sort_pending(queue, now)
         still_pending = []
         preemption_spent = False
@@ -62,7 +69,8 @@ class ReferenceScheduler(SlurmLikeScheduler):
                 still_pending.append(job)
             else:
                 self._start(job, nodes, now)
-        self.pending.extend(still_pending)
+        for job in still_pending:
+            self.pending.add(job)
 
     def _try_preempt_for(self, job, now):
         cluster = self.cluster
@@ -85,7 +93,7 @@ class ReferenceScheduler(SlurmLikeScheduler):
                 instigator_job_id=job.job_id,
             )
             victim.reenqueue(now)
-            self.pending.append(victim)
+            self.pending.add(victim)
         return self.placement.place(self.index, job.n_gpus, job.excluded_nodes)
 
 
@@ -93,7 +101,7 @@ class World:
     """One cluster and scheduler, with a log of every decision."""
 
     def __init__(self, scheduler_cls, setup):
-        failures, reliability_aware, preflight = setup
+        failures, reliability_aware, preflight, flat = setup
         if failures:
             # Lemons fail often enough to drain and fail nodes mid-run.
             spec = ClusterSpec.rsc1_like(
@@ -115,6 +123,10 @@ class World:
         self.engine = Engine()
         self.cluster = Cluster(spec, self.engine, RngStreams(1))
         kwargs = {"quotas": QuotaManager({"capped": 24})}
+        if flat:
+            # A weak QoS term: a LOW job that waited long enough passes a
+            # fresh HIGH one, so the pass visits tiers interleaved.
+            kwargs["priority"] = PriorityPolicy(qos_weight=10.0)
         if reliability_aware:
             kwargs["placement"] = ReliabilityAwarePlacement(
                 risk_of=lambda node: node.node_id % 3
@@ -161,21 +173,23 @@ class World:
     def apply(self, op, a, b):
         engine, cluster, sched = self.engine, self.cluster, self.scheduler
         now = engine.now
-        if op == "submit":
+        if op in ("submit", "burst"):
             gpus, qos, minutes, project, excluded = a
-            job_id = len(sched.jobs) + 1
-            sched.submit(
-                JobSpec(
-                    job_id=job_id,
-                    jobrun_id=job_id,
-                    project=project,
-                    n_gpus=gpus,
-                    qos=qos,
-                    submit_time=now,
-                    work_seconds=minutes * MINUTE,
-                    exclude_nodes=frozenset(excluded),
+            # A burst submits identical jobs at one timestamp.
+            for _ in range(b if op == "burst" else 1):
+                job_id = len(sched.jobs) + 1
+                sched.submit(
+                    JobSpec(
+                        job_id=job_id,
+                        jobrun_id=job_id,
+                        project=project,
+                        n_gpus=gpus,
+                        qos=qos,
+                        submit_time=now,
+                        work_seconds=minutes * MINUTE,
+                        exclude_nodes=frozenset(excluded),
+                    )
                 )
-            )
             # The pass runs on the next step, so jobs submitted
             # back to back share it.
         elif op == "advance":
@@ -263,8 +277,17 @@ steps = st.lists(
         submit,
         submit,
         st.tuples(
+            st.just("burst"),
+            job_args(
+                st.sampled_from(list(QosTier)),
+                st.sampled_from([60, 300, 900]),
+            ),
+            st.integers(2, 4),
+        ),
+        st.tuples(
             st.just("advance"),
-            st.sampled_from([1, 10, 30, 60, 119, 120, 121, 240]),
+            # Past 2 days, waiting jobs' ages saturate.
+            st.sampled_from([1, 10, 30, 60, 119, 120, 121, 240, 2 * 24 * 60 + 1]),
             st.just(0),
         ),
         st.tuples(st.just("shield"), st.integers(0, 5), st.just(0)),
@@ -279,7 +302,7 @@ steps = st.lists(
 
 
 @given(
-    setup=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    setup=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
     initial=background,
     ops=steps,
 )
@@ -287,7 +310,7 @@ steps = st.lists(
 # A preemption frees a whole gang: the job after the preempting one
 # fits in what is left, though a request its size failed before.
 @example(
-    setup=(False, False, False),
+    setup=(False, False, False, False),
     initial=[
         (160, QosTier.LOW, 2000, "p", ()),
         (16, QosTier.LOW, 2000, "p", ()),
@@ -303,7 +326,7 @@ steps = st.lists(
 # A NORMAL sub-server job leaves a node it shared with a LOW one: the
 # free counts stay put, but the node becomes a preemption candidate.
 @example(
-    setup=(False, False, False),
+    setup=(False, False, False, False),
     initial=[
         (160, QosTier.NORMAL, 2000, "p", ()),
         (24, QosTier.NORMAL, 2000, "p", ()),

@@ -9,6 +9,8 @@ from repro.jobtypes import IntendedOutcome, JobState, QosTier
 from repro.scheduler.engine import SlurmLikeScheduler
 from repro.scheduler.placement import PlacementPolicy
 from repro.scheduler.preemption import PreemptionPolicy
+from repro.scheduler.priority import PriorityPolicy
+from repro.scheduler.quota import QuotaManager
 from repro.sim.engine import Engine
 from repro.sim.events import EventLog
 from repro.sim.rng import RngStreams
@@ -296,3 +298,26 @@ def test_failed_plan_is_not_repeated_before_the_shield_lifts():
     [preempted] = [r for r in sched.records if r.state is JobState.PREEMPTED]
     assert (preempted.job_id, preempted.end_time) == (1, 2 * HOUR)
     assert sched.jobs[2].state is JobState.RUNNING
+
+
+def test_a_job_without_quota_leaves_its_bucket_the_preemption_attempt():
+    """A pass stops visiting a (QoS, size) bucket only once the rest of
+    it cannot act: here the first NORMAL job in line lacks quota, so the
+    next one of its bucket still makes the pass's preemption attempt."""
+    engine, _cluster, sched = build(
+        n_nodes=2,
+        priority=PriorityPolicy(qos_weight=10.0),
+        quotas=QuotaManager({"capped": 4}),
+    )
+    sched.submit(make_spec(1, n_gpus=16, work=3 * DAY, qos=QosTier.LOW))
+    # Under a weak QoS term the old LOW job outranks the NORMAL ones:
+    # its failed placement sets the failure floor before they are seen.
+    sched.submit(make_spec(2, n_gpus=8, qos=QosTier.LOW))
+    sched.submit(make_spec(3, n_gpus=8, submit=DAY, project="capped"))
+    sched.submit(make_spec(4, n_gpus=8, submit=DAY))
+    engine.run_until(DAY)
+    order = sched.priority.sort_pending([sched.jobs[i] for i in (4, 3, 2)], DAY)
+    assert [job.job_id for job in order] == [2, 3, 4]
+    assert sched.jobs[4].state is JobState.RUNNING
+    [preempted] = [r for r in sched.records if r.state is JobState.PREEMPTED]
+    assert (preempted.job_id, preempted.instigator_job_id) == (1, 4)
