@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: Bump when the meaning of an existing field changes or a field is
 #: removed (new fields with backward-compatible defaults do not require a
 #: bump).
-RUN_OPTIONS_VERSION = 3
+RUN_OPTIONS_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,6 @@ class RunOptions:
             to disable caching.  The cache is also the resume point: an
             interrupted sweep re-run against the same cache simulates
             only the configs it had not finished.
-        cache_dir: Root directory for the default cache when ``cache``
-            is ``None`` (overrides the environment resolution).
         workers: Max worker processes for pooled sweeps (``None`` =
             CPU count, ``1`` = inline).
         resilience: A :class:`repro.resilience.ResilienceConfig`
@@ -67,7 +65,6 @@ class RunOptions:
 
     telemetry: Optional["Telemetry"] = None
     cache: Union["TraceCache", bool, None] = None
-    cache_dir: Optional[str] = None
     workers: Optional[int] = None
     resilience: Optional["ResilienceConfig"] = None
     backend: str = "local-pool"
@@ -99,7 +96,7 @@ class RunOptions:
         if self.cache is False:
             return None
         if self.cache is None or self.cache is True:
-            return TraceCache(root=self.cache_dir)
+            return TraceCache()
         return self.cache
 
 

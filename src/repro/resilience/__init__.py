@@ -14,7 +14,7 @@ simulator.  Three pieces:
   after repeated pool-level failures.
 * :mod:`repro.resilience.config` — :class:`ResilienceConfig`, the
   bundle the execution layer consumes (via
-  ``RunOptions(resilience=...)`` or ``CampaignPool(resilience=...)``).
+  ``RunOptions(resilience=...)``).
 
 Every recovery action is accounted in ``obs`` metrics
 (``resilience_retries_total``, ``resilience_cache_quarantined_total``,

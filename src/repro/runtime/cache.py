@@ -34,7 +34,7 @@ Control knobs:
 * ``REPRO_TRACE_CACHE=off`` (or ``0``/``no``/``false``/``disabled``)
   disables the cache process-wide.
 * ``REPRO_TRACE_CACHE=/some/dir`` relocates it.
-* ``TraceCache(enabled=False)`` / ``CampaignPool(cache=False)`` disable it
+* ``TraceCache(enabled=False)`` / ``RunOptions(cache=False)`` disable it
   per call site.
 
 The cache is also the resume point of an interrupted sweep and the

@@ -52,7 +52,7 @@ speedups and recoveries are measurable, not anecdotal.
 
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.backends import (
     BackendError,
@@ -68,7 +68,7 @@ from repro.campaign import CampaignConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import maybe_span
 from repro.options import RunOptions
-from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
+from repro.resilience.config import DEFAULT_RESILIENCE
 from repro.resilience.retry import CircuitBreaker
 from repro.runtime.cache import TraceCache
 from repro.runtime.hashing import config_digest
@@ -122,64 +122,38 @@ class SweepStats:
         )
 
 
-#: Default of ``CampaignPool(cache=)``: "not passed", so ``options.cache``
-#: applies (an explicit ``None`` means the default cache).
-_FROM_OPTIONS = object()
-
-
 class CampaignPool:
     """Runs batches of campaigns through the cache and a backend."""
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        cache: Union[TraceCache, bool, None] = _FROM_OPTIONS,
-        telemetry=None,
-        resilience: Optional[ResilienceConfig] = None,
-        options: Optional[RunOptions] = None,
-    ):
+    def __init__(self, options: Optional[RunOptions] = None):
         """
         Args:
-            max_workers: Upper bound on worker processes.  Defaults to the
-                machine's CPU count; ``1`` forces in-process execution.
-            cache: A :class:`TraceCache`, ``None`` for the default cache
-                (honors ``REPRO_TRACE_CACHE``), or ``False`` to disable
-                caching for this pool.
-            telemetry: Optional :class:`repro.obs.Telemetry`; the pool
-                accounts into its registry (and traces its spans and
-                retries when the tracer is enabled).  Without one, the
-                pool still owns a private :class:`MetricsRegistry` —
-                ``last_stats`` is always derived from registry counters.
-            resilience: Recovery posture (retry budget, chaos injection,
-                circuit breaker); ``None`` uses the default policy.
-            options: A :class:`repro.RunOptions`; fills any of the above
-                that were not passed explicitly (workers, cache +
-                cache_dir, telemetry, resilience), and selects the
-                execution backend (``backend`` + ``backend_options``).
+            options: A :class:`repro.RunOptions`: the worker bound
+                (``workers``; ``None`` = CPU count, ``1`` = in-process),
+                the cache, the telemetry the pool accounts into, the
+                recovery posture (``resilience``; ``None`` = the default
+                policy) and the execution backend (``backend`` +
+                ``backend_options``).  Without telemetry the pool still
+                owns a private :class:`MetricsRegistry` — ``last_stats``
+                is always derived from registry counters.
         """
         opts = options if options is not None else RunOptions()
-        if max_workers is None:
-            max_workers = opts.workers
-        if cache is not _FROM_OPTIONS:
-            opts = opts.replace(cache=cache)
-        if telemetry is None:
-            telemetry = opts.telemetry
-        if resilience is None:
-            resilience = opts.resilience or DEFAULT_RESILIENCE
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         self.backend = opts.backend or DEFAULT_BACKEND
         self.backend_options = dict(opts.backend_options or {})
-        self.max_workers = max_workers
-        self.resilience = resilience
+        self.max_workers = opts.workers
+        self.resilience = opts.resilience or DEFAULT_RESILIENCE
         self.cache: Optional[TraceCache] = opts.resolved_cache()
-        self.telemetry = telemetry
+        self.telemetry = opts.telemetry
         self.metrics: MetricsRegistry = (
-            telemetry.metrics if telemetry is not None else MetricsRegistry()
+            opts.telemetry.metrics
+            if opts.telemetry is not None
+            else MetricsRegistry()
         )
         #: One breaker per pool: once open, this pool never goes back to
         #: backend execution (a broken mp environment does not heal).
-        self.breaker = CircuitBreaker(threshold=resilience.circuit_threshold)
+        self.breaker = CircuitBreaker(
+            threshold=self.resilience.circuit_threshold
+        )
         self.last_stats: Optional[SweepStats] = None
 
     # ------------------------------------------------------------------

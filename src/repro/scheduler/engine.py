@@ -236,7 +236,8 @@ class SlurmLikeScheduler:
             queue.end_pass(started)
 
     def _plan_preemption(self, job: Job, now: float) -> Optional[PreemptionPlan]:
-        """``plan`` for ``job``, or a remembered None while it must repeat.
+        """The preemption plan for ``job``, or a remembered None while it
+        must repeat.
 
         A failed plan holds until the index or the cluster's availability
         changes, the request differs, or the clock lifts the shield off

@@ -71,13 +71,13 @@ class FreeNodeIndex:
         self._bucket_of: Dict[int, int] = {}
         #: Preemption's per-node resident summaries (node id ->
         #: ``preemption.resident_summary``), built lazily by
-        #: ``PreemptionPolicy.plan``.  An entry is dropped wherever the
+        #: ``PreemptionPolicy.plan_with_shielded_start``.  An entry is dropped wherever the
         #: node's residents, its free GPUs or a resident's start time can
         #: change: ``refresh``/``remove`` (which follow every allocate and
         #: release) and ``forget_summaries`` (a preflight re-baseline).
         #: ``Node.enter_remediation`` clears residents without the index
         #: seeing it, but the node then leaves the schedulable ids that
-        #: ``plan`` walks, and it only returns through the scheduler's
+        #: planning walks, and it only returns through the scheduler's
         #: ``_on_node_available``, which refreshes it.
         self.resident_summaries: Dict[int, Optional[ResidentSummary]] = {}
         #: Bumped by every ``refresh``, ``remove`` and

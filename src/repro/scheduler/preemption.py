@@ -41,7 +41,7 @@ ResidentSummary = Tuple[int, int, float, int]
 def resident_summary(
     node: Node, jobs: Dict[int, Job]
 ) -> Optional[ResidentSummary]:
-    """Summarize ``node``'s residents for :meth:`PreemptionPolicy.plan`."""
+    """Summarize ``node``'s residents for preemption planning."""
     if not node.running_jobs or node.fully_free:
         return None
     residents = [jobs[jid] for jid in node.running_jobs]
@@ -63,45 +63,6 @@ class PreemptionPolicy:
 
     shield: float = PREEMPTION_SHIELD
 
-    def plan(
-        self,
-        pending: Job,
-        nodes: Dict[int, Node],
-        jobs: Dict[int, Job],
-        now: float,
-        already_free: int,
-        excluded: Set[int],
-        candidate_ids: Iterable[int],
-        summaries: Optional[Dict[int, Optional[ResidentSummary]]] = None,
-    ) -> Optional[PreemptionPlan]:
-        """Find victims so that ``pending`` can start; None if impossible.
-
-        ``already_free`` is the count of fully free servers that placement
-        already found; we only need to liberate the remainder.  A node is
-        liberable only if *every* resident job is RUNNING, of strictly
-        lower QoS than ``pending`` and past the shield — gang semantics
-        mean killing one job frees all its nodes, so we work at node
-        granularity and dedupe victims.
-
-        ``candidate_ids`` are the schedulable node ids in ascending order
-        (the cluster's incremental index).  ``summaries`` caches
-        :func:`resident_summary` per node id across calls; the caller
-        must drop a node's entry whenever its residents, its free GPUs or
-        a resident's ``start_time`` change (the scheduler's
-        :class:`~repro.scheduler.placement.FreeNodeIndex` does this).
-        Without it, summaries are built afresh for this call.
-        """
-        return self.plan_with_shielded_start(
-            pending,
-            nodes,
-            jobs,
-            now,
-            already_free,
-            excluded,
-            candidate_ids,
-            summaries,
-        )[0]
-
     def plan_with_shielded_start(
         self,
         pending: Job,
@@ -114,13 +75,30 @@ class PreemptionPolicy:
         summaries: Optional[Dict[int, Optional[ResidentSummary]]] = None,
         lower_ranked_nodes: Optional[int] = None,
     ) -> Tuple[Optional[PreemptionPlan], float]:
-        """:meth:`plan`, plus when a failed plan may next succeed.
+        """Find victims so that ``pending`` can start, and when a failed
+        plan may next succeed.
+
+        The plan is None if ``pending`` cannot start.  ``already_free``
+        is the count of fully free servers that placement already found;
+        we only need to liberate the remainder.  A node is liberable only
+        if *every* resident job is RUNNING, of strictly lower QoS than
+        ``pending`` and past the shield — gang semantics mean killing one
+        job frees all its nodes, so we work at node granularity and
+        dedupe victims.
+
+        ``candidate_ids`` are the schedulable node ids in ascending order
+        (the cluster's incremental index).  ``summaries`` caches
+        :func:`resident_summary` per node id across calls; the caller
+        must drop a node's entry whenever its residents, its free GPUs or
+        a resident's ``start_time`` change (the scheduler's
+        :class:`~repro.scheduler.placement.FreeNodeIndex` does this).
+        Without it, summaries are built afresh for this call.
 
         The second value is the smallest latest resident start among the
         nodes that only the shield still protects (``inf`` if none).
         Until ``now - start >= shield`` for it, or the nodes' residents
-        or the candidate ids change, ``plan`` keeps returning None: the
-        clock only adds candidates by lifting the shield.
+        or the candidate ids change, the plan stays None: the clock only
+        adds candidates by lifting the shield.
 
         ``lower_ranked_nodes``, if given, bounds the nodes whose
         residents all rank below ``pending``.  When it is short of the

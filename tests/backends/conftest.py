@@ -8,7 +8,7 @@ a one-worker pool, which runs on the inline backend.
 
 import pytest
 
-from repro import CampaignConfig, ClusterSpec
+from repro import CampaignConfig, ClusterSpec, RunOptions
 from repro.runtime import CampaignPool, seed_sweep_configs, trace_digest
 
 
@@ -21,5 +21,7 @@ def tiny_configs():
 
 @pytest.fixture(scope="session")
 def tiny_digests(tiny_configs):
-    traces = CampaignPool(max_workers=1, cache=False).run(tiny_configs)
+    traces = CampaignPool(options=RunOptions(workers=1, cache=False)).run(
+        tiny_configs
+    )
     return [trace_digest(t) for t in traces]

@@ -6,6 +6,9 @@ columnar form must reproduce the row form bit-for-bit at the
 must equal the rowwise predicates they replace, element for element.
 """
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.core.columns import (
     EventColumns,
     JOB_STATES,
     JobColumns,
+    NodeColumns,
     StringTable,
     next_power_of_two,
     pack_strings,
@@ -24,7 +28,13 @@ from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.runtime import trace_digest
 from repro.sim.events import EventRecord
 from repro.stats.quantiles import power_of_two_bucket
-from repro.workload.trace import Trace
+from repro.workload.trace import (
+    EVENT_ROW_FIELDS,
+    JOB_ROW_FIELDS,
+    NODE_ROW_FIELDS,
+    NodeTraceRecord,
+    Trace,
+)
 
 
 # ----------------------------------------------------------------------
@@ -41,7 +51,7 @@ def test_columnar_roundtrip_is_digest_exact(rsc1_trace):
 
 def test_columnar_from_dict_roundtrip(rsc1_trace):
     payload = rsc1_trace.to_dict()
-    cols = ColumnarTrace.from_dict(payload)
+    cols = ColumnarTrace.from_trace(Trace.from_dict(payload))
     assert trace_digest(cols.to_trace()) == trace_digest(rsc1_trace)
 
 
@@ -52,6 +62,91 @@ def test_npz_roundtrip_is_digest_exact(rsc1_trace, tmp_path):
     loaded = ColumnarTrace.load_npz(target)
     assert trace_digest(loaded.to_trace()) == trace_digest(rsc1_trace)
     assert loaded.metadata == rsc1_trace.metadata
+
+
+def test_schemas_name_every_record_field_in_order():
+    # A record field added without a column fails here.
+    for columns, row_fields in (
+        (JobColumns, JOB_ROW_FIELDS),
+        (NodeColumns, NODE_ROW_FIELDS),
+        (EventColumns, EVENT_ROW_FIELDS),
+    ):
+        assert tuple(name for name, _ in columns.SCHEMA) == row_fields
+
+
+#: The npz layout of `_edge_case_trace()`: key -> (dtype, shape).  The
+#: trace cache reads entries written by earlier builds, so this must not
+#: drift without a COLUMNAR_SCHEMA_VERSION bump.
+EDGE_CASE_NPZ_LAYOUT = {
+    "events_check_code": ("int32", (2,)),
+    "events_component_code": ("int32", (2,)),
+    "events_data_blob": ("uint8", (119,)),
+    "events_data_offsets": ("int64", (3,)),
+    "events_incident_id": ("int64", (2,)),
+    "events_incident_null": ("bool", (2,)),
+    "events_kind_code": ("int32", (2,)),
+    "events_node_id": ("int64", (2,)),
+    "events_severity": ("int16", (2,)),
+    "events_subject_code": ("int32", (2,)),
+    "events_time": ("float64", (2,)),
+    "extra_json": ("uint8", (8,)),
+    "header_json": ("uint8", (438,)),
+    "jobs_attempt": ("int32", (3,)),
+    "jobs_end_time": ("float64", (3,)),
+    "jobs_enqueue_time": ("float64", (3,)),
+    "jobs_failing_node_id": ("int64", (3,)),
+    "jobs_failing_node_null": ("bool", (3,)),
+    "jobs_hw_attributed": ("bool", (3,)),
+    "jobs_hw_component_code": ("int32", (3,)),
+    "jobs_hw_incident_id": ("int64", (3,)),
+    "jobs_hw_incident_null": ("bool", (3,)),
+    "jobs_instigator_job_id": ("int64", (3,)),
+    "jobs_instigator_null": ("bool", (3,)),
+    "jobs_job_id": ("int64", (3,)),
+    "jobs_jobrun_id": ("int64", (3,)),
+    "jobs_n_gpus": ("int32", (3,)),
+    "jobs_n_nodes": ("int32", (3,)),
+    "jobs_node_ids_flat": ("int64", (258,)),
+    "jobs_node_ids_offsets": ("int64", (4,)),
+    "jobs_project_code": ("int32", (3,)),
+    "jobs_qos": ("int8", (3,)),
+    "jobs_start_time": ("float64", (3,)),
+    "jobs_state_code": ("uint8", (3,)),
+    "nodes_excl_jobid_count": ("int64", (2,)),
+    "nodes_gpu_swaps": ("int64", (2,)),
+    "nodes_is_lemon_truth": ("bool", (2,)),
+    "nodes_lemon_component_code": ("int32", (2,)),
+    "nodes_multi_node_node_fails": ("int64", (2,)),
+    "nodes_node_id": ("int64", (2,)),
+    "nodes_out_count": ("int64", (2,)),
+    "nodes_pod_id": ("int64", (2,)),
+    "nodes_rack_id": ("int64", (2,)),
+    "nodes_single_node_jobs_seen": ("int64", (2,)),
+    "nodes_single_node_node_fails": ("int64", (2,)),
+    "nodes_tickets": ("int64", (2,)),
+    "nodes_xid_cnt": ("int64", (2,)),
+}
+
+
+def test_npz_layout_is_pinned():
+    buffer = io.BytesIO()
+    cols = ColumnarTrace.from_trace(_edge_case_trace())
+    cols.save_npz(buffer, extra={"k": 1})
+    buffer.seek(0)
+    with np.load(buffer, allow_pickle=False) as data:
+        layout = {k: (str(data[k].dtype), data[k].shape) for k in data.files}
+        header = json.loads(data["header_json"].tobytes().decode("utf-8"))
+    assert layout == EDGE_CASE_NPZ_LAYOUT
+    # In order: the header's JSON text is part of the layout.
+    assert list(header["tables"].items()) == [
+        ("job_project", ["prétraining-μ", "eval"]),
+        ("job_hw_component", ["gpu"]),
+        ("node_lemon_component", ["gpu"]),
+        ("event_kind", ["health.check_failed", "cluster.incident"]),
+        ("event_subject", ["node-00001", "node-00002"]),
+        ("event_component", ["gpu"]),
+        ("event_check", ["dcgm"]),
+    ]
 
 
 def test_trace_columns_property_is_cached(rsc1_trace):
@@ -136,13 +231,48 @@ def _edge_case_records():
     ]
 
 
+def _edge_case_trace():
+    """The edge-case jobs and events, two nodes (one a lemon)."""
+    counters = dict(
+        gpu_swaps=1,
+        excl_jobid_count=2,
+        xid_cnt=3,
+        tickets=0,
+        out_count=1,
+        multi_node_node_fails=0,
+        single_node_node_fails=1,
+        single_node_jobs_seen=4,
+    )
+    nodes = [
+        NodeTraceRecord(
+            node_id=i,
+            rack_id=0,
+            pod_id=0,
+            is_lemon_truth=lemon,
+            lemon_component=component,
+            **counters,
+        )
+        for i, (lemon, component) in enumerate([(False, None), (True, "gpu")])
+    ]
+    return Trace(
+        cluster_name="RSC-1-like",
+        n_nodes=2,
+        n_gpus=16,
+        start=0.0,
+        end=8000.0,
+        job_records=_edge_case_records(),
+        node_records=nodes,
+        events=_edge_case_events(),
+        metadata={"seed": 0},
+    )
+
+
 def test_job_columns_roundtrip_edge_cases():
     records = _edge_case_records()
     cols = JobColumns.from_records(records)
-    assert cols.to_records() == records
-    # Per-row accessors agree with the bulk path.
-    assert [cols.record(i) for i in range(len(cols))] == records
-    assert cols.node_ids_of(0) == tuple(range(256))
+    back = cols.to_records()
+    assert back == records
+    assert back[0].node_ids == tuple(range(256))
     # None-ness is carried by masks, not sentinel collisions.
     assert cols.hw_incident_null.tolist() == [False, True, True]
     assert cols.instigator_null.tolist() == [True, False, True]
@@ -178,8 +308,8 @@ def test_state_codes_follow_declaration_order():
 # ----------------------------------------------------------------------
 # event columns
 # ----------------------------------------------------------------------
-def test_event_columns_roundtrip_non_ascii_payload():
-    events = [
+def _edge_case_events():
+    return [
         EventRecord(
             time=1.0,
             kind="health.check_failed",
@@ -193,9 +323,14 @@ def test_event_columns_roundtrip_non_ascii_payload():
             data={"node_id": 2, "component": "gpu", "incident_id": 9},
         ),
     ]
+
+
+def test_event_columns_roundtrip_non_ascii_payload():
+    events = _edge_case_events()
     cols = EventColumns.from_records(events)
-    assert cols.to_records() == events  # utf-8 fallback path
-    assert cols.data_of(0)["note"] == "café"
+    back = cols.to_records()
+    assert back == events  # utf-8 fallback path
+    assert back[0].data["note"] == "café"
 
 
 def test_event_columns_roundtrip_ascii_fast_path(rsc1_trace):

@@ -94,16 +94,27 @@ def test_disabled_telemetry_bundle_is_inert(config, plain_trace):
     assert trace_digest(trace) == trace_digest(plain_trace)
 
 
-def _noop_events_seconds(telemetry, n_events=100_000) -> float:
-    """This thread's CPU time running ``n_events`` no-op engine events."""
-    engine = Engine(telemetry=telemetry)
+def _noop_events_seconds(variants, n_events=100_000, chunk=1_000):
+    """This thread's CPU time running ``n_events`` no-op engine events,
+    per ``(name, telemetry)`` variant.
+
+    The heaps are filled one event each in turn, and the runs advance
+    ``chunk`` events each in turn, so the variants share one allocator
+    state and a slow spell of the host lands on both alike.
+    """
+    engines = {name: Engine(telemetry=tel) for name, tel in variants}
     callback = lambda: None  # noqa: E731 - intentional no-op
     for i in range(n_events):
-        engine.schedule_at(float(i), callback, label="noop:1")
-    t0 = time.thread_time()
-    engine.run_until(float(n_events))
-    seconds = time.thread_time() - t0
-    assert engine.executed_events == n_events
+        for engine in engines.values():
+            engine.schedule_at(float(i), callback, label="noop:1")
+    seconds = dict.fromkeys(engines, 0.0)
+    for end in range(chunk, n_events + 1, chunk):
+        for name, engine in engines.items():
+            t0 = time.thread_time()
+            engine.run_until(float(end - 1))
+            seconds[name] += time.thread_time() - t0
+    for engine in engines.values():
+        assert engine.executed_events == n_events
     return seconds
 
 
@@ -112,19 +123,18 @@ def test_disabled_telemetry_stays_inside_the_overhead_budget():
     that is wired in but switched off.
 
     Each round reads the thread's CPU clock, so another process on the
-    host is not counted.  A round is faster on memory no round has used
-    yet, and later rounds drift as the allocator recycles blocks, so an
-    untimed round of each variant comes first and the variants swap
-    order every round; the best of five rounds is compared.
+    host is not counted.  How fast a round runs depends on where the
+    allocator placed its 100k events, which drifts from round to round,
+    and on what else the host runs, so both variants of a round share
+    one interleaved fill and run interleaved, and they swap order every
+    round; the best of five rounds is compared.
     """
     disabled = Telemetry.disabled()
-    _noop_events_seconds(None)
-    _noop_events_seconds(disabled)
     best = {"none": float("inf"), "disabled": float("inf")}
     variants = [("none", None), ("disabled", disabled)]
     for _ in range(5):
-        for name, telemetry in variants:
-            best[name] = min(best[name], _noop_events_seconds(telemetry))
+        for name, seconds in _noop_events_seconds(variants).items():
+            best[name] = min(best[name], seconds)
         variants.reverse()
     none_s, disabled_s = best["none"], best["disabled"]
     assert disabled.tracer.events_emitted == 0

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import CampaignConfig, ClusterSpec
+from repro import CampaignConfig, ClusterSpec, RunOptions
 from repro.obs import (
     Telemetry,
     reconstruct_timeline,
@@ -207,10 +207,12 @@ def test_observed_chaos_sweep_scores_profiles_and_reconstructs(tmp_path):
     )
     want = [
         trace_digest(t)
-        for t in CampaignPool(max_workers=1, cache=False).run(configs)
+        for t in CampaignPool(
+            options=RunOptions(workers=1, cache=False)
+        ).run(configs)
     ]
 
-    # max_workers=1 keeps execution in-process, so campaign and phase
+    # workers=1 keeps execution in-process, so campaign and phase
     # spans nest under the pool's sweep span and chaos kills land as
     # inline retries.
     telemetry = Telemetry.to_directory(tmp_path / "tel", stem="sweep")
@@ -220,8 +222,10 @@ def test_observed_chaos_sweep_scores_profiles_and_reconstructs(tmp_path):
             root=tmp_path / "cache", enabled=True, telemetry=telemetry
         )
         pool = CampaignPool(
-            max_workers=1, cache=cache, resilience=resilience,
-            telemetry=telemetry,
+            options=RunOptions(
+                workers=1, cache=cache, resilience=resilience,
+                telemetry=telemetry,
+            )
         )
         traces = pool.run(configs)
         assert [trace_digest(t) for t in traces] == want

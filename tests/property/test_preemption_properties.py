@@ -1,12 +1,12 @@
 """Preemption planning from cached resident summaries vs brute force.
 
-``PreemptionPolicy.plan`` reads one cached summary per node (max/min
+``PreemptionPolicy.plan_with_shielded_start`` reads one cached summary per node (max/min
 resident QoS, latest resident start, held GPUs) instead of walking every
 resident job.  The reference below is the per-resident predicate and the
 full-fleet scan the summaries replaced, kept verbatim.  Hypothesis drives
 a small fleet through allocate, release, preflight re-baseline, drain,
 remediation and return, quarantine toggles and clock steps that land
-exactly on the shield boundary; after every step ``plan`` must equal the
+exactly on the shield boundary; after every step the plan must equal the
 reference and every cached summary must equal a fresh recomputation.
 A campaign-level test checks the same cache invariant after every
 scheduling pass of a real simulation.
@@ -208,7 +208,7 @@ class _Fleet:
 
     def check_plan(self, policy, pending, already_free=0, excluded=()):
         schedulable = [i for i, n in self.nodes.items() if n.is_schedulable()]
-        got = policy.plan(
+        got = policy.plan_with_shielded_start(
             pending,
             self.nodes,
             self.jobs,
@@ -217,7 +217,7 @@ class _Fleet:
             excluded=set(excluded),
             candidate_ids=schedulable,
             summaries=self.index.resident_summaries,
-        )
+        )[0]
         want = _reference_plan(
             pending,
             self.nodes,
@@ -327,7 +327,7 @@ def test_shield_boundary_matches_reference(start):
         boundary,
         math.nextafter(boundary, math.inf),
     ):
-        got = policy.plan(
+        got = policy.plan_with_shielded_start(
             pending,
             fleet.nodes,
             fleet.jobs,
@@ -336,7 +336,7 @@ def test_shield_boundary_matches_reference(start):
             excluded=set(),
             candidate_ids=[0],
             summaries=fleet.index.resident_summaries,
-        )
+        )[0]
         want = _reference_plan(
             pending, fleet.nodes, fleet.jobs, now, 0, set(), policy.shield
         )

@@ -8,7 +8,7 @@ pending queue stays ordered between passes and stops visiting a
 bucket whose rest cannot act (``docs/PERFORMANCE.md``, "Priority
 keys" and "Scheduling pass").  ``ReferenceScheduler`` keeps the loop
 as it was before those shortcuts: a full sort, ``place`` for every job
-and ``plan`` on every attempt.
+and a preemption plan on every attempt.
 
 Two copies of one small cluster, one per scheduler, take the same
 random churn: sub-server and multi-node jobs in every QoS tier,
@@ -74,7 +74,7 @@ class ReferenceScheduler(SlurmLikeScheduler):
 
     def _try_preempt_for(self, job, now):
         cluster = self.cluster
-        plan = self.preemption.plan(
+        plan = self.preemption.plan_with_shielded_start(
             pending=job,
             nodes=cluster.nodes,
             jobs=self.jobs,
@@ -83,7 +83,7 @@ class ReferenceScheduler(SlurmLikeScheduler):
             excluded=job.excluded_nodes,
             candidate_ids=cluster.schedulable_node_ids(),
             summaries=self.index.resident_summaries,
-        )
+        )[0]
         if plan is None:
             return None
         for victim in plan.victims:

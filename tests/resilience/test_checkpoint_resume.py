@@ -9,7 +9,7 @@ the same directory.
 
 import pytest
 
-from repro import CampaignConfig, ClusterSpec, run_campaign
+from repro import CampaignConfig, ClusterSpec, RunOptions, run_campaign
 from repro.runtime import (
     CampaignPool,
     TraceCache,
@@ -27,7 +27,9 @@ def sweep_configs():
 
 @pytest.fixture(scope="module")
 def sweep_digests(sweep_configs):
-    traces = CampaignPool(max_workers=1, cache=False).run(sweep_configs)
+    traces = CampaignPool(options=RunOptions(workers=1, cache=False)).run(
+        sweep_configs
+    )
     return [trace_digest(t) for t in traces]
 
 
@@ -42,7 +44,9 @@ def _interrupt_after(directory, configs, completed: int) -> TraceCache:
 
 def _resume(directory, configs):
     pool = CampaignPool(
-        max_workers=1, cache=TraceCache(directory, enabled=True)
+        options=RunOptions(
+            workers=1, cache=TraceCache(directory, enabled=True)
+        )
     )
     return pool, pool.run(configs)
 
@@ -83,7 +87,9 @@ def test_overlapping_sweeps_share_a_directory(
     _resume(tmp_path, sweep_a)
 
     pool, traces = _resume(tmp_path, sweep_b)
-    cold = CampaignPool(max_workers=1, cache=False).run(sweep_b)
+    cold = CampaignPool(options=RunOptions(workers=1, cache=False)).run(
+        sweep_b
+    )
     assert [trace_digest(t) for t in traces] == [
         trace_digest(t) for t in cold
     ]

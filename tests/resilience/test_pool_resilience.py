@@ -41,7 +41,9 @@ def test_inline_chaos_run_is_bit_identical(tiny_configs, tiny_digests, chaos_see
         seed=chaos_seed, worker_kill_rate=0.7, max_kills_per_config=2
     )
     pool = CampaignPool(
-        max_workers=1, cache=False, resilience=_resilience(chaos)
+        options=RunOptions(
+            workers=1, cache=False, resilience=_resilience(chaos)
+        )
     )
     traces = pool.run(tiny_configs)
     assert [trace_digest(t) for t in traces] == tiny_digests
@@ -56,7 +58,9 @@ def test_kill_every_attempt_within_budget_still_completes(
     (max_kills_per_config=2 < max_attempts=3) guarantees attempt 2 lives."""
     chaos = ChaosPolicy(seed=0, worker_kill_rate=1.0, max_kills_per_config=2)
     pool = CampaignPool(
-        max_workers=1, cache=False, resilience=_resilience(chaos)
+        options=RunOptions(
+            workers=1, cache=False, resilience=_resilience(chaos)
+        )
     )
     traces = pool.run(tiny_configs)
     assert [trace_digest(t) for t in traces] == tiny_digests
@@ -69,9 +73,11 @@ def test_exhausted_retry_budget_raises_the_genuine_error(tiny_configs):
     chaos = ChaosPolicy(seed=0, worker_kill_rate=1.0, max_kills_per_config=5)
     retry = RetryPolicy(max_attempts=2, backoff=Backoff(base_s=0.0, jitter=0.0))
     pool = CampaignPool(
-        max_workers=1,
-        cache=False,
-        resilience=ResilienceConfig(retry=retry, chaos=chaos),
+        options=RunOptions(
+            workers=1,
+            cache=False,
+            resilience=ResilienceConfig(retry=retry, chaos=chaos),
+        )
     )
     with pytest.raises(WorkerKilled):
         pool.run(tiny_configs[:1])
@@ -84,11 +90,13 @@ def test_spent_pool_budget_falls_back_inline_then_raises(tiny_configs):
     chaos = ChaosPolicy(seed=0, worker_kill_rate=1.0, max_kills_per_config=5)
     retry = RetryPolicy(max_attempts=2, backoff=Backoff(base_s=0.0, jitter=0.0))
     pool = CampaignPool(
-        max_workers=2,
-        cache=False,
-        resilience=ResilienceConfig(
-            retry=retry, chaos=chaos, circuit_threshold=10
-        ),
+        options=RunOptions(
+            workers=2,
+            cache=False,
+            resilience=ResilienceConfig(
+                retry=retry, chaos=chaos, circuit_threshold=10
+            ),
+        )
     )
     with pytest.raises(WorkerKilled):
         pool.run(tiny_configs[:2])
@@ -107,14 +115,18 @@ def test_cache_corruption_quarantines_and_rebuilds(
     resilience = _resilience(chaos)
 
     warm = CampaignPool(
-        max_workers=1,
-        cache=TraceCache(root=tmp_path, enabled=True),
-        resilience=_resilience(),
+        options=RunOptions(
+            workers=1,
+            cache=TraceCache(root=tmp_path, enabled=True),
+            resilience=_resilience(),
+        )
     )
     assert [trace_digest(t) for t in warm.run(tiny_configs)] == tiny_digests
 
     cache = TraceCache(root=tmp_path, enabled=True)
-    pool = CampaignPool(max_workers=1, cache=cache, resilience=resilience)
+    pool = CampaignPool(
+        options=RunOptions(workers=1, cache=cache, resilience=resilience)
+    )
     traces = pool.run(tiny_configs)
     assert [trace_digest(t) for t in traces] == tiny_digests
     assert cache.quarantined == len(tiny_configs)
@@ -125,9 +137,11 @@ def test_cache_corruption_quarantines_and_rebuilds(
 
     # The rebuilt entries are intact: a fault-free third pass is all hits.
     clean = CampaignPool(
-        max_workers=1,
-        cache=TraceCache(root=tmp_path, enabled=True),
-        resilience=_resilience(),
+        options=RunOptions(
+            workers=1,
+            cache=TraceCache(root=tmp_path, enabled=True),
+            resilience=_resilience(),
+        )
     )
     assert [trace_digest(t) for t in clean.run(tiny_configs)] == tiny_digests
     assert clean.last_stats.cache_hits == len(tiny_configs)
@@ -143,13 +157,17 @@ def test_partial_corruption_only_rebuilds_the_victims(
         if chaos.corruption_mode(config_digest(c)) is not None
     )
     warm = CampaignPool(
-        max_workers=1, cache=TraceCache(root=tmp_path, enabled=True)
+        options=RunOptions(
+            workers=1, cache=TraceCache(root=tmp_path, enabled=True)
+        )
     )
     warm.run(tiny_configs)
 
     cache = TraceCache(root=tmp_path, enabled=True)
     pool = CampaignPool(
-        max_workers=1, cache=cache, resilience=_resilience(chaos)
+        options=RunOptions(
+            workers=1, cache=cache, resilience=_resilience(chaos)
+        )
     )
     traces = pool.run(tiny_configs)
     assert [trace_digest(t) for t in traces] == tiny_digests
@@ -163,11 +181,13 @@ def test_subprocess_kills_broken_executor_respawn(tiny_configs, tiny_digests):
     sweep still digests identical to fault-free."""
     chaos = ChaosPolicy(seed=0, worker_kill_rate=1.0, max_kills_per_config=1)
     pool = CampaignPool(
-        max_workers=2,
-        cache=False,
-        resilience=ResilienceConfig(
-            retry=FAST_RETRY, chaos=chaos, circuit_threshold=10
-        ),
+        options=RunOptions(
+            workers=2,
+            cache=False,
+            resilience=ResilienceConfig(
+                retry=FAST_RETRY, chaos=chaos, circuit_threshold=10
+            ),
+        )
     )
     traces = pool.run(tiny_configs)
     assert [trace_digest(t) for t in traces] == tiny_digests
@@ -177,7 +197,9 @@ def test_subprocess_kills_broken_executor_respawn(tiny_configs, tiny_digests):
 
 
 def test_open_breaker_degrades_to_inline(tiny_configs, tiny_digests):
-    pool = CampaignPool(max_workers=4, cache=False, resilience=_resilience())
+    pool = CampaignPool(
+        options=RunOptions(workers=4, cache=False, resilience=_resilience())
+    )
     while not pool.breaker.open:
         pool.breaker.record_failure()
     traces = pool.run(tiny_configs)

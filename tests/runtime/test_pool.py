@@ -37,7 +37,7 @@ def sweep(tmp_path_factory):
     configs = seed_sweep_configs(_base_config(), SEEDS)
     serial = [run_campaign(c) for c in configs]
     cache = TraceCache(root=tmp_path_factory.mktemp("pool-cache"), enabled=True)
-    pool = CampaignPool(max_workers=2, cache=cache)
+    pool = CampaignPool(options=RunOptions(workers=2, cache=cache))
     pooled = pool.run(configs)
     return SimpleNamespace(
         configs=configs,
@@ -96,8 +96,8 @@ def test_simulated_traces_carry_runtime_metadata(sweep):
 
 
 def test_inline_path_matches_pooled(sweep):
-    """max_workers=1 forces in-process execution with identical traces."""
-    inline_pool = CampaignPool(max_workers=1, cache=False)
+    """workers=1 forces in-process execution with identical traces."""
+    inline_pool = CampaignPool(options=RunOptions(workers=1, cache=False))
     inline = inline_pool.run(sweep.configs[:1])
     assert inline_pool.last_stats.workers == 1
     assert inline[0].metadata["runtime"]["executor"] == "inline"
@@ -105,17 +105,17 @@ def test_inline_path_matches_pooled(sweep):
 
 
 def test_cache_false_disables_caching(tmp_path):
-    pool = CampaignPool(cache=False)
+    pool = CampaignPool(options=RunOptions(cache=False))
     assert pool.cache is None
 
 
 def test_bad_worker_count_rejected():
     with pytest.raises(ValueError):
-        CampaignPool(max_workers=0)
+        CampaignPool(options=RunOptions(workers=0))
 
 
 def test_empty_sweep():
-    pool = CampaignPool(cache=False)
+    pool = CampaignPool(options=RunOptions(cache=False))
     assert pool.run([]) == []
     assert pool.last_stats.campaigns == 0
 
@@ -140,7 +140,7 @@ def timed_sweep(tmp_path_factory):
     serial_s = time.perf_counter() - t0
 
     cache = TraceCache(root=tmp_path_factory.mktemp("trace-cache"), enabled=True)
-    pool = CampaignPool(cache=cache)
+    pool = CampaignPool(options=RunOptions(cache=cache))
     t0 = time.perf_counter()
     cold = pool.run(configs)
     cold_s = time.perf_counter() - t0
@@ -176,7 +176,7 @@ def test_timed_sweep_cold_simulates_and_warm_loads(timed_sweep):
 
 
 def test_in_process_telemetry_observes_each_seed_once():
-    """With ``max_workers=1`` the campaigns run in-process on the pool's
+    """With ``workers=1`` the campaigns run in-process on the pool's
     telemetry bundle; the per-seed wall histogram still gets exactly one
     observation per simulated seed."""
     from repro.obs import Telemetry
@@ -186,7 +186,9 @@ def test_in_process_telemetry_observes_each_seed_once():
         CampaignConfig(cluster_spec=spec, duration_days=3, seed=0), SEEDS
     )
     telemetry = Telemetry.in_memory()
-    pool = CampaignPool(max_workers=1, cache=False, telemetry=telemetry)
+    pool = CampaignPool(
+        options=RunOptions(workers=1, cache=False, telemetry=telemetry)
+    )
     pool.run(configs)
     assert pool.last_stats.simulated == len(SEEDS)
     assert telemetry.metrics.histogram("campaign_wall_seconds").count == len(

@@ -216,7 +216,7 @@ def test_lemon_counters_updated_on_failures():
     strict=True,
     reason=(
         "known defect: _try_preempt_for passes free_full_node_count(), "
-        "which counts fully free nodes the job excludes, so plan() "
+        "which counts fully free nodes the job excludes, so the plan "
         "liberates too few nodes and placement still fails; fixing it "
         "changes simulated behaviour and every golden digest"
     ),

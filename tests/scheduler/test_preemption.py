@@ -33,7 +33,7 @@ def _plan_over(residents, pending, now=10 * HOUR):
     for i, job in enumerate(residents):
         nodes[i].allocate(job.job_id, job.spec.gpus_per_node)
         jobs[job.job_id] = job
-    return PreemptionPolicy().plan(
+    return PreemptionPolicy().plan_with_shielded_start(
         pending,
         nodes,
         jobs,
@@ -41,7 +41,7 @@ def _plan_over(residents, pending, now=10 * HOUR):
         already_free=0,
         excluded=set(),
         candidate_ids=sorted(nodes),
-    )
+    )[0]
 
 
 def test_shield_blocks_young_jobs():
@@ -85,7 +85,7 @@ def test_plan_frees_enough_nodes():
     policy = PreemptionPolicy()
     nodes, jobs = _cluster_with_victims()
     pending = make_job(1, QosTier.HIGH, n_gpus=16)
-    plan = policy.plan(
+    plan = policy.plan_with_shielded_start(
         pending,
         nodes,
         jobs,
@@ -93,7 +93,7 @@ def test_plan_frees_enough_nodes():
         already_free=0,
         excluded=set(),
         candidate_ids=sorted(nodes),
-    )
+    )[0]
     assert plan is not None
     assert len(plan.freed_nodes) == 2
     assert len(plan.victims) == 2
@@ -103,7 +103,7 @@ def test_plan_accounts_for_already_free_nodes():
     policy = PreemptionPolicy()
     nodes, jobs = _cluster_with_victims()
     pending = make_job(1, QosTier.HIGH, n_gpus=16)
-    plan = policy.plan(
+    plan = policy.plan_with_shielded_start(
         pending,
         nodes,
         jobs,
@@ -111,7 +111,7 @@ def test_plan_accounts_for_already_free_nodes():
         already_free=1,
         excluded=set(),
         candidate_ids=sorted(nodes),
-    )
+    )[0]
     assert len(plan.victims) == 1
 
 
@@ -119,7 +119,7 @@ def test_plan_returns_none_when_insufficient():
     policy = PreemptionPolicy()
     nodes, jobs = _cluster_with_victims()
     pending = make_job(1, QosTier.HIGH, n_gpus=8 * 8)
-    plan = policy.plan(
+    plan = policy.plan_with_shielded_start(
         pending,
         nodes,
         jobs,
@@ -127,7 +127,7 @@ def test_plan_returns_none_when_insufficient():
         already_free=0,
         excluded=set(),
         candidate_ids=sorted(nodes),
-    )
+    )[0]
     assert plan is None
 
 
@@ -137,7 +137,7 @@ def test_plan_skips_nodes_with_shielded_residents():
     # Make the job on node 0 too young to preempt.
     jobs[10].start_time = 9.5 * HOUR
     pending = make_job(1, QosTier.HIGH, n_gpus=4 * 8)
-    plan = policy.plan(
+    plan = policy.plan_with_shielded_start(
         pending,
         nodes,
         jobs,
@@ -145,7 +145,7 @@ def test_plan_skips_nodes_with_shielded_residents():
         already_free=0,
         excluded=set(),
         candidate_ids=sorted(nodes),
-    )
+    )[0]
     assert plan is None  # only 3 of 4 nodes liberable
 
 
@@ -158,7 +158,7 @@ def test_multi_node_victim_deduplicated():
         nodes[i].allocate(9, 8)
     jobs = {9: victim}
     pending = make_job(1, QosTier.HIGH, n_gpus=16)
-    plan = policy.plan(
+    plan = policy.plan_with_shielded_start(
         pending,
         nodes,
         jobs,
@@ -166,7 +166,7 @@ def test_multi_node_victim_deduplicated():
         already_free=0,
         excluded=set(),
         candidate_ids=sorted(nodes),
-    )
+    )[0]
     assert plan is not None
     assert plan.victims == [victim]  # one victim even though two nodes free
 

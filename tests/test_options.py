@@ -12,13 +12,13 @@ from repro import (
     run_campaign,
     run_campaigns,
 )
+from repro.runtime import CampaignPool
 
 
 def test_fields():
     assert [f.name for f in dataclasses.fields(RunOptions)] == [
         "telemetry",
         "cache",
-        "cache_dir",
         "workers",
         "resilience",
         "backend",
@@ -36,6 +36,10 @@ def test_removed_keywords_are_rejected():
         run_campaign(config, telemetry=None)
     with pytest.raises(TypeError):
         run_campaigns([config], max_workers=1)
+    with pytest.raises(TypeError):
+        RunOptions(cache_dir="/tmp")
+    with pytest.raises(TypeError):
+        CampaignPool(max_workers=1)
 
 
 def test_run_options_validation():
@@ -50,9 +54,6 @@ def test_resolved_cache_materialization(tmp_path):
     assert RunOptions(cache=False).resolved_cache() is None
     cache = TraceCache(root=tmp_path)
     assert RunOptions(cache=cache).resolved_cache() is cache
-    default = RunOptions(cache_dir=str(tmp_path)).resolved_cache()
-    assert isinstance(default, TraceCache)
-    assert default.root == tmp_path
 
 
 def test_backend_field_defaults():
