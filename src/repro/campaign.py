@@ -29,7 +29,6 @@ from repro.workload.profiles import WorkloadProfile, rsc1_profile, rsc2_profile
 from repro.workload.trace import NodeTraceRecord, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.obs.telemetry import Telemetry
     from repro.scheduler.preflight import PreflightPolicy
 
 
@@ -87,14 +86,10 @@ class Campaign:
     def __init__(
         self,
         config: CampaignConfig,
-        telemetry: Optional["Telemetry"] = None,
-        options: Optional["RunOptions"] = None,
+        options: Optional[RunOptions] = None,
     ):
-        # Campaign is the low-level runner object; its explicit telemetry
-        # keyword stays supported, with ``options`` filling it when absent.
         opts = options if options is not None else DEFAULT_OPTIONS
-        if telemetry is None:
-            telemetry = opts.telemetry
+        telemetry = opts.telemetry
         self.config = config
         #: Observability bundle (repro.obs.Telemetry).  Deliberately NOT a
         #: CampaignConfig field: telemetry must never influence the cache

@@ -123,6 +123,17 @@ def _seed_out_path(out: str, seed: int, multi: bool) -> Path:
     return path.with_name(f"{path.stem}-seed{seed}{path.suffix}")
 
 
+def _load_trace(path: str) -> Optional[Trace]:
+    """``Trace.load`` for ``--trace``: None, logged, if it cannot be read."""
+    try:
+        return Trace.load(path)
+    except OSError as err:
+        logger.error("%s", err)
+    except ValueError as err:
+        logger.error("malformed trace: %s", err)
+    return None
+
+
 def _parse_backend_opts(pairs) -> dict:
     """``--backend-opt KEY=VALUE`` pairs -> a backend_options dict.
 
@@ -296,6 +307,10 @@ def cmd_live(args: argparse.Namespace) -> int:
         overrides["window_days"] = args.window_days
     if args.rf_min_gpus is not None:
         overrides["rf_min_gpus"] = args.rf_min_gpus
+    if args.trace:
+        trace = _load_trace(args.trace)
+        if trace is None:
+            return 1
 
     telemetry = None
     if args.telemetry:
@@ -325,7 +340,6 @@ def cmd_live(args: argparse.Namespace) -> int:
     on_item = maybe_report if args.report_every else None
 
     if args.trace:
-        trace = Trace.load(args.trace)
         if args.resume:
             analytics = LiveAnalytics.load_snapshot(
                 args.resume, telemetry=telemetry
@@ -388,6 +402,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReliabilityService, serve_until_shutdown
     from repro.sim.timeunits import DAY
 
+    if args.trace:
+        trace = _load_trace(args.trace)
+        if trace is None:
+            return 1
+
     telemetry = None
     if args.telemetry:
         from repro.obs import Telemetry
@@ -405,9 +424,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             sum(analytics.counts.values()),
         )
         if args.trace:
-            replay_trace(Trace.load(args.trace), analytics)
+            replay_trace(trace, analytics)
     elif args.trace:
-        trace = Trace.load(args.trace)
         analytics = LiveAnalytics(
             LiveConfig.for_trace(trace), telemetry=telemetry
         )
@@ -556,7 +574,9 @@ def cmd_obs_profile(args: argparse.Namespace) -> int:
 def cmd_obs_timeline(args: argparse.Namespace) -> int:
     from repro.obs import reconstruct_timeline
 
-    trace = Trace.load(args.trace)
+    trace = _load_trace(args.trace)
+    if trace is None:
+        return 1
     timeline = reconstruct_timeline(trace)
     if args.json:
         timeline.write_json(args.json)
@@ -601,7 +621,9 @@ def cmd_obs_health(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    trace = Trace.load(args.trace)
+    trace = _load_trace(args.trace)
+    if trace is None:
+        return 1
     names = list(_FIGURES) if args.figure == "all" else [args.figure]
     for i, name in enumerate(names):
         if i:
@@ -616,7 +638,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.fleet_report import fleet_report
 
-    trace = Trace.load(args.trace)
+    trace = _load_trace(args.trace)
+    if trace is None:
+        return 1
     print(fleet_report(trace).render())
     return 0
 
@@ -624,7 +648,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from repro.analysis.export import export_all
 
-    trace = Trace.load(args.trace)
+    trace = _load_trace(args.trace)
+    if trace is None:
+        return 1
     written = export_all(trace, args.out_dir)
     for name, path in sorted(written.items()):
         print(f"{name}: {path}")

@@ -457,7 +457,8 @@ class ETTRForecaster:
         self.min_runs_per_bucket = int(min_runs_per_bucket)
         # jobrun_id -> [[start, runtime, queue_wait, n_gpus, qos], ...]
         # in arrival (record) order; dict insertion order is first-arrival
-        # order, the same tie-break ``group_job_runs``'s stable sort sees.
+        # order, which breaks ties in ``_cohort_by_bucket``'s stable sorts
+        # (attempts by start, runs by first start).
         self._runs: Dict[int, List[List[float]]] = {}
         # (key, cohort_runs, rows): the rf-independent part of Fig. 9's
         # rows, as (gpus, n_runs, mean, lo, hi, mean_queue, mean_runtime)

@@ -324,22 +324,16 @@ class LiveAnalytics:
     def health(
         self,
         scorer: Optional[FleetHealthScorer] = None,
-        stale_after_days: Optional[float] = None,
     ) -> HealthReport:
         """Score the fleet's current health (PVC ``getClusterHealth``).
 
         Folds every live estimator into a :class:`HealthSignals` bundle
         and runs it through a :class:`FleetHealthScorer` (pass one to
-        customize the delta map).  ``stale_after_days`` additionally
-        penalizes a watermark that stopped short of the configured span.
+        customize the delta map).
         """
         if scorer is None:
             scorer = FleetHealthScorer()
-        return scorer.score(
-            HealthSignals.from_analytics(
-                self, stale_after_days=stale_after_days
-            )
-        )
+        return scorer.score(HealthSignals.from_analytics(self))
 
     def report(self) -> "LiveReport":
         return LiveReport(self)

@@ -24,34 +24,18 @@ list — which carries the detection time and therefore gates the merge
 at the same point the live scheduler produced both.  Estimators handle
 the backdating via the rolling estimator's allowed-lateness window.
 
-Accepts either a row :class:`~repro.workload.trace.Trace` or a
-:class:`~repro.core.columns.ColumnarTrace`; the two yield identical
-sequences (columnar round trips are exact), which
-``tests/live/test_replay_order.py`` enforces.
+Replay reads a :class:`~repro.workload.trace.Trace`; a columnar trace
+replays through ``ColumnarTrace.to_trace()``, which round trips exactly.
 """
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from repro.core.columns import ColumnarTrace
 from repro.live.analytics import CHANNEL_EVENT, CHANNEL_JOB, CHANNEL_NODE
 from repro.workload.trace import Trace
 
-TraceLike = Union[Trace, ColumnarTrace]
 
-
-def _as_trace(source: TraceLike) -> Trace:
-    if isinstance(source, Trace):
-        return source
-    if isinstance(source, ColumnarTrace):
-        return source.to_trace()
-    raise TypeError(
-        f"expected Trace or ColumnarTrace, got {type(source).__name__}"
-    )
-
-
-def iter_trace_stream(source: TraceLike):
+def iter_trace_stream(trace: Trace):
     """Yield ``(time, channel, payload)`` triples in stream order."""
-    trace = _as_trace(source)
     jobs = trace.job_records
     events = trace.events
     i = j = 0
@@ -77,7 +61,7 @@ def iter_trace_stream(source: TraceLike):
 
 
 def replay_trace(
-    source: TraceLike,
+    trace: Trace,
     analytics,
     on_item: Optional[Callable[[], None]] = None,
 ) -> None:
@@ -90,7 +74,6 @@ def replay_trace(
     snapshot left off.
     """
     skip = dict(analytics.counts)  # per-channel items already ingested
-    trace = _as_trace(source)
     for time, channel, payload in iter_trace_stream(trace):
         if skip.get(channel, 0) > 0:
             skip[channel] -= 1

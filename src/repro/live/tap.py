@@ -23,6 +23,7 @@ from repro.live.analytics import (
     LiveAnalytics,
     LiveConfig,
 )
+from repro.options import RunOptions
 from repro.workload.trace import Trace
 
 
@@ -74,5 +75,6 @@ def live_campaign(
         LiveConfig.for_config(config, **analytics_overrides),
         telemetry=telemetry,
     )
-    trace = tap_campaign(Campaign(config, telemetry=telemetry), analytics)
+    campaign = Campaign(config, options=RunOptions(telemetry=telemetry))
+    trace = tap_campaign(campaign, analytics)
     return trace, analytics

@@ -225,7 +225,6 @@ class ReliabilityService:
         retry: Optional[RetryPolicy] = None,
         retry_after_s: float = 30.0,
         whatif_runner: Optional[Callable[[WhatIfSpec], Dict[str, Any]]] = None,
-        stale_after_days: Optional[float] = None,
         run_options=None,
     ):
         if max_concurrent_whatif < 1:
@@ -253,7 +252,6 @@ class ReliabilityService:
         self.whatif_runner = (
             whatif_runner if whatif_runner is not None else self._compute_whatif
         )
-        self.stale_after_days = stale_after_days
         #: Optional repro.RunOptions selecting how what-if campaigns
         #: execute (notably ``backend=``/``backend_options=`` — a serve
         #: deployment can dispatch simulations to a shared work queue
@@ -350,7 +348,7 @@ class ReliabilityService:
         }
 
     def _health(self, request: Request) -> Response:
-        report = self.analytics.health(stale_after_days=self.stale_after_days)
+        report = self.analytics.health()
         self.metrics.gauge("serve_health_score").set(report.score)
         payload = self._base_payload()
         payload.update(report.to_dict())

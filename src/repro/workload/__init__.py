@@ -13,7 +13,6 @@ from repro.workload.profiles import WorkloadProfile, rsc1_profile, rsc2_profile
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.trace import NodeTraceRecord, Trace
-from repro.workload.jobruns import JobRun, group_job_runs
 
 __all__ = [
     "IntendedOutcome",
@@ -26,6 +25,4 @@ __all__ = [
     "WorkloadGenerator",
     "NodeTraceRecord",
     "Trace",
-    "JobRun",
-    "group_job_runs",
 ]

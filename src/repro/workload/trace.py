@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.jobtypes import JobAttemptRecord, JobState
-from repro.sim.events import EventLog, EventRecord
+from repro.sim.events import EventRecord
 from repro.jobtypes import QosTier
 
 #: Bump whenever the serialized shape of a trace changes.  The runtime
@@ -124,33 +124,15 @@ class Trace:
             self._columns = cached
         return cached
 
-    def records_by_state(self, state: JobState) -> List[JobAttemptRecord]:
-        return [r for r in self.job_records if r.state is state]
-
     def hw_failure_records(self) -> List[JobAttemptRecord]:
         """Attempts terminated by infrastructure (the (HW) rows of Fig. 3)."""
         return [r for r in self.job_records if r.is_hw_interruption]
-
-    def health_events(self, kind: str = "health.") -> List[EventRecord]:
-        return [e for e in self.events if e.kind.startswith(kind)]
-
-    def events_log(self) -> EventLog:
-        log = EventLog()
-        for event in self.events:
-            log.append(event)
-        return log
 
     def total_gpu_seconds(self) -> float:
         """Scheduled GPU-seconds, summed sequentially in record order."""
         from repro.core.columns import sequential_sum
 
         return sequential_sum(self.columns.jobs.gpu_seconds)
-
-    def node_record(self, node_id: int) -> NodeTraceRecord:
-        for record in self.node_records:
-            if record.node_id == node_id:
-                return record
-        raise KeyError(f"node {node_id} not in trace")
 
     # ------------------------------------------------------------------
     # serialization
@@ -205,25 +187,38 @@ class Trace:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Trace":
-        """Inverse of :meth:`to_dict`; rejects unknown schema versions."""
+        """Inverse of :meth:`to_dict`; rejects unknown schema versions.
+
+        A malformed row raises ``ValueError`` naming its table and index.
+        """
         schema = payload.get("schema")
         if schema != TRACE_SCHEMA_VERSION:
             raise ValueError(
                 f"trace schema {schema!r} does not match "
                 f"TRACE_SCHEMA_VERSION={TRACE_SCHEMA_VERSION}"
             )
-        header = payload["header"]
-        return cls(
-            cluster_name=header["cluster_name"],
-            n_nodes=header["n_nodes"],
-            n_gpus=header["n_gpus"],
-            start=header["start"],
-            end=header["end"],
-            job_records=[cls._job_from_row(row) for row in payload["jobs"]],
-            node_records=[NodeTraceRecord(**row) for row in payload["nodes"]],
-            events=[EventRecord(**row) for row in payload["events"]],
-            metadata=header.get("metadata", {}),
+        job_records = _build_rows("jobs", payload["jobs"], cls._job_from_row)
+        node_records = _build_rows(
+            "nodes", payload["nodes"], lambda row: NodeTraceRecord(**row)
         )
+        events = _build_rows(
+            "events", payload["events"], lambda row: EventRecord(**row)
+        )
+        header = payload["header"]
+        try:
+            return cls(
+                cluster_name=header["cluster_name"],
+                n_nodes=header["n_nodes"],
+                n_gpus=header["n_gpus"],
+                start=header["start"],
+                end=header["end"],
+                job_records=job_records,
+                node_records=node_records,
+                events=events,
+                metadata=header.get("metadata", {}),
+            )
+        except _MALFORMED as exc:
+            raise _RowError("header", 0, exc) from None
 
     def save(self, path) -> None:
         """Write the trace as JSONL: header, jobs, nodes, events."""
@@ -243,35 +238,86 @@ class Trace:
 
     @classmethod
     def load(cls, path) -> "Trace":
+        """Read a :meth:`save` file back through :meth:`from_dict`.
+
+        A malformed file raises ``ValueError`` naming the offending line.
+        """
         path = Path(path)
-        header = None
-        jobs: List[JobAttemptRecord] = []
-        nodes: List[NodeTraceRecord] = []
-        events: List[EventRecord] = []
-        with path.open() as fh:
-            for line in fh:
-                row = json.loads(line)
-                kind = row.pop("type")
-                if kind == "header":
-                    header = row
-                elif kind == "job":
-                    jobs.append(cls._job_from_row(row))
-                elif kind == "node":
-                    nodes.append(NodeTraceRecord(**row))
-                elif kind == "event":
-                    events.append(EventRecord(**row))
+        payload: Dict[str, Any] = {
+            "schema": TRACE_SCHEMA_VERSION, "jobs": [], "nodes": [], "events": []
+        }
+        # The file line of each table row, to name it if it is malformed.
+        line_of: Dict[str, List[int]] = {
+            "header": [], "jobs": [], "nodes": [], "events": []
+        }
+        with path.open("rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                try:
+                    table, row = _parse_line(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {number}: {exc}") from None
+                if table == "header":
+                    if "header" in payload:
+                        raise ValueError(
+                            f"{path}: line {number}: second header row"
+                        )
+                    payload["header"] = row
                 else:
-                    raise ValueError(f"unknown trace row type {kind!r}")
-        if header is None:
+                    payload[table].append(row)
+                line_of[table].append(number)
+        if "header" not in payload:
             raise ValueError(f"{path} has no header row")
-        return cls(
-            cluster_name=header["cluster_name"],
-            n_nodes=header["n_nodes"],
-            n_gpus=header["n_gpus"],
-            start=header["start"],
-            end=header["end"],
-            job_records=jobs,
-            node_records=nodes,
-            events=events,
-            metadata=header.get("metadata", {}),
-        )
+        try:
+            return cls.from_dict(payload)
+        except _RowError as exc:
+            number = line_of[exc.table][exc.index]
+            raise ValueError(f"{path}: line {number}: {exc.reason}") from None
+
+
+#: What a record constructor raises on a row of the wrong shape or type.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+#: A saved line's ``type`` tag -> the :meth:`Trace.to_dict` table it feeds.
+_LINE_TABLES = {
+    "header": "header", "job": "jobs", "node": "nodes", "event": "events"
+}
+
+
+class _RowError(ValueError):
+    """A malformed row of one :meth:`Trace.to_dict` table."""
+
+    def __init__(self, table: str, index: int, exc: Exception):
+        if isinstance(exc, KeyError):
+            self.reason = f"missing field {exc.args[0]!r}"
+        else:
+            self.reason = str(exc)
+        super().__init__(f"{table} row {index}: {self.reason}")
+        self.table = table
+        self.index = index
+
+
+def _build_rows(table: str, rows, build) -> list:
+    out = []
+    for index, row in enumerate(rows):
+        try:
+            out.append(build(row))
+        except _MALFORMED as exc:
+            raise _RowError(table, index, exc) from None
+    return out
+
+
+def _parse_line(line: bytes) -> Tuple[str, Dict[str, Any]]:
+    """One saved line -> (its ``to_dict`` table, the row without its tag)."""
+    try:
+        row = json.loads(line.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(row, dict):
+        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+    if "type" not in row:
+        raise ValueError('row has no "type" field')
+    kind = row.pop("type")
+    table = _LINE_TABLES.get(kind) if isinstance(kind, str) else None
+    if table is None:
+        raise ValueError(f"unknown trace row type {kind!r}")
+    return table, row

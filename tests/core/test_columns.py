@@ -26,7 +26,7 @@ from repro.core.columns import (
 )
 from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.runtime import trace_digest
-from repro.sim.events import EventRecord
+from repro.sim.events import EventLog, EventRecord
 from repro.stats.quantiles import power_of_two_bucket
 from repro.workload.trace import (
     EVENT_ROW_FIELDS,
@@ -340,7 +340,9 @@ def test_event_columns_roundtrip_ascii_fast_path(rsc1_trace):
 
 def test_event_mask_matches_event_log_filter(rsc1_trace):
     cols = rsc1_trace.columns.events
-    log = rsc1_trace.events_log()
+    log = EventLog()
+    for event in rsc1_trace.events:
+        log.append(event)
     for kind in ("health.", "health.check_failed", "cluster.incident"):
         expected = [e.time for e in log.filter(kind)]
         assert cols.times_for_kind(kind).tolist() == expected

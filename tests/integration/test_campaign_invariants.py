@@ -3,7 +3,17 @@
 import pytest
 
 from repro.jobtypes import JobState
-from repro.workload.jobruns import group_job_runs
+
+
+def _job_runs(records):
+    """Each job run's attempts (grouped by ``jobrun_id``), by start time."""
+    by_run = {}
+    for record in records:
+        by_run.setdefault(record.jobrun_id, []).append(record)
+    return [
+        sorted(attempts, key=lambda a: a.start_time)
+        for attempts in by_run.values()
+    ]
 
 
 def test_record_timestamps_ordered(rsc1_trace):
@@ -43,12 +53,11 @@ def test_no_node_oversubscription(rsc1_trace):
 
 
 def test_requeues_preserve_job_id_and_bump_attempt(rsc1_trace):
-    runs = group_job_runs(rsc1_trace.job_records)
-    for run in runs:
+    for run in _job_runs(rsc1_trace.job_records):
         # Within each scheduler job (a run may chain several), attempt
         # counters are strictly increasing and unique.
         by_job = {}
-        for attempt in run.attempts:
+        for attempt in run:
             by_job.setdefault(attempt.job_id, []).append(attempt)
         for attempts in by_job.values():
             numbers = [a.attempt for a in sorted(attempts, key=lambda a: a.start_time)]
@@ -59,9 +68,8 @@ def test_requeues_preserve_job_id_and_bump_attempt(rsc1_trace):
 def test_every_interruption_is_followed_or_terminal(rsc1_trace):
     """PREEMPTED attempts must not be the end of a run unless the campaign
     horizon cut them off; the job either resumes or is still queued."""
-    runs = group_job_runs(rsc1_trace.job_records)
-    for run in runs:
-        for attempt in run.attempts[:-1]:
+    for run in _job_runs(rsc1_trace.job_records):
+        for attempt in run[:-1]:
             assert attempt.state in (
                 JobState.PREEMPTED,
                 JobState.NODE_FAIL,
@@ -82,7 +90,9 @@ def test_hw_interruptions_carry_failing_node(rsc1_trace):
 
 def test_preempted_records_name_instigators(rsc1_trace):
     job_ids = {r.job_id for r in rsc1_trace.job_records}
-    for record in rsc1_trace.records_by_state(JobState.PREEMPTED):
+    for record in rsc1_trace.job_records:
+        if record.state is not JobState.PREEMPTED:
+            continue
         assert record.instigator_job_id is not None
         assert record.instigator_job_id in job_ids
         assert record.instigator_job_id != record.job_id
@@ -140,14 +150,14 @@ def test_trace_roundtrip_through_disk(tmp_path, rsc2_trace):
 
 def test_long_training_runs_span_multiple_job_ids(rsc1_trace):
     """The paper's job-run unit: chains of scheduler jobs, one logical run."""
-    runs = group_job_runs(rsc1_trace.job_records)
-    multi = [r for r in runs if len({a.job_id for a in r.attempts}) > 1]
+    runs = _job_runs(rsc1_trace.job_records)
+    multi = [run for run in runs if len({a.job_id for a in run}) > 1]
     assert multi, "campaign should contain chained long training runs"
     for run in multi:
         # Segments share size and QoS, and execute back to back.
-        assert len({a.n_gpus for a in run.attempts}) == 1
-        assert len({a.qos for a in run.attempts}) == 1
-        starts = [a.start_time for a in run.attempts]
+        assert len({a.n_gpus for a in run}) == 1
+        assert len({a.qos for a in run}) == 1
+        starts = [a.start_time for a in run]
         assert starts == sorted(starts)
 
 
@@ -160,7 +170,9 @@ def test_health_check_false_positive_calibration(rsc1_trace):
         rsc1_trace,
         AttributionPolicy(candidate_states=(JobState.COMPLETED,)),
     )
-    completed = rsc1_trace.records_by_state(JobState.COMPLETED)
+    completed = [
+        r for r in rsc1_trace.job_records if r.state is JobState.COMPLETED
+    ]
     assert completed
     observing = sum(1 for a in attributor.attribute_all() if a.attributed)
     assert observing / len(completed) < 0.01

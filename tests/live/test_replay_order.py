@@ -77,7 +77,7 @@ def test_columnar_trace_replays_identical_sequence(rsc1_trace):
     """Satellite: row and columnar replays must match item for item."""
     columnar = ColumnarTrace.from_trace(rsc1_trace)
     row_stream = list(iter_trace_stream(rsc1_trace))
-    col_stream = list(iter_trace_stream(columnar))
+    col_stream = list(iter_trace_stream(columnar.to_trace()))
     assert len(row_stream) == len(col_stream)
     for (t1, ch1, p1), (t2, ch2, p2) in zip(row_stream, col_stream):
         assert t1 == t2

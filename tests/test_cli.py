@@ -325,3 +325,35 @@ def test_worker_once_on_empty_queue(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out.strip())
     assert stats["drained"] == 0
     assert stats["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--figure", "fig3"],
+        ["report"],
+        ["export"],
+        ["live"],
+        ["serve", "--port", "0"],
+        ["obs", "timeline"],
+    ],
+    ids=lambda command: command[0] if command[0] != "obs" else "obs-timeline",
+)
+def test_malformed_trace_exits_1_with_one_line_error(tmp_path, capsys,
+                                                     command):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"a":1}\n')
+    assert main(command + ["--trace", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "malformed trace" in captured.err
+    assert "line 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_missing_trace_exits_1(tmp_path, capsys):
+    assert main(["analyze", "--trace", str(tmp_path / "nope.jsonl")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nope.jsonl" in captured.err

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro import (
+    Campaign,
     CampaignConfig,
     ClusterSpec,
     DEFAULT_OPTIONS,
@@ -40,6 +41,8 @@ def test_removed_keywords_are_rejected():
         RunOptions(cache_dir="/tmp")
     with pytest.raises(TypeError):
         CampaignPool(max_workers=1)
+    with pytest.raises(TypeError):
+        Campaign(config, telemetry=None)
 
 
 def test_run_options_validation():
