@@ -134,6 +134,24 @@ def _load_trace(path: str) -> Optional[Trace]:
     return None
 
 
+def _load_snapshot(path):
+    """``LiveAnalytics.load_snapshot`` for ``--resume`` and ``obs health``:
+    None, logged, if it cannot be read.
+
+    The session is restored without telemetry, so a bad file is refused
+    before any telemetry directory is opened; callers attach theirs.
+    """
+    from repro.live import LiveAnalytics
+
+    try:
+        return LiveAnalytics.load_snapshot(path)
+    except OSError as err:
+        logger.error("%s", err)
+    except ValueError as err:
+        logger.error("malformed snapshot: %s: %s", path, err)
+    return None
+
+
 def _parse_backend_opts(pairs) -> dict:
     """``--backend-opt KEY=VALUE`` pairs -> a backend_options dict.
 
@@ -307,10 +325,17 @@ def cmd_live(args: argparse.Namespace) -> int:
         overrides["window_days"] = args.window_days
     if args.rf_min_gpus is not None:
         overrides["rf_min_gpus"] = args.rf_min_gpus
+    if args.resume and not args.trace:
+        logger.error("--resume requires --trace (replay mode)")
+        return 2
     if args.trace:
         trace = _load_trace(args.trace)
         if trace is None:
             return 1
+        if args.resume:
+            resumed = _load_snapshot(args.resume)
+            if resumed is None:
+                return 1
 
     telemetry = None
     if args.telemetry:
@@ -341,9 +366,8 @@ def cmd_live(args: argparse.Namespace) -> int:
 
     if args.trace:
         if args.resume:
-            analytics = LiveAnalytics.load_snapshot(
-                args.resume, telemetry=telemetry
-            )
+            analytics = resumed
+            analytics.telemetry = telemetry
             logger.info(
                 "resuming from %s at day %.2f (%d items ingested)",
                 args.resume,
@@ -359,9 +383,6 @@ def cmd_live(args: argparse.Namespace) -> int:
             )
         replay_trace(trace, analytics, on_item=on_item)
     else:
-        if args.resume:
-            logger.error("--resume requires --trace (replay mode)")
-            return 2
         spec = _spec_from_args(args)
         config = CampaignConfig(
             cluster_spec=spec, duration_days=args.days, seed=args.seed
@@ -406,6 +427,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace = _load_trace(args.trace)
         if trace is None:
             return 1
+    if args.resume:
+        resumed = _load_snapshot(args.resume)
+        if resumed is None:
+            return 1
 
     telemetry = None
     if args.telemetry:
@@ -416,7 +441,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     trace_cache = TraceCache(enabled=False if args.no_cache else None)
 
     if args.resume:
-        analytics = LiveAnalytics.load_snapshot(args.resume, telemetry=telemetry)
+        analytics = resumed
+        analytics.telemetry = telemetry
         logger.info(
             "resumed snapshot %s at day %.2f (%d items ingested)",
             args.resume,
@@ -596,9 +622,9 @@ def cmd_obs_health(args: argparse.Namespace) -> int:
     target = _Path(args.path)
     if target.is_file() and target.suffix == ".json":
         # A live-session snapshot (repro live --snapshot-out).
-        from repro.live import LiveAnalytics
-
-        analytics = LiveAnalytics.load_snapshot(target)
+        analytics = _load_snapshot(target)
+        if analytics is None:
+            return 1
         report = analytics.health()
     else:
         try:

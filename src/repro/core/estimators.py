@@ -521,15 +521,19 @@ class ETTRForecaster:
         except ValueError:
             return 0.0
 
-    def _measured_rows(self) -> Tuple[int, List[tuple]]:
-        """``(cohort_runs, rows)``, memoized until the next job."""
-        key = (
+    def parameters(self) -> tuple:
+        """Every attribute the Fig. 9 rows and forecasts read, as a key."""
+        return (
             self.checkpoint_interval,
             self.restart_overhead,
             self.min_total_runtime,
             self.qos,
             self.min_runs_per_bucket,
         )
+
+    def _measured_rows(self) -> Tuple[int, List[tuple]]:
+        """``(cohort_runs, rows)``, memoized until the next job."""
+        key = self.parameters()
         if self._measured is not None and self._measured[0] == key:
             return self._measured[1:]
         assumptions = ETTRAssumptions(
@@ -719,11 +723,17 @@ class LiveLemonEstimator:
                 out[node_id] = votes
         return out
 
-    def suspects(self) -> List[int]:
-        """Nodes whose live votes already meet the policy minimum."""
+    def suspects(self, scores: Optional[Dict[int, int]] = None) -> List[int]:
+        """Nodes whose live votes already meet the policy minimum.
+
+        ``scores`` is a ``provisional_scores()`` result to reuse, so a
+        caller that needs both counts the votes once.
+        """
+        if scores is None:
+            scores = self.provisional_scores()
         return sorted(
             node_id
-            for node_id, votes in self.provisional_scores().items()
+            for node_id, votes in scores.items()
             if votes >= self.min_signals
         )
 

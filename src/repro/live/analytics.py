@@ -127,6 +127,10 @@ class LiveAnalytics:
         #: allowed to poison estimator state.
         self.strict = strict
         self.malformed = 0
+        #: Bumped by every ``ingest`` (accepted or rejected) and every
+        #: ``finish``: readers that memoize a derived view compare it to
+        #: know the view is still current.  Not part of the snapshot.
+        self.version = 0
         self.watermark = 0.0
         self.finished = False
         self.counts: Dict[str, int] = dict.fromkeys(CHANNELS, 0)
@@ -165,6 +169,7 @@ class LiveAnalytics:
         otherwise it is counted in ``self.malformed`` and dropped before
         it can touch any estimator or the watermark.
         """
+        self.version += 1
         if channel not in self.counts:
             self._reject(f"unknown stream channel {channel!r}")
             return
@@ -192,6 +197,7 @@ class LiveAnalytics:
 
     def finish(self, end: Optional[float] = None) -> None:
         """Close the stream: flush the rolling grid to the span end."""
+        self.version += 1
         if end is None:
             end = self.config.span_seconds
         self.watermark = max(self.watermark, float(end))
@@ -252,12 +258,28 @@ class LiveAnalytics:
     def from_snapshot(
         cls, payload: Dict[str, Any], telemetry=None
     ) -> "LiveAnalytics":
+        """Restore a :meth:`snapshot` document.
+
+        Any malformed document (another schema, a missing field, a value
+        of the wrong type) raises ``ValueError``.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"snapshot must be a JSON object, got {type(payload).__name__}"
+            )
         schema = payload.get("schema")
         if schema != LIVE_SNAPSHOT_VERSION:
             raise ValueError(
                 f"snapshot schema {schema!r} does not match "
                 f"LIVE_SNAPSHOT_VERSION={LIVE_SNAPSHOT_VERSION}"
             )
+        try:
+            return cls._restore(payload, telemetry)
+        except (AttributeError, KeyError, TypeError) as err:
+            raise ValueError(f"malformed snapshot: {err!r}") from err
+
+    @classmethod
+    def _restore(cls, payload: Dict[str, Any], telemetry) -> "LiveAnalytics":
         analytics = cls(
             LiveConfig.from_dict(payload["config"]), telemetry=telemetry
         )
@@ -309,6 +331,7 @@ class LiveAnalytics:
     def load_snapshot(
         cls, path: Union[str, Path], telemetry=None
     ) -> "LiveAnalytics":
+        """Read a :meth:`save_snapshot` file; ``ValueError`` if malformed."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return cls.from_snapshot(payload, telemetry=telemetry)
 

@@ -79,6 +79,14 @@ COMPONENT_BY_CONDITION: Dict[str, str] = {
 DEFAULT_CONDITION_CAP = 40.0
 
 
+def tracer_self_disabled(telemetry) -> bool:
+    """Whether ``telemetry``'s tracer gave up on its sink (None: no)."""
+    return bool(
+        telemetry is not None
+        and getattr(telemetry.tracer, "self_disabled", False)
+    )
+
+
 @dataclass(frozen=True)
 class HealthSignals:
     """Point-in-time fleet state, as counts of scoreable conditions."""
@@ -126,11 +134,6 @@ class HealthSignals:
                 analytics.config.span_seconds - analytics.watermark
             ) / DAY
             stale = lag_days > stale_after_days
-        telemetry = analytics.telemetry
-        tracer_dead = bool(
-            telemetry is not None
-            and getattr(telemetry.tracer, "self_disabled", False)
-        )
         return cls(
             n_nodes=analytics.config.n_nodes,
             nodes_down=fleet.nodes_down,
@@ -138,7 +141,7 @@ class HealthSignals:
             hardware_incidents=fleet.nodes_down,
             lemon_suspects=tuple(analytics.lemons.suspects()),
             watermark_stale=stale,
-            tracer_self_disabled=tracer_dead,
+            tracer_self_disabled=tracer_self_disabled(analytics.telemetry),
         )
 
     @classmethod

@@ -29,6 +29,10 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: format rendered by :meth:`MetricsRegistry.render_prometheus`.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: The percentiles :meth:`Histogram.snapshot` and the Prometheus
+#: rendering report.
+QUANTILES = (50, 95, 99)
+
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -80,6 +84,17 @@ class Gauge:
         return {"value": self.value}
 
 
+def _interpolate(ordered: List[float], p: float) -> float:
+    """Linear-interpolated percentile ``p`` of non-empty sorted samples."""
+    rank = (p / 100.0) * (len(ordered) - 1)
+    lo = int(math.floor(rank))
+    hi = int(math.ceil(rank))
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+
+
 class Histogram:
     """Sample distribution with exact quantiles.
 
@@ -126,18 +141,16 @@ class Histogram:
 
     def percentile(self, p: float) -> float:
         """Exact percentile over retained samples (p in [0, 100])."""
-        if not 0 <= p <= 100:
+        return self.percentiles((p,))[0]
+
+    def percentiles(self, ps: Tuple[float, ...]) -> List[float]:
+        """:meth:`percentile` of each of ``ps``, sorting the samples once."""
+        if not all(0 <= p <= 100 for p in ps):
             raise ValueError("percentile must be in [0, 100]")
         if not self._samples:
-            return 0.0
+            return [0.0] * len(ps)
         ordered = sorted(self._samples)
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
+        return [_interpolate(ordered, p) for p in ps]
 
     def snapshot(self) -> Dict[str, Any]:
         if not self.count:
@@ -148,9 +161,10 @@ class Histogram:
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            **{
+                f"p{q}": value
+                for q, value in zip(QUANTILES, self.percentiles(QUANTILES))
+            },
         }
 
 
@@ -254,11 +268,11 @@ class MetricsRegistry:
             if isinstance(metric, (Counter, Gauge)):
                 lines.append(f"{name}{_render_labels(key)} {metric.value:g}")
             else:
-                for q in (50, 95, 99):
+                for q, value in zip(QUANTILES, metric.percentiles(QUANTILES)):
                     labels = _render_labels(
                         key, (("quantile", f"{q / 100:g}"),)
                     )
-                    lines.append(f"{name}{labels} {metric.percentile(q):g}")
+                    lines.append(f"{name}{labels} {value:g}")
                 lines.append(f"{name}_sum{_render_labels(key)} {metric.total:g}")
                 lines.append(f"{name}_count{_render_labels(key)} {metric.count}")
         return "\n".join(lines) + ("\n" if lines else "")

@@ -12,6 +12,11 @@ simulation" has two tiers:
    simulation) is still served from disk and only the cheap sweep
    arithmetic reruns.
 
+The same class also holds the service's read memo (rendered
+``/v1/health``, ``/v1/ettr``, ``/v1/mttf`` and ``/v1/lemons`` bodies,
+keyed by path and query), so keys are any hashable value, not only
+digests.
+
 Eviction is deterministic: strictly least-recently-used (``get`` and
 ``put`` both refresh recency), with ties impossible because the ordered
 dict records one slot per digest.  ``tests/serve/test_cache.py`` pins
@@ -21,7 +26,7 @@ the exact eviction order.
 import hashlib
 import json
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Hashable, Optional
 
 from repro.runtime.hashing import canonicalize
 
@@ -44,12 +49,12 @@ class ResponseCache:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, bytes]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, digest: str) -> Optional[bytes]:
+    def get(self, digest: Hashable) -> Optional[bytes]:
         """The cached body for ``digest`` (refreshing recency), or None."""
         body = self._entries.get(digest)
         if body is None:
@@ -59,7 +64,7 @@ class ResponseCache:
         self.hits += 1
         return body
 
-    def put(self, digest: str, body: bytes) -> None:
+    def put(self, digest: Hashable, body: bytes) -> None:
         """Store ``body``; evicts the least-recently-used entry on overflow."""
         if not isinstance(body, (bytes, bytearray)):
             raise TypeError("response cache stores rendered bytes")
@@ -69,12 +74,16 @@ class ResponseCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def __contains__(self, digest: str) -> bool:
+    def __contains__(self, digest: Hashable) -> bool:
         """Membership probe: no recency refresh, no miss accounting."""
         return digest in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def clear(self) -> None:
+        """Drop every entry; the hit/miss/eviction counts carry on."""
+        self._entries.clear()
 
     def stats(self) -> Dict[str, int]:
         return {

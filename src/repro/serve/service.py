@@ -26,6 +26,12 @@ content-addressed :class:`~repro.runtime.TraceCache` — a million
 identical queries cost one simulation, and concurrent identical queries
 collapse onto a single in-flight computation (single-flight).
 
+The four analytics reads (health, ETTR, MTTF, lemons) are memoized per
+session state: a rendered 200 body is kept, keyed by path and query,
+until the session's ``LiveAnalytics.version`` or another input the
+documents read changes, so a dashboard polling an unchanged session
+costs a dict lookup per read.
+
 Degradation is explicit: simulation failures feed the resilience
 layer's :class:`~repro.resilience.CircuitBreaker`; once open, uncached
 what-if queries get ``503 + Retry-After`` while cached responses (pure
@@ -45,6 +51,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
+from repro.obs.health import tracer_self_disabled
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.spans import maybe_span
 from repro.obs.telemetry import Telemetry
@@ -76,6 +83,11 @@ _WHATIF_KEYS = frozenset(
     }
 )
 _CAMPAIGN_KEYS = frozenset({"cluster", "nodes", "days", "seed"})
+
+#: Rendered reads kept per session state: one per path and query
+#: (``/v1/ettr?gpus=...``, ``/v1/mttf?min_records=...``), least recently
+#: used first out.
+READ_MEMO_ENTRIES = 64
 
 
 def _require(condition: bool, message: str) -> None:
@@ -260,12 +272,16 @@ class ReliabilityService:
         #: digest -> in-flight Task; concurrent identical queries await
         #: the same computation (single-flight).
         self._inflight: Dict[str, "asyncio.Task"] = {}
+        #: (path, sorted query) -> rendered 200 body, valid for the
+        #: session state ``_read_memo_state`` was taken at.
+        self._read_memo = ResponseCache(READ_MEMO_ENTRIES)
+        self._read_memo_state: Optional[tuple] = None
         self._routes: Dict[Tuple[str, str], Callable[[Request], Any]] = {
             ("GET", "/v1/ping"): self._ping,
-            ("GET", "/v1/health"): self._health,
-            ("GET", "/v1/ettr"): self._ettr,
-            ("GET", "/v1/mttf"): self._mttf,
-            ("GET", "/v1/lemons"): self._lemons,
+            ("GET", "/v1/health"): self._memoized(self._health),
+            ("GET", "/v1/ettr"): self._memoized(self._ettr),
+            ("GET", "/v1/mttf"): self._memoized(self._mttf),
+            ("GET", "/v1/lemons"): self._memoized(self._lemons),
             ("GET", "/v1/snapshot"): self._snapshot,
             ("GET", "/metrics"): self._metrics_endpoint,
             ("POST", "/v1/whatif/checkpoint-cadence"): self._whatif,
@@ -330,6 +346,52 @@ class ReliabilityService:
             )
             self.metrics.counter("serve_errors_total").inc()
             return HttpError(500, "internal server error").response()
+
+    # ------------------------------------------------------------------
+    # read memo
+    # ------------------------------------------------------------------
+    def _read_state(self) -> tuple:
+        """Everything the memoized documents read, as one comparable key.
+
+        ``version`` covers ``ingest`` and ``finish``; the rest are the
+        inputs that change without them: the tracer's self-disable flag
+        (``/v1/health``) and the estimator settings read at query time.
+        The analytics object compares by identity, so a swapped session
+        never answers from the old one's memo.
+        """
+        a = self.analytics
+        return (
+            a,
+            a.version,
+            tracer_self_disabled(a.telemetry),
+            a.ettr.parameters(),
+            a.mttf.confidence,
+            a.mttf.rf_min_gpus,
+            a.lemons.min_signals,
+        )
+
+    def _memoized(self, handler: Callable[[Request], Response]):
+        """``handler`` answered once per (path, query) and session state.
+
+        Only 200 responses are kept; errors raise ``HttpError`` before
+        anything is stored.
+        """
+
+        def read(request: Request) -> Response:
+            state = self._read_state()
+            if state != self._read_memo_state:
+                self._read_memo.clear()
+                self._read_memo_state = state
+            key = (request.path, tuple(sorted(request.query.items())))
+            body = self._read_memo.get(key)
+            if body is not None:
+                return Response(body=body)
+            response = handler(request)
+            if response.status == 200:
+                self._read_memo.put(key, response.body)
+            return response
+
+        return read
 
     # ------------------------------------------------------------------
     # read-only endpoints
@@ -440,7 +502,7 @@ class ReliabilityService:
         payload.update(
             {
                 "min_signals": lemons.min_signals,
-                "suspects": lemons.suspects(),
+                "suspects": lemons.suspects(scores),
                 "scores": {str(node): votes for node, votes in scores.items()},
                 "signals": {
                     str(node): lemons.live_signals(node) for node in scores

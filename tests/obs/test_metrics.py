@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -121,3 +122,79 @@ def test_histogram_downsamples_but_keeps_moments():
     assert len(h._samples) <= 200
     # quantiles stay in the right neighbourhood after downsampling
     assert 300 < h.percentile(50) < 700
+
+
+def _sorting_percentile(hist, p):
+    """The percentile as it was computed before: one sort per call."""
+    if not hist._samples:
+        return 0.0
+    ordered = sorted(hist._samples)
+    rank = (p / 100.0) * (len(ordered) - 1)
+    lo = int(math.floor(rank))
+    hi = int(math.ceil(rank))
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+
+
+def _per_quantile_render(reg):
+    """``render_prometheus`` as it was, with one sort per quantile."""
+    lines = []
+    seen = set()
+    for name, key, metric in reg:
+        if name not in seen:
+            ptype = "summary" if metric.kind == "histogram" else metric.kind
+            lines.append(f"# TYPE {name} {ptype}")
+            seen.add(name)
+        labels = ",".join(f'{k}="{v}"' for k, v in key)
+        braced = "{" + labels + "}" if labels else ""
+        if metric.kind != "histogram":
+            lines.append(f"{name}{braced} {metric.value:g}")
+            continue
+        for q in (50, 95, 99):
+            pairs = ",".join(filter(None, (labels, f'quantile="{q / 100:g}"')))
+            value = _sorting_percentile(metric, q)
+            lines.append(f"{name}{{{pairs}}} {value:g}")
+        lines.append(f"{name}_sum{braced} {metric.total:g}")
+        lines.append(f"{name}_count{braced} {metric.count}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 100, 1001, 5000])
+def test_one_sort_render_equals_the_per_quantile_path(n):
+    import random
+
+    rng = random.Random(n)
+    reg = MetricsRegistry()
+    reg.counter("requests_total", endpoint="/v1/ping").inc(n)
+    for series in ("a", "b"):
+        hist = reg.histogram("latency_seconds", endpoint=series)
+        for _ in range(n):
+            hist.observe(rng.lognormvariate(-6, 1.5))
+    reg.histogram("empty_seconds")
+    assert reg.render_prometheus() == _per_quantile_render(reg)
+    for entry in reg.to_dict()["histograms"]:
+        hist = reg.histogram(entry["name"], **entry["labels"])
+        if hist.count:
+            assert [entry["p50"], entry["p95"], entry["p99"]] == [
+                _sorting_percentile(hist, q) for q in (50, 95, 99)
+            ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33, 64, 65, 200, 1000])
+def test_percentiles_equal_percentile_after_downsampling(n):
+    import random
+
+    from repro.obs.metrics import Histogram
+
+    rng = random.Random(n)
+    hist = Histogram(max_samples=64)
+    for _ in range(n):
+        hist.observe(rng.uniform(-1, 1))
+    ps = (0, 1, 25, 50, 95, 99, 99.9, 100)
+    expected = [_sorting_percentile(hist, p) for p in ps]
+    assert hist.percentiles(ps) == expected
+    assert [hist.percentile(p) for p in ps] == expected
+    with pytest.raises(ValueError):
+        hist.percentiles((50, 101))

@@ -221,11 +221,14 @@ def test_live_resume_continues_bit_identically(small_trace_path, tmp_path,
     )
 
 
-def test_live_resume_requires_trace(capsys):
-    assert main(["live", "--resume", "whatever.json"]) == 2
+def test_live_resume_requires_trace(tmp_path, capsys):
+    telemetry = tmp_path / "tel"
+    assert main(["live", "--resume", "whatever.json",
+                 "--telemetry", str(telemetry)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "requires --trace" in captured.err
+    assert not telemetry.exists()
 
 
 def test_parse_backend_opts_json_values():
@@ -357,3 +360,56 @@ def test_missing_trace_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nope.jsonl" in captured.err
+
+
+@pytest.fixture()
+def snapshot_commands(small_trace_path):
+    """Each command that reads a live snapshot, as a function of its path."""
+    return {
+        "live-resume": lambda path: [
+            "live", "--trace", str(small_trace_path), "--resume", path,
+        ],
+        "serve-resume": lambda path: ["serve", "--port", "0", "--resume", path],
+        "obs-health": lambda path: ["obs", "health", path],
+    }
+
+
+@pytest.mark.parametrize("command", ["live-resume", "serve-resume",
+                                     "obs-health"])
+@pytest.mark.parametrize("case", ["missing", "bad-schema"])
+def test_unreadable_snapshot_exits_1_with_one_line_error(
+    tmp_path, capsys, snapshot_commands, command, case
+):
+    snap = tmp_path / "snap.json"
+    if case == "bad-schema":
+        snap.write_text('{"a":1}\n')
+    argv = snapshot_commands[command](str(snap))
+    telemetry = tmp_path / "tel"
+    if command != "obs-health":
+        argv += ["--telemetry", str(telemetry)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "snap.json" in captured.err
+    assert "Traceback" not in captured.err
+    if case == "bad-schema":
+        assert "malformed snapshot" in captured.err
+        assert "schema" in captured.err
+    # Refused before any telemetry directory is opened.
+    assert not telemetry.exists()
+
+
+@pytest.mark.parametrize(
+    "document",
+    ["[1]", '{"schema": 1}', '{"schema": 1, "config": {"n_nodes": 1}}',
+     "not json"],
+    ids=["list", "no-config", "bad-config", "not-json"],
+)
+def test_malformed_snapshot_is_a_value_error(tmp_path, capsys, document):
+    snap = tmp_path / "snap.json"
+    snap.write_text(document + "\n")
+    assert main(["obs", "health", str(snap)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "malformed snapshot" in captured.err
