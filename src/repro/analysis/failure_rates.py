@@ -7,10 +7,10 @@ paper's per-GPU-hour axis carries a 1e-6-ish scale for the same reason.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.report import render_bars
-from repro.core.attribution import AttributionPolicy, FailureAttributor
+from repro.core.attribution import FailureAttributor
 from repro.workload.trace import Trace
 
 PER_MILLION_GPU_HOURS = 1_000_000.0
@@ -41,12 +41,9 @@ class FailureRateTable:
         return chart + footer
 
 
-def attributed_failure_rates(
-    trace: Trace,
-    policy: Optional[AttributionPolicy] = None,
-) -> FailureRateTable:
+def attributed_failure_rates(trace: Trace) -> FailureRateTable:
     """Compute Fig. 4 from the trace's observables."""
-    attributor = FailureAttributor(trace, policy)
+    attributor = FailureAttributor(trace)
     rates = attributor.failure_rate_by_component(
         per_gpu_hours=PER_MILLION_GPU_HOURS
     )

@@ -59,10 +59,7 @@ class GoodputLossAnalysis:
         return table + footer
 
 
-def goodput_loss_analysis(
-    trace: Trace,
-    min_loop_interruptions: int = 5,
-) -> GoodputLossAnalysis:
+def goodput_loss_analysis(trace: Trace) -> GoodputLossAnalysis:
     """Compute Fig. 8 from the trace's job columns."""
     columns = trace.columns.jobs
     losses = lost_goodput_by_size(columns)
@@ -71,8 +68,6 @@ def goodput_loss_analysis(
         cluster_name=trace.cluster_name,
         losses=losses,
         second_order_share=share,
-        crash_loops=find_crash_loops(
-            columns, min_interruptions=min_loop_interruptions
-        ),
+        crash_loops=find_crash_loops(columns, min_interruptions=5),
         total_gpu_hours_lost=sum(l.total_gpu_hours for l in losses),
     )

@@ -65,15 +65,12 @@ class HeadlineNumbers:
         )
 
 
-def headline_numbers(
-    trace: Trace,
-    use_ground_truth: bool = True,
-) -> HeadlineNumbers:
-    """Compute the headline scalars from a trace."""
+def headline_numbers(trace: Trace) -> HeadlineNumbers:
+    """Compute the headline scalars from a trace (r_f from ground truth)."""
     status = job_status_breakdown(trace)
     sizes = job_size_distribution(trace)
     utilization = trace.total_gpu_seconds() / (trace.n_gpus * trace.span_seconds)
-    rf = fold_mttf(trace, use_ground_truth).failure_rate()
+    rf = fold_mttf(trace, use_ground_truth=True).failure_rate()
     small_gpu_time = sum(
         f for s, f in sizes.compute_fraction.items() if s <= 8
     )

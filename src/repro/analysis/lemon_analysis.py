@@ -1,7 +1,7 @@
 """Fig. 11 + Table II: lemon-node signal CDFs, detection, root causes."""
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -59,22 +59,17 @@ class LemonAnalysis:
         return table + "\n\n" + causes + footer
 
 
-def lemon_analysis(
-    trace: Trace,
-    policy: Optional[LemonPolicy] = None,
-    cdf_percentile: float = 99.0,
-) -> LemonAnalysis:
+def lemon_analysis(trace: Trace) -> LemonAnalysis:
     """Compute Fig. 11 / Table II from a trace's node records.
 
-    With no explicit policy, thresholds are fit from the fleet CDFs at
-    ``cdf_percentile`` — the Fig. 11 methodology of reading thresholds off
-    the signal distributions.
+    Thresholds are fit from the fleet CDFs at the 99th percentile — the
+    Fig. 11 methodology of reading thresholds off the signal
+    distributions.
     """
     nodes = trace.node_records
     if not nodes:
         raise ValueError("trace has no node records")
-    if policy is None:
-        policy = LemonPolicy.from_cdf(nodes, percentile=cdf_percentile)
+    policy = LemonPolicy.from_cdf(nodes, percentile=99.0)
     detector = LemonDetector(policy)
     report = detector.evaluate(nodes)
     cdfs = {

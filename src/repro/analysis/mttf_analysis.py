@@ -6,7 +6,7 @@ the paper's extrapolations to 16,384 and 131,072 GPUs.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.report import render_table
 from repro.core.estimators import OnlineMTTFEstimator
@@ -69,41 +69,34 @@ class MTTFAnalysis:
         return table + footer
 
 
-def fold_mttf(
-    trace: Trace, use_ground_truth: bool, min_gpus_for_rate: int = 128
-) -> OnlineMTTFEstimator:
+def fold_mttf(trace: Trace, use_ground_truth: bool) -> OnlineMTTFEstimator:
     """An :class:`OnlineMTTFEstimator` folded over the trace's job records,
     with r_f pinned to ``core.mttf.rf_floor`` of the largest job — the
     one floor of Figs. 7 and 9 and the headline numbers."""
     largest = int(trace.columns.jobs.n_gpus.max())
     estimator = OnlineMTTFEstimator(
         use_ground_truth=use_ground_truth,
-        rf_min_gpus=rf_floor(largest, min_gpus_for_rate),
+        rf_min_gpus=rf_floor(largest),
     )
     for record in trace.job_records:
         estimator.observe_job(record)
     return estimator
 
 
-def mttf_analysis(
-    trace: Trace,
-    min_gpus_for_rate: int = 128,
-    use_ground_truth: bool = True,
-    projection_sizes: Sequence[int] = PROJECTION_SIZES,
-) -> MTTFAnalysis:
+def mttf_analysis(trace: Trace, use_ground_truth: bool = True) -> MTTFAnalysis:
     """Compute Fig. 7 by folding the trace's job records.
 
-    r_f counts jobs above ``min_gpus_for_rate`` GPUs; for scaled-down
-    campaigns whose largest jobs do not reach it, the floor falls back to
-    half the largest observed size (``core.mttf.rf_floor``).
+    r_f counts jobs above 128 GPUs; for scaled-down campaigns whose
+    largest jobs do not reach it, the floor falls back to half the largest
+    observed size (``core.mttf.rf_floor``).
     """
     if not trace.job_records:
         raise ValueError("trace has no job records")
-    estimator = fold_mttf(trace, use_ground_truth, min_gpus_for_rate)
+    estimator = fold_mttf(trace, use_ground_truth)
     rate = estimator.failure_rate()
     return MTTFAnalysis(
         cluster_name=trace.cluster_name,
         buckets=estimator.buckets(),
         failure_rate=rate,
-        projection=mttf_projection_curve(list(projection_sizes), rate.rate),
+        projection=mttf_projection_curve(PROJECTION_SIZES, rate.rate),
     )

@@ -4,20 +4,19 @@ The reproduction report prints the same rows/series the paper's tables
 and figures show; these helpers keep that output consistent and legible.
 """
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def render_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     title: Optional[str] = None,
-    float_format: str = "{:.4g}",
 ) -> str:
-    """Render a fixed-width table."""
+    """Render a fixed-width table (floats to four significant digits)."""
 
     def fmt(cell: object) -> str:
         if isinstance(cell, float):
-            return float_format.format(cell)
+            return f"{cell:.4g}"
         return str(cell)
 
     str_rows = [[fmt(c) for c in row] for row in rows]
@@ -43,7 +42,6 @@ def render_bars(
     values: Dict[object, float],
     title: Optional[str] = None,
     width: int = 50,
-    value_format: str = "{:.3g}",
 ) -> str:
     """Render a horizontal bar chart (one bar per key)."""
     if not values:
@@ -57,7 +55,7 @@ def render_bars(
         bar = "#" * (0 if max_value <= 0 else int(round(width * value / max_value)))
         lines.append(
             f"{str(key).rjust(label_width)} | {bar.ljust(width)} "
-            f"{value_format.format(value)}"
+            f"{value:.3g}"
         )
     return "\n".join(lines)
 

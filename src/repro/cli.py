@@ -538,7 +538,11 @@ def cmd_obs_summary(args: argparse.Namespace) -> int:
 
 def cmd_obs_profile(args: argparse.Namespace) -> int:
     from repro.obs import find_telemetry_files, spans_from_stream
-    from repro.obs.spans import chrome_trace_events, span_phase_stats
+    from repro.obs.spans import (
+        chrome_trace_events,
+        span_phase_stats,
+        write_chrome_trace,
+    )
 
     try:
         pairs = find_telemetry_files(args.path)
@@ -564,12 +568,7 @@ def cmd_obs_profile(args: argparse.Namespace) -> int:
         )
         return 1
     if args.chrome_trace:
-        import json as _json
-
-        document = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-        with open(args.chrome_trace, "w", encoding="utf-8") as fh:
-            _json.dump(document, fh)
-            fh.write("\n")
+        write_chrome_trace(args.chrome_trace, trace_events)
         logger.info(
             "wrote %d trace events to %s (load in chrome://tracing or "
             "Perfetto)", len(trace_events), args.chrome_trace

@@ -11,10 +11,9 @@ swaps, return-to-service).
 from repro.cluster.components import (
     ComponentType,
     FailureClass,
-    ComponentSpec,
     NODE_COMPONENT_COUNTS,
 )
-from repro.cluster.xid import XidError, XID_CATALOG, xid_by_code
+from repro.cluster.xid import XidError, XID_CATALOG
 from repro.cluster.node import Node, NodeState
 from repro.cluster.hazards import HazardModel, HazardRegime, ComponentHazard
 from repro.cluster.failures import FailureIncident, FailureInjector
@@ -31,11 +30,9 @@ from repro.cluster.cluster import Cluster, ClusterSpec
 __all__ = [
     "ComponentType",
     "FailureClass",
-    "ComponentSpec",
     "NODE_COMPONENT_COUNTS",
     "XidError",
     "XID_CATALOG",
-    "xid_by_code",
     "Node",
     "NodeState",
     "HazardModel",

@@ -14,7 +14,7 @@ Section II-C's two-tier severity policy.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,14 +145,10 @@ class Cluster:
             i: Node(node_id=i, rack_id=i // SERVERS_PER_RACK, pod_id=i // SERVERS_PER_POD)
             for i in range(spec.n_nodes)
         }
-        # Availability indices, updated O(log n) per node transition via
-        # Node.on_transition.  Invariants (see docs/PERFORMANCE.md):
-        #   _schedulable_ids  == {id : state HEALTHY and not quarantined}
-        #   _quarantined_ids  == {id : quarantined}
-        #   _remediation_count == |{id : state REMEDIATION}|
+        # Availability index, updated O(log n) per node transition via
+        # Node.on_transition.  Invariant (see docs/PERFORMANCE.md):
+        #   _schedulable_ids == {id : state HEALTHY and not quarantined}
         self._schedulable_ids = SortedIntSet(self.nodes)
-        self._quarantined_ids = SortedIntSet()
-        self._remediation_count = 0
         #: Bumped on every node availability transition (state change or
         #: quarantine flip).  A ``FreeNodeIndex`` that validated all its
         #: fully free entries knows none went stale while this holds.
@@ -383,48 +379,20 @@ class Cluster:
     # ------------------------------------------------------------------
     # availability indices
     # ------------------------------------------------------------------
-    def _on_node_transition(
-        self, node: Node, old_state: NodeState, new_state: NodeState
-    ) -> None:
-        """Node availability changed: patch the indices, O(log n)."""
+    def _on_node_transition(self, node: Node) -> None:
+        """Node availability changed: patch the index, O(log n)."""
         self.availability_epoch += 1
-        node_id = node.node_id
         if node.is_schedulable():
-            self._schedulable_ids.add(node_id)
+            self._schedulable_ids.add(node.node_id)
         else:
-            self._schedulable_ids.discard(node_id)
-        if node.quarantined:
-            self._quarantined_ids.add(node_id)
-        else:
-            self._quarantined_ids.discard(node_id)
-        if old_state is not new_state:
-            if new_state is NodeState.REMEDIATION:
-                self._remediation_count += 1
-            elif old_state is NodeState.REMEDIATION:
-                self._remediation_count -= 1
+            self._schedulable_ids.discard(node.node_id)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def schedulable_nodes(self) -> List[Node]:
-        """Healthy, non-quarantined nodes, in id order (deterministic)."""
-        nodes = self.nodes
-        return [nodes[i] for i in self._schedulable_ids]
-
     def schedulable_node_ids(self) -> SortedIntSet:
         """The live schedulable-id index (ascending iteration, O(1))."""
         return self._schedulable_ids
-
-    def healthy_node_count(self) -> int:
-        return self.spec.n_nodes - self._remediation_count
-
-    def quarantined_node_ids(self) -> List[int]:
-        """Nodes currently quarantined by lemon detection, ascending."""
-        return self._quarantined_ids.as_list()
-
-    def lemon_node_ids(self) -> List[int]:
-        """Ground-truth lemon ids (for evaluating the detector)."""
-        return sorted(spec.node_id for spec in self.lemon_specs)
 
     def __repr__(self) -> str:
         return (

@@ -9,7 +9,6 @@ stay declarative.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import Dict
 
 
@@ -51,21 +50,6 @@ class FailureClass(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentSpec:
-    """A component instance slot inside a node (e.g. GPU index 3).
-
-    Slotted: the failure injector materializes one spec per component slot
-    per node across the fleet.
-    """
-
-    ctype: ComponentType
-    index: int
-
-    def label(self) -> str:
-        return f"{self.ctype.value}[{self.index}]"
-
-
 # DGX A100-like node contents: 8 GPUs with HBM and NVLink, one backend HCA
 # per GPU rail, dual CPUs, 32 DIMMs, frontend NICs, mounts as a logical
 # component, and one services slot for the host software plane.
@@ -88,8 +72,3 @@ NODE_COMPONENT_COUNTS: Dict[ComponentType, int] = {
 }
 
 GPUS_PER_NODE = 8
-
-
-def components_for_node() -> Dict[ComponentType, int]:
-    """Return a copy of the per-node component inventory."""
-    return dict(NODE_COMPONENT_COUNTS)

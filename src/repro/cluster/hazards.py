@@ -14,8 +14,8 @@ Rates are expressed in failures per node-day; the failure injector converts
 to per-second when scheduling.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -234,15 +234,12 @@ class HazardModel:
         rates_per_kiloday: Dict[ComponentType, float],
         regimes: Sequence[HazardRegime] = (),
         lemons: Sequence[LemonSpec] = (),
-        transient_probabilities: Optional[Dict[ComponentType, float]] = None,
     ) -> "HazardModel":
         """Build a model from a flat {component: failures/1000 node-days} map."""
-        tp = dict(DEFAULT_TRANSIENT_PROBABILITY)
-        if transient_probabilities:
-            tp.update(transient_probabilities)
         base = {
             comp: ComponentHazard(
-                rate_per_kiloday=rate, transient_probability=tp.get(comp, 0.5)
+                rate_per_kiloday=rate,
+                transient_probability=DEFAULT_TRANSIENT_PROBABILITY.get(comp, 0.5),
             )
             for comp, rate in rates_per_kiloday.items()
         }

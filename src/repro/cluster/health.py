@@ -22,8 +22,8 @@ Design notes mirroring the paper:
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,9 +184,6 @@ class HealthMonitor:
         self._incident_seq = itertools.count()
         #: obs.Telemetry bundle; check outcomes are traced when enabled.
         self.telemetry = telemetry
-
-    def check_named(self, name: str) -> HealthCheck:
-        return self._by_name[name]
 
     def new_incident_id(self) -> int:
         return next(self._incident_seq)

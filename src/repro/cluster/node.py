@@ -71,9 +71,9 @@ class Node:
     drop the per-instance dict and its lookups.
 
     Availability transitions (state changes and quarantine flips) notify
-    ``on_transition(node, old_state, new_state)`` when set; the owning
-    :class:`~repro.cluster.cluster.Cluster` uses this to keep its
-    schedulable/quarantined indices in sync without fleet rescans.
+    ``on_transition(node)`` when set; the owning
+    :class:`~repro.cluster.cluster.Cluster` keeps its schedulable index in
+    sync through it, without fleet rescans.
     """
 
     __slots__ = (
@@ -120,13 +120,13 @@ class Node:
             return
         self._quarantined = value
         if self.on_transition is not None:
-            self.on_transition(self, self.state, self.state)
+            self.on_transition(self)
 
     def _transition(self, new_state: NodeState) -> None:
         old = self.state
         self.state = new_state
         if self.on_transition is not None and old is not new_state:
-            self.on_transition(self, old, new_state)
+            self.on_transition(self)
 
     @property
     def name(self) -> str:

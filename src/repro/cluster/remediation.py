@@ -28,6 +28,12 @@ from repro.sim.engine import Engine
 from repro.sim.events import EventLog
 from repro.sim.timeunits import HOUR, DAY
 
+#: Median repair time of a permanent failure (vendor repair or a part
+#: swap); transient failures use the workflow's ``transient_repair_median``.
+PERMANENT_REPAIR_MEDIAN = 2 * DAY
+#: Log-space spread of the lognormal repair durations.
+REPAIR_SIGMA = 0.6
+
 #: Permanent faults in these domains are resolved by swapping the GPU tray.
 GPU_SWAP_COMPONENTS = {
     ComponentType.GPU,
@@ -70,19 +76,15 @@ class RemediationWorkflow:
         rng: np.random.Generator,
         event_log: Optional[EventLog] = None,
         transient_repair_median: float = 4 * HOUR,
-        permanent_repair_median: float = 2 * DAY,
-        repair_sigma: float = 0.6,
         on_node_restored: Optional[Callable[[Node], None]] = None,
     ):
-        if transient_repair_median <= 0 or permanent_repair_median <= 0:
-            raise ValueError("repair medians must be positive")
+        if transient_repair_median <= 0:
+            raise ValueError("transient_repair_median must be positive")
         self.engine = engine
         self.nodes = nodes
         self._rng = rng
         self.event_log = event_log if event_log is not None else EventLog()
         self.transient_repair_median = transient_repair_median
-        self.permanent_repair_median = permanent_repair_median
-        self.repair_sigma = repair_sigma
         self.on_node_restored = on_node_restored
         self.tickets: List[RepairTicket] = []
         self._ticket_seq = itertools.count()
@@ -108,11 +110,9 @@ class RemediationWorkflow:
         median = (
             self.transient_repair_median
             if incident.failure_class is FailureClass.TRANSIENT
-            else self.permanent_repair_median
+            else PERMANENT_REPAIR_MEDIAN
         )
-        duration = float(
-            self._rng.lognormal(np.log(median), self.repair_sigma)
-        )
+        duration = float(self._rng.lognormal(np.log(median), REPAIR_SIGMA))
         self.event_log.emit(
             self.engine.now,
             "remediation.ticket_opened",
@@ -149,9 +149,3 @@ class RemediationWorkflow:
         )
         if self.on_node_restored is not None:
             self.on_node_restored(node)
-
-    def open_ticket_count(self) -> int:
-        return sum(1 for t in self.tickets if t.open)
-
-    def gpu_swap_count(self) -> int:
-        return sum(1 for t in self.tickets if t.gpu_swapped)

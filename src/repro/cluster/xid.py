@@ -101,21 +101,6 @@ XID_CATALOG: Dict[int, XidError] = {
 }
 
 
-def xid_by_code(code: int) -> XidError:
-    """Look up an XID; raises ``KeyError`` with a helpful message."""
-    try:
-        return XID_CATALOG[code]
-    except KeyError:
-        raise KeyError(
-            f"XID {code} not in catalogue; known codes: {sorted(XID_CATALOG)}"
-        ) from None
-
-
-def infrastructure_xids() -> Dict[int, XidError]:
-    """XIDs that implicate hardware/infrastructure rather than user code."""
-    return {c: x for c, x in XID_CATALOG.items() if not x.user_suspect}
-
-
 # The XIDs a component failure surfaces, used by the failure injector.
 COMPONENT_PRIMARY_XID: Dict[ComponentType, Optional[int]] = {
     ComponentType.GPU: 119,

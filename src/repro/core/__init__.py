@@ -30,8 +30,6 @@ from repro.core.attribution import (
 from repro.core.metrics import (
     ETTRAssumptions,
     run_ettr,
-    model_flops_utilization,
-    cluster_goodput_fraction,
 )
 from repro.core.ettr import (
     ETTRParameters,
@@ -62,7 +60,6 @@ from repro.core.lemon import (
 from repro.core.checkpoint import (
     required_checkpoint_interval,
     ettr_checkpoint_grid,
-    optimal_checkpoint_interval,
 )
 
 __all__ = [
@@ -76,8 +73,6 @@ __all__ = [
     "FailureAttributor",
     "ETTRAssumptions",
     "run_ettr",
-    "model_flops_utilization",
-    "cluster_goodput_fraction",
     "ETTRParameters",
     "expected_ettr",
     "expected_ettr_simple",
@@ -98,5 +93,4 @@ __all__ = [
     "LEMON_SIGNALS",
     "required_checkpoint_interval",
     "ettr_checkpoint_grid",
-    "optimal_checkpoint_interval",
 ]

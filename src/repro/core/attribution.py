@@ -262,29 +262,6 @@ class FailureAttributor:
                     with_both += 1
         return 0.0 if with_a == 0 else with_both / with_a
 
-    def co_occurrence_matrix(self) -> Dict[Tuple[str, str], float]:
-        """Observation 5's full pairwise view.
-
-        Entry ``(a, b)`` is the fraction of attributed failures where check
-        ``a`` fired that also saw check ``b`` (rows don't sum to 1; the
-        diagonal is 1 by construction).  Pairs with no ``a`` firings are
-        omitted.
-        """
-        firings: Dict[str, int] = {}
-        pair_counts: Dict[Tuple[str, str], int] = {}
-        for att in self.attribute_all():
-            if not att.attributed:
-                continue
-            checks = sorted(set(att.checks))
-            for a in checks:
-                firings[a] = firings.get(a, 0) + 1
-                for b in checks:
-                    pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
-        return {
-            (a, b): count / firings[a]
-            for (a, b), count in sorted(pair_counts.items())
-        }
-
     def hw_failure_records(self) -> List[JobAttemptRecord]:
         """Records counted as infrastructure failures by the paper's rule:
         NODE_FAIL, plus candidate-state records with an attributed check."""

@@ -4,18 +4,18 @@ Fig. 10 asks: at 100k-GPU scale, what (failure rate, checkpoint interval)
 pairs achieve a given expected ETTR?  Using Eq. 2 —
 ``E[ETTR] = 1 - N r_f (u0 + dt/2)`` — the required interval solves in
 closed form; the full Eq. 1 version is inverted numerically for scenarios
-where queueing matters.  We also provide the classic Young/Daly optimum
-for completeness (the paper assumes non-blocking checkpoint writes, in
-which case smaller dt is strictly better down to the write cadence the
-storage can absorb).
+where queueing matters.  The paper assumes non-blocking checkpoint
+writes, in which case smaller dt is strictly better down to the write
+cadence the storage can absorb; :mod:`repro.storage.checkpointing` prices
+blocking writes.
 """
 
 import math
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.components import GPUS_PER_NODE
 from repro.core.ettr import ETTRParameters, expected_ettr
 from repro.sim.timeunits import DAY, MINUTE
 
@@ -26,7 +26,6 @@ def required_checkpoint_interval(
     failure_rate_per_node_day: float,
     restart_overhead: float = 5 * MINUTE,
     queue_time: float = 0.0,
-    productive_runtime: float = 7 * DAY,
     use_full_model: bool = False,
 ) -> float:
     """Checkpoint interval (seconds) achieving ``target_ettr``.
@@ -60,7 +59,6 @@ def required_checkpoint_interval(
             checkpoint_interval=dt,
             restart_overhead=restart_overhead,
             queue_time=queue_time,
-            productive_runtime=productive_runtime,
         )
         try:
             return expected_ettr(params)
@@ -91,7 +89,6 @@ def ettr_checkpoint_grid(
     checkpoint_intervals: Sequence[float],
     n_gpus: int = 100_000,
     restart_overhead: float = 5 * MINUTE,
-    gpus_per_node: int = 8,
 ) -> Dict[Tuple[float, float], float]:
     """Fig. 10's surface: E[ETTR] over (r_f, dt) at 100k-GPU scale.
 
@@ -100,7 +97,7 @@ def ettr_checkpoint_grid(
     """
     if n_gpus <= 0:
         raise ValueError("n_gpus must be positive")
-    n_nodes = max(1, n_gpus // gpus_per_node)
+    n_nodes = max(1, n_gpus // GPUS_PER_NODE)
     rates = np.asarray(failure_rates_per_node_day, dtype=float)
     intervals = np.asarray(checkpoint_intervals, dtype=float)
     # Same validation ETTRParameters would apply per cell.
@@ -120,20 +117,3 @@ def ettr_checkpoint_grid(
         for j, dt in enumerate(intervals):
             grid[(float(rf), float(dt))] = float(surface[i, j])
     return grid
-
-
-def optimal_checkpoint_interval(
-    checkpoint_write_cost: float,
-    mttf_seconds: float,
-) -> float:
-    """Young/Daly optimum: dt* = sqrt(2 * C * MTTF).
-
-    Relevant when checkpoint writes *block* training for ``C`` seconds; the
-    paper's Fig. 10 assumes non-blocking writes, where this is the floor on
-    how aggressive a cadence is worth implementing.
-    """
-    if checkpoint_write_cost <= 0:
-        raise ValueError("checkpoint_write_cost must be positive")
-    if mttf_seconds <= 0:
-        raise ValueError("mttf_seconds must be positive")
-    return math.sqrt(2 * checkpoint_write_cost * mttf_seconds)

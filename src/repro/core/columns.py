@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,12 +89,9 @@ class StringTable:
 
     __slots__ = ("strings", "_codes")
 
-    def __init__(self, strings: Optional[Iterable[str]] = None):
+    def __init__(self):
         self.strings: List[str] = []
         self._codes: Dict[str, int] = {}
-        if strings is not None:
-            for s in strings:
-                self.intern(s)
 
     def intern(self, value: Optional[str]) -> int:
         if value is None:
@@ -105,9 +102,6 @@ class StringTable:
             self.strings.append(value)
             self._codes[value] = code
         return code
-
-    def lookup(self, code: int) -> Optional[str]:
-        return None if code < 0 else self.strings[code]
 
     def __len__(self) -> int:
         return len(self.strings)

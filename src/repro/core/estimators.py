@@ -349,10 +349,10 @@ class OnlineMTTFEstimator:
             )
         return out
 
-    def auto_floor(self, default: int = 128) -> int:
+    def auto_floor(self) -> int:
         """Fig. 7's floor (``core.mttf.rf_floor``) of the largest job
         seen so far."""
-        return rf_floor(self._largest, default)
+        return rf_floor(self._largest)
 
     @property
     def rf_floor_gpus(self) -> int:
@@ -377,9 +377,9 @@ class OnlineMTTFEstimator:
             failures += int(group[1])
         return failures, node_days
 
-    def failure_rate(self, min_gpus: Optional[int] = None):
+    def failure_rate(self):
         """r_f per node-day as a ``RateEstimate``; see ``rf_inputs``."""
-        failures, node_days = self.rf_inputs(min_gpus)
+        failures, node_days = self.rf_inputs()
         if node_days <= 0:
             raise ValueError(
                 "no runtime from jobs above the GPU floor yet; "
@@ -601,10 +601,6 @@ class ETTRForecaster:
             in self._measured_rows()[1]
         ]
 
-    @property
-    def n_runs_seen(self) -> int:
-        return len(self._runs)
-
     # -- snapshot ------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         return {
@@ -740,20 +736,16 @@ class LiveLemonEstimator:
     def _node_records(self) -> List[NodeTraceRecord]:
         return [NodeTraceRecord(**row) for row in self._node_rows]
 
-    def report(
-        self,
-        policy: Optional[LemonPolicy] = None,
-        cdf_percentile: float = 99.0,
-    ):
-        """The batch ``LemonReport``, once node records have arrived."""
+    def report(self):
+        """The batch ``LemonReport`` (thresholds fit at the fleet CDFs'
+        99th percentile), once node records have arrived."""
         records = self._node_records()
         if not records:
             raise ValueError(
                 "node records have not arrived yet (they close the "
                 "stream); use provisional_scores() mid-stream"
             )
-        if policy is None:
-            policy = LemonPolicy.from_cdf(records, percentile=cdf_percentile)
+        policy = LemonPolicy.from_cdf(records, percentile=99.0)
         return LemonDetector(policy).evaluate(records)
 
     # -- snapshot ------------------------------------------------------

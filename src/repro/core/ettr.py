@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.cluster.components import GPUS_PER_NODE
 from repro.sim.timeunits import DAY, HOUR, MINUTE
 
 
@@ -114,11 +115,11 @@ def monte_carlo_ettr_samples(
     params: ETTRParameters,
     n_trials: int = 200,
     rng: Optional[np.random.Generator] = None,
-    exponential_queue: bool = True,
 ) -> np.ndarray:
     """Simulate job runs explicitly; one ETTR sample per trial.
 
-    Each trial replays one training run: queue, initialize (u0), make
+    Each trial replays one training run: queue (an exponential wait with
+    mean ``queue_time``), initialize (u0), make
     progress with checkpoints every dt of *productive* time, suffer
     Poisson failures at rate N*r_f, lose progress back to the last
     checkpoint, requeue, repeat until R productive seconds accumulate.
@@ -145,10 +146,8 @@ def monte_carlo_ettr_samples(
         act = np.flatnonzero(active)
         if act.size == 0:
             break
-        if exponential_queue and params.queue_time > 0:
+        if params.queue_time > 0:
             wallclock[act] += rng.exponential(params.queue_time, size=act.size)
-        else:
-            wallclock[act] += params.queue_time
         if lam > 0:
             ttf = rng.exponential(1.0 / lam, size=act.size)
         else:
@@ -176,31 +175,23 @@ def monte_carlo_ettr(
     params: ETTRParameters,
     n_trials: int = 200,
     rng: Optional[np.random.Generator] = None,
-    exponential_queue: bool = True,
 ) -> float:
     """Mean of :func:`monte_carlo_ettr_samples` (the paper's comparison)."""
-    return float(
-        monte_carlo_ettr_samples(params, n_trials, rng, exponential_queue).mean()
-    )
+    return float(monte_carlo_ettr_samples(params, n_trials, rng).mean())
 
 
 def dedicated_cluster_scenario(
     n_gpus: int,
     failure_rate_per_node_day: float,
     checkpoint_interval: float,
-    restart_overhead: float = 5 * MINUTE,
-    queue_time: float = 1 * MINUTE,
     productive_runtime: float = 7 * DAY,
-    gpus_per_node: int = 8,
 ) -> ETTRParameters:
     """Convenience for the paper's hypotheticals (e.g. all of RSC-1 as one
-    16k-GPU job, or the O(1e5)-GPU future runs of Fig. 10)."""
-    n_nodes = max(1, n_gpus // gpus_per_node)
+    16k-GPU job, or the O(1e5)-GPU future runs of Fig. 10), with the
+    default restart overhead and queue time."""
     return ETTRParameters(
-        n_nodes=n_nodes,
+        n_nodes=max(1, n_gpus // GPUS_PER_NODE),
         failure_rate_per_node_day=failure_rate_per_node_day,
         checkpoint_interval=checkpoint_interval,
-        restart_overhead=restart_overhead,
-        queue_time=queue_time,
         productive_runtime=productive_runtime,
     )

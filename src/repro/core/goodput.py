@@ -45,7 +45,6 @@ class GoodputLoss:
 
 def lost_goodput_by_size(
     columns: "JobColumns",
-    lost_work_cap: float = DEFAULT_LOST_WORK_CAP,
 ) -> List[GoodputLoss]:
     """Fig. 8: lost goodput by instigating-failure job size.
 
@@ -69,7 +68,7 @@ def lost_goodput_by_size(
         & np.isin(columns.instigator_job_id, hw_jobs)
         & ~direct
     )
-    loss = np.minimum(columns.runtime, lost_work_cap) * columns.n_gpus.astype(
+    loss = np.minimum(columns.runtime, DEFAULT_LOST_WORK_CAP) * columns.n_gpus.astype(
         np.float64
     )
     buckets = columns.size_bucket()

@@ -14,7 +14,7 @@ node records) and live (over scheduler node objects, for the mitigation
 campaigns that reproduce the completion-rate improvement).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,8 +75,6 @@ class LemonPolicy:
         cls,
         node_records: Sequence[NodeTraceRecord],
         percentile: float = 97.0,
-        signals: Sequence[str] = tuple(DEFAULT_SIGNAL_THRESHOLDS),
-        min_signals: int = 2,
     ) -> "LemonPolicy":
         """Set each threshold at a fleet-CDF percentile (Fig. 11's method).
 
@@ -89,12 +87,12 @@ class LemonPolicy:
         if not 0 < percentile < 100:
             raise ValueError("percentile must be in (0, 100)")
         thresholds = {}
-        for name in signals:
+        for name in DEFAULT_SIGNAL_THRESHOLDS:
             values = np.asarray([rec.signal(name) for rec in node_records])
             cut = float(np.percentile(values, percentile))
             floor = 0.01 if name == "single_node_node_failure_rate" else 1.0
             thresholds[name] = max(cut, floor)
-        return cls(thresholds=thresholds, min_signals=min_signals)
+        return cls(thresholds=thresholds)
 
     def votes(self, signal_of) -> int:
         """Count thresholds met; ``signal_of(name) -> value``."""
@@ -121,10 +119,6 @@ class LemonReport:
     @property
     def false_positives(self) -> int:
         return len(set(self.flagged_node_ids) - set(self.true_lemon_ids))
-
-    @property
-    def false_negatives(self) -> int:
-        return len(set(self.true_lemon_ids) - set(self.flagged_node_ids))
 
     @property
     def precision(self) -> float:

@@ -1,4 +1,4 @@
-"""Reliability metrics: ETTR, MFU, goodput (Section II-D).
+"""Reliability metrics: ETTR (Section II-D).
 
 ETTR — Effective Training Time Ratio — is productive runtime over available
 wallclock time for a *job run* (a chain of scheduler jobs of one logical
@@ -65,43 +65,3 @@ def run_ettr(
     if wallclock <= 0:
         return 0.0
     return productive / wallclock
-
-
-def model_flops_utilization(
-    achieved_flops_per_second: float,
-    peak_flops_per_second: float,
-) -> float:
-    """MFU: achieved model FLOPs over hardware peak (Section II-D).
-
-    The paper quotes 38-43% for LLaMa-3-scale training; ETTR is typically
-    much higher because it ignores per-step efficiency.
-    """
-    if peak_flops_per_second <= 0:
-        raise ValueError("peak FLOPs must be positive")
-    if achieved_flops_per_second < 0:
-        raise ValueError("achieved FLOPs must be non-negative")
-    mfu = achieved_flops_per_second / peak_flops_per_second
-    if mfu > 1:
-        raise ValueError(
-            f"achieved FLOPs exceed peak ({mfu:.2f}x); check inputs"
-        )
-    return mfu
-
-
-def cluster_goodput_fraction(
-    scheduled_gpu_seconds: float,
-    wasted_gpu_seconds: float,
-    capacity_gpu_seconds: float,
-) -> float:
-    """Aggregate goodput normalized by capacity (Section II-D).
-
-    ``wasted_gpu_seconds`` is lost work (failures, cascades, restart
-    overheads); the result is the utilization-style value in [0, 1].
-    """
-    if capacity_gpu_seconds <= 0:
-        raise ValueError("capacity must be positive")
-    if wasted_gpu_seconds < 0 or scheduled_gpu_seconds < 0:
-        raise ValueError("GPU-seconds must be non-negative")
-    if wasted_gpu_seconds > scheduled_gpu_seconds:
-        raise ValueError("cannot waste more than was scheduled")
-    return (scheduled_gpu_seconds - wasted_gpu_seconds) / capacity_gpu_seconds

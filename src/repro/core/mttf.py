@@ -63,25 +63,24 @@ class MTTFBucket:
         return self.estimate.mttf_hi
 
 
-def rf_floor(largest_gpus: int, default: int = 128) -> int:
-    """The r_f GPU floor: ``default``, or half the largest job (at least
-    8) when the campaign never runs a job above ``default``."""
-    if largest_gpus <= default:
+def rf_floor(largest_gpus: int) -> int:
+    """The r_f GPU floor: 128 GPUs, or half the largest job (at least
+    8) when the campaign never runs a job above 128 GPUs."""
+    if largest_gpus <= 128:
         return max(8, largest_gpus // 2)
-    return default
+    return 128
 
 
 def project_mttf(
     n_gpus: int,
     failure_rate_per_node_day: float,
-    gpus_per_node: int = GPUS_PER_NODE,
 ) -> float:
     """Theoretical MTTF in **hours** for an ``n_gpus`` job: 1/(N * r_f)."""
     if n_gpus <= 0:
         raise ValueError("n_gpus must be positive")
     if failure_rate_per_node_day <= 0:
         return float("inf")
-    n_nodes = max(1, math.ceil(n_gpus / gpus_per_node))
+    n_nodes = max(1, math.ceil(n_gpus / GPUS_PER_NODE))
     return (1.0 / (n_nodes * failure_rate_per_node_day)) * (DAY / HOUR)
 
 

@@ -56,9 +56,6 @@ class TaxonomyEntry:
     likely_causes: Tuple[str, ...]
     component: Optional[ComponentType] = None
 
-    def implicates(self, domain: FailureDomain) -> bool:
-        return domain in self.domains
-
     @property
     def is_ambiguous(self) -> bool:
         """True when more than one domain is suspect (the red-herring risk)."""
@@ -174,8 +171,3 @@ def diagnose(
     ruled = set(ruled_out)
     remaining = [d for d in FailureDomain if d in entry.domains and d not in ruled]
     return remaining
-
-
-def ambiguous_symptoms() -> List[FailureSymptom]:
-    """Symptoms spanning multiple domains — the paper's red-herrings."""
-    return [s for s, e in FAILURE_TAXONOMY.items() if e.is_ambiguous]

@@ -7,8 +7,8 @@ different ranks deadlocks — the SPMD pitfall Section V describes.
 """
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List
 
 
 class CollectiveKind(enum.Enum):
@@ -66,10 +66,9 @@ class RankProgram:
         return len(self.ops)
 
 
-def training_step_ops(
-    n_gradient_buckets: int = 4, bucket_mb: float = 128.0
-) -> List[CollectiveOp]:
-    """One data-parallel training step: gradient all-reduces + a barrier.
+def training_step_ops() -> List[CollectiveOp]:
+    """One data-parallel training step: four gradient all-reduces of
+    128 MB and up, then a barrier.
 
     Bucket sizes differ (layer groups rarely tie exactly), which also
     makes any reordering observable to NCCL's matching — a swap of two
@@ -78,38 +77,27 @@ def training_step_ops(
     ops = [
         CollectiveOp(
             CollectiveKind.ALL_REDUCE,
-            payload_mb=bucket_mb * (1.0 + 0.25 * i),
+            payload_mb=128.0 * (1.0 + 0.25 * i),
             label=f"grad_bucket_{i}",
         )
-        for i in range(n_gradient_buckets)
+        for i in range(4)
     ]
     ops.append(CollectiveOp(CollectiveKind.BARRIER, payload_mb=1.0, label="step_sync"))
     return ops
 
 
-def training_loop_program(
-    rank: int,
-    n_steps: int = 3,
-    n_gradient_buckets: int = 4,
-    bucket_mb: float = 128.0,
-    compute_gap: float = 0.05,
-) -> RankProgram:
+def training_loop_program(rank: int, n_steps: int = 3) -> RankProgram:
     """A canonical SPMD training loop for one rank."""
     if n_steps <= 0:
         raise ValueError("n_steps must be positive")
     ops: List[CollectiveOp] = []
     for _step in range(n_steps):
-        ops.extend(training_step_ops(n_gradient_buckets, bucket_mb))
-    return RankProgram(rank=rank, ops=ops, compute_gap=compute_gap)
+        ops.extend(training_step_ops())
+    return RankProgram(rank=rank, ops=ops)
 
 
-def spmd_program_set(
-    n_ranks: int, n_steps: int = 3, n_gradient_buckets: int = 4
-) -> List[RankProgram]:
+def spmd_program_set(n_ranks: int, n_steps: int = 3) -> List[RankProgram]:
     """Identical programs across ranks — the correct SPMD case."""
     if n_ranks <= 0:
         raise ValueError("n_ranks must be positive")
-    return [
-        training_loop_program(rank, n_steps, n_gradient_buckets)
-        for rank in range(n_ranks)
-    ]
+    return [training_loop_program(rank, n_steps) for rank in range(n_ranks)]

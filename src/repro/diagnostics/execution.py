@@ -21,7 +21,7 @@ The output is one :class:`RankFlightRecord` per rank, the input format of
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.diagnostics.collective_ops import CollectiveOp, RankProgram
 from repro.diagnostics.scenarios import RankFault, RankFaultKind
@@ -81,12 +81,12 @@ def _op_duration(op: CollectiveOp) -> float:
 def simulate_collectives(
     programs: Sequence[RankProgram],
     faults: Sequence[RankFault] = (),
-    timeout: float = 600.0,
 ) -> List[RankFlightRecord]:
     """Run the programs to completion or to the first hang.
 
-    Returns flight records for every rank.  ``timeout`` only positions the
-    "gave up" timestamps; detection of *why* is the diagnoser's job.
+    Returns flight records for every rank; a hung collective's entries
+    stay open (``completed_at=None``).  Detecting *why* is the
+    diagnoser's job.
     """
     if not programs:
         raise ValueError("need at least one rank program")

@@ -20,9 +20,11 @@ channel, payload)``, one item at a time.  Two ways in:
 
 * **Tap** a running campaign::
 
-      from repro.live import live_campaign
+      from repro.campaign import Campaign
+      from repro.live import LiveAnalytics, LiveConfig, tap_campaign
 
-      trace, analytics = live_campaign(config)
+      analytics = LiveAnalytics(LiveConfig.for_config(config))
+      trace = tap_campaign(Campaign(config), analytics)
 
 Sessions checkpoint with ``analytics.snapshot()`` /
 ``LiveAnalytics.from_snapshot`` (exact resume), and the ``repro live``
@@ -47,7 +49,7 @@ from repro.live.analytics import (
     LiveReport,
 )
 from repro.live.replay import iter_trace_stream, replay_trace
-from repro.live.tap import live_campaign, tap_campaign
+from repro.live.tap import tap_campaign
 
 __all__ = [
     "LIVE_SNAPSHOT_VERSION",
@@ -66,5 +68,4 @@ __all__ = [
     "iter_trace_stream",
     "replay_trace",
     "tap_campaign",
-    "live_campaign",
 ]

@@ -328,12 +328,10 @@ class LiveAnalytics:
         return path
 
     @classmethod
-    def load_snapshot(
-        cls, path: Union[str, Path], telemetry=None
-    ) -> "LiveAnalytics":
+    def load_snapshot(cls, path: Union[str, Path]) -> "LiveAnalytics":
         """Read a :meth:`save_snapshot` file; ``ValueError`` if malformed."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_snapshot(payload, telemetry=telemetry)
+        return cls.from_snapshot(payload)
 
     # ------------------------------------------------------------------
     # derived views
@@ -344,19 +342,13 @@ class LiveAnalytics:
             self.config.cluster_name, self.rolling
         )
 
-    def health(
-        self,
-        scorer: Optional[FleetHealthScorer] = None,
-    ) -> HealthReport:
+    def health(self) -> HealthReport:
         """Score the fleet's current health (PVC ``getClusterHealth``).
 
         Folds every live estimator into a :class:`HealthSignals` bundle
-        and runs it through a :class:`FleetHealthScorer` (pass one to
-        customize the delta map).
+        and runs it through the default :class:`FleetHealthScorer`.
         """
-        if scorer is None:
-            scorer = FleetHealthScorer()
-        return scorer.score(HealthSignals.from_analytics(self))
+        return FleetHealthScorer().score(HealthSignals.from_analytics(self))
 
     def report(self) -> "LiveReport":
         return LiveReport(self)

@@ -13,17 +13,15 @@ estimator-state-equivalence test in ``tests/live/test_tap.py`` holds
 the two ingestion modes to bit-identical final snapshots.
 """
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
-from repro.campaign import Campaign, CampaignConfig
+from repro.campaign import Campaign
 from repro.live.analytics import (
     CHANNEL_EVENT,
     CHANNEL_JOB,
     CHANNEL_NODE,
     LiveAnalytics,
-    LiveConfig,
 )
-from repro.options import RunOptions
 from repro.workload.trace import Trace
 
 
@@ -61,20 +59,3 @@ def tap_campaign(
         ingest(trace.end, CHANNEL_NODE, node)
     analytics.finish(trace.end)
     return trace
-
-
-def live_campaign(
-    config: CampaignConfig, telemetry=None, **analytics_overrides
-) -> Tuple[Trace, LiveAnalytics]:
-    """Run a fresh campaign with live analytics attached.
-
-    Returns ``(trace, analytics)``; ``analytics_overrides`` forward to
-    :class:`LiveConfig` (``window_days``, ``rf_min_gpus``, ...).
-    """
-    analytics = LiveAnalytics(
-        LiveConfig.for_config(config, **analytics_overrides),
-        telemetry=telemetry,
-    )
-    campaign = Campaign(config, options=RunOptions(telemetry=telemetry))
-    trace = tap_campaign(campaign, analytics)
-    return trace, analytics

@@ -119,17 +119,9 @@ def ring_allreduce_bandwidth(
     fabric: FabricTopology,
     servers: Sequence[int],
     policy: RoutingPolicy,
-    group_id: int = 0,
 ) -> AllReduceResult:
     """Bus bandwidth of a single ring all-reduce over ``servers``."""
-    results = concurrent_allreduce_bandwidths(fabric, [tuple(servers)], policy)
-    result = results[0]
-    return AllReduceResult(
-        group_id=group_id,
-        servers=result.servers,
-        bus_bandwidth_gbps=result.bus_bandwidth_gbps,
-        bottleneck_link=result.bottleneck_link,
-    )
+    return concurrent_allreduce_bandwidths(fabric, [tuple(servers)], policy)[0]
 
 
 def concurrent_allreduce_bandwidths(

@@ -84,7 +84,6 @@ from repro.obs.tracer import (
     ObsEvent,
     RingBufferSink,
     Tracer,
-    label_group,
 )
 
 __all__ = [
@@ -116,7 +115,6 @@ __all__ = [
     "chrome_trace_events",
     "find_telemetry_files",
     "iter_event_dicts",
-    "label_group",
     "load_snapshot",
     "maybe_span",
     "phase_stats",

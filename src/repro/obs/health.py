@@ -13,7 +13,7 @@ the fleet assembled from whichever layer is observing:
 
 * live sessions (:meth:`HealthSignals.from_analytics`): FleetGauges'
   down/quarantined sets, the lemon estimator's provisional suspects, and
-  the session watermark;
+  the tracer's self-disable state;
 * telemetry directories (:meth:`HealthSignals.from_summary`): failure
   injections by component, resilience counters, cache quarantines, and
   the tracer's self-disable state;
@@ -51,8 +51,7 @@ DEFAULT_HEALTH_DELTA_MAP: Dict[str, float] = {
     "worker_respawn": 2.0,     # worker process died and was respawned
     "retry": 0.5,              # attempt retried (transient fault)
     "timeout": 2.0,            # attempt reclaimed by the watchdog
-    # observability freshness
-    "stale_watermark": 15.0,   # live estimators lag the stream
+    # observability
     "tracer_self_disabled": 10.0,  # telemetry gave up on its sink
 }
 
@@ -69,7 +68,6 @@ COMPONENT_BY_CONDITION: Dict[str, str] = {
     "worker_respawn": "runtime",
     "retry": "runtime",
     "timeout": "runtime",
-    "stale_watermark": "observability",
     "tracer_self_disabled": "observability",
 }
 
@@ -103,7 +101,6 @@ class HealthSignals:
     worker_respawns: int = 0
     retries: int = 0
     timeouts: int = 0
-    watermark_stale: bool = False
     tracer_self_disabled: bool = False
 
     def __post_init__(self):
@@ -114,33 +111,15 @@ class HealthSignals:
     # adapters
     # ------------------------------------------------------------------
     @classmethod
-    def from_analytics(
-        cls, analytics, stale_after_days: Optional[float] = None
-    ) -> "HealthSignals":
-        """Snapshot a :class:`repro.live.LiveAnalytics` session.
-
-        ``stale_after_days``: watermark age (behind the configured span)
-        beyond which the stream counts as stale; ``None`` disables the
-        staleness condition (replays legitimately end mid-span).
-        """
-        from repro.sim.timeunits import DAY
-
+    def from_analytics(cls, analytics) -> "HealthSignals":
+        """Snapshot a :class:`repro.live.LiveAnalytics` session."""
         fleet = analytics.fleet
-        stale = False
-        if stale_after_days is not None and not analytics.finished:
-            # finish() forces the watermark to the span end, so only an
-            # unfinished session can have a meaningful lag.
-            lag_days = (
-                analytics.config.span_seconds - analytics.watermark
-            ) / DAY
-            stale = lag_days > stale_after_days
         return cls(
             n_nodes=analytics.config.n_nodes,
             nodes_down=fleet.nodes_down,
             nodes_quarantined=fleet.nodes_quarantined,
             hardware_incidents=fleet.nodes_down,
             lemon_suspects=tuple(analytics.lemons.suspects()),
-            watermark_stale=stale,
             tracer_self_disabled=tracer_self_disabled(analytics.telemetry),
         )
 
@@ -197,7 +176,6 @@ class HealthSignals:
             "worker_respawn": self.worker_respawns,
             "retry": self.retries,
             "timeout": self.timeouts,
-            "stale_watermark": int(self.watermark_stale),
             "tracer_self_disabled": int(self.tracer_self_disabled),
         }
 
@@ -215,7 +193,6 @@ _MESSAGES: Dict[str, str] = {
     "worker_respawn": "{n} worker process(es) died and respawned",
     "retry": "{n} attempt retr(ies)",
     "timeout": "{n} attempt timeout(s)",
-    "stale_watermark": "live watermark is stale",
     "tracer_self_disabled": "telemetry tracer disabled itself (sink errors)",
 }
 
@@ -269,7 +246,6 @@ class FleetHealthScorer:
         self,
         health_delta_map: Optional[Mapping[str, float]] = None,
         condition_cap: float = DEFAULT_CONDITION_CAP,
-        component_by_condition: Optional[Mapping[str, str]] = None,
     ):
         self.health_delta_map = dict(DEFAULT_HEALTH_DELTA_MAP)
         if health_delta_map:
@@ -282,16 +258,13 @@ class FleetHealthScorer:
         if condition_cap <= 0:
             raise ValueError("condition_cap must be positive")
         self.condition_cap = float(condition_cap)
-        self.component_by_condition = dict(COMPONENT_BY_CONDITION)
-        if component_by_condition:
-            self.component_by_condition.update(component_by_condition)
 
     def score(self, signals: HealthSignals) -> HealthReport:
         """Score one snapshot: 100 minus capped per-condition deltas."""
         cluster_health_value = 100.0
         component_values: Dict[str, float] = {
             component: 100.0
-            for component in set(self.component_by_condition.values())
+            for component in set(COMPONENT_BY_CONDITION.values())
         }
         messages: List[str] = []
         applied: Dict[str, Tuple[int, float]] = {}
@@ -303,7 +276,7 @@ class FleetHealthScorer:
             if points <= 0:
                 continue
             cluster_health_value -= points
-            component = self.component_by_condition.get(name, "other")
+            component = COMPONENT_BY_CONDITION.get(name, "other")
             component_values[component] = (
                 component_values.get(component, 100.0) - points
             )

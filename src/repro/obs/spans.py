@@ -242,15 +242,14 @@ def spans_from_stream(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
 
 
 def write_chrome_trace(
-    path: Union[str, os.PathLike],
-    records: Iterable[Union[SpanRecord, Dict[str, Any]]],
+    path: Union[str, os.PathLike], events: List[Dict[str, Any]]
 ) -> int:
-    """Write a Chrome trace-event JSON file; returns the event count.
+    """Write :func:`chrome_trace_events` output as a Chrome trace-event
+    JSON file; returns the event count.
 
     The document is the object form (``{"traceEvents": [...]}``), which
     both ``chrome://tracing`` and Perfetto load directly.
     """
-    events = chrome_trace_events(records)
     document = {"traceEvents": events, "displayTimeUnit": "ms"}
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         json.dump(document, fh)

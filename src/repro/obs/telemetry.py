@@ -60,9 +60,9 @@ class Telemetry:
         return cls()
 
     @classmethod
-    def in_memory(cls, capacity: int = 65536) -> "Telemetry":
+    def in_memory(cls) -> "Telemetry":
         """Enabled bundle capturing events in a bounded ring buffer."""
-        return cls(tracer=Tracer(RingBufferSink(capacity)))
+        return cls(tracer=Tracer(RingBufferSink()))
 
     @classmethod
     def to_directory(

@@ -31,18 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 
-def label_group(label: str) -> str:
-    """Collapse an event label to its bounded-cardinality group.
-
-    Engine labels embed entity ids (``"failure:1734"``, ``"end:88"``);
-    grouping on the prefix before ``":"`` keeps per-label metrics at a
-    fixed, small cardinality.
-    """
-    if not label:
-        return "unlabeled"
-    return label.partition(":")[0]
-
-
 @dataclass(frozen=True)
 class ObsEvent:
     """One telemetry record.
@@ -72,17 +60,6 @@ class ObsEvent:
             "attrs": self.attrs,
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: Dict[str, Any]) -> "ObsEvent":
-        return cls(
-            sim_time=float(payload["sim_time"]),
-            wall_time=float(payload["wall_time"]),
-            category=str(payload["category"]),
-            label=str(payload.get("label", "")),
-            attrs=dict(payload.get("attrs", {})),
-        )
-
-
 class NullSink:
     """Discards every event (the disabled tracer's sink)."""
 
@@ -109,10 +86,6 @@ class RingBufferSink:
 
     def close(self) -> None:
         pass
-
-    @property
-    def dropped(self) -> int:
-        return self.total_written - len(self._buffer)
 
     def __len__(self) -> int:
         return len(self._buffer)

@@ -50,7 +50,6 @@ from repro.resilience.chaos import (
     CHAOS_EXIT_CODE,
     ChaosError,
     ChaosPolicy,
-    FaultySink,
     WorkerKilled,
 )
 from repro.resilience.config import DEFAULT_RESILIENCE, ResilienceConfig
@@ -63,7 +62,6 @@ __all__ = [
     "ChaosPolicy",
     "CircuitBreaker",
     "DEFAULT_RESILIENCE",
-    "FaultySink",
     "ResilienceConfig",
     "RetryPolicy",
     "WorkerKilled",

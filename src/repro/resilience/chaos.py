@@ -3,8 +3,8 @@
 The simulator injects *modeled* faults (GPU failures, link flaps) into
 the simulated cluster; :class:`ChaosPolicy` injects *real* faults into
 the harness that runs the simulator — worker processes killed mid-seed,
-trace-cache entries corrupted or truncated on disk, IO errors in
-telemetry sinks, malformed or late rows pushed at the live estimators.
+trace-cache entries corrupted or truncated on disk, malformed or late
+rows pushed at the live estimators.
 It mirrors how :mod:`repro.network.faults` degrades fabric links: the
 injection is an explicit, seeded policy object, so every recovery path
 in :mod:`repro.runtime` and :mod:`repro.live` is testable and every
@@ -24,6 +24,8 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, TYPE_CHECKING
+
+from repro.sim.timeunits import HOUR
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.campaign import CampaignConfig
@@ -70,8 +72,6 @@ class ChaosPolicy:
             attempts past this many are never killed.
         cache_corruption_rate: Probability a cache entry is corrupted on
             disk before it is read back (torn write / bit rot model).
-        sink_error_rate: Probability a telemetry sink write raises
-            :class:`OSError` (full disk / revoked fd model).
         malformed_item_rate: Probability a junk stream item is injected
             ahead of a real one during live replay.
         late_item_rate: Probability an injected junk item is backdated
@@ -82,7 +82,6 @@ class ChaosPolicy:
     worker_kill_rate: float = 0.0
     max_kills_per_config: int = 2
     cache_corruption_rate: float = 0.0
-    sink_error_rate: float = 0.0
     malformed_item_rate: float = 0.0
     late_item_rate: float = 0.0
 
@@ -90,7 +89,6 @@ class ChaosPolicy:
         for name in (
             "worker_kill_rate",
             "cache_corruption_rate",
-            "sink_error_rate",
             "malformed_item_rate",
             "late_item_rate",
         ):
@@ -181,30 +179,17 @@ class ChaosPolicy:
         return self.corrupt_entry(cache.path_for(config), digest)
 
     # ------------------------------------------------------------------
-    # telemetry sink faults
-    # ------------------------------------------------------------------
-    def sink_write_fails(self, write_index: int) -> bool:
-        """Whether the ``write_index``-th sink write raises."""
-        return (
-            _unit_draw(self.seed, "sink", write_index) < self.sink_error_rate
-        )
-
-    def wrap_sink(self, sink: object) -> "FaultySink":
-        """Wrap a tracer sink so writes fail per this policy's draws."""
-        return FaultySink(sink, self)
-
-    # ------------------------------------------------------------------
     # live-stream faults
     # ------------------------------------------------------------------
-    def mangle_stream(self, items, watermark_lag: float = 3600.0):
+    def mangle_stream(self, items):
         """Yield a stream with junk items injected ahead of real ones.
 
         Real items pass through untouched (so a tolerant consumer's
         estimator state is unaffected); injected junk is either a
         malformed item (``None`` payload on a real channel) or — per
-        ``late_item_rate`` — the same junk backdated ``watermark_lag``
-        seconds behind the current stream time, exercising the
-        late-arrival path as well as the malformed one.
+        ``late_item_rate`` — the same junk backdated an hour behind the
+        current stream time, exercising the late-arrival path as well as
+        the malformed one.
         """
         from repro.live.analytics import CHANNELS
 
@@ -216,43 +201,14 @@ class ChaosPolicy:
                 ]
                 junk_time = time
                 if _unit_draw(self.seed, "mangle-late", index) < self.late_item_rate:
-                    junk_time = max(0.0, time - watermark_lag)
+                    junk_time = max(0.0, time - HOUR)
                 yield junk_time, junk_channel, None
             yield time, channel, payload
-
-
-class FaultySink:
-    """Sink decorator that injects :class:`OSError` per a chaos policy.
-
-    The wrapped sink still receives every write the policy spares, so a
-    stream produced under sink chaos is a subset of the fault-free one.
-    """
-
-    def __init__(self, sink: object, chaos: ChaosPolicy):
-        self.sink = sink
-        self.chaos = chaos
-        self.writes_attempted = 0
-        self.errors_injected = 0
-
-    def write(self, event) -> None:
-        index = self.writes_attempted
-        self.writes_attempted += 1
-        if self.chaos.sink_write_fails(index):
-            self.errors_injected += 1
-            raise OSError(f"chaos: injected sink IO error on write {index}")
-        self.sink.write(event)
-
-    def close(self) -> None:
-        self.sink.close()
-
-    def __getattr__(self, name: str):
-        return getattr(self.sink, name)
 
 
 __all__ = [
     "CHAOS_EXIT_CODE",
     "ChaosError",
     "ChaosPolicy",
-    "FaultySink",
     "WorkerKilled",
 ]

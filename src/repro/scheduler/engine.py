@@ -41,7 +41,17 @@ from repro.sim.events import EventLog
 from repro.sim.processes import PeriodicProcess
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import MINUTE
-from repro.workload.spec import IntendedOutcome, JobSpec, QosTier
+from repro.workload.spec import JobSpec, QosTier
+
+#: Share of attempts killed by a detected node failure that Slurm
+#: records as REQUEUED rather than FAILED (heartbeat-only losses are
+#: always NODE_FAIL).
+REQUEUED_STATUS_PROBABILITY = 0.35
+#: Chance a job killed by a node failure adds that node to its exclude
+#: list.
+EXCLUDE_PROBABILITY = 0.25
+#: Period of the background scheduling pass.
+PASS_PERIOD = 30 * MINUTE
 
 
 class SlurmLikeScheduler:
@@ -58,15 +68,8 @@ class SlurmLikeScheduler:
         quotas: Optional[QuotaManager] = None,
         preflight: Optional[PreflightPolicy] = None,
         event_log: Optional[EventLog] = None,
-        requeued_status_probability: float = 0.35,
-        exclude_probability: float = 0.25,
-        pass_period: float = 30 * MINUTE,
         telemetry=None,
     ):
-        if not 0 <= requeued_status_probability <= 1:
-            raise ValueError("requeued_status_probability must be in [0, 1]")
-        if not 0 <= exclude_probability <= 1:
-            raise ValueError("exclude_probability must be in [0, 1]")
         self.engine = engine
         self.cluster = cluster
         self.priority = priority if priority is not None else PriorityPolicy()
@@ -75,8 +78,6 @@ class SlurmLikeScheduler:
         self.quotas = quotas if quotas is not None else QuotaManager()
         self.preflight = preflight
         self.event_log = event_log if event_log is not None else cluster.event_log
-        self.requeued_status_probability = requeued_status_probability
-        self.exclude_probability = exclude_probability
         #: obs.Telemetry bundle; when enabled, job lifecycle transitions
         #: are counted (the ``sched_*_total`` counters) and every
         #: scheduling pass is timed (the ``sched.pass`` span).
@@ -112,7 +113,7 @@ class SlurmLikeScheduler:
         cluster.on_node_down = self._on_node_down
         cluster.on_node_available = self._on_node_available
         self._ticker = PeriodicProcess(
-            engine, pass_period, self._schedule_pass, label="sched-tick"
+            engine, PASS_PERIOD, self._schedule_pass, label="sched-tick"
         )
 
     # ------------------------------------------------------------------
@@ -515,7 +516,7 @@ class SlurmLikeScheduler:
             job = self.jobs[job_id]
             if incident.heartbeat_only:
                 state = JobState.NODE_FAIL
-            elif self._rng.random() < self.requeued_status_probability:
+            elif self._rng.random() < REQUEUED_STATUS_PROBABILITY:
                 state = JobState.REQUEUED
             else:
                 state = JobState.FAILED
@@ -532,7 +533,7 @@ class SlurmLikeScheduler:
                 hw_attributed=incident.attributed,
                 failing_node_id=node.node_id,
             )
-            if self._rng.random() < self.exclude_probability:
+            if self._rng.random() < EXCLUDE_PROBABILITY:
                 job.excluded_nodes.add(node.node_id)
                 node.record_exclusion(job.job_id)
             if job.can_requeue():
@@ -548,15 +549,6 @@ class SlurmLikeScheduler:
     def _on_node_available(self, node: Node) -> None:
         self.index.refresh(node.node_id)
         self._request_pass()
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def pending_count(self) -> int:
-        return len(self.pending)
-
-    def running_gpus(self) -> int:
-        return sum(self.jobs[jid].n_gpus for jid in self.running)
 
     def stop(self) -> None:
         """Stop periodic passes (end of campaign)."""

@@ -306,6 +306,3 @@ class PlacementPolicy:
                 f"multi-server jobs must use whole servers (got {n_gpus})"
             )
         return index.find_full_nodes(n_gpus // GPUS_PER_NODE, excluded)
-
-    def pods_spanned(self, nodes: Iterable[Node]) -> int:
-        return len({n.pod_id for n in nodes})

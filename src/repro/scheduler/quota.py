@@ -7,7 +7,6 @@ in the queue even if capacity is free, which is one of the queueing terms
 in measured ETTR.
 """
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
@@ -20,14 +19,6 @@ class QuotaManager:
         for project, cap in self._quotas.items():
             if cap <= 0:
                 raise ValueError(f"quota for {project!r} must be positive, got {cap}")
-
-    def set_quota(self, project: str, max_gpus: int) -> None:
-        if max_gpus <= 0:
-            raise ValueError(f"quota must be positive, got {max_gpus}")
-        self._quotas[project] = max_gpus
-
-    def quota_of(self, project: str) -> Optional[int]:
-        return self._quotas.get(project)
 
     def usage_of(self, project: str) -> int:
         return self._usage.get(project, 0)

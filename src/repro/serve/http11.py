@@ -116,9 +116,6 @@ class Request:
             raise HttpError(400, f"malformed JSON body: {err}") from None
 
     # -- typed query-parameter helpers ---------------------------------
-    def str_param(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        return self.query.get(name, default)
-
     def int_param(self, name: str, default: Optional[int] = None) -> Optional[int]:
         raw = self.query.get(name)
         if raw is None:

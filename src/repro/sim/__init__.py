@@ -18,7 +18,6 @@ from repro.sim.timeunits import (
     WEEK,
     days,
     hours,
-    minutes,
     format_duration,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "WEEK",
     "days",
     "hours",
-    "minutes",
     "format_duration",
 ]

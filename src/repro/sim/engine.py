@@ -12,7 +12,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.telemetry import Telemetry
@@ -52,10 +52,8 @@ class ScheduledEvent:
 class Engine:
     """A deterministic discrete-event simulation loop."""
 
-    def __init__(
-        self, start_time: float = 0.0, telemetry: Optional["Telemetry"] = None
-    ):
-        self._now = float(start_time)
+    def __init__(self, telemetry: Optional["Telemetry"] = None):
+        self._now = 0.0
         self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._executed = 0
@@ -200,10 +198,6 @@ class Engine:
                 self._now = end_time
         finally:
             self._running = False
-
-    def run_all(self, max_events: int = 10_000_000) -> None:
-        """Run until the heap is empty (bounded by ``max_events``)."""
-        self.run_until(float("inf"), max_events=max_events)
 
     def __repr__(self) -> str:
         return (

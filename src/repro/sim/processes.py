@@ -21,7 +21,6 @@ class PeriodicProcess:
         engine: Engine,
         period: float,
         callback: Callable[[], None],
-        start_at: Optional[float] = None,
         label: str = "periodic",
     ):
         if period <= 0:
@@ -31,9 +30,9 @@ class PeriodicProcess:
         self._callback = callback
         self._label = label
         self._stopped = False
-        self._pending: Optional[ScheduledEvent] = None
-        first = engine.now + period if start_at is None else start_at
-        self._pending = engine.schedule_at(first, self._tick, label=label)
+        self._pending: Optional[ScheduledEvent] = engine.schedule_after(
+            period, self._tick, label=label
+        )
 
     def _tick(self) -> None:
         if self._stopped:
@@ -82,17 +81,6 @@ class PoissonProcess:
     @property
     def rate(self) -> float:
         return self._rate
-
-    def set_rate(self, rate_per_second: float) -> None:
-        """Change the arrival rate; re-arms the next arrival."""
-        if rate_per_second < 0:
-            raise ValueError(f"rate must be non-negative, got {rate_per_second}")
-        self._rate = rate_per_second
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-        if not self._stopped:
-            self._arm()
 
     def _arm(self) -> None:
         if self._rate <= 0:

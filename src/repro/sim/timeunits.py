@@ -13,11 +13,6 @@ DAY = 86400.0
 WEEK = 7 * DAY
 
 
-def minutes(n: float) -> float:
-    """Return ``n`` minutes expressed in seconds."""
-    return n * MINUTE
-
-
 def hours(n: float) -> float:
     """Return ``n`` hours expressed in seconds."""
     return n * HOUR

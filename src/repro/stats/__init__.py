@@ -10,7 +10,6 @@ from repro.stats.fitting import (
     RateEstimate,
     estimate_rate,
     rate_confidence_interval,
-    mttf_from_rate,
     fit_exponential_mttf,
     gamma_fit,
 )
@@ -21,7 +20,6 @@ from repro.stats.distributions import (
     LogNormalSpec,
     ZipfSizeSpec,
     MixtureSpec,
-    sample_lognormal,
     truncated_sample,
 )
 
@@ -29,7 +27,6 @@ __all__ = [
     "RateEstimate",
     "estimate_rate",
     "rate_confidence_interval",
-    "mttf_from_rate",
     "fit_exponential_mttf",
     "gamma_fit",
     "bootstrap_ci",
@@ -43,6 +40,5 @@ __all__ = [
     "LogNormalSpec",
     "ZipfSizeSpec",
     "MixtureSpec",
-    "sample_lognormal",
     "truncated_sample",
 ]

@@ -169,23 +169,6 @@ def truncated_lognormal(
     return float(np.clip(rng.lognormal(mu, sigma, size=1), minimum, maximum)[0])
 
 
-def sample_lognormal(
-    rng: np.random.Generator,
-    median: float,
-    sigma: float,
-    size: int = 1,
-    minimum: float = 0.0,
-    maximum: float = float("inf"),
-) -> np.ndarray:
-    """Convenience: sample a truncated log-normal given its median."""
-    if median <= 0:
-        raise ValueError(f"median must be positive, got {median}")
-    spec = LogNormalSpec(
-        mu=float(np.log(median)), sigma=sigma, minimum=minimum, maximum=maximum
-    )
-    return spec.sample(rng, size=size)
-
-
 def truncated_sample(draw, minimum: float, maximum: float, size: int) -> np.ndarray:
     """Rejection-sample ``size`` values from ``draw`` within [minimum, maximum].
 

@@ -92,23 +92,6 @@ def estimate_rate(
     )
 
 
-def mttf_from_rate(n_units: int, rate_per_unit_time: float) -> float:
-    """Theoretical MTTF = 1 / (N * r) — the paper's projection formula.
-
-    ``n_units`` is the number of independently failing units (nodes in the
-    paper's Fig. 7 projection) and ``rate_per_unit_time`` the per-unit
-    failure rate (failures per node-day).  The result is expressed in the
-    same time unit as the rate's denominator.
-    """
-    if n_units <= 0:
-        raise ValueError(f"n_units must be positive, got {n_units}")
-    if rate_per_unit_time < 0:
-        raise ValueError(f"rate must be non-negative, got {rate_per_unit_time}")
-    if rate_per_unit_time == 0:
-        return float("inf")
-    return 1.0 / (n_units * rate_per_unit_time)
-
-
 def fit_exponential_mttf(
     times_to_failure: Sequence[float],
     censored_exposures: Optional[Sequence[float]] = None,

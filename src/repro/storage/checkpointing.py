@@ -15,7 +15,6 @@ as overheads vanish; asserted in tests).
 import enum
 import math
 from dataclasses import replace
-from typing import Optional
 
 from repro.core.ettr import ETTRParameters, expected_ettr_simple
 
@@ -96,10 +95,3 @@ def optimal_blocking_interval(
             d = a + invphi * (b - a)
             fd = objective(math.exp(d))
     return math.exp((a + b) / 2)
-
-
-def young_daly_interval(write_time: float, mttf_seconds: float) -> float:
-    """The classical first-order optimum, for comparison."""
-    if write_time <= 0 or mttf_seconds <= 0:
-        raise ValueError("write_time and mttf_seconds must be positive")
-    return math.sqrt(2.0 * write_time * mttf_seconds)

@@ -8,17 +8,21 @@ across cluster scales — the benchmark clusters are scaled-down replicas.
 """
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.cluster.components import GPUS_PER_NODE
 from repro.sim.rng import RngStreams
-from repro.sim.timeunits import DAY, HOUR
+from repro.sim.timeunits import DAY
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.profiles import WorkloadProfile
 from repro.workload.spec import IntendedOutcome, JobSpec, MAX_JOB_LIFETIME
+
+#: Largest job, as a fraction of the cluster's GPUs.
+MAX_JOB_FRACTION_OF_CLUSTER = 0.5
+#: Chance that a completed job of at least ``LONG_RUN_MIN_GPUS`` GPUs is
+#: the head of a multi-segment training run.
+LONG_RUN_PROBABILITY = 0.25
+LONG_RUN_MIN_GPUS = 128
 
 
 class WorkloadGenerator:
@@ -42,10 +46,6 @@ class WorkloadGenerator:
         cluster_gpus: int,
         target_utilization: float = 1.0,
         diurnal_amplitude: float = 0.3,
-        max_job_fraction_of_cluster: float = 0.5,
-        first_job_id: int = 1,
-        long_run_probability: float = 0.25,
-        long_run_min_gpus: int = 128,
     ):
         if cluster_gpus < GPUS_PER_NODE:
             raise ValueError("cluster must have at least one server of GPUs")
@@ -54,25 +54,19 @@ class WorkloadGenerator:
             # fed despite sampling lulls (the paper's clusters are "fully
             # loaded" with persistent queues).
             raise ValueError("target_utilization must be in (0, 1.5]")
-        if not 0 < max_job_fraction_of_cluster <= 1:
-            raise ValueError("max_job_fraction_of_cluster must be in (0, 1]")
         max_size = max(
-            GPUS_PER_NODE, int(cluster_gpus * max_job_fraction_of_cluster)
+            GPUS_PER_NODE, int(cluster_gpus * MAX_JOB_FRACTION_OF_CLUSTER)
         )
         self.profile = profile.restricted_to_max_size(max_size)
         self.cluster_gpus = cluster_gpus
         self.target_utilization = target_utilization
-        if not 0 <= long_run_probability <= 1:
-            raise ValueError("long_run_probability must be in [0, 1]")
-        self.long_run_probability = long_run_probability
-        self.long_run_min_gpus = long_run_min_gpus
         self._calibration_rng = rngs.stream(f"workload.calibration.{profile.name}")
         rate = self._calibrated_rate_per_day()
         self.arrivals = ArrivalProcess(
             rate_per_day=rate, diurnal_amplitude=diurnal_amplitude
         )
         self._rng = rngs.stream(f"workload.{profile.name}")
-        self._job_ids = itertools.count(first_job_id)
+        self._job_ids = itertools.count(1)
         #: predecessor job_id -> the next segment of its training run
         self.continuations: dict = {}
 
@@ -108,8 +102,8 @@ class WorkloadGenerator:
             # discount.
             if (
                 outcome is IntendedOutcome.COMPLETED
-                and size >= self.long_run_min_gpus
-                and rng.random() < self.long_run_probability
+                and size >= LONG_RUN_MIN_GPUS
+                and rng.random() < LONG_RUN_PROBABILITY
             ):
                 for _segment in range(int(rng.integers(1, 4))):
                     total += 0.6 * size * self.profile.sample_work_seconds(size, rng)
@@ -168,8 +162,8 @@ class WorkloadGenerator:
         )
         if (
             outcome is IntendedOutcome.COMPLETED
-            and size >= self.long_run_min_gpus
-            and rng.random() < self.long_run_probability
+            and size >= LONG_RUN_MIN_GPUS
+            and rng.random() < LONG_RUN_PROBABILITY
         ):
             self._extend_to_long_run(spec, rng)
         return spec

@@ -186,13 +186,6 @@ class WorkloadProfile:
     # ------------------------------------------------------------------
     # analytic expectations (for calibration and Fig. 6's model series)
     # ------------------------------------------------------------------
-    def mean_gpu_seconds_per_job(self) -> float:
-        """E[size * duration] under the profile (untruncated means)."""
-        total = 0.0
-        for size, prob in zip(self.size_mixture.values(), self.size_mixture.probabilities()):
-            total += prob * int(size) * self.durations[int(size)].mean_hours() * HOUR
-        return float(total)
-
     def expected_compute_fraction_by_size(self) -> Dict[int, float]:
         """Analytic Fig. 6 'fraction of compute' series."""
         weights: Dict[int, float] = {}

@@ -12,7 +12,7 @@ Interruption-driven attempts are folded back into their job's total work;
 intent is reconstructed from the final state of the chain.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.jobtypes import IntendedOutcome, JobAttemptRecord, JobState, MAX_JOB_LIFETIME
 from repro.workload.spec import JobSpec
@@ -28,18 +28,14 @@ _INTENT_BY_FINAL_STATE = {
 }
 
 
-def specs_from_trace(
-    trace: Trace,
-    keep_infrastructure_cutoffs: bool = False,
-) -> List[JobSpec]:
+def specs_from_trace(trace: Trace) -> List[JobSpec]:
     """Reconstruct submission specs from a trace's attempt records.
 
     Each job id yields one spec whose ``work_seconds`` is the job's total
     scheduled runtime (its realized demand).  Jobs whose chains ended in an
     infrastructure interruption (NODE_FAIL/REQUEUED/PREEMPTED at the
     horizon) are truncated observations; they are replayed as COMPLETED
-    jobs of the observed length unless ``keep_infrastructure_cutoffs`` —
-    then they are skipped entirely.
+    jobs of the observed length.
     """
     by_job: Dict[int, List[JobAttemptRecord]] = {}
     for record in trace.job_records:
@@ -52,11 +48,9 @@ def specs_from_trace(
         total_work = sum(r.runtime for r in records)
         if total_work <= 0:
             continue
-        intent = _INTENT_BY_FINAL_STATE.get(last.state)
-        if intent is None:  # chain cut off by the horizon / infra
-            if keep_infrastructure_cutoffs:
-                continue
-            intent = IntendedOutcome.COMPLETED
+        # A chain cut off by the horizon or infrastructure replays as
+        # COMPLETED.
+        intent = _INTENT_BY_FINAL_STATE.get(last.state, IntendedOutcome.COMPLETED)
         time_limit = MAX_JOB_LIFETIME
         if intent is IntendedOutcome.TIMEOUT:
             # The observed runtime *is* the limit the user set.

@@ -37,7 +37,7 @@ def test_topology_grouping():
 
 def test_lemons_drawn_at_configured_fraction():
     _engine, cluster = build(n_nodes=500)
-    lemons = cluster.lemon_node_ids()
+    lemons = [spec.node_id for spec in cluster.lemon_specs]
     assert len(lemons) == round(0.012 * 500)
     assert len(set(lemons)) == len(lemons)
 
@@ -151,7 +151,7 @@ def test_schedulable_nodes_excludes_quarantined_and_remediating():
     _engine, cluster = build(n_nodes=10)
     cluster.nodes[0].quarantined = True
     cluster.nodes[1].enter_remediation()
-    ids = [n.node_id for n in cluster.schedulable_nodes()]
+    ids = list(cluster.schedulable_node_ids())
     assert 0 not in ids and 1 not in ids
     assert len(ids) == 8
 

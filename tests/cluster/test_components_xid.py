@@ -1,16 +1,11 @@
-import pytest
-
 from repro.cluster.components import (
     ComponentType,
     FailureClass,
     NODE_COMPONENT_COUNTS,
-    components_for_node,
 )
 from repro.cluster.xid import (
     COMPONENT_PRIMARY_XID,
     XID_CATALOG,
-    infrastructure_xids,
-    xid_by_code,
 )
 
 
@@ -20,28 +15,16 @@ def test_node_has_eight_gpus_and_rails():
     assert NODE_COMPONENT_COUNTS[ComponentType.NVLINK] == 8
 
 
-def test_components_for_node_returns_copy():
-    inv = components_for_node()
-    inv[ComponentType.GPU] = 0
-    assert NODE_COMPONENT_COUNTS[ComponentType.GPU] == 8
-
-
 def test_xid_catalog_contains_paper_codes():
     # XID 79 (fell off bus) and 119 (GSP timeout) are central to the paper.
-    assert xid_by_code(79).component is ComponentType.PCIE
-    assert xid_by_code(119).name == "gsp_timeout"
-    assert xid_by_code(48).component is ComponentType.GPU_MEMORY
-
-
-def test_unknown_xid_raises_with_known_codes():
-    with pytest.raises(KeyError, match="known codes"):
-        xid_by_code(9999)
+    assert XID_CATALOG[79].component is ComponentType.PCIE
+    assert XID_CATALOG[119].name == "gsp_timeout"
+    assert XID_CATALOG[48].component is ComponentType.GPU_MEMORY
 
 
 def test_user_suspect_xids_excluded_from_infrastructure():
-    infra = infrastructure_xids()
-    assert 31 not in infra  # page fault: user bug
-    assert 79 in infra
+    assert XID_CATALOG[31].user_suspect  # page fault: user bug
+    assert not XID_CATALOG[79].user_suspect
 
 
 def test_component_primary_xids_are_catalogued():

@@ -48,7 +48,7 @@ def test_permanent_gpu_fault_swaps_gpu():
     )
     engine.run_until(60 * DAY)
     assert nodes[0].gpu_swaps == 1
-    assert workflow.gpu_swap_count() == 1
+    assert sum(t.gpu_swapped for t in workflow.tickets) == 1
 
 
 def test_transient_fault_does_not_swap():

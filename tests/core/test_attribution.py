@@ -171,24 +171,6 @@ def test_policy_validation():
         AttributionPolicy(lookback=-1.0)
 
 
-def test_co_occurrence_matrix_diagonal_and_pairs():
-    trace = make_trace(
-        [
-            record(1, JobState.FAILED, end_time=10_000.0),
-            record(2, JobState.FAILED, end_time=50_000.0),
-        ],
-        [
-            health_event(9_990.0, 0, "pcie", "pcie"),
-            health_event(9_995.0, 0, "xid79_fell_off_bus", "pcie"),
-            health_event(49_990.0, 0, "pcie", "pcie"),
-        ],
-    )
-    matrix = FailureAttributor(trace).co_occurrence_matrix()
-    assert matrix[("pcie", "pcie")] == 1.0
-    assert matrix[("pcie", "xid79_fell_off_bus")] == pytest.approx(0.5)
-    assert matrix[("xid79_fell_off_bus", "pcie")] == pytest.approx(1.0)
-
-
 def test_observation5_pcie_xid79_co_occurrence_in_campaign():
     """A PCIe-heavy campaign reproduces the 'PCIe co-occurs with XID 79'
     statistic (paper: 43% on RSC-1) within a broad band."""

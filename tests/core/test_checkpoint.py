@@ -1,10 +1,7 @@
-import math
-
 import pytest
 
 from repro.core.checkpoint import (
     ettr_checkpoint_grid,
-    optimal_checkpoint_interval,
     required_checkpoint_interval,
 )
 from repro.core.ettr import ETTRParameters, expected_ettr_simple
@@ -90,16 +87,6 @@ def test_hourly_checkpointing_untenable_at_100k():
     between checkpoints means no forward progress."""
     grid = ettr_checkpoint_grid([6.5e-3], [HOUR], n_gpus=100_000)
     assert grid[(6.5e-3, HOUR)] == 0.0
-
-
-def test_young_daly_optimum():
-    assert optimal_checkpoint_interval(10.0, 2000.0) == pytest.approx(
-        math.sqrt(2 * 10 * 2000)
-    )
-    with pytest.raises(ValueError):
-        optimal_checkpoint_interval(0.0, 100.0)
-    with pytest.raises(ValueError):
-        optimal_checkpoint_interval(10.0, 0.0)
 
 
 def test_target_validation():

@@ -385,8 +385,7 @@ def test_string_table_interning():
     assert table.intern("gpu") == a  # stable
     b = table.intern("nic")
     assert b == a + 1
-    assert table.lookup(a) == "gpu"
-    assert table.lookup(-1) is None
+    assert table.strings[a] == "gpu"
     assert len(table) == 2
 
 

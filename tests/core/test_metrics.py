@@ -2,8 +2,6 @@ import pytest
 
 from repro.core.metrics import (
     ETTRAssumptions,
-    cluster_goodput_fraction,
-    model_flops_utilization,
     run_ettr,
 )
 from repro.sim.timeunits import HOUR, MINUTE
@@ -40,19 +38,3 @@ def test_assumption_validation():
     with pytest.raises(ValueError):
         ETTRAssumptions(restart_overhead=-1.0)
     assert ETTRAssumptions(checkpoint_interval=2 * HOUR).expected_checkpoint_loss == HOUR
-
-
-def test_mfu():
-    assert model_flops_utilization(40.0, 100.0) == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        model_flops_utilization(101.0, 100.0)
-    with pytest.raises(ValueError):
-        model_flops_utilization(1.0, 0.0)
-
-
-def test_cluster_goodput_fraction():
-    assert cluster_goodput_fraction(80.0, 10.0, 100.0) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        cluster_goodput_fraction(10.0, 20.0, 100.0)
-    with pytest.raises(ValueError):
-        cluster_goodput_fraction(10.0, 1.0, 0.0)

@@ -5,7 +5,6 @@ from repro.core.taxonomy import (
     FailureDomain,
     FailureSymptom,
     SYMPTOM_BY_COMPONENT,
-    ambiguous_symptoms,
     diagnose,
 )
 
@@ -55,7 +54,7 @@ def test_diagnose_single_domain_symptom():
 
 
 def test_ambiguous_symptoms_include_paper_cases():
-    ambiguous = ambiguous_symptoms()
+    ambiguous = {s for s, e in FAILURE_TAXONOMY.items() if e.is_ambiguous}
     assert FailureSymptom.NCCL_TIMEOUT in ambiguous
     assert FailureSymptom.GPU_UNAVAILABLE in ambiguous
     assert FailureSymptom.OOM not in ambiguous

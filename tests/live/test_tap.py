@@ -9,7 +9,6 @@ from repro.cluster.cluster import ClusterSpec
 from repro.live import (
     LiveAnalytics,
     LiveConfig,
-    live_campaign,
     replay_trace,
     tap_campaign,
 )
@@ -27,7 +26,9 @@ def test_tapped_campaign_equals_replay_bit_for_bit():
     every estimator's floating-point accumulation sequence is identical
     and the final snapshots must match byte for byte.
     """
-    trace, tapped = live_campaign(_config())
+    config = _config()
+    tapped = LiveAnalytics(LiveConfig.for_config(config))
+    trace = tap_campaign(Campaign(config), tapped)
     assert sum(tapped.counts.values()) > 0
 
     replayed = LiveAnalytics(LiveConfig.for_trace(trace))
@@ -42,7 +43,8 @@ def test_tap_does_not_change_the_trace():
     """Attaching the tap must not perturb the simulation itself."""
     config = _config(n_nodes=12, days=8, seed=5)
     plain = Campaign(config).run()
-    tapped_trace, _analytics = live_campaign(config)
+    analytics = LiveAnalytics(LiveConfig.for_config(config))
+    tapped_trace = tap_campaign(Campaign(config), analytics)
     assert tapped_trace.job_records == plain.job_records
     assert tapped_trace.events == plain.events
     assert tapped_trace.node_records == plain.node_records

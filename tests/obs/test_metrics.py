@@ -35,7 +35,7 @@ def test_gauge_set_and_move():
     reg = MetricsRegistry()
     g = reg.gauge("workers")
     g.set(4)
-    g.dec()
+    g.inc(-1)
     assert g.value == 3
 
 

@@ -163,7 +163,7 @@ def test_write_chrome_trace_is_loadable(tmp_path):
     with spans.span("a") as record:
         pass
     out = tmp_path / "trace.json"
-    assert write_chrome_trace(out, [record]) == 1
+    assert write_chrome_trace(out, chrome_trace_events([record])) == 1
     document = json.loads(out.read_text())
     assert document["displayTimeUnit"] == "ms"
     assert document["traceEvents"][0]["name"] == "a"

@@ -22,7 +22,11 @@ from hypothesis import strategies as st
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import DAY, HOUR
 from repro.stats.distributions import MixtureSpec, ZipfSizeSpec
-from repro.workload.generator import WorkloadGenerator
+from repro.workload.generator import (
+    LONG_RUN_MIN_GPUS,
+    LONG_RUN_PROBABILITY,
+    WorkloadGenerator,
+)
 from repro.workload.profiles import (
     MAX_WORK_SECONDS,
     SizeDurationSpec,
@@ -59,7 +63,7 @@ def reference_truncated_sample(draw, minimum: float, maximum: float, size: int) 
 
 
 def reference_sample_lognormal(rng, median, sigma, size=1, minimum=0.0, maximum=float("inf")):
-    """``sample_lognormal`` through ``LogNormalSpec.sample``, inlined."""
+    """A median-parameterized ``LogNormalSpec.sample``, inlined."""
     if median <= 0:
         raise ValueError(f"median must be positive, got {median}")
     mu = float(np.log(median))
@@ -129,8 +133,8 @@ def reference_calibrated_rate_per_day(gen, rng, n_samples=20_000):
         total += size * effective
         if (
             outcome is IntendedOutcome.COMPLETED
-            and size >= gen.long_run_min_gpus
-            and rng.random() < gen.long_run_probability
+            and size >= LONG_RUN_MIN_GPUS
+            and rng.random() < LONG_RUN_PROBABILITY
         ):
             for _segment in range(int(rng.integers(1, 4))):
                 total += 0.6 * size * ref_sample_work_seconds(profile, size, rng)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.resilience import CHAOS_EXIT_CODE, ChaosPolicy, FaultySink, WorkerKilled
+from repro.resilience import CHAOS_EXIT_CODE, ChaosPolicy, WorkerKilled
 from repro.resilience.chaos import _unit_draw
 
 
@@ -78,20 +78,6 @@ class _Sink:
         pass
 
 
-def test_faulty_sink_raises_deterministically():
-    chaos = ChaosPolicy(seed=5, sink_error_rate=0.5)
-    a = FaultySink(_Sink(), chaos)
-    b = FaultySink(_Sink(), chaos)
-    outcomes_a, outcomes_b = [], []
-    for sink, outcomes in ((a, outcomes_a), (b, outcomes_b)):
-        for i in range(32):
-            try:
-                sink.write(object())
-                outcomes.append(True)
-            except OSError:
-                outcomes.append(False)
-    assert outcomes_a == outcomes_b
-    assert True in outcomes_a and False in outcomes_a
 
 
 def test_mangle_stream_passes_real_items_untouched():

@@ -272,12 +272,12 @@ def test_pass_over_identical_jobs_that_cannot_fit_places_once(qos):
     for job_id in range(1, 21):
         sched.submit(make_spec(job_id, n_gpus=24, qos=qos))
     engine.run_until(0.0)
-    assert sched.pending_count() == 20
+    assert len(sched.pending) == 20
     assert placement.calls <= 1
     calls = placement.calls
     # The next passes find the same index and place nothing new.
     engine.run_until(HOUR)
-    assert sched.pending_count() == 20
+    assert len(sched.pending) == 20
     assert placement.calls == calls
 
 

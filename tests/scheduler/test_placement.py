@@ -52,7 +52,7 @@ def test_placement_spans_pods_when_needed():
     policy = PlacementPolicy()
     placed = policy.place(index, 30 * 8, excluded=set())
     assert len(placed) == 30
-    assert policy.pods_spanned(placed) == 2
+    assert len({n.pod_id for n in placed}) == 2
 
 
 def test_unsatisfiable_returns_none():

@@ -38,11 +38,11 @@ def test_release_more_than_usage_raises():
 
 
 def test_set_quota_validation():
-    quotas = QuotaManager()
     with pytest.raises(ValueError):
-        quotas.set_quota("p", 0)
-    quotas.set_quota("p", 4)
-    assert quotas.quota_of("p") == 4
+        QuotaManager({"p": 0})
+    quotas = QuotaManager({"p": 4})
+    quotas.acquire("p", 4)
+    assert not quotas.may_start("p", 1)
 
 
 def test_quota_constructor_validation():

@@ -114,16 +114,6 @@ def test_stop_halts_the_loop():
     assert order == ["stop"]
 
 
-def test_run_all_drains_heap():
-    engine = Engine()
-    count = []
-    for i in range(5):
-        engine.schedule_at(float(i), lambda: count.append(1))
-    engine.run_all()
-    assert len(count) == 5
-    assert engine.pending_events == 0
-
-
 def test_reentrant_run_raises():
     engine = Engine()
 

@@ -41,12 +41,10 @@ def test_poisson_zero_rate_suspends():
     engine = Engine()
     rng = np.random.default_rng(0)
     arrivals = []
-    proc = PoissonProcess(engine, 0.0, lambda: arrivals.append(1), rng)
+    PoissonProcess(engine, 0.0, lambda: arrivals.append(1), rng)
     engine.run_until(1000.0)
     assert arrivals == []
-    proc.set_rate(1.0)
-    engine.run_until(1010.0)
-    assert len(arrivals) >= 1
+    assert engine.pending_events == 0
 
 
 def test_poisson_stop():

@@ -6,7 +6,6 @@ from repro.sim.timeunits import (
     days,
     format_duration,
     hours,
-    minutes,
 )
 
 
@@ -18,7 +17,6 @@ def test_unit_relationships():
 
 
 def test_constructors():
-    assert minutes(5) == 300
     assert hours(2) == 7200
     assert days(1.5) == 129600
 

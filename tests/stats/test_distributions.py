@@ -5,7 +5,6 @@ from repro.stats.distributions import (
     LogNormalSpec,
     MixtureSpec,
     ZipfSizeSpec,
-    sample_lognormal,
     truncated_sample,
 )
 
@@ -80,8 +79,9 @@ def test_mixture_rejects_negative_sample_size():
 
 
 def test_sample_lognormal_median_form():
-    rng = np.random.default_rng(4)
-    samples = sample_lognormal(rng, median=10.0, sigma=0.5, size=20_000)
+    # A log-normal parameterized by its median: mu = log(median).
+    spec = LogNormalSpec(mu=float(np.log(10.0)), sigma=0.5)
+    samples = spec.sample(np.random.default_rng(4), size=20_000)
     assert float(np.median(samples)) == pytest.approx(10.0, rel=0.05)
 
 

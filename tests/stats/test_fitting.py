@@ -5,7 +5,6 @@ from repro.stats.fitting import (
     estimate_rate,
     fit_exponential_mttf,
     gamma_fit,
-    mttf_from_rate,
     rate_confidence_interval,
 )
 
@@ -70,13 +69,17 @@ def test_invalid_inputs_raise():
 
 
 def test_mttf_from_rate_paper_formula():
-    # 2048 nodes at 6.5e-3 per node-day -> 1.8 hours (the paper's 16k GPUs).
-    mttf_days = mttf_from_rate(2048, 6.5e-3)
-    assert mttf_days * 24 == pytest.approx(1.80, abs=0.02)
+    # MTTF = 1 / (N r): 2048 nodes (the paper's 16k GPUs) at 6.5e-3 per
+    # node-day -> 1.8 hours.
+    from repro.core.mttf import project_mttf
+
+    assert project_mttf(16_384, 6.5e-3) == pytest.approx(1.80, abs=0.02)
 
 
 def test_mttf_from_rate_zero_rate_is_infinite():
-    assert mttf_from_rate(10, 0.0) == float("inf")
+    from repro.core.mttf import project_mttf
+
+    assert project_mttf(80, 0.0) == float("inf")
 
 
 def test_exponential_mle_with_censoring():

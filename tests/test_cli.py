@@ -216,8 +216,8 @@ def test_live_resume_continues_bit_identically(small_trace_path, tmp_path,
     assert main(["live", "--trace", str(small_trace_path), "--resume",
                  str(mid), "--snapshot-out", str(resumed)]) == 0
     capsys.readouterr()
-    assert json.dumps(json.load(full.open()), sort_keys=True) == json.dumps(
-        json.load(resumed.open()), sort_keys=True
+    assert json.dumps(json.loads(full.read_text()), sort_keys=True) == json.dumps(
+        json.loads(resumed.read_text()), sort_keys=True
     )
 
 

@@ -75,7 +75,6 @@ RESILIENCE_ALL = [
     "ChaosPolicy",
     "CircuitBreaker",
     "DEFAULT_RESILIENCE",
-    "FaultySink",
     "ResilienceConfig",
     "RetryPolicy",
     "WorkerKilled",

@@ -4,7 +4,7 @@ import pytest
 from repro.jobtypes import IntendedOutcome
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import DAY
-from repro.workload.generator import WorkloadGenerator
+from repro.workload.generator import LONG_RUN_MIN_GPUS, WorkloadGenerator
 from repro.workload.profiles import rsc1_profile
 
 
@@ -31,7 +31,7 @@ def test_job_ids_unique_and_increasing():
 
 
 def test_sizes_respect_cluster_cap():
-    gen = make_generator(cluster_gpus=128, max_job_fraction_of_cluster=0.5)
+    gen = make_generator(cluster_gpus=128)
     specs = gen.generate(0.0, 30 * DAY)
     assert max(s.n_gpus for s in specs) <= 64
 
@@ -88,7 +88,7 @@ def test_long_runs_chain_segments_under_one_jobrun():
         # Continuations are not in the arrival stream...
         assert segment.job_id not in stream_ids
         # ...share their run id with the chain head, and are large jobs.
-        assert segment.n_gpus >= gen.long_run_min_gpus
+        assert segment.n_gpus >= LONG_RUN_MIN_GPUS
         assert segment.intended_outcome is IntendedOutcome.COMPLETED
 
 
