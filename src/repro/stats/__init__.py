@@ -10,25 +10,16 @@ from repro.stats.fitting import (
     RateEstimate,
     estimate_rate,
     rate_confidence_interval,
-    fit_exponential_mttf,
-    gamma_fit,
 )
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_mean_ci
 from repro.stats.quantiles import ecdf, weighted_fractions, histogram_by_bucket
 from repro.stats.survival import SurvivalCurve, exponential_survival, kaplan_meier
-from repro.stats.distributions import (
-    LogNormalSpec,
-    ZipfSizeSpec,
-    MixtureSpec,
-    truncated_sample,
-)
+from repro.stats.distributions import MixtureSpec
 
 __all__ = [
     "RateEstimate",
     "estimate_rate",
     "rate_confidence_interval",
-    "fit_exponential_mttf",
-    "gamma_fit",
     "bootstrap_ci",
     "bootstrap_mean_ci",
     "ecdf",
@@ -37,8 +28,5 @@ __all__ = [
     "SurvivalCurve",
     "exponential_survival",
     "kaplan_meier",
-    "LogNormalSpec",
-    "ZipfSizeSpec",
     "MixtureSpec",
-    "truncated_sample",
 ]

@@ -1,8 +1,7 @@
-"""Parametric sampling specs for the synthetic workload.
+"""Sampling helpers for the synthetic workload.
 
-The trace generator composes these small, validated specs: log-normal
-durations, discrete size mixtures, and Zipf-like tails.  Keeping them as
-frozen dataclasses makes workload profiles declarative and serializable.
+The trace generator draws job sizes from a validated, frozen
+:class:`MixtureSpec` and durations from :func:`truncated_lognormal`.
 
 Weighted draws go through :func:`choice_cdf` and :func:`weighted_index`,
 which reproduce ``Generator.choice(n, p=p)`` draw for draw without
@@ -16,66 +15,6 @@ from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LogNormalSpec:
-    """A log-normal in natural-log parameterization with optional truncation."""
-
-    mu: float
-    sigma: float
-    minimum: float = 0.0
-    maximum: float = float("inf")
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.minimum < 0:
-            raise ValueError("minimum must be non-negative")
-        if self.maximum <= self.minimum:
-            raise ValueError("maximum must exceed minimum")
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw truncated samples (resampling the out-of-range tail)."""
-        return truncated_sample(
-            lambda n: rng.lognormal(self.mu, self.sigma, size=n),
-            self.minimum,
-            self.maximum,
-            size,
-        )
-
-    @property
-    def median(self) -> float:
-        return float(np.exp(self.mu))
-
-
-@dataclass(frozen=True)
-class ZipfSizeSpec:
-    """A Zipf-weighted distribution over an explicit support of sizes."""
-
-    support: Tuple[int, ...]
-    exponent: float = 1.5
-
-    def __post_init__(self):
-        if len(self.support) == 0:
-            raise ValueError("support must be non-empty")
-        if any(s <= 0 for s in self.support):
-            raise ValueError("support values must be positive")
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
-
-    def probabilities(self) -> np.ndarray:
-        ranks = np.arange(1, len(self.support) + 1, dtype=float)
-        weights = ranks ** (-self.exponent)
-        return weights / weights.sum()
-
-    @cached_property
-    def cdf(self) -> Tuple[float, ...]:
-        """:func:`choice_cdf` of :meth:`probabilities`, aligned with ``support``."""
-        return choice_cdf(self.probabilities())
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        return np.asarray(self.support, dtype=int)[_indices(self.cdf, rng, size)]
 
 
 @dataclass(frozen=True)
@@ -155,37 +94,17 @@ def truncated_lognormal(
     minimum: float,
     maximum: float,
 ) -> float:
-    """One draw of ``LogNormalSpec(mu, sigma, minimum, maximum).sample(rng)[0]``.
+    """One log-normal draw truncated to ``[minimum, maximum]``.
 
-    The same value and the same stream use as :func:`truncated_sample`
-    with ``size=1``: each round draws ``max(2 * 1, 8) = 8`` values and
-    keeps the first inside ``[minimum, maximum]``; after 100 empty rounds
-    one more draw is clipped into range.
+    Each round draws 8 values and keeps the first inside the range;
+    after 100 empty rounds one more draw is clipped into range, so
+    pathological bounds cannot hang.  This is the value and the stream
+    use of the rejection sampler the workload profiles were calibrated
+    with (``tests/property/test_sampler_properties.py`` keeps it as the
+    reference).
     """
     for _round in range(100):
         for value in rng.lognormal(mu, sigma, size=8).tolist():
             if minimum <= value <= maximum:
                 return value
     return float(np.clip(rng.lognormal(mu, sigma, size=1), minimum, maximum)[0])
-
-
-def truncated_sample(draw, minimum: float, maximum: float, size: int) -> np.ndarray:
-    """Rejection-sample ``size`` values from ``draw`` within [minimum, maximum].
-
-    ``draw(n)`` must return ``n`` i.i.d. samples.  Falls back to clipping
-    after a bounded number of rounds so pathological bounds cannot hang.
-    """
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    out = np.empty(0)
-    for _round in range(100):
-        need = size - out.size
-        if need <= 0:
-            break
-        batch = np.asarray(draw(max(need * 2, 8)), dtype=float)
-        keep = batch[(batch >= minimum) & (batch <= maximum)]
-        out = np.concatenate([out, keep[:need]])
-    if out.size < size:
-        pad = np.clip(np.asarray(draw(size - out.size), dtype=float), minimum, maximum)
-        out = np.concatenate([out, pad])
-    return out

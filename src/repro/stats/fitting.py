@@ -9,11 +9,9 @@ here.  MTTF intervals are the reciprocal rate intervals.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
-import numpy as np
 from scipy import special
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ def rate_confidence_interval(
     the lower bound is ``Gamma(k, 1)``'s alpha/2 quantile / T and the upper
     ``Gamma(k+1, 1)``'s 1-alpha/2 quantile / T.  With zero events the lower
     bound is 0.  The quantiles come from ``special.gammaincinv`` directly:
-    it is what ``sps.gamma.ppf(q, a=k)`` evaluates for the standard
+    it is what ``scipy.stats.gamma.ppf(q, a=k)`` evaluates for the standard
     Gamma, without the distribution machinery's per-call overhead.
     """
     if events < 0:
@@ -90,45 +88,3 @@ def estimate_rate(
         hi=hi,
         confidence=confidence,
     )
-
-
-def fit_exponential_mttf(
-    times_to_failure: Sequence[float],
-    censored_exposures: Optional[Sequence[float]] = None,
-    confidence: float = 0.90,
-) -> RateEstimate:
-    """MLE of an exponential MTTF from (possibly censored) lifetimes.
-
-    ``times_to_failure`` are observed failure intervals; entries of
-    ``censored_exposures`` are runtimes that ended without failure (right
-    censoring — e.g. jobs that completed).  The exponential MLE is total
-    exposure over failure count, and the Gamma interval applies unchanged.
-    """
-    ttf = np.asarray(list(times_to_failure), dtype=float)
-    if np.any(ttf < 0):
-        raise ValueError("times to failure must be non-negative")
-    exposure = float(ttf.sum())
-    if censored_exposures is not None:
-        cens = np.asarray(list(censored_exposures), dtype=float)
-        if np.any(cens < 0):
-            raise ValueError("censored exposures must be non-negative")
-        exposure += float(cens.sum())
-    events = int(ttf.size)
-    if exposure <= 0:
-        raise ValueError("total exposure must be positive")
-    return estimate_rate(events, exposure, confidence)
-
-
-def gamma_fit(samples: Sequence[float]) -> Tuple[float, float]:
-    """Fit a Gamma distribution to positive samples; returns (shape, scale).
-
-    Used for exploratory modelling of inter-failure times; the MTTF
-    intervals themselves use the exact Poisson interval above.
-    """
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two samples to fit a Gamma distribution")
-    if np.any(arr <= 0):
-        raise ValueError("Gamma fit requires strictly positive samples")
-    shape, _loc, scale = sps.gamma.fit(arr, floc=0.0)
-    return float(shape), float(scale)

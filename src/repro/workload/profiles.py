@@ -19,9 +19,9 @@ Each profile declares the marginal distributions the paper publishes:
 
 Every draw reads a table built once per profile (``cached_property``, not
 a field, so ``==`` and ``config_digest`` do not see it) and returns what
-``Generator.choice`` over the same probabilities, or ``LogNormalSpec.sample``
-for durations, would return from the same stream state, consuming the
-same draws (``docs/PERFORMANCE.md``, "Workload sampling").
+``Generator.choice`` over the same probabilities, or the rejection-sampled
+log-normal for durations, would return from the same stream state,
+consuming the same draws (``docs/PERFORMANCE.md``, "Workload sampling").
 """
 
 import math

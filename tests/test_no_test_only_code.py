@@ -46,10 +46,6 @@ ALLOWED: Dict[str, str] = {
     "wearout_regimes": "ROADMAP item 9",
     "large_job_failure_rate": "ROADMAP item 9",
     "collective_bus_factor": "ROADMAP item 9",
-    "LogNormalSpec": "ROADMAP item 9",
-    "ZipfSizeSpec": "ROADMAP item 9",
-    "fit_exponential_mttf": "ROADMAP item 9",
-    "gamma_fit": "ROADMAP item 9",
     "ecdf_at": "ROADMAP item 9",
     "weighted_fractions": "ROADMAP item 9",
     "histogram_by_bucket": "ROADMAP item 9",
