@@ -13,7 +13,6 @@ from repro.stats.fitting import (
 )
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_mean_ci
 from repro.stats.quantiles import ecdf, weighted_fractions, histogram_by_bucket
-from repro.stats.survival import SurvivalCurve, exponential_survival, kaplan_meier
 from repro.stats.distributions import MixtureSpec
 
 __all__ = [
@@ -25,8 +24,5 @@ __all__ = [
     "ecdf",
     "weighted_fractions",
     "histogram_by_bucket",
-    "SurvivalCurve",
-    "exponential_survival",
-    "kaplan_meier",
     "MixtureSpec",
 ]

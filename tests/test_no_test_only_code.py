@@ -49,8 +49,6 @@ ALLOWED: Dict[str, str] = {
     "ecdf_at": "ROADMAP item 9",
     "weighted_fractions": "ROADMAP item 9",
     "histogram_by_bucket": "ROADMAP item 9",
-    "kaplan_meier": "ROADMAP item 9",
-    "exponential_survival": "ROADMAP item 9",
     "bootstrap_ci": "ROADMAP item 9",
     "format_duration": "ROADMAP item 9",
 }
