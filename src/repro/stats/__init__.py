@@ -2,8 +2,8 @@
 
 These are the numeric building blocks behind the paper's figures: rate
 estimation with Gamma confidence intervals (Fig. 7's MTTF error bars),
-weighted distribution summaries (Fig. 6), empirical CDFs (Fig. 11), and bootstrap confidence intervals
-(Fig. 9).
+empirical CDFs (Fig. 11), bootstrap confidence intervals (Fig. 9) and
+the workload's weighted size mixture.
 """
 
 from repro.stats.fitting import (
@@ -12,7 +12,7 @@ from repro.stats.fitting import (
     rate_confidence_interval,
 )
 from repro.stats.bootstrap import bootstrap_ci, bootstrap_mean_ci
-from repro.stats.quantiles import ecdf, weighted_fractions, histogram_by_bucket
+from repro.stats.quantiles import ecdf
 from repro.stats.distributions import MixtureSpec
 
 __all__ = [
@@ -22,7 +22,5 @@ __all__ = [
     "bootstrap_ci",
     "bootstrap_mean_ci",
     "ecdf",
-    "weighted_fractions",
-    "histogram_by_bucket",
     "MixtureSpec",
 ]

@@ -1,10 +1,10 @@
-"""Empirical CDFs, weighted fractions, and bucketed histograms.
+"""Empirical CDFs and power-of-two size buckets.
 
-These back Fig. 6 (fraction of jobs vs fraction of compute by size),
-Fig. 11 (lemon-signal CDFs), and the size-bucketing used throughout.
+These back Fig. 11 (lemon-signal CDFs) and the job-size bucketing used
+throughout.
 """
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -22,38 +22,6 @@ def ecdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     return arr, frac
 
 
-def ecdf_at(samples: Sequence[float], points: Sequence[float]) -> np.ndarray:
-    """Evaluate the empirical CDF of ``samples`` at ``points``."""
-    arr = np.sort(np.asarray(list(samples), dtype=float))
-    if arr.size == 0:
-        raise ValueError("cannot build an ECDF from an empty sample")
-    pts = np.asarray(list(points), dtype=float)
-    return np.searchsorted(arr, pts, side="right") / arr.size
-
-
-def weighted_fractions(
-    keys: Sequence, weights: Sequence[float]
-) -> Dict[object, float]:
-    """Fraction of total weight per distinct key.
-
-    With weights of 1 this is the "fraction of jobs" view; with weights of
-    GPU-time it is the "fraction of compute" view of Fig. 6.
-    """
-    keys = list(keys)
-    w = np.asarray(list(weights), dtype=float)
-    if len(keys) != w.size:
-        raise ValueError("keys and weights must have equal length")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = float(w.sum())
-    if total == 0:
-        raise ValueError("total weight must be positive")
-    out: Dict[object, float] = {}
-    for key, weight in zip(keys, w):
-        out[key] = out.get(key, 0.0) + float(weight)
-    return {k: v / total for k, v in out.items()}
-
-
 def power_of_two_bucket(value: float, minimum: int = 1) -> int:
     """Round ``value`` up to the next power of two, at least ``minimum``.
 
@@ -67,20 +35,3 @@ def power_of_two_bucket(value: float, minimum: int = 1) -> int:
     while bucket < value:
         bucket *= 2
     return bucket
-
-
-def histogram_by_bucket(
-    values: Sequence[float],
-    weights: Sequence[float],
-    bucketer=power_of_two_bucket,
-) -> Dict[int, float]:
-    """Sum ``weights`` grouped by ``bucketer(value)``, sorted by bucket."""
-    values = list(values)
-    w = list(weights)
-    if len(values) != len(w):
-        raise ValueError("values and weights must have equal length")
-    out: Dict[int, float] = {}
-    for value, weight in zip(values, w):
-        bucket = bucketer(value)
-        out[bucket] = out.get(bucket, 0.0) + float(weight)
-    return dict(sorted(out.items()))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats.fitting import estimate_rate
-from repro.stats.quantiles import ecdf, power_of_two_bucket, weighted_fractions
+from repro.stats.quantiles import ecdf, power_of_two_bucket
 
 
 @given(
@@ -53,22 +53,3 @@ def test_power_of_two_bucket_properties(n):
     assert bucket >= n
     assert bucket & (bucket - 1) == 0  # is a power of two
     assert bucket < 2 * n or bucket == 1
-
-
-@given(
-    pairs=st.lists(
-        st.tuples(
-            st.sampled_from(["a", "b", "c", "d"]),
-            st.floats(min_value=0.001, max_value=100.0, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=50,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_weighted_fractions_partition_unity(pairs):
-    keys = [k for k, _w in pairs]
-    weights = [w for _k, w in pairs]
-    fracs = weighted_fractions(keys, weights)
-    assert abs(sum(fracs.values()) - 1.0) < 1e-9
-    assert all(f >= 0 for f in fracs.values())

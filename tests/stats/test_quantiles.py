@@ -1,13 +1,6 @@
-import numpy as np
 import pytest
 
-from repro.stats.quantiles import (
-    ecdf,
-    ecdf_at,
-    histogram_by_bucket,
-    power_of_two_bucket,
-    weighted_fractions,
-)
+from repro.stats.quantiles import ecdf, power_of_two_bucket
 
 
 def test_ecdf_basic():
@@ -20,28 +13,6 @@ def test_ecdf_basic():
 def test_ecdf_empty_raises():
     with pytest.raises(ValueError):
         ecdf([])
-
-
-def test_ecdf_at_points():
-    out = ecdf_at([1, 2, 3, 4], [0.5, 2.0, 10.0])
-    assert list(out) == [0.0, 0.5, 1.0]
-
-
-def test_weighted_fractions_sum_to_one():
-    fracs = weighted_fractions(["a", "b", "a"], [1.0, 2.0, 3.0])
-    assert fracs["a"] == pytest.approx(4 / 6)
-    assert fracs["b"] == pytest.approx(2 / 6)
-    assert sum(fracs.values()) == pytest.approx(1.0)
-
-
-def test_weighted_fractions_rejects_negative():
-    with pytest.raises(ValueError):
-        weighted_fractions(["a"], [-1.0])
-
-
-def test_weighted_fractions_rejects_zero_total():
-    with pytest.raises(ValueError):
-        weighted_fractions(["a"], [0.0])
 
 
 @pytest.mark.parametrize(
@@ -60,14 +31,3 @@ def test_power_of_two_bucket_minimum():
 def test_power_of_two_bucket_rejects_nonpositive():
     with pytest.raises(ValueError):
         power_of_two_bucket(0)
-
-
-def test_histogram_by_bucket_sums_weights():
-    hist = histogram_by_bucket([1, 3, 9, 9], [1.0, 1.0, 2.0, 3.0])
-    assert hist == {1: 1.0, 4: 1.0, 16: 5.0}
-    assert list(hist) == sorted(hist)
-
-
-def test_histogram_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        histogram_by_bucket([1, 2], [1.0])

@@ -46,9 +46,6 @@ ALLOWED: Dict[str, str] = {
     "wearout_regimes": "ROADMAP item 9",
     "large_job_failure_rate": "ROADMAP item 9",
     "collective_bus_factor": "ROADMAP item 9",
-    "ecdf_at": "ROADMAP item 9",
-    "weighted_fractions": "ROADMAP item 9",
-    "histogram_by_bucket": "ROADMAP item 9",
     "bootstrap_ci": "ROADMAP item 9",
     "format_duration": "ROADMAP item 9",
 }
