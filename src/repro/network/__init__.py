@@ -12,7 +12,6 @@ from repro.network.links import Link, LinkState
 from repro.network.routing import RoutingPolicy, StaticRouting, AdaptiveRouting
 from repro.network.collectives import (
     AllReduceResult,
-    collective_bus_factor,
     ring_allreduce_bandwidth,
     concurrent_allreduce_bandwidths,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "StaticRouting",
     "AdaptiveRouting",
     "AllReduceResult",
-    "collective_bus_factor",
     "ring_allreduce_bandwidth",
     "concurrent_allreduce_bandwidths",
     "inject_bit_errors",

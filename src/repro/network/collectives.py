@@ -18,32 +18,6 @@ from repro.network.routing import RoutingPolicy
 from repro.network.topology import FabricTopology
 
 
-#: NCCL-tests' busbw correction per collective: algorithm bandwidth times
-#: this factor gives bus bandwidth for an n-member ring.  All-reduce moves
-#: 2(n-1)/n of the data per member; all-gather and reduce-scatter (n-1)/n;
-#: broadcast and barrier are gated by a single pass.
-def collective_bus_factor(kind: str, n_members: int) -> float:
-    """Bus-bandwidth factor for ``kind`` over ``n_members`` ranks."""
-    if n_members < 1:
-        raise ValueError("n_members must be >= 1")
-    if n_members == 1:
-        return 1.0
-    n = float(n_members)
-    factors = {
-        "all_reduce": 2.0 * (n - 1.0) / n,
-        "all_gather": (n - 1.0) / n,
-        "reduce_scatter": (n - 1.0) / n,
-        "broadcast": 1.0,
-        "barrier": 1.0,
-    }
-    try:
-        return factors[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown collective kind {kind!r}; known: {sorted(factors)}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class AllReduceResult:
     """Bandwidth outcome of one collective."""

@@ -11,7 +11,7 @@ from repro.stats.fitting import (
     estimate_rate,
     rate_confidence_interval,
 )
-from repro.stats.bootstrap import bootstrap_ci, bootstrap_mean_ci
+from repro.stats.bootstrap import bootstrap_mean_ci
 from repro.stats.quantiles import ecdf
 from repro.stats.distributions import MixtureSpec
 
@@ -19,7 +19,6 @@ __all__ = [
     "RateEstimate",
     "estimate_rate",
     "rate_confidence_interval",
-    "bootstrap_ci",
     "bootstrap_mean_ci",
     "ecdf",
     "MixtureSpec",

@@ -12,7 +12,7 @@ drew, in the same order; and each row's mean is the same contiguous
 therefore bit-identical to the loop's (see ``docs/PERFORMANCE.md``).
 """
 
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,36 +55,6 @@ def _interval(estimates: np.ndarray, confidence: float) -> Tuple[float, float]:
     return float(lo), float(hi)
 
 
-def bootstrap_ci(
-    samples: Sequence[float],
-    statistic: Callable[[np.ndarray], float],
-    confidence: float = 0.90,
-    n_resamples: int = 1000,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, float, float]:
-    """Percentile-bootstrap CI for an arbitrary statistic.
-
-    Returns ``(point, lo, hi)``.  With fewer than two samples the interval
-    degenerates to the point estimate.
-    """
-    arr = _prepare(samples, confidence, n_resamples)
-    point = float(statistic(arr))
-    if arr.size < 2:
-        return point, point, point
-    if rng is None:
-        rng = np.random.default_rng(0)
-    estimates = np.fromiter(
-        (
-            statistic(resample)
-            for block in _resample_blocks(arr.size, n_resamples, rng)
-            for resample in arr[block]
-        ),
-        dtype=float,
-        count=n_resamples,
-    )
-    return (point, *_interval(estimates, confidence))
-
-
 def bootstrap_mean_ci(
     samples: Sequence[float],
     confidence: float = 0.90,
@@ -93,8 +63,8 @@ def bootstrap_mean_ci(
 ) -> Tuple[float, float, float]:
     """Percentile-bootstrap CI for the mean; returns ``(mean, lo, hi)``.
 
-    Equal, bit for bit, to ``bootstrap_ci`` with ``np.mean`` as the
-    statistic, with every block's means taken in one reduction.
+    With fewer than two samples the interval degenerates to the point
+    estimate.  Every block's means are taken in one reduction.
     """
     arr = _prepare(samples, confidence, n_resamples)
     point = float(np.mean(arr))

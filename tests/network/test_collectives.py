@@ -92,32 +92,6 @@ def test_adaptive_improves_contention_tail(fabric):
     assert tails["adaptive"] >= tails["static"]
 
 
-@pytest.mark.parametrize(
-    "kind,n,expected",
-    [
-        ("all_reduce", 2, 1.0),
-        ("all_reduce", 512, 2 * 511 / 512),
-        ("all_gather", 4, 0.75),
-        ("reduce_scatter", 4, 0.75),
-        ("broadcast", 16, 1.0),
-        ("all_reduce", 1, 1.0),
-    ],
-)
-def test_collective_bus_factors(kind, n, expected):
-    from repro.network.collectives import collective_bus_factor
-
-    assert collective_bus_factor(kind, n) == pytest.approx(expected)
-
-
-def test_collective_bus_factor_validation():
-    from repro.network.collectives import collective_bus_factor
-
-    with pytest.raises(ValueError, match="known"):
-        collective_bus_factor("all_to_all", 4)
-    with pytest.raises(ValueError):
-        collective_bus_factor("all_reduce", 0)
-
-
 def test_fig12a_bandwidth_under_link_errors(fabric):
     """Fig. 12a: a 512-GPU ring over five fresh random BER placements
     (paper: AR maintains much higher bandwidth under BER; SHIELD alone

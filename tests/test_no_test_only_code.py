@@ -45,8 +45,6 @@ ALLOWED: Dict[str, str] = {
     # Scheduled for deletion, each with the tests that check only it.
     "wearout_regimes": "ROADMAP item 9",
     "large_job_failure_rate": "ROADMAP item 9",
-    "collective_bus_factor": "ROADMAP item 9",
-    "bootstrap_ci": "ROADMAP item 9",
     "format_duration": "ROADMAP item 9",
 }
 
