@@ -259,44 +259,6 @@ class HazardModel:
         return HazardModel(base, regimes=self.regimes, lemons=list(self._lemons.values()))
 
 
-def wearout_regimes(
-    component: ComponentType,
-    start: float,
-    end: float,
-    final_multiplier: float,
-    steps: int = 6,
-    name_prefix: str = "wearout",
-) -> List[HazardRegime]:
-    """A staircase of regimes approximating hazard growth (wear-out).
-
-    Real fleets age: component hazards creep upward as parts wear (the
-    bathtub curve's right side).  Regimes are piecewise-constant, so this
-    helper builds a geometric staircase from 1x to ``final_multiplier``
-    across [start, end) — usable anywhere a regime list is accepted, and
-    exact for the injector's re-arm-at-boundary scheduling.
-    """
-    if end <= start:
-        raise ValueError("end must exceed start")
-    if final_multiplier < 1:
-        raise ValueError("wear-out implies a multiplier >= 1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    regimes = []
-    step_span = (end - start) / steps
-    for i in range(steps):
-        multiplier = final_multiplier ** ((i + 1) / steps)
-        regimes.append(
-            HazardRegime(
-                name=f"{name_prefix}:{i}",
-                component=component,
-                multiplier=multiplier,
-                start=start + i * step_span,
-                end=start + (i + 1) * step_span,
-            )
-        )
-    return regimes
-
-
 #: RSC-1-like attribution mix: sums to ~6.50 failures per 1000 node-days,
 #: dominated by IB links, filesystem mounts, GPU memory, and PCIe (Fig. 4a).
 RSC1_COMPONENT_RATES: Dict[ComponentType, float] = {

@@ -196,19 +196,3 @@ def root_cause_table(
         comp: count / total
         for comp, count in sorted(counts.items(), key=lambda kv: -kv[1])
     }
-
-
-def large_job_failure_rate(
-    records,
-    min_gpus: int = 512,
-) -> float:
-    """Fraction of large-job attempts ending in a hardware interruption.
-
-    The mitigation claim: lemon quarantine cut this from 14% to 4% for
-    512+-GPU jobs.
-    """
-    large = [r for r in records if r.n_gpus >= min_gpus]
-    if not large:
-        raise ValueError(f"no attempts with >= {min_gpus} GPUs in records")
-    failing = sum(1 for r in large if r.is_hw_interruption)
-    return failing / len(large)

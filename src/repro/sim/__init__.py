@@ -18,7 +18,6 @@ from repro.sim.timeunits import (
     WEEK,
     days,
     hours,
-    format_duration,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "WEEK",
     "days",
     "hours",
-    "format_duration",
 ]

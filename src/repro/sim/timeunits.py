@@ -21,22 +21,3 @@ def hours(n: float) -> float:
 def days(n: float) -> float:
     """Return ``n`` days expressed in seconds."""
     return n * DAY
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration in the largest natural unit.
-
-    >>> format_duration(90)
-    '1.5m'
-    >>> format_duration(7200)
-    '2.0h'
-    >>> format_duration(172800)
-    '2.0d'
-    """
-    if seconds < MINUTE:
-        return f"{seconds:.1f}s"
-    if seconds < HOUR:
-        return f"{seconds / MINUTE:.1f}m"
-    if seconds < DAY:
-        return f"{seconds / HOUR:.1f}h"
-    return f"{seconds / DAY:.1f}d"

@@ -110,57 +110,3 @@ def test_component_hazard_validation():
         ComponentHazard(rate_per_kiloday=-1.0, transient_probability=0.5)
     with pytest.raises(ValueError):
         ComponentHazard(rate_per_kiloday=1.0, transient_probability=1.5)
-
-
-def test_wearout_regimes_staircase():
-    from repro.cluster.hazards import wearout_regimes
-
-    regimes = wearout_regimes(
-        ComponentType.GPU, start=0.0, end=600.0, final_multiplier=8.0, steps=3
-    )
-    assert len(regimes) == 3
-    # Geometric staircase: 2x, 4x, 8x.
-    assert [r.multiplier for r in regimes] == pytest.approx([2.0, 4.0, 8.0])
-    # Contiguous, non-overlapping windows.
-    for a, b in zip(regimes, regimes[1:]):
-        assert a.end == b.start
-    assert regimes[0].start == 0.0 and regimes[-1].end == 600.0
-
-
-def test_wearout_regimes_drive_rising_failures():
-    import numpy as np
-    from repro.cluster.hazards import wearout_regimes
-    from repro.cluster.health import HealthMonitor, default_health_checks
-    from repro.cluster.failures import FailureInjector
-    from repro.cluster.node import Node
-    from repro.sim.engine import Engine
-    from repro.sim.timeunits import DAY
-
-    regimes = wearout_regimes(
-        ComponentType.GPU, start=0.0, end=100 * DAY, final_multiplier=10.0
-    )
-    model = HazardModel.from_rates({ComponentType.GPU: 20.0}, regimes=regimes)
-    engine = Engine()
-    nodes = {i: Node(i, i // 2, 0) for i in range(30)}
-    monitor = HealthMonitor(
-        default_health_checks(), np.random.default_rng(0)
-    )
-    injector = FailureInjector(
-        engine, nodes, model, monitor, np.random.default_rng(1)
-    )
-    injector.start()
-    engine.run_until(100 * DAY)
-    early = sum(1 for i in injector.incidents if i.time < 30 * DAY)
-    late = sum(1 for i in injector.incidents if i.time > 70 * DAY)
-    assert late > 2 * max(1, early)
-
-
-def test_wearout_regimes_validation():
-    from repro.cluster.hazards import wearout_regimes
-
-    with pytest.raises(ValueError):
-        wearout_regimes(ComponentType.GPU, 10.0, 5.0, 2.0)
-    with pytest.raises(ValueError):
-        wearout_regimes(ComponentType.GPU, 0.0, 10.0, 0.5)
-    with pytest.raises(ValueError):
-        wearout_regimes(ComponentType.GPU, 0.0, 10.0, 2.0, steps=0)

@@ -4,10 +4,8 @@ from repro.core.lemon import (
     LEMON_SIGNALS,
     LemonDetector,
     LemonPolicy,
-    large_job_failure_rate,
     root_cause_table,
 )
-from repro.jobtypes import JobAttemptRecord, JobState, QosTier
 from repro.workload.trace import NodeTraceRecord
 
 
@@ -126,31 +124,6 @@ def test_root_cause_table_with_flagged_subset():
 def test_root_cause_table_empty_cohort_raises():
     with pytest.raises(ValueError):
         root_cause_table([node(0)])
-
-
-def _attempt(job_id, n_gpus, state, **kwargs):
-    return JobAttemptRecord(
-        job_id=job_id, attempt=0, jobrun_id=job_id, project="p",
-        qos=QosTier.HIGH, n_gpus=n_gpus, n_nodes=n_gpus // 8,
-        enqueue_time=0.0, start_time=0.0, end_time=100.0, state=state,
-        node_ids=(0,), **kwargs,
-    )
-
-
-def test_large_job_failure_rate():
-    records = [
-        _attempt(1, 512, JobState.NODE_FAIL),
-        _attempt(2, 512, JobState.COMPLETED),
-        _attempt(3, 512, JobState.COMPLETED),
-        _attempt(4, 512, JobState.COMPLETED),
-        _attempt(5, 8, JobState.NODE_FAIL),  # below the size floor
-    ]
-    assert large_job_failure_rate(records, min_gpus=512) == pytest.approx(0.25)
-
-
-def test_large_job_failure_rate_requires_large_jobs():
-    with pytest.raises(ValueError):
-        large_job_failure_rate([_attempt(1, 8, JobState.COMPLETED)], min_gpus=512)
 
 
 def test_lemon_signals_tuple_matches_paper():

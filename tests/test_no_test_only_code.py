@@ -43,9 +43,6 @@ ALLOWED: Dict[str, str] = {
         "tests/obs/test_summary.py and test_spans.py check written streams with it"
     ),
     # Scheduled for deletion, each with the tests that check only it.
-    "wearout_regimes": "ROADMAP item 9",
-    "large_job_failure_rate": "ROADMAP item 9",
-    "format_duration": "ROADMAP item 9",
 }
 
 #: Directories whose code counts as a program use.
