@@ -36,13 +36,6 @@ class CheckIntroductionEffect:
     mode_incidents_before: float
     mode_incidents_after: float
 
-    @property
-    def apparent_rate_increase(self) -> float:
-        """How much the *visible* (attributed) mode rate grew."""
-        if self.attributed_before == 0:
-            return float("inf") if self.attributed_after > 0 else 1.0
-        return self.attributed_after / self.attributed_before
-
     def render(self) -> str:
         rows = [
             (

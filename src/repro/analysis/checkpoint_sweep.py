@@ -1,7 +1,7 @@
 """Fig. 10: checkpoint and failure-rate requirements at 100k-GPU scale."""
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +26,6 @@ class CheckpointSweep:
 
     def ettr_at(self, rf: float, interval: float) -> float:
         return self.grid[(float(rf), float(interval))]
-
-    def required_interval(self, rf: float, target: float) -> float:
-        return self.required[(float(rf), float(target))]
 
     def render(self) -> str:
         headers = ["rf (/1k nd)"] + [

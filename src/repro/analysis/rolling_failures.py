@@ -52,9 +52,6 @@ class FailureRateTimeline:
             ),
         )
 
-    def peak_rate(self) -> float:
-        return float(np.max(self.overall)) if self.overall.size else 0.0
-
     def render(self, component: str = None) -> str:
         series = self.overall if component is None else self.by_component[component]
         label = component or "all"

@@ -245,19 +245,6 @@ class HazardModel:
         }
         return cls(base, regimes=regimes, lemons=lemons)
 
-    def scaled(self, factor: float) -> "HazardModel":
-        """Return a copy with all baseline rates multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        base = {
-            comp: ComponentHazard(
-                rate_per_kiloday=h.rate_per_kiloday * factor,
-                transient_probability=h.transient_probability,
-            )
-            for comp, h in self.base.items()
-        }
-        return HazardModel(base, regimes=self.regimes, lemons=list(self._lemons.values()))
-
 
 #: RSC-1-like attribution mix: sums to ~6.50 failures per 1000 node-days,
 #: dominated by IB links, filesystem mounts, GPU memory, and PCIe (Fig. 4a).

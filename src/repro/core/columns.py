@@ -569,8 +569,8 @@ class EventColumns(Columns):
             return -1
 
     def mask_for_kind(self, kind: str) -> np.ndarray:
-        """Boolean mask of events whose kind matches (exact or ``"x."``
-        prefix, mirroring ``EventLog.filter``)."""
+        """Boolean mask of events whose kind matches ``kind`` exactly, or
+        by prefix when ``kind`` ends with ``"."``."""
         if kind.endswith("."):
             codes = [
                 i for i, k in enumerate(self.kind_table) if k.startswith(kind)
@@ -579,9 +579,6 @@ class EventColumns(Columns):
                 return np.zeros(len(self), dtype=bool)
             return np.isin(self.kind_code, np.asarray(codes, dtype=np.int32))
         return self.kind_code == self.code_of_kind(kind)
-
-    def times_for_kind(self, kind: str) -> np.ndarray:
-        return self.time[self.mask_for_kind(kind)]
 
 
 # ----------------------------------------------------------------------

@@ -64,11 +64,6 @@ class ETTRParameters:
         """N_nodes * r_f, converted to per-second."""
         return self.n_nodes * self.failure_rate_per_node_day / DAY
 
-    @property
-    def mttf_seconds(self) -> float:
-        rate = self.job_failure_rate_per_second
-        return float("inf") if rate == 0 else 1.0 / rate
-
     def overhead_per_failure(self) -> float:
         """u0 + dt/2 — expected unproductive seconds per interruption."""
         return self.restart_overhead + self.checkpoint_interval / 2

@@ -11,7 +11,7 @@ bisect: O(log n) membership, O(n) worst-case insert/remove via
 the per-allocation ``sorted()`` disappears from the hot loop.
 """
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional
 
 
@@ -64,10 +64,6 @@ class SortedIntSet:
         if isinstance(other, (list, tuple)):
             return self._items == list(other)
         return NotImplemented
-
-    def as_list(self) -> List[int]:
-        """A copy of the contents, ascending."""
-        return list(self._items)
 
     def clear(self) -> None:
         self._items.clear()

@@ -117,10 +117,6 @@ class LemonReport:
         return len(set(self.flagged_node_ids) & set(self.true_lemon_ids))
 
     @property
-    def false_positives(self) -> int:
-        return len(set(self.flagged_node_ids) - set(self.true_lemon_ids))
-
-    @property
     def precision(self) -> float:
         """The paper's "accuracy of predicted lemon nodes" (>85%)."""
         flagged = len(self.flagged_node_ids)

@@ -56,11 +56,6 @@ class TaxonomyEntry:
     likely_causes: Tuple[str, ...]
     component: Optional[ComponentType] = None
 
-    @property
-    def is_ambiguous(self) -> bool:
-        """True when more than one domain is suspect (the red-herring risk)."""
-        return len(self.domains) > 1
-
 
 def _entry(symptom, domains, causes, component=None) -> TaxonomyEntry:
     return TaxonomyEntry(

@@ -68,11 +68,6 @@ class RankFlightRecord:
                 return e
         return None
 
-    def last_completed_seq(self) -> int:
-        """Highest seq this rank completed (-1 if none)."""
-        completed = [e.seq for e in self.entries if e.completed]
-        return max(completed) if completed else -1
-
 
 def _op_duration(op: CollectiveOp) -> float:
     return op.payload_mb * 8 / 1000.0 / COLLECTIVE_GBPS

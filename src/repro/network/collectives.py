@@ -27,10 +27,6 @@ class AllReduceResult:
     bus_bandwidth_gbps: float
     bottleneck_link: Optional[str]
 
-    @property
-    def per_rail_gbps(self) -> float:
-        return self.bus_bandwidth_gbps / 8.0
-
 
 def _ring_edges(servers: Sequence[int]) -> List[Tuple[int, int]]:
     """Inter-server edges of the ring (server-level; NVSwitch edges free)."""

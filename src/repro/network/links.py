@@ -8,7 +8,7 @@ to force BER on real switch ports).
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 #: HDR InfiniBand per-rail link speed, Gb/s (DGX A100 class).
@@ -79,9 +79,6 @@ class Link:
 
     def bring_down(self) -> None:
         self.state = LinkState.DOWN
-
-    def bring_up(self) -> None:
-        self.state = LinkState.UP
 
     def reset(self) -> None:
         self.state = LinkState.UP

@@ -14,7 +14,7 @@ fabrics where one direction of a cable can degrade).
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.network.links import DEFAULT_LINK_CAPACITY_GBPS, Link
 
@@ -92,14 +92,6 @@ class FabricTopology:
             return self.links[(src, dst)]
         except KeyError:
             raise KeyError(f"no link {src} -> {dst} in fabric") from None
-
-    def uplinks_of_server(self, server: int) -> List[Link]:
-        """The server's rail uplinks (server -> leaf), one per rail."""
-        pod = self.pod_of(server)
-        return [
-            self.link(self.server_port(server, rail), self.leaf_name(pod, rail))
-            for rail in range(self.spec.rails)
-        ]
 
     def spine_candidates(self, rail: int) -> List[str]:
         return [

@@ -63,39 +63,6 @@ class EventLog:
     def __getitem__(self, index: int) -> EventRecord:
         return self._records[index]
 
-    def filter(
-        self,
-        kind: Optional[str] = None,
-        subject: Optional[str] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-        predicate: Optional[Callable[[EventRecord], bool]] = None,
-    ) -> List[EventRecord]:
-        """Return events matching every provided criterion.
-
-        ``kind`` matches exactly or by prefix when it ends with ``"."``
-        (e.g. ``"health."`` matches all health events).  ``start`` is
-        inclusive and ``end`` exclusive.
-        """
-        out = []
-        for rec in self._records:
-            if kind is not None:
-                if kind.endswith("."):
-                    if not rec.kind.startswith(kind):
-                        continue
-                elif rec.kind != kind:
-                    continue
-            if subject is not None and rec.subject != subject:
-                continue
-            if start is not None and rec.time < start:
-                continue
-            if end is not None and rec.time >= end:
-                continue
-            if predicate is not None and not predicate(rec):
-                continue
-            out.append(rec)
-        return out
-
     def kinds(self) -> Dict[str, int]:
         """Return a histogram of event kinds."""
         counts: Dict[str, int] = {}

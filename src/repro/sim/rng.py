@@ -36,17 +36,6 @@ class RngStreams:
             self._streams[name] = np.random.default_rng(seq)
         return self._streams[name]
 
-    def spawn(self, name: str, index: int) -> np.random.Generator:
-        """Return an indexed child stream, e.g. one per node.
-
-        Unlike :meth:`stream`, spawned generators are not cached; callers
-        own them.  The (name, index) pair fully determines the sequence.
-        """
-        seq = np.random.SeedSequence(
-            self.root_seed, spawn_key=(_stable_key(name), int(index))
-        )
-        return np.random.default_rng(seq)
-
     def __repr__(self) -> str:
         return f"RngStreams(root_seed={self.root_seed}, streams={sorted(self._streams)})"
 

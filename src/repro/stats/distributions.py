@@ -47,15 +47,6 @@ class MixtureSpec:
         """:func:`choice_cdf` of :meth:`probabilities`, aligned with :meth:`values`."""
         return choice_cdf(self.probabilities())
 
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        return self.values()[_indices(self.cdf, rng, size)]
-
-    def probability_of(self, value: int) -> float:
-        for (v, _w), p in zip(self.weights, self.probabilities()):
-            if v == value:
-                return float(p)
-        return 0.0
-
 
 def choice_cdf(p) -> Tuple[float, ...]:
     """The table ``Generator.choice(a, p=p)`` searches, built once.
@@ -78,13 +69,6 @@ def weighted_index(cdf: Sequence[float], rng: np.random.Generator) -> int:
     Consumes exactly one ``rng.random()``, as choice does.
     """
     return bisect_right(cdf, rng.random())
-
-
-def _indices(cdf: Sequence[float], rng: np.random.Generator, size: int) -> list:
-    """``size`` successive :func:`weighted_index` draws."""
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    return [weighted_index(cdf, rng) for _ in range(size)]
 
 
 def truncated_lognormal(

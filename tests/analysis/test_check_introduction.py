@@ -35,7 +35,6 @@ def test_mode_invisible_before_check(mount_heavy_trace):
     effect = check_introduction_effect(mount_heavy_trace, "filesystem_mounts")
     assert effect.attributed_before == 0.0
     assert effect.attributed_after > 0.0
-    assert effect.apparent_rate_increase == float("inf")
 
 
 def test_underlying_mode_existed_before_the_check(mount_heavy_trace):

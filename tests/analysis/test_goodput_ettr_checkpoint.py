@@ -82,10 +82,10 @@ def test_ettr_render(rsc1_trace):
 def test_checkpoint_sweep_paper_callouts():
     sweep = checkpoint_sweep()
     # ETTR 0.5 at RSC-1 rate needs single-digit-minute checkpointing.
-    dt = sweep.required_interval(RSC1_RF, 0.5)
+    dt = sweep.required[(RSC1_RF, 0.5)]
     assert 5 * MINUTE < dt < 12 * MINUTE
     # RSC-2's lower rate relaxes the requirement substantially.
-    assert sweep.required_interval(RSC2_RF, 0.5) > 2 * dt
+    assert sweep.required[(RSC2_RF, 0.5)] > 2 * dt
     # Hourly checkpointing at 100k GPUs is untenable (ETTR ~ 0).
     assert sweep.ettr_at(RSC1_RF, 60 * MINUTE) == 0.0
 
@@ -167,8 +167,8 @@ def test_fig10_paper_requirements():
     RSC-2 rates; ETTR 0.9 at RSC-2 rates needs ~2-minute checkpoint +
     restart)."""
     sweep = checkpoint_sweep()
-    dt_rsc1 = sweep.required_interval(RSC1_RF, 0.5)
-    dt_rsc2 = sweep.required_interval(RSC2_RF, 0.5)
+    dt_rsc1 = sweep.required[(RSC1_RF, 0.5)]
+    dt_rsc2 = sweep.required[(RSC2_RF, 0.5)]
     assert 5 * MINUTE <= dt_rsc1 <= 12 * MINUTE  # paper: ~7 min
     assert 18 * MINUTE <= dt_rsc2 <= 45 * MINUTE  # paper: ~21 min
     # The requirement tightens monotonically with rate.

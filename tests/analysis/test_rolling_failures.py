@@ -58,7 +58,7 @@ def test_fig5_paper_evolution(paper_rsc1_trace):
     # Rate is dynamic: peak well above the floor.
     positive = timeline.overall[timeline.overall > 0]
     assert positive.size > 0
-    assert timeline.peak_rate() > 2 * float(np.median(positive))
+    assert float(np.max(timeline.overall)) > 2 * float(np.median(positive))
     # The IB spike era (62-72% of the span) elevates ib_link failures.
     ib = timeline.by_component.get("ib_link")
     if ib is not None:

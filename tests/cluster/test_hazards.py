@@ -90,11 +90,6 @@ def test_regime_boundaries_sorted_unique():
     assert model.regime_boundaries() == [10.0, 20.0, 30.0]
 
 
-def test_scaled_model_multiplies_baseline():
-    model = make_model().scaled(0.5)
-    assert model.baseline_total_rate() == pytest.approx(1.5 / 1000.0)
-
-
 def test_invalid_regime_window():
     with pytest.raises(ValueError):
         HazardRegime("x", ComponentType.GPU, 1.0, 5.0, 5.0)

@@ -109,7 +109,7 @@ def test_max_severity_heartbeat_defaults_high():
 def test_events_logged_for_firing_checks():
     monitor = make_monitor()
     monitor.detect(7, ComponentType.IB_LINK, 10.0, 42)
-    events = monitor.event_log.filter(kind="health.check_failed")
+    events = [e for e in monitor.event_log if e.kind == "health.check_failed"]
     assert events
     assert events[0].data["node_id"] == 7
     assert events[0].data["incident_id"] == 42

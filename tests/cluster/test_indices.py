@@ -36,16 +36,15 @@ def test_sorted_int_set_matches_set_semantics():
         else:
             assert (value in fast) == (value in model)
         assert len(fast) == len(model)
-    assert fast.as_list() == sorted(model)
     assert list(fast) == sorted(model)  # iteration is ascending
     assert fast == model
 
 
 def test_sorted_int_set_init_dedups_and_sorts():
     s = SortedIntSet([5, 1, 5, 3, 1])
-    assert s.as_list() == [1, 3, 5]
+    assert list(s) == [1, 3, 5]
     s.add(3)  # re-adding is a no-op
-    assert s.as_list() == [1, 3, 5]
+    assert list(s) == [1, 3, 5]
     assert bool(s)
     s.clear()
     assert not s and len(s) == 0
@@ -66,7 +65,7 @@ def _assert_indices_match_scans(cluster):
     """The incremental sets' invariants, checked against brute force."""
     nodes = cluster.nodes.values()
     scan_schedulable = sorted(n.node_id for n in nodes if n.is_schedulable())
-    assert cluster.schedulable_node_ids().as_list() == scan_schedulable
+    assert list(cluster.schedulable_node_ids()) == scan_schedulable
 
 
 def _build_cluster(n_nodes=24, days=40.0, seed=5):

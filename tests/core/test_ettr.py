@@ -89,7 +89,7 @@ def test_model_invalid_when_overhead_exceeds_mttf():
 def test_zero_failure_rate_gives_perfect_simple_ettr():
     p = params(failure_rate_per_node_day=0.0)
     assert expected_ettr_simple(p) == 1.0
-    assert p.mttf_seconds == float("inf")
+    assert p.job_failure_rate_per_second == 0.0
 
 
 def test_monte_carlo_with_zero_failures_approaches_one():

@@ -30,7 +30,7 @@ def test_down_link_has_zero_capacity():
     assert link.state is LinkState.DOWN
     assert link.effective_capacity_gbps == 0.0
     assert not link.healthy
-    link.bring_up()
+    link.reset()
     assert link.healthy
 
 

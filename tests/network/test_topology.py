@@ -19,12 +19,6 @@ def test_link_inventory(fabric):
     assert len(fabric.all_links()) == expected
 
 
-def test_uplinks_one_per_rail(fabric):
-    uplinks = fabric.uplinks_of_server(3)
-    assert len(uplinks) == 8
-    assert all(l.src.startswith("srv-0003") for l in uplinks)
-
-
 def test_same_pod_path_avoids_spine(fabric):
     path = fabric.path(0, 5, rail=2)
     assert len(path) == 2

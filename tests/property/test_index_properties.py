@@ -61,7 +61,7 @@ def test_sorted_int_set_equivalent_to_set(ops):
         else:
             assert (value in fast) == (value in model)
         assert len(fast) == len(model)
-        assert fast.as_list() == sorted(model)
+        assert list(fast) == sorted(model)
     assert list(fast) == sorted(model)
     assert fast == model
 
@@ -70,7 +70,7 @@ def test_sorted_int_set_equivalent_to_set(ops):
 @settings(deadline=None, max_examples=100)
 def test_sorted_int_set_constructor_dedupes_and_sorts(initial):
     fast = SortedIntSet(initial)
-    assert fast.as_list() == sorted(set(initial))
+    assert list(fast) == sorted(set(initial))
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +300,8 @@ bound_ops = st.lists(
 
 def _internals(index):
     return (
-        [bucket.as_list() for bucket in index._buckets],
-        [(pod, ids.as_list()) for pod, ids in index._full_by_pod.items()],
+        [list(bucket) for bucket in index._buckets],
+        [(pod, list(ids)) for pod, ids in index._full_by_pod.items()],
         list(index._pod_order),
         index._full_count,
         dict(index._bucket_of),

@@ -233,8 +233,8 @@ class World:
     def index_entries(self):
         index = self.scheduler.index
         return (
-            [bucket.as_list() for bucket in index._buckets],
-            [(pod, ids.as_list()) for pod, ids in index._full_by_pod.items()],
+            [list(bucket) for bucket in index._buckets],
+            [(pod, list(ids)) for pod, ids in index._full_by_pod.items()],
             list(index._pod_order),
             index._full_count,
         )

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.sim.events import EventLog, EventRecord
+from repro.sim.events import EventLog
 
 
 @pytest.fixture()
@@ -16,28 +16,6 @@ def log():
 def test_emit_appends_records(log):
     assert len(log) == 4
     assert log[0].kind == "health.check_failed"
-
-
-def test_filter_by_exact_kind(log):
-    assert len(log.filter(kind="sched.job_start")) == 1
-
-
-def test_filter_by_prefix(log):
-    assert len(log.filter(kind="health.")) == 3
-
-
-def test_filter_by_subject(log):
-    assert len(log.filter(subject="node-1")) == 2
-
-
-def test_filter_by_window_start_inclusive_end_exclusive(log):
-    events = log.filter(start=2.0, end=4.0)
-    assert [e.time for e in events] == [2.0, 3.0]
-
-
-def test_filter_with_predicate(log):
-    events = log.filter(predicate=lambda e: e.data.get("check") == "pcie")
-    assert len(events) == 1
 
 
 def test_kinds_histogram(log):

@@ -31,19 +31,6 @@ def test_adding_stream_does_not_perturb_others():
     assert np.allclose(first, second)
 
 
-def test_spawn_indexed_streams_differ():
-    streams = RngStreams(3)
-    a = streams.spawn("node", 0).random(100)
-    b = streams.spawn("node", 1).random(100)
-    assert not np.allclose(a, b)
-
-
-def test_spawn_is_reproducible():
-    a = RngStreams(3).spawn("node", 5).random(10)
-    b = RngStreams(3).spawn("node", 5).random(10)
-    assert np.allclose(a, b)
-
-
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RngStreams(-1)

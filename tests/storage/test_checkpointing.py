@@ -92,7 +92,8 @@ def test_optimum_approaches_young_daly_when_overheads_small():
     )
     write = 30.0
     best = optimal_blocking_interval(p, write)
-    yd = math.sqrt(2.0 * write * p.mttf_seconds)  # Young/Daly first-order optimum
+    mttf = 1.0 / p.job_failure_rate_per_second
+    yd = math.sqrt(2.0 * write * mttf)  # Young/Daly first-order optimum
     assert best == pytest.approx(yd, rel=0.15)
 
 

@@ -1,23 +1,28 @@
-"""No public top-level name in ``src/repro`` exists only for the tests.
+"""No public name or method in ``src/repro`` exists only for the tests.
 
-A public function or class that no module, example or benchmark uses
-is an option or a path that tests and docs keep covering while no
+A public function, class or method that no module, example or benchmark
+uses is an option or a path that tests and docs keep covering while no
 workload runs it.  This test walks the program's source with ``ast``
-and fails when such a name appears that ``ALLOWED`` does not list.
+and fails when such a name appears that its allowlist does not list.
 
 A name counts as used when it is referenced (a name, an attribute or an
 import) anywhere in ``src/repro``, ``examples`` or ``perfbench`` outside
 its own definition.  ``__init__.py`` files and ``__all__`` lists are
-skipped: a re-export is not a use.  Tests never count.
+skipped: a re-export is not a use.  Tests never count.  Methods follow
+the same rules, matched by name: ``Class.method`` is used when any
+program code outside the method's own body references an attribute or
+name ``method``.
 
-``ALLOWED`` maps each kept name to what justifies it: the DESIGN.md or
-EXPERIMENTS.md row whose test exercises it, the program output a test
-checks with it, or the ROADMAP item that schedules its deletion.  An
-entry whose name is used again, or gone, fails the test too, so the
-list never outlives its reason.
+``ALLOWED`` (top-level names) and ``ALLOWED_METHODS`` (``"Class.method"``)
+map each kept name to what justifies it: the DESIGN.md or EXPERIMENTS.md
+row whose test exercises it, the program output or the program path a
+test checks with it, or the ROADMAP item that needs it.  An entry whose
+name is used again, or gone, fails the test too, so neither list
+outlives its reason.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -42,7 +47,18 @@ ALLOWED: Dict[str, str] = {
         "the telemetry stream contract (docs/OBSERVABILITY.md); "
         "tests/obs/test_summary.py and test_spans.py check written streams with it"
     ),
-    # Scheduled for deletion, each with the tests that check only it.
+}
+
+#: "Class.method" -> why a test-only public method stays.
+ALLOWED_METHODS: Dict[str, str] = {
+    "PriorityPolicy.sort_pending": (
+        "the oracle of the pending queue's order "
+        "(tests/property/test_pending_properties.py)"
+    ),
+    "ChaosPolicy.mangle_stream": (
+        "ROADMAP item 2: the junk-item corpus of the live-ingest fuzz test "
+        "(tests/live/test_malformed_stream.py)"
+    ),
 }
 
 #: Directories whose code counts as a program use.
@@ -57,7 +73,10 @@ def _modules(root: Path, sub: str) -> Iterator[Path]:
             yield path
 
 
+@lru_cache(maxsize=None)
 def _parse(path: Path) -> ast.Module:
+    # One tree per file, so a definition's node is the one its own
+    # references sit under.
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
@@ -99,10 +118,31 @@ def _references(tree: ast.Module) -> Iterator[Tuple[str, Tuple[int, ...]]]:
     yield from visit(tree, ())
 
 
-def unused_public_names(root: Path) -> List[str]:
-    """Public top-level names no program code references, sorted."""
-    definitions = public_definitions(root)
-    wanted = {name for name, _path, _node in definitions}
+def public_methods(root: Path) -> List[Definition]:
+    """Every public method of a top-level class in ``src/repro``, keyed
+    ``"Class.method"``."""
+    out = []
+    for name, path, node in public_definitions(root):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not item.name.startswith("_"):
+                    out.append((f"{name}.{item.name}", path, item))
+    return out
+
+
+def _unused(root: Path, definitions: List[Definition]) -> List[str]:
+    """Keys of ``definitions`` no program code references, sorted.
+
+    A definition is referenced by the last part of its key: ``f`` for a
+    function ``f``, ``m`` for a method ``Class.m``.
+    """
+
+    def ref_name(key: str) -> str:
+        return key.rsplit(".", 1)[-1]
+
+    wanted = {ref_name(key) for key, _path, _node in definitions}
     used_from: Dict[str, List[Tuple[int, ...]]] = {}
     for sub in PROGRAM_DIRS:
         for path in _modules(root, sub):
@@ -110,27 +150,162 @@ def unused_public_names(root: Path) -> List[str]:
                 if name in wanted:
                     used_from.setdefault(name, []).append(enclosing)
     unused = set()
-    for name, _path, node in definitions:
+    for key, _path, node in definitions:
         own = id(node)
-        if not any(own not in enclosing for enclosing in used_from.get(name, [])):
-            unused.add(name)
+        if not any(own not in enc for enc in used_from.get(ref_name(key), [])):
+            unused.add(key)
     return sorted(unused)
 
 
+def unused_public_names(root: Path) -> List[str]:
+    """Public top-level names no program code references, sorted."""
+    return _unused(root, public_definitions(root))
+
+
+def unused_public_methods(root: Path) -> List[str]:
+    """``"Class.method"`` of public methods no program code references."""
+    return _unused(root, public_methods(root))
+
+
+def unexpected(unused: List[str], allowed: Dict[str, str]) -> List[str]:
+    """Test-only names that ``allowed`` does not list, sorted."""
+    return sorted(set(unused) - set(allowed))
+
+
+def stale(
+    unused: List[str], definitions: List[Definition], allowed: Dict[str, str]
+) -> Tuple[List[str], List[str]]:
+    """``(gone, used)``: entries of ``allowed`` that no longer exist, and
+    entries the program uses again."""
+    defined = {key for key, _path, _node in definitions}
+    return (
+        sorted(set(allowed) - defined),
+        sorted(set(allowed) & defined - set(unused)),
+    )
+
+
 def test_every_test_only_public_name_is_allowed():
-    unused = set(unused_public_names(ROOT))
-    unexpected = sorted(unused - set(ALLOWED))
-    assert not unexpected, (
-        f"{len(unexpected)} public names in src/repro are used only by "
-        f"tests: {unexpected}. Delete them with the tests that check only "
-        "them, or add each to ALLOWED with the row or test that pins it."
+    names = unexpected(unused_public_names(ROOT), ALLOWED)
+    assert not names, (
+        f"{len(names)} public names in src/repro are used only by tests: "
+        f"{names}. Delete them with the tests that check only them, or "
+        "add each to ALLOWED with the row or test that pins it."
     )
 
 
 def test_every_allowed_name_is_still_test_only():
-    unused = set(unused_public_names(ROOT))
-    defined = {name for name, _path, _node in public_definitions(ROOT)}
-    gone = sorted(set(ALLOWED) - defined)
-    used = sorted(set(ALLOWED) & defined - unused)
+    gone, used = stale(unused_public_names(ROOT), public_definitions(ROOT), ALLOWED)
     assert not gone, f"ALLOWED names that no longer exist: {gone}"
     assert not used, f"ALLOWED names the program now uses: {used}"
+
+
+def test_every_test_only_public_method_is_allowed():
+    methods = unexpected(unused_public_methods(ROOT), ALLOWED_METHODS)
+    assert not methods, (
+        f"{len(methods)} public methods in src/repro are used only by tests: "
+        f"{methods}. Delete them with the tests that check only them, or "
+        "add each to ALLOWED_METHODS with the row or test that pins it."
+    )
+
+
+def test_every_allowed_method_is_still_test_only():
+    gone, used = stale(
+        unused_public_methods(ROOT), public_methods(ROOT), ALLOWED_METHODS
+    )
+    assert not gone, f"ALLOWED_METHODS entries that no longer exist: {gone}"
+    assert not used, f"ALLOWED_METHODS entries the program now uses: {used}"
+
+
+# ----------------------------------------------------------------------
+# the scans themselves, on a synthetic tree
+# ----------------------------------------------------------------------
+def _tree(root: Path, files: Dict[str, str]) -> Path:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    for sub in PROGRAM_DIRS[1:]:
+        (root / sub).mkdir(exist_ok=True)
+    return root
+
+
+SYNTHETIC = {
+    "src/repro/__init__.py": "from repro.lib import Store, only_self\n"
+    "__all__ = ['Store', 'only_self', 'exported_only']\n",
+    "src/repro/lib.py": (
+        "class Store:\n"
+        "    def called(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1) if n else 0\n"
+        "\n"
+        "    def tested(self):\n"
+        "        return 2\n"
+        "\n"
+        "    def from_example(self):\n"
+        "        return 3\n"
+        "\n"
+        "    def _private(self):\n"
+        "        return 4\n"
+        "\n"
+        "\n"
+        "def only_self(n):\n"
+        "    return only_self(n - 1) if n else 0\n"
+        "\n"
+        "\n"
+        "def exported_only():\n"
+        "    return 5\n"
+    ),
+    "src/repro/app.py": "from repro.lib import Store\nVALUE = Store().called()\n",
+    "examples/demo.py": "from repro.lib import Store\nStore().from_example()\n",
+    "tests/test_lib.py": (
+        "from repro.lib import Store, exported_only\n"
+        "\n"
+        "\n"
+        "def test_tested():\n"
+        "    assert Store().tested() == 2 and exported_only() == 5\n"
+    ),
+}
+
+
+def test_method_scan_on_a_synthetic_tree(tmp_path):
+    root = _tree(tmp_path, SYNTHETIC)
+    # ``called`` (from src) and ``from_example`` are used; ``recursive``
+    # is referenced only inside its own body, ``tested`` only by a test.
+    assert unused_public_methods(root) == ["Store.recursive", "Store.tested"]
+    assert unexpected(unused_public_methods(root), {}) == [
+        "Store.recursive",
+        "Store.tested",
+    ]
+    allowed = {"Store.recursive": "a reason", "Store.tested": "a reason"}
+    assert unexpected(unused_public_methods(root), allowed) == []
+    assert stale(unused_public_methods(root), public_methods(root), allowed) == (
+        [],
+        [],
+    )
+
+
+def test_stale_method_entries_fail_on_a_synthetic_tree(tmp_path):
+    root = _tree(tmp_path, SYNTHETIC)
+    allowed = {
+        "Store.tested": "a reason",
+        "Store.called": "used by src/repro/app.py",
+        "Store.removed": "no longer defined",
+    }
+    gone, used = stale(unused_public_methods(root), public_methods(root), allowed)
+    assert gone == ["Store.removed"]
+    assert used == ["Store.called"]
+
+
+def test_name_scan_on_a_synthetic_tree(tmp_path):
+    root = _tree(tmp_path, SYNTHETIC)
+    # ``Store`` is used from src; ``only_self`` calls only itself, and
+    # ``exported_only`` is named only by ``__init__.py``/``__all__``.
+    assert unused_public_names(root) == ["exported_only", "only_self"]
+    gone, used = stale(
+        unused_public_names(root),
+        public_definitions(root),
+        {"Store": "used", "only_self": "a reason", "gone_fn": "deleted"},
+    )
+    assert gone == ["gone_fn"] and used == ["Store"]
