@@ -79,7 +79,6 @@ _LAZY_EXPORTS = {
     "InlineBackend": ("repro.backends.inline", "InlineBackend"),
     "LocalPoolBackend": ("repro.backends.local_pool", "LocalPoolBackend"),
     "WorkQueueBackend": ("repro.backends.workqueue", "WorkQueueBackend"),
-    "create_backend": ("repro.backends", "create_backend"),
 }
 
 
@@ -113,7 +112,6 @@ __all__ = [
     "TraceCache",
     "WorkQueueBackend",
     "WorkloadProfile",
-    "create_backend",
     "run_campaign",
     "run_campaigns",
     "rsc1_profile",

@@ -2,8 +2,8 @@
 
 :class:`~repro.runtime.pool.CampaignPool` owns dispatch *policy*
 (waves, retries, the circuit breaker, the inline fallback); a backend
-owns the *mechanism* — where an attempt actually executes.  Three ship
-in-tree, all registered by name for ``RunOptions(backend=...)`` and
+owns the *mechanism* — where an attempt actually executes.  There are
+three, chosen by name with ``RunOptions(backend=...)`` and
 ``repro campaign --backend ...``:
 
 ============  ==========================================================
@@ -25,12 +25,10 @@ The backend never affects simulated content: the same
 (equal ``trace_digest``) on every backend, chaos injection included —
 ``tests/backends/test_backend_parity.py`` holds the line.
 
-See ``docs/BACKENDS.md`` for the protocol contract and a guide to
-writing (and registering) a custom backend.
+See ``docs/BACKENDS.md`` for the protocol contract.
 """
 
 from repro.backends.base import (
-    BACKENDS,
     BackendCapabilities,
     BackendError,
     BackendUnavailable,
@@ -39,17 +37,13 @@ from repro.backends.base import (
     OUTCOME_KINDS,
     TaskOutcome,
     TaskSpec,
-    backend_names,
-    create_backend,
     execute_task,
-    register_backend,
 )
 from repro.backends.inline import InlineBackend
 from repro.backends.local_pool import LocalPoolBackend
 from repro.backends.workqueue import WorkQueueBackend, drain_queue
 
 __all__ = [
-    "BACKENDS",
     "BackendCapabilities",
     "BackendError",
     "BackendUnavailable",
@@ -61,9 +55,6 @@ __all__ = [
     "TaskOutcome",
     "TaskSpec",
     "WorkQueueBackend",
-    "backend_names",
-    "create_backend",
     "drain_queue",
     "execute_task",
-    "register_backend",
 ]

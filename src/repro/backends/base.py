@@ -23,16 +23,14 @@ Outcome *kinds* carry the recovery semantics the pool keys on:
 * ``"timeout"`` — the attempt exceeded its wall-clock budget; treated
   like a dead worker (hung processes must be reclaimed).
 
-Backends register by name in :data:`BACKENDS` (see
-:func:`register_backend`), so ``RunOptions(backend="work-queue")`` and
-``repro campaign --backend work-queue`` resolve through one registry
-that downstream code can extend.  See ``docs/BACKENDS.md``.
+Three backends implement the protocol, ``inline``, ``local-pool`` and
+``work-queue``; ``RunOptions(backend=...)`` and ``repro campaign
+--backend`` pick one of them by name.  See ``docs/BACKENDS.md``.
 """
 
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -188,63 +186,7 @@ def execute_task(task: TaskSpec, telemetry=None, in_process: bool = False):
     return run_campaign(task.config)
 
 
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-
-#: name -> factory(workers=..., telemetry=..., **options)
-BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {}
-
-
-def register_backend(name: str):
-    """Decorator registering a backend factory under ``name``.
-
-    The factory is called as ``factory(workers=..., telemetry=...,
-    **backend_options)`` and must return an object
-    satisfying :class:`ExecutionBackend`.  Registering an existing name
-    replaces it (tests and downstream packages may shadow built-ins).
-    """
-
-    def wrap(factory: Callable[..., ExecutionBackend]):
-        BACKENDS[name] = factory
-        return factory
-
-    return wrap
-
-
-def backend_names() -> List[str]:
-    """Registered backend names, sorted (the CLI's ``--backend`` choices)."""
-    return sorted(BACKENDS)
-
-
-def create_backend(
-    name: str,
-    workers: Optional[int] = None,
-    telemetry=None,
-    options: Optional[Dict[str, Any]] = None,
-) -> ExecutionBackend:
-    """Instantiate a registered backend by name.
-
-    ``options`` is the free-form ``RunOptions.backend_options`` mapping
-    (e.g. ``{"root": "/shared/queue"}`` for ``work-queue``); unknown
-    keys surface as the factory's own ``TypeError`` so typos fail loudly.
-    """
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {name!r}; "
-            f"registered: {', '.join(backend_names())}"
-        ) from None
-    return factory(
-        workers=workers,
-        telemetry=telemetry,
-        **dict(options or {}),
-    )
-
-
 __all__ = [
-    "BACKENDS",
     "BackendCapabilities",
     "BackendError",
     "BackendUnavailable",
@@ -253,8 +195,5 @@ __all__ = [
     "OUTCOME_KINDS",
     "TaskOutcome",
     "TaskSpec",
-    "backend_names",
-    "create_backend",
     "execute_task",
-    "register_backend",
 ]

@@ -24,7 +24,6 @@ from repro.backends.base import (
     TaskOutcome,
     TaskSpec,
     execute_task,
-    register_backend,
 )
 
 
@@ -82,11 +81,6 @@ class InlineBackend:
 
     def close(self) -> None:
         """Nothing to release."""
-
-
-@register_backend("inline")
-def _make_inline(workers=None, telemetry=None):
-    return InlineBackend(telemetry=telemetry)
 
 
 __all__ = ["InlineBackend"]

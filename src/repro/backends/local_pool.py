@@ -32,7 +32,6 @@ from repro.backends.base import (
     TaskOutcome,
     TaskSpec,
     execute_task,
-    register_backend,
 )
 
 
@@ -169,11 +168,6 @@ class LocalPoolBackend:
             executor.shutdown(wait=True, cancel_futures=True)
         self._pid_queue = None
         self._pids = set()
-
-
-@register_backend("local-pool")
-def _make_local_pool(workers=None, telemetry=None):
-    return LocalPoolBackend(workers=workers)
 
 
 __all__ = ["LocalPoolBackend"]

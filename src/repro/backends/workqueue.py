@@ -44,7 +44,6 @@ from repro.backends.base import (
     TaskOutcome,
     TaskSpec,
     execute_task,
-    register_backend,
 )
 from repro.runtime.cache import TraceCache
 
@@ -462,11 +461,6 @@ class WorkQueueBackend:
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
-
-
-@register_backend("work-queue")
-def _make_work_queue(workers=None, telemetry=None, **options):
-    return WorkQueueBackend(workers=workers, **options)
 
 
 __all__ = [

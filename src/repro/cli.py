@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import CampaignConfig, ClusterSpec
+from repro.options import BACKEND_NAMES
 from repro.sim.timeunits import HOUR, MINUTE
 from repro.workload.trace import Trace
 
@@ -754,11 +755,9 @@ def _parent_parsers():
              ".metrics.json snapshots) into DIR; inspect with "
              "`repro obs summary DIR`")
 
-    from repro.backends import backend_names
-
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument(
-        "--backend", choices=backend_names(), default=None,
+        "--backend", choices=BACKEND_NAMES, default=None,
         help="execution backend for simulations: inline (serial, "
              "in-process), local-pool (process pool, the default), or "
              "work-queue (filesystem queue drained by `repro worker` "

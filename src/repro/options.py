@@ -32,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: bump).
 RUN_OPTIONS_VERSION = 4
 
+#: The execution backends ``RunOptions.backend`` and ``repro campaign
+#: --backend`` accept.
+BACKEND_NAMES = ("inline", "local-pool", "work-queue")
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -53,11 +57,10 @@ class RunOptions:
         backend: Execution backend name for sweeps — ``"local-pool"``
             (process pool on this machine, the default), ``"inline"``
             (serial, in-process), ``"work-queue"`` (filesystem queue
-            drained by ``repro worker`` processes on any host), or any
-            name registered via
-            :func:`repro.backends.register_backend`.  Backends never
-            affect simulated content: traces are bit-identical across
-            all of them.
+            drained by ``repro worker`` processes on any host); any
+            other name is a ``ValueError``.  Backends never affect
+            simulated content: traces are bit-identical across all of
+            them.
         backend_options: Free-form keyword options for the backend
             factory (e.g. ``{"root": "/shared/queue"}`` for
             ``work-queue``); normalized to a plain dict.
@@ -73,10 +76,10 @@ class RunOptions:
     def __post_init__(self):
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not isinstance(self.backend, str) or not self.backend:
+        if self.backend not in BACKEND_NAMES:
             raise ValueError(
-                f"backend must be a non-empty backend name, "
-                f"got {self.backend!r}"
+                f"unknown execution backend {self.backend!r}; "
+                f"expected one of: {', '.join(BACKEND_NAMES)}"
             )
         if self.backend_options is not None and not isinstance(
             self.backend_options, dict
@@ -104,6 +107,7 @@ class RunOptions:
 DEFAULT_OPTIONS = RunOptions()
 
 __all__ = [
+    "BACKEND_NAMES",
     "DEFAULT_OPTIONS",
     "RUN_OPTIONS_VERSION",
     "RunOptions",

@@ -60,9 +60,9 @@ from repro.backends import (
     DEFAULT_BACKEND,
     ExecutionBackend,
     InlineBackend,
+    LocalPoolBackend,
     TaskOutcome,
     TaskSpec,
-    create_backend,
 )
 from repro.campaign import CampaignConfig
 from repro.obs.metrics import MetricsRegistry
@@ -73,6 +73,23 @@ from repro.resilience.retry import CircuitBreaker
 from repro.runtime.cache import TraceCache
 from repro.runtime.hashing import config_digest
 from repro.workload.trace import Trace
+
+def _work_queue(workers, telemetry, **options) -> ExecutionBackend:
+    # Imported on use: the work-queue module imports repro.runtime,
+    # which imports this module.
+    from repro.backends.workqueue import WorkQueueBackend
+
+    return WorkQueueBackend(workers=workers, **options)
+
+
+#: The three execution backends by ``RunOptions.backend`` name, each
+#: called with ``(workers, telemetry, **backend_options)``.  Only
+#: ``work-queue`` takes options; the others reject any as a TypeError.
+_BACKENDS = {
+    "inline": lambda workers, telemetry: InlineBackend(telemetry=telemetry),
+    "local-pool": lambda workers, telemetry: LocalPoolBackend(workers=workers),
+    "work-queue": _work_queue,
+}
 
 #: Registry counters the pool maintains; ``last_stats`` is rebuilt from
 #: the per-run deltas of exactly these.
@@ -274,11 +291,8 @@ class CampaignPool:
             self.backend == DEFAULT_BACKEND and (workers <= 1 or n_configs <= 1)
         ):
             return InlineBackend(telemetry=self.telemetry)
-        return create_backend(
-            self.backend,
-            workers=workers,
-            telemetry=self.telemetry,
-            options=self.backend_options,
+        return _BACKENDS[self.backend](
+            workers, self.telemetry, **self.backend_options
         )
 
     def _execute(

@@ -1,15 +1,14 @@
-"""The ``ExecutionBackend`` protocol and its registry.
+"""The ``ExecutionBackend`` protocol and the three backends that implement it.
 
-The protocol is the PR's compatibility promise: the pool only ever
-touches ``name``/``executor_label``/``capabilities`` plus the four
-methods, so anything satisfying the structural check here is a valid
-backend — including third-party ones registered at runtime.
+The pool only ever touches ``name``/``executor_label``/``capabilities``
+plus the four methods, so each backend must satisfy the structural
+check here.  ``RunOptions.backend`` names one of the three.
 """
 
 import pytest
 
+from repro import RunOptions
 from repro.backends import (
-    BACKENDS,
     BackendCapabilities,
     DEFAULT_BACKEND,
     ExecutionBackend,
@@ -18,25 +17,40 @@ from repro.backends import (
     TaskOutcome,
     TaskSpec,
     WorkQueueBackend,
-    backend_names,
-    create_backend,
     execute_task,
-    register_backend,
 )
 from repro.resilience import ChaosPolicy, WorkerKilled
+from repro.options import BACKEND_NAMES
 from repro.runtime import config_digest, trace_digest
+from repro.runtime.pool import _BACKENDS
 
 
-def test_builtin_backends_are_registered():
-    assert backend_names() == ["inline", "local-pool", "work-queue"]
-    assert DEFAULT_BACKEND in BACKENDS
+def test_builtin_backends_are_registered(tmp_path):
+    assert BACKEND_NAMES == ("inline", "local-pool", "work-queue")
+    assert DEFAULT_BACKEND in BACKEND_NAMES
+    assert sorted(_BACKENDS) == list(BACKEND_NAMES)
+    # Each name builds its own backend; only work-queue takes options.
+    backends = [
+        _BACKENDS["inline"](None, None),
+        _BACKENDS["local-pool"](1, None),
+        _BACKENDS["work-queue"](None, None, root=tmp_path, embedded=False),
+    ]
+    try:
+        assert [b.name for b in backends] == list(BACKEND_NAMES)
+        with pytest.raises(TypeError):
+            _BACKENDS["local-pool"](1, None, root=tmp_path)
+    finally:
+        for backend in backends:
+            backend.close()
 
 
-def test_create_backend_unknown_name_lists_registered():
+def test_unknown_backend_name_lists_the_three():
+    # Rejected when the options are built, before any dispatch (a sweep
+    # whose every config is a cache hit never dispatches).
     with pytest.raises(ValueError, match="unknown execution backend"):
-        create_backend("teleport")
+        RunOptions(backend="teleport")
     with pytest.raises(ValueError, match="inline, local-pool, work-queue"):
-        create_backend("teleport")
+        RunOptions(backend="teleport")
 
 
 def test_instances_satisfy_the_structural_protocol(tmp_path):
@@ -78,39 +92,6 @@ def test_ok_outcome_requires_a_trace():
         TaskOutcome(index=0, digest="d", kind="ok")
     # Non-ok kinds are fine without one.
     TaskOutcome(index=0, digest="d", kind="lost", error="worker died")
-
-
-def test_register_backend_shadows_and_restores():
-    @register_backend("inline")
-    class _Fake:
-        name = "inline"
-        executor_label = "fake"
-        capabilities = BackendCapabilities(serial=True)
-
-        def __init__(self, workers=None, telemetry=None):
-            pass
-
-        def submit_wave(self, tasks):
-            return tasks
-
-        def poll(self, handle, timeout_s=None):
-            return []
-
-        def kill(self):
-            pass
-
-        def close(self):
-            pass
-
-    try:
-        backend = create_backend("inline")
-        assert backend.executor_label == "fake"
-        assert isinstance(backend, ExecutionBackend)
-    finally:
-        from repro.backends.inline import _make_inline
-
-        register_backend("inline")(_make_inline)
-    assert create_backend("inline").executor_label == "inline"
 
 
 def test_execute_task_is_the_shared_worker_body(tiny_configs, tiny_digests):

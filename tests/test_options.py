@@ -66,10 +66,15 @@ def test_backend_field_defaults():
 
 
 def test_backend_field_validation():
-    with pytest.raises(ValueError, match="non-empty backend name"):
+    with pytest.raises(ValueError, match="inline, local-pool, work-queue"):
         RunOptions(backend="")
-    with pytest.raises(ValueError, match="non-empty backend name"):
+    with pytest.raises(ValueError, match="inline, local-pool, work-queue"):
         RunOptions(backend=3)
+    with pytest.raises(ValueError, match="unknown execution backend 'locl-pool'"):
+        RunOptions(backend="locl-pool")
+    # The sweep layer's spelling keeps working.
+    opts = RunOptions(backend="local-pool", workers=2, cache=False)
+    assert (opts.backend, opts.workers, opts.cache) == ("local-pool", 2, False)
 
 
 def test_backend_options_normalized_to_plain_dict():

@@ -40,7 +40,6 @@ REPRO_ALL = [
     "WorkQueueBackend",
     "WorkloadProfile",
     "__version__",
-    "create_backend",
     "rsc1_profile",
     "rsc2_profile",
     "run_campaign",
@@ -49,7 +48,6 @@ REPRO_ALL = [
 ]
 
 BACKENDS_ALL = [
-    "BACKENDS",
     "BackendCapabilities",
     "BackendError",
     "BackendUnavailable",
@@ -61,11 +59,8 @@ BACKENDS_ALL = [
     "TaskOutcome",
     "TaskSpec",
     "WorkQueueBackend",
-    "backend_names",
-    "create_backend",
     "drain_queue",
     "execute_task",
-    "register_backend",
 ]
 
 RESILIENCE_ALL = [
@@ -120,7 +115,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_lazy_exports_match_their_home_modules():
-    from repro.backends import ExecutionBackend, create_backend
+    from repro.backends import ExecutionBackend
     from repro.live.analytics import LiveAnalytics
     from repro.obs.telemetry import Telemetry
     from repro.resilience import ChaosPolicy
@@ -133,7 +128,6 @@ def test_lazy_exports_match_their_home_modules():
     assert repro.Telemetry is Telemetry
     assert repro.ChaosPolicy is ChaosPolicy
     assert repro.ExecutionBackend is ExecutionBackend
-    assert repro.create_backend is create_backend
 
 
 def test_run_options_is_frozen():
