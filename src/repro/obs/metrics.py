@@ -21,7 +21,7 @@ import json
 import math
 import os
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -174,22 +174,17 @@ class Timer:
             pool.run(configs)
     """
 
-    def __init__(
-        self,
-        histogram: Histogram,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
+    def __init__(self, histogram: Histogram):
         self._histogram = histogram
-        self._clock = clock
         self._start: Optional[float] = None
         self.elapsed: Optional[float] = None
 
     def __enter__(self) -> "Timer":
-        self._start = self._clock()
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = self._clock() - self._start
+        self.elapsed = time.perf_counter() - self._start
         self._histogram.observe(self.elapsed)
 
 

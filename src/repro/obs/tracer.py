@@ -28,7 +28,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,6 @@ class Tracer:
         self,
         sink: Optional[object] = None,
         enabled: Optional[bool] = None,
-        clock: Callable[[], float] = time.perf_counter,
     ):
         self.sink = sink if sink is not None else NullSink()
         if enabled is None:
@@ -148,7 +147,6 @@ class Tracer:
         #: and is surfaced in metrics snapshots and ``repro obs summary``.
         self.self_disabled = False
         self._consecutive_sink_errors = 0
-        self._clock = clock
 
     def emit(
         self, category: str, label: str, sim_time: float, **attrs: Any
@@ -164,7 +162,7 @@ class Tracer:
             return None
         event = ObsEvent(
             sim_time=float(sim_time),
-            wall_time=self._clock(),
+            wall_time=time.perf_counter(),
             category=category,
             label=label,
             attrs=attrs,
