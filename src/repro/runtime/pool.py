@@ -155,7 +155,7 @@ class CampaignPool:
                 is always derived from registry counters.
         """
         opts = options if options is not None else RunOptions()
-        self.backend = opts.backend or DEFAULT_BACKEND
+        self.backend = opts.backend
         self.backend_options = dict(opts.backend_options or {})
         self.max_workers = opts.workers
         self.resilience = opts.resilience or DEFAULT_RESILIENCE

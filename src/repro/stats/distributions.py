@@ -82,10 +82,10 @@ def truncated_lognormal(
 
     Each round draws 8 values and keeps the first inside the range;
     after 100 empty rounds one more draw is clipped into range, so
-    pathological bounds cannot hang.  This is the value and the stream
-    use of the rejection sampler the workload profiles were calibrated
-    with (``tests/property/test_sampler_properties.py`` keeps it as the
-    reference).
+    pathological bounds cannot hang.  It returns the value, and consumes
+    the stream, of the rejection sampler the workload profiles were
+    calibrated with (``tests/property/test_sampler_properties.py`` keeps
+    that sampler as the reference).
     """
     for _round in range(100):
         for value in rng.lognormal(mu, sigma, size=8).tolist():
