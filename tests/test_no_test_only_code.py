@@ -273,17 +273,12 @@ def test_method_scan_on_a_synthetic_tree(tmp_path):
     root = _tree(tmp_path, SYNTHETIC)
     # ``called`` (from src) and ``from_example`` are used; ``recursive``
     # is referenced only inside its own body, ``tested`` only by a test.
-    assert unused_public_methods(root) == ["Store.recursive", "Store.tested"]
-    assert unexpected(unused_public_methods(root), {}) == [
-        "Store.recursive",
-        "Store.tested",
-    ]
+    unused = unused_public_methods(root)
+    assert unused == ["Store.recursive", "Store.tested"]
+    assert unexpected(unused, {"Store.tested": "a reason"}) == ["Store.recursive"]
     allowed = {"Store.recursive": "a reason", "Store.tested": "a reason"}
-    assert unexpected(unused_public_methods(root), allowed) == []
-    assert stale(unused_public_methods(root), public_methods(root), allowed) == (
-        [],
-        [],
-    )
+    assert unexpected(unused, allowed) == []
+    assert stale(unused, public_methods(root), allowed) == ([], [])
 
 
 def test_stale_method_entries_fail_on_a_synthetic_tree(tmp_path):
