@@ -32,7 +32,6 @@ from repro.backends.base import (
     BackendCapabilities,
     BackendError,
     BackendUnavailable,
-    DEFAULT_BACKEND,
     ExecutionBackend,
     OUTCOME_KINDS,
     TaskOutcome,
@@ -42,6 +41,7 @@ from repro.backends.base import (
 from repro.backends.inline import InlineBackend
 from repro.backends.local_pool import LocalPoolBackend
 from repro.backends.workqueue import WorkQueueBackend, drain_queue
+from repro.options import DEFAULT_BACKEND
 
 __all__ = [
     "BackendCapabilities",

@@ -45,9 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.resilience.chaos import ChaosPolicy
     from repro.workload.trace import Trace
 
-#: The default backend name everywhere one is not chosen explicitly —
-#: today's process-pool behavior.
-DEFAULT_BACKEND = "local-pool"
 
 #: Outcome kinds a backend may report (see module docstring).
 OUTCOME_KINDS = ("ok", "error", "lost", "timeout")
@@ -190,7 +187,6 @@ __all__ = [
     "BackendCapabilities",
     "BackendError",
     "BackendUnavailable",
-    "DEFAULT_BACKEND",
     "ExecutionBackend",
     "OUTCOME_KINDS",
     "TaskOutcome",

@@ -225,11 +225,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         cache = TraceCache(args.resume, enabled=True)
     else:
         cache = None if args.no_cache else TraceCache()
+    chosen = {} if args.backend is None else {"backend": args.backend}
     options = RunOptions(
         workers=args.workers,
         cache=False if cache is None else cache,
-        backend=getattr(args, "backend", None) or "local-pool",
         backend_options=backend_options or None,
+        **chosen,
     )
     multi = len(seeds) > 1
     if args.telemetry:

@@ -36,6 +36,9 @@ RUN_OPTIONS_VERSION = 4
 #: --backend`` accept.
 BACKEND_NAMES = ("inline", "local-pool", "work-queue")
 
+#: The backend wherever none is chosen: the process pool on this machine.
+DEFAULT_BACKEND = "local-pool"
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -70,7 +73,7 @@ class RunOptions:
     cache: Union["TraceCache", bool, None] = None
     workers: Optional[int] = None
     resilience: Optional["ResilienceConfig"] = None
-    backend: str = "local-pool"
+    backend: str = DEFAULT_BACKEND
     backend_options: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self):

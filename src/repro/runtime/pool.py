@@ -57,7 +57,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.backends import (
     BackendError,
     BackendUnavailable,
-    DEFAULT_BACKEND,
     ExecutionBackend,
     InlineBackend,
     LocalPoolBackend,
@@ -67,7 +66,7 @@ from repro.backends import (
 from repro.campaign import CampaignConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import maybe_span
-from repro.options import RunOptions
+from repro.options import DEFAULT_BACKEND, RunOptions
 from repro.resilience.config import DEFAULT_RESILIENCE
 from repro.resilience.retry import CircuitBreaker
 from repro.runtime.cache import TraceCache

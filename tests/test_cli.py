@@ -255,6 +255,28 @@ def test_campaign_backend_inline(tmp_path):
     assert out.exists()
 
 
+def test_campaign_without_backend_uses_the_run_options_default(
+    tmp_path, monkeypatch
+):
+    import repro.runtime
+    from repro.options import RunOptions
+
+    built = []
+
+    class RecordingPool(repro.runtime.CampaignPool):
+        def __init__(self, options):
+            built.append(options)
+            super().__init__(options=options)
+
+    monkeypatch.setattr(repro.runtime, "CampaignPool", RecordingPool)
+    code = main(
+        ["campaign", "--nodes", "8", "--days", "2", "--no-cache",
+         "--out", str(tmp_path / "t.jsonl")]
+    )
+    assert code == 0
+    assert [options.backend for options in built] == [RunOptions().backend]
+
+
 def test_campaign_backend_work_queue_sweep(tmp_path):
     code = main(
         ["campaign", "--nodes", "8", "--days", "2", "--seeds", "0,1",
