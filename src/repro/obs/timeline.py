@@ -29,10 +29,9 @@ ticket (drain resolved by the untracked-repair path) or whose ticket is
 still open at trace end are reported as unresolved and excluded from
 stage aggregates.
 
-Reconstruction is pure reading: it never mutates the trace and works on
-any saved trace, including ones recorded before ``incident_id`` was
-added to the remediation events (a node-and-time fallback match covers
-those).
+Reconstruction is pure reading: it never mutates the trace.  A ticket
+joins its incident by the ``incident_id`` every remediation event
+carries.
 """
 
 import json
@@ -271,9 +270,6 @@ def reconstruct_timeline(trace) -> IncidentTimeline:
         span_seconds=trace.span_seconds,
     )
     by_id: Dict[int, IncidentRecord] = {}
-    #: node_id -> incident ids in occurrence order (fallback matching for
-    #: events recorded before incident_id reached the remediation data).
-    by_node: Dict[int, List[int]] = {}
     open_tickets: Dict[int, IncidentRecord] = {}  # ticket_id -> incident
     for event in trace.events:
         kind = event.kind
@@ -291,7 +287,6 @@ def reconstruct_timeline(trace) -> IncidentTimeline:
                 occurred_at=event.time,
             )
             by_id[incident_id] = record
-            by_node.setdefault(record.node_id, []).append(incident_id)
             timeline.incidents.append(record)
         elif kind in ("health.check_failed", "health.node_fail_heartbeat"):
             incident_id = data.get("incident_id", -1)
@@ -306,7 +301,10 @@ def reconstruct_timeline(trace) -> IncidentTimeline:
                     else f"check:{data.get('check', 'unknown')}"
                 )
         elif kind == "remediation.ticket_opened":
-            record = _match_ticket(event, data, by_id, by_node)
+            incident_id = data.get("incident_id")
+            if incident_id is None:
+                continue
+            record = by_id.get(int(incident_id))
             if record is None:
                 continue
             record.ticket_opened_at = event.time
@@ -342,32 +340,6 @@ def reconstruct_timeline(trace) -> IncidentTimeline:
             record.jobs_requeued += 1
     timeline.incidents.sort(key=lambda i: (i.occurred_at, i.incident_id))
     return timeline
-
-
-def _match_ticket(
-    event, data, by_id: Dict[int, IncidentRecord], by_node: Dict[int, List[int]]
-) -> Optional[IncidentRecord]:
-    """Find the incident a ticket belongs to.
-
-    Prefers the event's ``incident_id``; traces recorded before that
-    field existed fall back to the latest still-unticketed incident on
-    the same node that occurred at or before the ticket.
-    """
-    incident_id = data.get("incident_id")
-    if incident_id is not None:
-        return by_id.get(int(incident_id))
-    node_id = data.get("node_id")
-    if node_id is None:
-        return None
-    best: Optional[IncidentRecord] = None
-    for candidate_id in by_node.get(int(node_id), ()):
-        candidate = by_id[candidate_id]
-        if (
-            candidate.ticket_opened_at is None
-            and candidate.occurred_at <= event.time
-        ):
-            best = candidate  # latest qualifying occurrence wins
-    return best
 
 
 __all__ = [

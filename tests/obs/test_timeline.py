@@ -117,31 +117,6 @@ def test_backdated_incident_clamps_milestones():
     assert sum(stages.values()) == record.downtime_s == 400.0
 
 
-def test_ticket_fallback_matches_by_node_and_time():
-    # Traces recorded before incident_id reached remediation events.
-    log = EventLog()
-    log.emit(
-        10.0, "cluster.incident", "node-3", node_id=3, incident_id=0,
-        component="gpu", failure_class="xid", severity=1,
-        attributed=True, immediate=True,
-    )
-    log.emit(
-        20.0, "remediation.ticket_opened", "node-3", node_id=3,
-        ticket_id=1,  # no incident_id
-    )
-    log.emit(
-        50.0, "remediation.ticket_closed", "node-3", node_id=3, ticket_id=1,
-    )
-    trace = Trace(
-        cluster_name="legacy", n_nodes=4, n_gpus=32, start=0.0, end=100.0,
-        job_records=[], node_records=[], events=list(log), metadata={},
-    )
-    timeline = reconstruct_timeline(trace)
-    (incident,) = timeline.incidents
-    assert incident.ticket_id == 1
-    assert incident.recovered_at == 50.0
-
-
 def test_stage_stats_and_render():
     timeline = reconstruct_timeline(_synthetic_trace())
     stats = timeline.stage_stats()
