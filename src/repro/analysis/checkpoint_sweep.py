@@ -24,9 +24,6 @@ class CheckpointSweep:
     grid: Dict[Tuple[float, float], float]
     required: Dict[Tuple[float, float], float]  # (rf, target) -> dt seconds
 
-    def ettr_at(self, rf: float, interval: float) -> float:
-        return self.grid[(float(rf), float(interval))]
-
     def render(self) -> str:
         headers = ["rf (/1k nd)"] + [
             f"dt={dt / 60:.0f}m" for dt in self.intervals

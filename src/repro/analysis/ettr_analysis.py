@@ -73,17 +73,14 @@ class ETTRComparison:
 
 def ettr_comparison(
     trace: Trace,
-    assumptions: Optional[ETTRAssumptions] = None,
     min_total_runtime: float = 24 * HOUR,
     qos: Optional[QosTier] = QosTier.HIGH,
     min_runs_per_bucket: int = 2,
-    use_ground_truth: bool = True,
 ) -> ETTRComparison:
     """Compute Fig. 9 by folding the trace's job records through an
     :class:`ETTRForecaster`, with r_f from an MTTF fold pinned to Fig. 7's
     floor, ``core.mttf.rf_floor``."""
-    if assumptions is None:
-        assumptions = ETTRAssumptions()
+    assumptions = ETTRAssumptions()
     forecaster = ETTRForecaster(
         checkpoint_interval=assumptions.checkpoint_interval,
         restart_overhead=assumptions.restart_overhead,
@@ -98,7 +95,7 @@ def ettr_comparison(
             "no job runs pass the Fig. 9 cohort filter; relax "
             "min_total_runtime or qos"
         )
-    rf = fold_mttf(trace, use_ground_truth).failure_rate().rate
+    rf = fold_mttf(trace, use_ground_truth=True).failure_rate().rate
     return ETTRComparison(
         cluster_name=trace.cluster_name,
         buckets=[ETTRBucket(**row) for row in forecaster.comparison(rf)],

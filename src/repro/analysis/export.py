@@ -156,7 +156,7 @@ def timeline_rows(result: FailureRateTimeline) -> Rows:
     return headers, rows
 
 
-def export_all(trace, out_dir, profile=None) -> Dict[str, Path]:
+def export_all(trace, out_dir) -> Dict[str, Path]:
     """Export every figure's data for one trace; returns written paths."""
     from repro.analysis import (
         ettr_comparison,
@@ -185,7 +185,7 @@ def export_all(trace, out_dir, profile=None) -> Dict[str, Path]:
     )
     emit(
         "fig6_job_sizes",
-        *job_sizes_rows(job_size_distribution(trace, profile)),
+        *job_sizes_rows(job_size_distribution(trace)),
     )
     emit("fig7_mttf", *mttf_rows(mttf_analysis(trace)))
     emit("fig8_goodput", *goodput_rows(goodput_loss_analysis(trace)))

@@ -83,7 +83,7 @@ def fold_mttf(trace: Trace, use_ground_truth: bool) -> OnlineMTTFEstimator:
     return estimator
 
 
-def mttf_analysis(trace: Trace, use_ground_truth: bool = True) -> MTTFAnalysis:
+def mttf_analysis(trace: Trace) -> MTTFAnalysis:
     """Compute Fig. 7 by folding the trace's job records.
 
     r_f counts jobs above 128 GPUs; for scaled-down campaigns whose
@@ -92,7 +92,7 @@ def mttf_analysis(trace: Trace, use_ground_truth: bool = True) -> MTTFAnalysis:
     """
     if not trace.job_records:
         raise ValueError("trace has no job records")
-    estimator = fold_mttf(trace, use_ground_truth)
+    estimator = fold_mttf(trace, use_ground_truth=True)
     rate = estimator.failure_rate()
     return MTTFAnalysis(
         cluster_name=trace.cluster_name,

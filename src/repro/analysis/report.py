@@ -41,9 +41,10 @@ def render_table(
 def render_bars(
     values: Dict[object, float],
     title: Optional[str] = None,
-    width: int = 50,
 ) -> str:
-    """Render a horizontal bar chart (one bar per key)."""
+    """Render a horizontal bar chart (one bar per key), 50 characters
+    for the largest value."""
+    width = 50
     if not values:
         raise ValueError("no values to render")
     max_value = max(values.values())
@@ -66,11 +67,11 @@ def render_series(
     x_label: str = "x",
     y_label: str = "y",
     title: Optional[str] = None,
-    max_rows: int = 40,
 ) -> str:
-    """Render an (x, y) series as a two-column table, downsampled."""
+    """Render an (x, y) series as a two-column table, downsampled to
+    about 40 rows."""
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
-    step = max(1, len(x) // max_rows)
+    step = max(1, len(x) // 40)
     rows = [(float(x[i]), float(y[i])) for i in range(0, len(x), step)]
     return render_table([x_label, y_label], rows, title=title)

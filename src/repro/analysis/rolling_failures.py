@@ -8,7 +8,7 @@ episodic regimes (driver bug, mount wave, IB-link spike).
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -34,36 +34,30 @@ class FailureRateTimeline:
         cls,
         cluster_name: str,
         estimator: RollingFailureRateEstimator,
-        window_days: Optional[float] = None,
+        window_days: float,
     ) -> "FailureRateTimeline":
-        """The series finalized so far by ``estimator``.
-
-        ``window_days`` defaults to the estimator's window converted back
-        to days; a caller that chose the window in days passes it as is.
-        """
+        """The series finalized so far by ``estimator``, whose window the
+        caller chose as ``window_days`` (passed as is, not converted back
+        from seconds)."""
         return cls(
             cluster_name=cluster_name,
             times_days=estimator.times_days(),
             overall=estimator.overall_series(),
             by_component=estimator.component_series(),
             check_introductions=estimator.check_introductions(),
-            window_days=(
-                estimator.window_days if window_days is None else window_days
-            ),
+            window_days=window_days,
         )
 
-    def render(self, component: str = None) -> str:
-        series = self.overall if component is None else self.by_component[component]
-        label = component or "all"
+    def render(self) -> str:
         marks = ", ".join(
             f"{name}@day{day:.0f}" for name, day in self.check_introductions.items()
         )
         return (
             render_series(
                 self.times_days,
-                series,
+                self.overall,
                 x_label="day",
-                y_label=f"failures/1k node-days ({label})",
+                y_label="failures/1k node-days (all)",
                 title=f"Fig. 5 — failure rate evolution ({self.cluster_name})",
             )
             + (f"\ncheck introductions: {marks}" if marks else "")
@@ -76,11 +70,7 @@ def default_window_days(span_seconds: float) -> float:
     return max(1.0, span_seconds / DAY * (30.0 / 330.0))
 
 
-def failure_rate_timeline(
-    trace: Trace,
-    window_days: float = None,
-    step_days: float = 1.0,
-) -> FailureRateTimeline:
+def failure_rate_timeline(trace: Trace) -> FailureRateTimeline:
     """Compute Fig. 5 by folding the trace's events.
 
     Failure events are ``cluster.incident`` records — the deduplicated,
@@ -88,11 +78,10 @@ def failure_rate_timeline(
     overlapping checks fired); check introductions are the first
     ``health.check_failed`` firings in stream order.
     """
-    if window_days is None:
-        window_days = default_window_days(trace.span_seconds)
+    window_days = default_window_days(trace.span_seconds)
     estimator = RollingFailureRateEstimator(
         window=window_days * DAY,
-        step=step_days * DAY,
+        step=DAY,
         exposure_per_time=trace.n_nodes / DAY / 1000.0,
     )
     for event in trace.events:

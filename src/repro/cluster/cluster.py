@@ -33,7 +33,10 @@ from repro.cluster.health import (
     default_health_checks,
 )
 from repro.cluster.node import Node, NodeState
-from repro.cluster.remediation import RemediationWorkflow
+from repro.cluster.remediation import (
+    TRANSIENT_REPAIR_MEDIAN,
+    RemediationWorkflow,
+)
 from repro.core.indices import SortedIntSet
 from repro.sim.engine import Engine
 from repro.sim.events import EventLog
@@ -362,7 +365,7 @@ class Cluster:
                 node.enter_remediation()
                 node.counters.out_count += 1
                 self.engine.schedule_after(
-                    self.remediation.transient_repair_median,
+                    TRANSIENT_REPAIR_MEDIAN,
                     lambda n=node: self._finish_untracked_repair(n),
                     label=f"drain-repair:{node_id}",
                 )

@@ -34,6 +34,10 @@ from repro.sim.timeunits import MINUTE
 
 CHECK_PERIOD = 5 * MINUTE
 
+#: Uniform range of the delay before a failure no check covers is
+#: detected by its missed heartbeats.
+HEARTBEAT_LATENCY = (1 * MINUTE, 10 * MINUTE)
+
 
 class CheckSeverity(enum.IntEnum):
     """Ordered severity; higher values preempt lower ones in attribution."""
@@ -169,7 +173,6 @@ class HealthMonitor:
         checks: Sequence[HealthCheck],
         rng: np.random.Generator,
         event_log: Optional[EventLog] = None,
-        heartbeat_latency: Tuple[float, float] = (1 * MINUTE, 10 * MINUTE),
         telemetry=None,
     ):
         if not checks:
@@ -180,7 +183,6 @@ class HealthMonitor:
             raise ValueError("duplicate health-check names")
         self._rng = rng
         self.event_log = event_log if event_log is not None else EventLog()
-        self._heartbeat_latency = heartbeat_latency
         self._incident_seq = itertools.count()
         #: obs.Telemetry bundle; check outcomes are traced when enabled.
         self.telemetry = telemetry
@@ -222,7 +224,7 @@ class HealthMonitor:
         if results:
             detection_time = min(r.time for r in results)
             return results, detection_time, False
-        lo, hi = self._heartbeat_latency
+        lo, hi = HEARTBEAT_LATENCY
         detection_time = t + self._rng.uniform(lo, hi)
         self.event_log.emit(
             detection_time,

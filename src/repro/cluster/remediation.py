@@ -29,8 +29,11 @@ from repro.sim.events import EventLog
 from repro.sim.timeunits import HOUR, DAY
 
 #: Median repair time of a permanent failure (vendor repair or a part
-#: swap); transient failures use the workflow's ``transient_repair_median``.
+#: swap).
 PERMANENT_REPAIR_MEDIAN = 2 * DAY
+
+#: Median repair time of a transient failure.
+TRANSIENT_REPAIR_MEDIAN = 4 * HOUR
 #: Log-space spread of the lognormal repair durations.
 REPAIR_SIGMA = 0.6
 
@@ -75,16 +78,12 @@ class RemediationWorkflow:
         nodes: Dict[int, Node],
         rng: np.random.Generator,
         event_log: Optional[EventLog] = None,
-        transient_repair_median: float = 4 * HOUR,
         on_node_restored: Optional[Callable[[Node], None]] = None,
     ):
-        if transient_repair_median <= 0:
-            raise ValueError("transient_repair_median must be positive")
         self.engine = engine
         self.nodes = nodes
         self._rng = rng
         self.event_log = event_log if event_log is not None else EventLog()
-        self.transient_repair_median = transient_repair_median
         self.on_node_restored = on_node_restored
         self.tickets: List[RepairTicket] = []
         self._ticket_seq = itertools.count()
@@ -108,7 +107,7 @@ class RemediationWorkflow:
         )
         self.tickets.append(ticket)
         median = (
-            self.transient_repair_median
+            TRANSIENT_REPAIR_MEDIAN
             if incident.failure_class is FailureClass.TRANSIENT
             else PERMANENT_REPAIR_MEDIAN
         )

@@ -88,13 +88,9 @@ class FailureAttributor:
     concatenated in ``node_ids`` order (time order within a node).
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        policy: Optional[AttributionPolicy] = None,
-    ):
+    def __init__(self, trace: Trace):
         self.trace = trace
-        self.policy = policy if policy is not None else AttributionPolicy()
+        self.policy = AttributionPolicy()
         self._memo_all: Optional[List[AttributedFailure]] = None
         self._build_index()
 

@@ -3,20 +3,17 @@
 Fig. 10 asks: at 100k-GPU scale, what (failure rate, checkpoint interval)
 pairs achieve a given expected ETTR?  Using Eq. 2 —
 ``E[ETTR] = 1 - N r_f (u0 + dt/2)`` — the required interval solves in
-closed form; the full Eq. 1 version is inverted numerically for scenarios
-where queueing matters.  The paper assumes non-blocking checkpoint
+closed form.  The paper assumes non-blocking checkpoint
 writes, in which case smaller dt is strictly better down to the write
 cadence the storage can absorb; :mod:`repro.storage.checkpointing` prices
 blocking writes.
 """
 
-import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.components import GPUS_PER_NODE
-from repro.core.ettr import ETTRParameters, expected_ettr
 from repro.sim.timeunits import DAY, MINUTE
 
 
@@ -25,10 +22,8 @@ def required_checkpoint_interval(
     n_nodes: int,
     failure_rate_per_node_day: float,
     restart_overhead: float = 5 * MINUTE,
-    queue_time: float = 0.0,
-    use_full_model: bool = False,
 ) -> float:
-    """Checkpoint interval (seconds) achieving ``target_ettr``.
+    """Checkpoint interval (seconds) achieving ``target_ettr`` under Eq. 2.
 
     Returns ``inf`` when any interval works (failure-free limit) and raises
     when no positive interval can reach the target (restart overhead alone
@@ -40,48 +35,15 @@ def required_checkpoint_interval(
     lam = n_nodes * failure_rate_per_node_day / DAY  # failures per second
     if lam == 0:
         return float("inf")
-    if not use_full_model:
-        # Eq. 2 inverted: dt = 2 ((1 - ettr)/(N r) - u0).
-        dt = 2 * ((1 - target_ettr) / lam - restart_overhead)
-        if dt <= 0:
-            raise ValueError(
-                f"target ETTR {target_ettr} unreachable: restart overhead "
-                f"({restart_overhead:.0f}s) alone exceeds the failure budget "
-                f"at MTTF {1 / lam:.0f}s"
-            )
-        return dt
-
-    # Full model: E[ETTR](dt) is monotone decreasing in dt; bisect.
-    def ettr_at(dt: float) -> float:
-        params = ETTRParameters(
-            n_nodes=n_nodes,
-            failure_rate_per_node_day=failure_rate_per_node_day,
-            checkpoint_interval=dt,
-            restart_overhead=restart_overhead,
-            queue_time=queue_time,
-        )
-        try:
-            return expected_ettr(params)
-        except ValueError:
-            return 0.0  # outside validity region -> no progress
-
-    lo, hi = 1.0, 30 * DAY
-    if ettr_at(lo) < target_ettr:
+    # Eq. 2 inverted: dt = 2 ((1 - ettr)/(N r) - u0).
+    dt = 2 * ((1 - target_ettr) / lam - restart_overhead)
+    if dt <= 0:
         raise ValueError(
-            f"target ETTR {target_ettr} unreachable even at 1-second "
-            "checkpointing; reduce restart overhead or failure rate"
+            f"target ETTR {target_ettr} unreachable: restart overhead "
+            f"({restart_overhead:.0f}s) alone exceeds the failure budget "
+            f"at MTTF {1 / lam:.0f}s"
         )
-    if ettr_at(hi) >= target_ettr:
-        return float("inf")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)  # log-space bisection
-        if ettr_at(mid) >= target_ettr:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0001:
-            break
-    return lo
+    return dt
 
 
 def ettr_checkpoint_grid(

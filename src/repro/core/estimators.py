@@ -56,9 +56,9 @@ def _require(condition: bool, message: str) -> None:
 class RollingFailureRateEstimator:
     """Trailing-window incident rates on the Fig. 5 grid, online.
 
-    Grid point ``t_i = start + i*step`` (the values of
-    ``np.arange(start, end + step/2, step)``) finalizes once the
-    watermark passes ``t_i + allowed_lateness``; the rate is
+    Grid point ``t_i = i*step`` (the values of
+    ``np.arange(0, end + step/2, step)``) finalizes once the watermark
+    passes ``t_i + window``; the rate is
     ``#incidents in (t_i - window, t_i] / (window * exposure)``.
     Incident times older than the next grid point's window are evicted,
     so live memory is O(window incidents), not O(campaign).  A batch
@@ -68,9 +68,9 @@ class RollingFailureRateEstimator:
     carry the incident's true occurrence time but are appended to the
     event log at the moment a health check detects them, minutes later.
     The stream therefore delivers them after the watermark may already
-    have passed their timestamp.  ``allowed_lateness`` (default: one
-    window) holds each grid point open long enough for every backdated
-    event to land; pending times are kept sorted under ``insort``, so
+    have passed their timestamp.  Each grid point stays open for one
+    window past its time, long enough for every backdated event to
+    land; pending times are kept sorted under ``insort``, so
     the arrival order of backdated events cannot change a count.  An
     event that arrives after its grid point finalized anyway is counted
     in :attr:`late_events` — the cross-validation tests assert it stays
@@ -82,8 +82,6 @@ class RollingFailureRateEstimator:
         window: float,
         step: float,
         exposure_per_time: float,
-        start: float = 0.0,
-        allowed_lateness: Optional[float] = None,
     ):
         _require(window > 0, f"window must be positive, got {window}")
         _require(step > 0, f"step must be positive, got {step}")
@@ -91,13 +89,6 @@ class RollingFailureRateEstimator:
         self.window = float(window)
         self.step = float(step)
         self.exposure_per_time = float(exposure_per_time)
-        self.start = float(start)
-        self.lateness = (
-            float(allowed_lateness)
-            if allowed_lateness is not None
-            else self.window
-        )
-        _require(self.lateness >= 0, "allowed_lateness must be >= 0")
         self.late_events = 0
         self._grid_index = 0  # next grid point to finalize
         # overall + per-component pending incident times (ascending)
@@ -116,8 +107,8 @@ class RollingFailureRateEstimator:
             if self._grid_index > 0 and event.time <= self.grid_time(
                 self._grid_index - 1
             ):
-                # A finalized point should have counted this; raise the
-                # allowed lateness if this ever fires.
+                # A finalized point should have counted this; widen the
+                # lateness if this ever fires.
                 self.late_events += 1
             insort(self._times, event.time)
             component = event.data.get("component", "?")
@@ -136,7 +127,7 @@ class RollingFailureRateEstimator:
     # -- watermark advancement -----------------------------------------
     def grid_time(self, index: int) -> float:
         """The ``np.arange`` value for grid slot ``index``."""
-        return self.start + index * self.step
+        return index * self.step
 
     def _finalize_one(self) -> None:
         t = self.grid_time(self._grid_index)
@@ -170,20 +161,18 @@ class RollingFailureRateEstimator:
     def advance(self, watermark: float) -> None:
         """Finalize every grid point the watermark has safely cleared.
 
-        A point ``t`` finalizes only once ``t + lateness < watermark``
+        A point ``t`` finalizes only once ``t + window < watermark``
         (strict, since items share timestamps): events at or before
-        ``t`` may still be in flight up to ``lateness`` behind the
+        ``t`` may still be in flight up to one window behind the
         watermark (backdated incidents — see the class docstring).
         """
-        while self.grid_time(self._grid_index) + self.lateness < watermark:
+        while self.grid_time(self._grid_index) + self.window < watermark:
             self._finalize_one()
 
     def finish(self, end: float) -> None:
-        """Flush the remaining grid, matching ``np.arange(start, end +
+        """Flush the remaining grid, matching ``np.arange(0, end +
         step/2, step)``'s point count exactly."""
-        n_points = max(
-            0, math.ceil((end + self.step / 2 - self.start) / self.step)
-        )
+        n_points = max(0, math.ceil((end + self.step / 2) / self.step))
         _require(
             self._grid_index <= n_points,
             "watermark advanced beyond the stream end",
@@ -229,8 +218,6 @@ class RollingFailureRateEstimator:
             "window": self.window,
             "step": self.step,
             "exposure_per_time": self.exposure_per_time,
-            "start": self.start,
-            "allowed_lateness": self.lateness,
             "late_events": self.late_events,
             "grid_index": self._grid_index,
             "times": list(self._times),
@@ -248,8 +235,6 @@ class RollingFailureRateEstimator:
             window=state["window"],
             step=state["step"],
             exposure_per_time=state["exposure_per_time"],
-            start=state["start"],
-            allowed_lateness=state["allowed_lateness"],
         )
         est.late_events = int(state["late_events"])
         est._grid_index = int(state["grid_index"])
@@ -282,14 +267,15 @@ class OnlineMTTFEstimator:
     order; the batch figures pin it.
     """
 
+    #: Two-sided level of the Gamma intervals (the paper's Fig. 7: 90%).
+    CONFIDENCE = 0.90
+
     def __init__(
         self,
         use_ground_truth: bool = True,
-        confidence: float = 0.90,
         rf_min_gpus: Optional[int] = None,
     ):
         self.use_ground_truth = use_ground_truth
-        self.confidence = float(confidence)
         self.rf_min_gpus = rf_min_gpus
         # size bucket -> [n_records, failures, runtime_hours]
         self._buckets: Dict[int, List[float]] = {}
@@ -343,7 +329,7 @@ class OnlineMTTFEstimator:
                     failures=int(failures),
                     runtime_hours=hours,
                     estimate=estimate_rate(
-                        int(failures), hours, confidence=self.confidence
+                        int(failures), hours, confidence=self.CONFIDENCE
                     ),
                 )
             )
@@ -361,12 +347,11 @@ class OnlineMTTFEstimator:
             return self.rf_min_gpus
         return self.auto_floor()
 
-    def rf_inputs(self, min_gpus: Optional[int] = None) -> Tuple[int, float]:
-        """(failures, node_days) over jobs with ``n_gpus > min_gpus``."""
-        if min_gpus is None:
-            min_gpus = self.rf_floor_gpus
-        if min_gpus == self.rf_min_gpus:
+    def rf_inputs(self) -> Tuple[int, float]:
+        """(failures, node_days) over jobs with ``n_gpus > rf_floor_gpus``."""
+        if self.rf_min_gpus is not None:
             return self._pinned_failures, self._pinned_node_days
+        min_gpus = self.auto_floor()
         node_days = 0.0
         failures = 0
         for gpus in sorted(self._by_gpus):
@@ -385,13 +370,12 @@ class OnlineMTTFEstimator:
                 "no runtime from jobs above the GPU floor yet; "
                 "wait for larger jobs or lower min_gpus"
             )
-        return estimate_rate(failures, node_days, confidence=self.confidence)
+        return estimate_rate(failures, node_days, confidence=self.CONFIDENCE)
 
     # -- snapshot ------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         return {
             "use_ground_truth": self.use_ground_truth,
-            "confidence": self.confidence,
             "rf_min_gpus": self.rf_min_gpus,
             "buckets": [
                 [k, v[0], v[1], v[2]] for k, v in sorted(self._buckets.items())
@@ -408,7 +392,6 @@ class OnlineMTTFEstimator:
     def from_state(cls, state: Dict[str, Any]) -> "OnlineMTTFEstimator":
         est = cls(
             use_ground_truth=bool(state["use_ground_truth"]),
-            confidence=state["confidence"],
             rf_min_gpus=state["rf_min_gpus"],
         )
         est._buckets = {
@@ -659,8 +642,10 @@ class LiveLemonEstimator:
         "single_node_node_failure_rate": 0.02,
     }
 
-    def __init__(self, min_signals: int = 2):
-        self.min_signals = int(min_signals)
+    #: Live votes that make a suspect: the batch rule's minimum.
+    MIN_SIGNALS = LemonPolicy.min_signals
+
+    def __init__(self):
         # node_id -> [jobs_seen, single_fails, multi_fails, tickets]
         self._counters: Dict[int, List[int]] = {}
         self._node_rows: List[Dict[str, Any]] = []
@@ -730,7 +715,7 @@ class LiveLemonEstimator:
         return sorted(
             node_id
             for node_id, votes in scores.items()
-            if votes >= self.min_signals
+            if votes >= self.MIN_SIGNALS
         )
 
     def _node_records(self) -> List[NodeTraceRecord]:
@@ -751,14 +736,13 @@ class LiveLemonEstimator:
     # -- snapshot ------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
         return {
-            "min_signals": self.min_signals,
             "counters": [[k, v] for k, v in sorted(self._counters.items())],
             "node_rows": list(self._node_rows),
         }
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "LiveLemonEstimator":
-        est = cls(min_signals=int(state["min_signals"]))
+        est = cls()
         est._counters = {
             int(k): [int(x) for x in v] for k, v in state["counters"]
         }

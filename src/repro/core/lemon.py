@@ -167,21 +167,10 @@ class LemonDetector:
 
 def root_cause_table(
     node_records: Sequence[NodeTraceRecord],
-    flagged_ids: Optional[Iterable[int]] = None,
 ) -> Dict[str, float]:
-    """Table II: fraction of lemon root causes among (flagged) lemons.
-
-    With ``flagged_ids`` of ``None``, tabulates all ground-truth lemons.
-    """
-    if flagged_ids is not None:
-        flagged = set(flagged_ids)
-        cohort = [
-            r
-            for r in node_records
-            if r.node_id in flagged and r.lemon_component is not None
-        ]
-    else:
-        cohort = [r for r in node_records if r.lemon_component is not None]
+    """Table II: fraction of lemon root causes among the ground-truth
+    lemons."""
+    cohort = [r for r in node_records if r.lemon_component is not None]
     if not cohort:
         raise ValueError("no lemon nodes with known root causes in cohort")
     counts: Dict[str, int] = {}

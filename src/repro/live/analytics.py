@@ -116,17 +116,9 @@ class LiveConfig:
 class LiveAnalytics:
     """All online estimators behind one ingest point."""
 
-    def __init__(self, config: LiveConfig, telemetry=None, strict: bool = True):
+    def __init__(self, config: LiveConfig, telemetry=None):
         self.config = config
         self.telemetry = telemetry
-        #: ``strict=True`` (default) raises on malformed stream items —
-        #: in-process taps are bug-free by construction, so corruption
-        #: there is a programming error.  ``strict=False`` is the
-        #: posture for untrusted transports (and chaos injection): a
-        #: malformed or unroutable item is counted and dropped, never
-        #: allowed to poison estimator state.
-        self.strict = strict
-        self.malformed = 0
         #: Bumped by every ``ingest`` (accepted or rejected) and every
         #: ``finish``: readers that memoize a derived view compare it to
         #: know the view is still current.  Not part of the snapshot.
@@ -154,28 +146,18 @@ class LiveAnalytics:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def _reject(self, why: str) -> None:
-        if self.strict:
-            raise ValueError(why)
-        self.malformed += 1
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.metrics.counter("live_malformed_total").inc()
-
     def ingest(self, time: float, channel: str, payload: Any) -> None:
         """Consume one stream item: a record on ``channel`` at ``time``.
 
-        In strict mode (default) a malformed item raises ``ValueError``;
-        otherwise it is counted in ``self.malformed`` and dropped before
-        it can touch any estimator or the watermark.
+        A malformed item raises ``ValueError`` before it touches any
+        estimator or the watermark: the stream comes from an in-process
+        tap or a trace file, so a bad item is a programming error.
         """
         self.version += 1
         if channel not in self.counts:
-            self._reject(f"unknown stream channel {channel!r}")
-            return
+            raise ValueError(f"unknown stream channel {channel!r}")
         if payload is None or not isinstance(time, (int, float)):
-            self._reject(f"malformed stream item on channel {channel!r}")
-            return
+            raise ValueError(f"malformed stream item on channel {channel!r}")
         self.counts[channel] += 1
         if time > self.watermark:
             self.watermark = time
@@ -242,9 +224,6 @@ class LiveAnalytics:
             "watermark": self.watermark,
             "finished": self.finished,
             "counts": dict(self.counts),
-            # Additive since v1 (absent in old snapshots => 0); the
-            # schema version only bumps on incompatible changes.
-            "malformed": self.malformed,
             "estimators": {
                 "rolling": self.rolling.state_dict(),
                 "mttf": self.mttf.state_dict(),
@@ -255,13 +234,14 @@ class LiveAnalytics:
         }
 
     @classmethod
-    def from_snapshot(
-        cls, payload: Dict[str, Any], telemetry=None
-    ) -> "LiveAnalytics":
-        """Restore a :meth:`snapshot` document.
+    def from_snapshot(cls, payload: Dict[str, Any]) -> "LiveAnalytics":
+        """Restore a :meth:`snapshot` document, without telemetry (a
+        caller attaches its own as ``.telemetry``).
 
         Any malformed document (another schema, a missing field, a value
-        of the wrong type) raises ``ValueError``.
+        of the wrong type) raises ``ValueError``.  Keys this version no
+        longer writes (``malformed``, the estimators' fixed settings) are
+        ignored, so older documents of the same schema still restore.
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -274,19 +254,16 @@ class LiveAnalytics:
                 f"LIVE_SNAPSHOT_VERSION={LIVE_SNAPSHOT_VERSION}"
             )
         try:
-            return cls._restore(payload, telemetry)
+            return cls._restore(payload)
         except (AttributeError, KeyError, TypeError) as err:
             raise ValueError(f"malformed snapshot: {err!r}") from err
 
     @classmethod
-    def _restore(cls, payload: Dict[str, Any], telemetry) -> "LiveAnalytics":
-        analytics = cls(
-            LiveConfig.from_dict(payload["config"]), telemetry=telemetry
-        )
+    def _restore(cls, payload: Dict[str, Any]) -> "LiveAnalytics":
+        analytics = cls(LiveConfig.from_dict(payload["config"]))
         analytics.watermark = float(payload["watermark"])
         analytics.finished = bool(payload["finished"])
         analytics.counts = {k: int(v) for k, v in payload["counts"].items()}
-        analytics.malformed = int(payload.get("malformed", 0))
         est = payload["estimators"]
         analytics.rolling = RollingFailureRateEstimator.from_state(
             est["rolling"]
@@ -339,7 +316,9 @@ class LiveAnalytics:
     def timeline(self) -> FailureRateTimeline:
         """The streaming Fig. 5 object (the batch figure's type)."""
         return FailureRateTimeline.from_estimator(
-            self.config.cluster_name, self.rolling
+            self.config.cluster_name,
+            self.rolling,
+            self.config.resolved_window_days(),
         )
 
     def health(self) -> HealthReport:

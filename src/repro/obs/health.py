@@ -4,7 +4,7 @@ The paper's operational claim is that fleet reliability must be
 *attributable* — a single number is only useful when every point it lost
 names the condition that took it.  This module reproduces that shape:
 a :class:`FleetHealthScorer` starts from a perfect 100, subtracts a
-configurable delta per observed condition instance (``health_delta_map``),
+fixed delta per observed condition instance (``DEFAULT_HEALTH_DELTA_MAP``),
 clamps to ``[0, 100]``, and keeps one human-readable message per applied
 condition, exactly the contract of PVC's ``getClusterHealth`` endpoint.
 
@@ -26,7 +26,7 @@ perturbing anything.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Failure-domain components treated as *network* incidents by the
 #: summary adapter (everything else counts as node hardware).
@@ -34,9 +34,8 @@ NETWORK_COMPONENTS = frozenset(
     {"ib_link", "eth_link", "nic", "nvlink", "optics"}
 )
 
-#: Default weighted-delta map, PVC ``getClusterHealth`` style: condition
-#: name -> points subtracted per instance.  Override any subset via
-#: ``FleetHealthScorer(health_delta_map={...})``.
+#: Weighted-delta map, PVC ``getClusterHealth`` style: condition name ->
+#: points subtracted per instance.
 DEFAULT_HEALTH_DELTA_MAP: Dict[str, float] = {
     # fleet capacity
     "hardware_failure": 4.0,   # node out in remediation / hw incident
@@ -242,23 +241,6 @@ class HealthReport:
 class FleetHealthScorer:
     """Weighted-delta health scoring with per-condition attribution."""
 
-    def __init__(
-        self,
-        health_delta_map: Optional[Mapping[str, float]] = None,
-        condition_cap: float = DEFAULT_CONDITION_CAP,
-    ):
-        self.health_delta_map = dict(DEFAULT_HEALTH_DELTA_MAP)
-        if health_delta_map:
-            for name, delta in health_delta_map.items():
-                if float(delta) < 0:
-                    raise ValueError(
-                        f"health delta for {name!r} must be >= 0"
-                    )
-                self.health_delta_map[name] = float(delta)
-        if condition_cap <= 0:
-            raise ValueError("condition_cap must be positive")
-        self.condition_cap = float(condition_cap)
-
     def score(self, signals: HealthSignals) -> HealthReport:
         """Score one snapshot: 100 minus capped per-condition deltas."""
         cluster_health_value = 100.0
@@ -271,8 +253,8 @@ class FleetHealthScorer:
         for name, count in signals.condition_counts().items():
             if count <= 0:
                 continue
-            delta = self.health_delta_map.get(name, 0.0)
-            points = min(delta * count, self.condition_cap)
+            delta = DEFAULT_HEALTH_DELTA_MAP.get(name, 0.0)
+            points = min(delta * count, DEFAULT_CONDITION_CAP)
             if points <= 0:
                 continue
             cluster_health_value -= points

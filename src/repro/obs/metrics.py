@@ -95,20 +95,21 @@ def _interpolate(ordered: List[float], p: float) -> float:
 class Histogram:
     """Sample distribution with exact quantiles.
 
-    Observations are retained (bounded by ``max_samples`` via reservoir-free
-    downsampling of the *oldest* half) so p50/p95 are exact for the scales
-    this repository produces — thousands of phases, not billions.
+    Observations are retained (bounded by :attr:`MAX_SAMPLES` via
+    reservoir-free downsampling of the *oldest* half) so p50/p95 are exact
+    for the scales this repository produces — thousands of phases, not
+    billions.
     """
 
     kind = "histogram"
+    MAX_SAMPLES = 100_000
 
-    def __init__(self, max_samples: int = 100_000) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
         self._samples: List[float] = []
-        self._max_samples = max_samples
         # Ingest stride: once the retained set fills, only every
         # ``_stride``-th observation is kept and the stride doubles on each
         # halving, so retention stays uniform over the whole run instead of
@@ -128,7 +129,7 @@ class Histogram:
         if self._phase >= self._stride:
             self._phase = 0
             self._samples.append(value)
-            if len(self._samples) > self._max_samples:
+            if len(self._samples) > self.MAX_SAMPLES:
                 self._samples = self._samples[::2]
                 self._stride *= 2
 

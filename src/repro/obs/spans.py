@@ -172,10 +172,10 @@ def maybe_span(telemetry, name: str, **attrs: Any):
 # ----------------------------------------------------------------------
 def chrome_trace_events(
     records: Iterable[Union[SpanRecord, Dict[str, Any]]],
-    pid: int = 1,
     tid: int = 1,
 ) -> List[Dict[str, Any]]:
-    """Convert span records to Chrome trace-event ``"X"`` (complete) events.
+    """Convert span records to Chrome trace-event ``"X"`` (complete) events
+    of process 1.
 
     Accepts :class:`SpanRecord` objects or their ``to_json_dict`` /
     ``span.end``-attr dicts.  Timestamps are microseconds, as the trace
@@ -200,7 +200,7 @@ def chrome_trace_events(
                 "ph": "X",
                 "ts": float(payload.get("start_s", 0.0)) * 1e6,
                 "dur": float(payload.get("dur_s", 0.0)) * 1e6,
-                "pid": pid,
+                "pid": 1,
                 "tid": tid,
                 "args": args,
             }

@@ -32,13 +32,9 @@ METRICS_SUFFIX = ".metrics.json"
 class Telemetry:
     """One tracer + one metrics registry, moved through the stack as a unit."""
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, tracer: Optional[Tracer] = None):
         self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: Hierarchical span profiler sharing this bundle's tracer (and
         #: therefore its enabled gate); see :mod:`repro.obs.spans`.
         self.spans = SpanTracer(self.tracer)

@@ -71,13 +71,12 @@ class NullSink:
 
 
 class RingBufferSink:
-    """Keeps the most recent ``capacity`` events in memory."""
+    """Keeps the most recent :attr:`CAPACITY` events in memory."""
 
-    def __init__(self, capacity: int = 65536):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._buffer: "deque[ObsEvent]" = deque(maxlen=capacity)
+    CAPACITY = 65536
+
+    def __init__(self):
+        self._buffer: "deque[ObsEvent]" = deque(maxlen=self.CAPACITY)
         self.total_written = 0
 
     def write(self, event: ObsEvent) -> None:
@@ -121,7 +120,7 @@ class Tracer:
 
     The ``enabled`` flag is a plain attribute checked by every
     instrumentation site before doing *any* work; a tracer built with no
-    sink (or a :class:`NullSink`) defaults to disabled.
+    sink (or a :class:`NullSink`) is disabled.
     """
 
     #: Consecutive sink write failures tolerated before the tracer turns
@@ -129,15 +128,9 @@ class Tracer:
     #: flaky disk degrades observability, not results.
     SINK_ERROR_LIMIT = 8
 
-    def __init__(
-        self,
-        sink: Optional[object] = None,
-        enabled: Optional[bool] = None,
-    ):
+    def __init__(self, sink: Optional[object] = None):
         self.sink = sink if sink is not None else NullSink()
-        if enabled is None:
-            enabled = not isinstance(self.sink, NullSink)
-        self.enabled = bool(enabled)
+        self.enabled = not isinstance(self.sink, NullSink)
         self.events_emitted = 0
         self.sink_errors = 0
         #: True once the tracer turned itself off after

@@ -127,7 +127,6 @@ class TraceCache:
         self,
         root: Optional[os.PathLike] = None,
         enabled: Optional[bool] = None,
-        telemetry=None,
         source_label: Optional[str] = "cache",
     ):
         self.root = Path(root) if root is not None else default_cache_root()
@@ -141,11 +140,12 @@ class TraceCache:
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
-        #: obs.Telemetry bundle; hit/miss/write/quarantine traffic is
-        #: counted in its registry when enabled, and each quarantine is
-        #: traced with the entry's digest.  Reassignable per call site
-        #: (the CLI routes each seed's cache traffic to that seed's stream).
-        self.telemetry = telemetry
+        #: obs.Telemetry bundle, attached after construction; hit/miss/
+        #: write/quarantine traffic is counted in its registry when
+        #: enabled, and each quarantine is traced with the entry's digest.
+        #: Reassignable per call site (the CLI routes each seed's cache
+        #: traffic to that seed's stream).
+        self.telemetry = None
 
     def _count(self, counter: str) -> None:
         telemetry = self.telemetry

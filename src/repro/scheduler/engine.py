@@ -62,9 +62,7 @@ class SlurmLikeScheduler:
         engine: Engine,
         cluster: Cluster,
         rngs: RngStreams,
-        priority: Optional[PriorityPolicy] = None,
         placement: Optional[PlacementPolicy] = None,
-        preemption: Optional[PreemptionPolicy] = None,
         quotas: Optional[QuotaManager] = None,
         preflight: Optional[PreflightPolicy] = None,
         event_log: Optional[EventLog] = None,
@@ -72,9 +70,9 @@ class SlurmLikeScheduler:
     ):
         self.engine = engine
         self.cluster = cluster
-        self.priority = priority if priority is not None else PriorityPolicy()
+        self.priority = PriorityPolicy()
         self.placement = placement if placement is not None else PlacementPolicy()
-        self.preemption = preemption if preemption is not None else PreemptionPolicy()
+        self.preemption = PreemptionPolicy()
         self.quotas = quotas if quotas is not None else QuotaManager()
         self.preflight = preflight
         self.event_log = event_log if event_log is not None else cluster.event_log

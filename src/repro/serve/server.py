@@ -33,7 +33,7 @@ from repro.serve.service import ReliabilityService
 logger = logging.getLogger("repro.serve")
 
 #: Idle keep-alive connections are reaped after this many seconds.
-DEFAULT_KEEP_ALIVE_TIMEOUT = 30.0
+KEEP_ALIVE_TIMEOUT = 30.0
 #: In-flight requests get this long to finish during shutdown.
 DEFAULT_GRACE_S = 1.0
 
@@ -47,14 +47,12 @@ class ReliabilityServer:
         host: str = "127.0.0.1",
         port: int = 8000,
         snapshot_out: Optional[str] = None,
-        keep_alive_timeout: float = DEFAULT_KEEP_ALIVE_TIMEOUT,
         grace_s: float = DEFAULT_GRACE_S,
     ):
         self.service = service
         self.host = host
         self.port = port
         self.snapshot_out = snapshot_out
-        self.keep_alive_timeout = float(keep_alive_timeout)
         self.grace_s = float(grace_s)
         self.bound_host: Optional[str] = None
         self.bound_port: Optional[int] = None
@@ -85,7 +83,7 @@ class ReliabilityServer:
             while True:
                 try:
                     request = await asyncio.wait_for(
-                        read_request(reader), timeout=self.keep_alive_timeout
+                        read_request(reader), timeout=KEEP_ALIVE_TIMEOUT
                     )
                 except asyncio.TimeoutError:
                     break
@@ -155,40 +153,34 @@ async def serve_until_shutdown(
     host: str = "127.0.0.1",
     port: int = 8000,
     snapshot_out: Optional[str] = None,
-    keep_alive_timeout: float = DEFAULT_KEEP_ALIVE_TIMEOUT,
     grace_s: float = DEFAULT_GRACE_S,
     on_bound=None,
-    shutdown_event: Optional["asyncio.Event"] = None,
 ) -> ReliabilityServer:
-    """Run the server until SIGTERM/SIGINT (or ``shutdown_event``).
+    """Run the server until SIGTERM/SIGINT.
 
     ``on_bound(server)`` fires after binding, before the first request —
-    the CLI's hook for printing the bound address.  An explicit
-    ``shutdown_event`` substitutes for signals where handlers cannot be
-    installed (tests, nested loops, non-main threads).
+    the CLI's hook for printing the bound address.
     """
     server = ReliabilityServer(
         service,
         host=host,
         port=port,
         snapshot_out=snapshot_out,
-        keep_alive_timeout=keep_alive_timeout,
         grace_s=grace_s,
     )
     await server.start()
     if on_bound is not None:
         on_bound(server)
-    stop = shutdown_event if shutdown_event is not None else asyncio.Event()
+    stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     installed = []
-    if shutdown_event is None:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):
-                # Non-POSIX loop or non-main thread: rely on the caller.
-                pass
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(sig, stop.set)
+            installed.append(sig)
+        except (NotImplementedError, RuntimeError):
+            # Non-POSIX loop or non-main thread: no signal stops it.
+            pass
     try:
         await stop.wait()
         logger.info("shutdown requested; draining")

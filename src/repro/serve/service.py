@@ -226,6 +226,9 @@ class WhatIfSpec:
 class ReliabilityService:
     """Routes + handlers + caching + degradation over one live session."""
 
+    #: Seconds a 503 (open breaker, overload) asks the client to wait.
+    RETRY_AFTER_S = 30.0
+
     def __init__(
         self,
         analytics,
@@ -233,9 +236,7 @@ class ReliabilityService:
         trace_cache: Optional[TraceCache] = None,
         whatif_cache_size: int = 256,
         max_concurrent_whatif: int = 2,
-        breaker: Optional[CircuitBreaker] = None,
         retry: Optional[RetryPolicy] = None,
-        retry_after_s: float = 30.0,
         whatif_runner: Optional[Callable[[WhatIfSpec], Dict[str, Any]]] = None,
         run_options=None,
     ):
@@ -249,7 +250,7 @@ class ReliabilityService:
         self.trace_cache = trace_cache if trace_cache is not None else TraceCache()
         self.whatif_cache = ResponseCache(whatif_cache_size)
         self.max_concurrent_whatif = int(max_concurrent_whatif)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breaker = CircuitBreaker()
         self.retry = (
             retry
             if retry is not None
@@ -257,7 +258,6 @@ class ReliabilityService:
                 max_attempts=2, backoff=Backoff(base_s=0.05, max_s=0.5)
             )
         )
-        self.retry_after_s = float(retry_after_s)
         #: Injectable what-if computation (tests and chaos drills swap in
         #: failing or counting runners); the retry/breaker/caching
         #: plumbing around it is identical either way.
@@ -365,9 +365,7 @@ class ReliabilityService:
             a.version,
             tracer_self_disabled(a.telemetry),
             a.ettr.parameters(),
-            a.mttf.confidence,
             a.mttf.rf_min_gpus,
-            a.lemons.min_signals,
         )
 
     def _memoized(self, handler: Callable[[Request], Response]):
@@ -501,7 +499,7 @@ class ReliabilityService:
         payload = self._base_payload()
         payload.update(
             {
-                "min_signals": lemons.min_signals,
+                "min_signals": lemons.MIN_SIGNALS,
                 "suspects": lemons.suspects(scores),
                 "scores": {str(node): votes for node, votes in scores.items()},
                 "signals": {
@@ -552,7 +550,7 @@ class ReliabilityService:
                 503,
                 "what-if computation degraded (circuit breaker open); "
                 "identical cached queries still serve",
-                retry_after=self.retry_after_s,
+                retry_after=self.RETRY_AFTER_S,
             )
         task = self._inflight.get(digest)
         if task is None:
@@ -562,7 +560,7 @@ class ReliabilityService:
                     503,
                     f"what-if capacity exhausted "
                     f"({self.max_concurrent_whatif} in flight)",
-                    retry_after=self.retry_after_s,
+                    retry_after=self.RETRY_AFTER_S,
                 )
             task = asyncio.get_running_loop().create_task(
                 self._run_whatif(digest, spec)

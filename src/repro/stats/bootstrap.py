@@ -12,7 +12,7 @@ drew, in the same order; and each row's mean is the same contiguous
 therefore bit-identical to the loop's (see ``docs/PERFORMANCE.md``).
 """
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -36,46 +36,27 @@ def _resample_blocks(
         yield rng.integers(0, n, size=(rows, n))
 
 
-def _prepare(
-    samples: Sequence[float], confidence: float, n_resamples: int
-) -> np.ndarray:
+def bootstrap_mean_ci(
+    samples: Sequence[float], confidence: float = 0.90
+) -> Tuple[float, float, float]:
+    """Percentile-bootstrap CI for the mean; returns ``(mean, lo, hi)``.
+
+    Draws 1000 resamples from ``np.random.default_rng(0)``, so equal
+    samples give equal intervals.  With fewer than two samples the
+    interval degenerates to the point estimate.  Every block's means are
+    taken in one reduction.
+    """
     arr = np.asarray(list(samples), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if n_resamples < 1:
-        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
-    return arr
-
-
-def _interval(estimates: np.ndarray, confidence: float) -> Tuple[float, float]:
-    alpha = 1.0 - confidence
-    lo, hi = np.percentile(estimates, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return float(lo), float(hi)
-
-
-def bootstrap_mean_ci(
-    samples: Sequence[float],
-    confidence: float = 0.90,
-    n_resamples: int = 1000,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[float, float, float]:
-    """Percentile-bootstrap CI for the mean; returns ``(mean, lo, hi)``.
-
-    With fewer than two samples the interval degenerates to the point
-    estimate.  Every block's means are taken in one reduction.
-    """
-    arr = _prepare(samples, confidence, n_resamples)
     point = float(np.mean(arr))
     if arr.size < 2:
         return point, point, point
-    if rng is None:
-        rng = np.random.default_rng(0)
-    estimates = np.concatenate(
-        [
-            arr[block].mean(axis=1)
-            for block in _resample_blocks(arr.size, n_resamples, rng)
-        ]
-    )
-    return (point, *_interval(estimates, confidence))
+    rng = np.random.default_rng(0)
+    blocks = _resample_blocks(arr.size, 1000, rng)
+    estimates = np.concatenate([arr[block].mean(axis=1) for block in blocks])
+    alpha = 1.0 - confidence
+    lo, hi = np.percentile(estimates, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return point, float(lo), float(hi)

@@ -68,7 +68,7 @@ def test_timeline_rows_component_columns(rsc1_trace):
 
 
 def test_export_all_writes_files(tmp_path, rsc1_trace):
-    written = export_all(rsc1_trace, tmp_path / "figures", rsc1_profile())
+    written = export_all(rsc1_trace, tmp_path / "figures")
     assert "fig3_job_status" in written
     assert "fig7_mttf" in written
     for path in written.values():

@@ -87,13 +87,13 @@ def test_checkpoint_sweep_paper_callouts():
     # RSC-2's lower rate relaxes the requirement substantially.
     assert sweep.required[(RSC2_RF, 0.5)] > 2 * dt
     # Hourly checkpointing at 100k GPUs is untenable (ETTR ~ 0).
-    assert sweep.ettr_at(RSC1_RF, 60 * MINUTE) == 0.0
+    assert sweep.grid[(RSC1_RF, 60 * MINUTE)] == 0.0
 
 
 def test_checkpoint_sweep_grid_monotone():
     sweep = checkpoint_sweep(intervals_minutes=(2, 30))
     for rf in sweep.failure_rates:
-        assert sweep.ettr_at(rf, 2 * MINUTE) >= sweep.ettr_at(rf, 30 * MINUTE)
+        assert sweep.grid[(rf, 2 * MINUTE)] >= sweep.grid[(rf, 30 * MINUTE)]
 
 
 def test_checkpoint_render():
@@ -173,7 +173,7 @@ def test_fig10_paper_requirements():
     assert 18 * MINUTE <= dt_rsc2 <= 45 * MINUTE  # paper: ~21 min
     # The requirement tightens monotonically with rate.
     assert dt_rsc2 > dt_rsc1
-    assert sweep.ettr_at(RSC1_RF, 60 * MINUTE) == 0.0
+    assert sweep.grid[(RSC1_RF, 60 * MINUTE)] == 0.0
     # ETTR 0.9 at RSC-2 rates: single-digit minutes with a 2-min restart.
     dt_09 = required_checkpoint_interval(
         0.9, n_nodes=12_500, failure_rate_per_node_day=RSC2_RF,

@@ -19,10 +19,10 @@ def test_table_row_width_mismatch_raises():
 
 
 def test_bars_scale_to_max():
-    text = render_bars({"x": 10.0, "y": 5.0}, width=10)
+    text = render_bars({"x": 10.0, "y": 5.0})
     x_line, y_line = text.splitlines()
-    assert x_line.count("#") == 10
-    assert y_line.count("#") == 5
+    assert x_line.count("#") == 50
+    assert y_line.count("#") == 25
 
 
 def test_bars_empty_raises():
@@ -33,8 +33,8 @@ def test_bars_empty_raises():
 def test_series_downsamples():
     x = list(range(1000))
     y = [float(i) for i in x]
-    text = render_series(x, y, max_rows=10)
-    assert len(text.splitlines()) <= 14
+    text = render_series(x, y)
+    assert len(text.splitlines()) <= 44
 
 
 def test_series_length_mismatch():

@@ -93,12 +93,11 @@ def test_heartbeat_latency_bounds():
     monitor = HealthMonitor(
         [HealthCheck("gpu_only", frozenset({ComponentType.GPU}), CheckSeverity.HIGH)],
         np.random.default_rng(0),
-        heartbeat_latency=(60.0, 120.0),
     )
     # PSU has no covering check in this monitor -> heartbeat path.
     results, t, hb = monitor.detect(0, ComponentType.PSU, 500.0, 1)
     assert hb and results == []
-    assert 560.0 <= t <= 620.0
+    assert 500.0 + 60.0 <= t <= 500.0 + 600.0
 
 
 def test_max_severity_heartbeat_defaults_high():

@@ -99,9 +99,3 @@ def test_open_ticket_duration_query_raises():
     with pytest.raises(ValueError, match="still open"):
         _ = ticket.duration
 
-
-def test_invalid_medians_rejected():
-    with pytest.raises(ValueError):
-        RemediationWorkflow(
-            Engine(), {}, np.random.default_rng(0), transient_repair_median=0.0
-        )

@@ -54,24 +54,6 @@ def test_zero_failure_rate_allows_any_interval():
     assert required_checkpoint_interval(0.9, 1000, 0.0) == float("inf")
 
 
-def test_full_model_solution_close_to_simple():
-    simple = required_checkpoint_interval(0.7, 2000, 6.5e-3)
-    full = required_checkpoint_interval(
-        0.7, 2000, 6.5e-3, use_full_model=True, queue_time=1.0
-    )
-    assert full == pytest.approx(simple, rel=0.15)
-
-
-def test_full_model_with_queue_requires_tighter_checkpointing():
-    loose = required_checkpoint_interval(
-        0.7, 2000, 6.5e-3, use_full_model=True, queue_time=1.0
-    )
-    tight = required_checkpoint_interval(
-        0.7, 2000, 6.5e-3, use_full_model=True, queue_time=30 * MINUTE
-    )
-    assert tight < loose
-
-
 def test_grid_monotone_in_both_axes():
     grid = ettr_checkpoint_grid(
         [2.34e-3, 6.5e-3], [5 * MINUTE, HOUR], n_gpus=100_000

@@ -115,12 +115,6 @@ def test_root_cause_table_fractions():
     assert sum(causes.values()) == pytest.approx(1.0)
 
 
-def test_root_cause_table_with_flagged_subset():
-    nodes = fleet(n_lemons=4)
-    causes = root_cause_table(nodes, flagged_ids=[1000, 1002])
-    assert causes == {"gpu": 1.0}
-
-
 def test_root_cause_table_empty_cohort_raises():
     with pytest.raises(ValueError):
         root_cause_table([node(0)])

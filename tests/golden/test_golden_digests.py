@@ -72,6 +72,29 @@ def ladder():
 FIGURE_TRACES = ("rsc1-64n-40d-s7", "rsc2-48n-30d-s11")
 
 
+def attributed(figure, module):
+    """``figure`` with the MTTF fold of ``repro.analysis.<module>``
+    counting attributed hardware failures
+    (``JobAttemptRecord.is_hw_failure(use_ground_truth=False)``) instead of
+    ground truth: the rule a fleet without the simulator's ground truth
+    reads.  No program path folds it, so the fold is swapped here."""
+    import importlib
+    from unittest import mock
+
+    from repro.analysis.mttf_analysis import fold_mttf
+
+    def fold(trace, use_ground_truth):
+        return fold_mttf(trace, use_ground_truth=False)
+
+    target = importlib.import_module(f"repro.analysis.{module}")
+
+    def run(trace):
+        with mock.patch.object(target, "fold_mttf", fold):
+            return figure(trace)
+
+    return run
+
+
 def figure_entries():
     """``(name, fn(trace))`` for every per-trace figure entry point."""
     from repro.analysis import (
@@ -91,10 +114,9 @@ def figure_entries():
     from repro.sim.timeunits import HOUR
     from repro.workload.profiles import rsc1_profile
 
-    def ettr(**kwargs):
-        return lambda trace: ettr_comparison(
-            trace, min_total_runtime=12 * HOUR, qos=None,
-            min_runs_per_bucket=2, **kwargs
+    def ettr(trace):
+        return ettr_comparison(
+            trace, min_total_runtime=12 * HOUR, qos=None, min_runs_per_bucket=2
         )
 
     return [
@@ -103,11 +125,10 @@ def figure_entries():
         ("fig5", failure_rate_timeline),
         ("fig6", lambda trace: job_size_distribution(trace, rsc1_profile())),
         ("fig7", mttf_analysis),
-        ("fig7-attributed",
-         lambda trace: mttf_analysis(trace, use_ground_truth=False)),
+        ("fig7-attributed", attributed(mttf_analysis, "mttf_analysis")),
         ("fig8", goodput_loss_analysis),
-        ("fig9", ettr()),
-        ("fig9-attributed", ettr(use_ground_truth=False)),
+        ("fig9", ettr),
+        ("fig9-attributed", attributed(ettr, "ettr_analysis")),
         ("fig11", lemon_analysis),
         ("queue-waits", queue_wait_analysis),
         ("swaps", swap_rate_summary),

@@ -166,10 +166,10 @@ def test_health_check_false_positive_calibration(rsc1_trace):
     health check in their attribution window."""
     from repro.core.attribution import AttributionPolicy, FailureAttributor
 
-    attributor = FailureAttributor(
-        rsc1_trace,
-        AttributionPolicy(candidate_states=(JobState.COMPLETED,)),
-    )
+    attributor = FailureAttributor(rsc1_trace)
+    # Attribute completed jobs instead of failed ones (the join reads the
+    # policy's candidate states only when it runs).
+    attributor.policy = AttributionPolicy(candidate_states=(JobState.COMPLETED,))
     completed = [
         r for r in rsc1_trace.job_records if r.state is JobState.COMPLETED
     ]

@@ -37,11 +37,7 @@ def live(rsc1_trace):
 
 
 def assert_timeline_matches_fold(analytics, trace):
-    batch = failure_rate_timeline(
-        trace,
-        window_days=analytics.rolling.window_days,
-        step_days=analytics.config.step_days,
-    )
+    batch = failure_rate_timeline(trace)
     streamed = analytics.timeline()
     assert np.array_equal(streamed.times_days, batch.times_days)
     assert np.array_equal(streamed.overall, batch.overall)
@@ -54,8 +50,7 @@ def assert_timeline_matches_fold(analytics, trace):
 
 def assert_auto_floor_rf_matches_pinned_fold(analytics, trace):
     batch = mttf_analysis(trace).failure_rate
-    floor = analytics.mttf.auto_floor()
-    failures, node_days = analytics.mttf.rf_inputs(floor)
+    failures, node_days = analytics.mttf.rf_inputs()
     assert failures == batch.events  # counts are integral: always exact
     assert node_days == pytest.approx(batch.exposure, rel=1e-9)
 

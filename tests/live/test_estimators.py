@@ -56,14 +56,15 @@ def job(
 # RollingFailureRateEstimator
 # ----------------------------------------------------------------------
 def test_rolling_finalizes_behind_lateness_and_counts_windows():
+    # A grid point stays open for one window (2d) past its time.
     est = RollingFailureRateEstimator(
-        window=2 * DAY, step=DAY, exposure_per_time=1.0, allowed_lateness=0.0
+        window=2 * DAY, step=DAY, exposure_per_time=1.0
     )
     est.observe_event(incident(0.5 * DAY))
     est.observe_event(incident(1.5 * DAY))
-    est.advance(0.9 * DAY)
+    est.advance(2.1 * DAY)
     assert est.overall == [0.0]  # t=0: window (-2d, 0] is empty
-    est.advance(2.1 * DAY)  # finalizes t=1d and t=2d
+    est.advance(4.1 * DAY)  # finalizes t=1d and t=2d
     # t=1d: one incident in (-1d, 1d]; t=2d: both in (0, 2d]
     denom = 2 * DAY
     assert est.overall == [0.0, 1.0 / denom, 2.0 / denom]
@@ -71,22 +72,22 @@ def test_rolling_finalizes_behind_lateness_and_counts_windows():
 
 def test_rolling_lateness_holds_points_open_for_backdated_events():
     est = RollingFailureRateEstimator(
-        window=2 * DAY, step=DAY, exposure_per_time=1.0, allowed_lateness=DAY
+        window=2 * DAY, step=DAY, exposure_per_time=1.0
     )
-    est.advance(1.5 * DAY)
-    assert est.overall == [0.0]  # only t=0 cleared 0 + lateness < 1.5d
+    est.advance(2.5 * DAY)
+    assert est.overall == [0.0]  # only t=0 cleared 0 + window < 2.5d
     # a backdated incident for the t=1d window arrives late but in time
     est.observe_event(incident(0.9 * DAY))
     assert est.late_events == 0
-    est.advance(2.5 * DAY)
+    est.advance(3.5 * DAY)
     assert est.overall[1] == 1.0 / (2 * DAY)
 
 
 def test_rolling_counts_truly_late_events():
     est = RollingFailureRateEstimator(
-        window=DAY, step=DAY, exposure_per_time=1.0, allowed_lateness=0.0
+        window=DAY, step=DAY, exposure_per_time=1.0
     )
-    est.advance(1.5 * DAY)  # finalizes t=0 and t=1d
+    est.advance(2.5 * DAY)  # finalizes t=0 and t=1d
     est.observe_event(incident(0.5 * DAY))  # t=1d already closed
     assert est.late_events == 1
 
@@ -103,7 +104,7 @@ def test_rolling_finish_matches_arange_point_count():
 
 def test_rolling_component_series_backfills_zeros():
     est = RollingFailureRateEstimator(
-        window=DAY, step=DAY, exposure_per_time=1.0, allowed_lateness=0.0
+        window=DAY, step=DAY, exposure_per_time=1.0
     )
     est.observe_event(incident(0.2 * DAY, component="gpu"))
     est.advance(2.5 * DAY)
@@ -156,17 +157,21 @@ def test_mttf_buckets_accumulate_and_derive_rates():
 
 def test_mttf_rf_pinned_vs_auto_floor():
     est = OnlineMTTFEstimator(rf_min_gpus=32)
+    auto = OnlineMTTFEstimator()
     for i, gpus in enumerate((8, 64, 256)):
-        est.observe_job(
-            job(end=(i + 1) * DAY, runtime=DAY, n_gpus=gpus, job_id=i, jobrun_id=i)
+        record = job(
+            end=(i + 1) * DAY, runtime=DAY, n_gpus=gpus, job_id=i, jobrun_id=i
         )
+        est.observe_job(record)
+        auto.observe_job(record)
     # pinned: jobs with > 32 GPUs -> 64 (8 nodes) + 256 (32 nodes)
     failures, node_days = est.rf_inputs()
     assert failures == 0
     assert node_days == 8.0 + 32.0
     # auto floor with largest=256 -> min rule max(8, 128) = 128
     assert est.auto_floor() == 128
-    _f, nd_auto = est.rf_inputs(est.auto_floor())
+    assert auto.rf_floor_gpus == 128
+    _f, nd_auto = auto.rf_inputs()
     assert nd_auto == 32.0
     assert rf_floor(est.largest_gpus) == 128
 
@@ -242,7 +247,7 @@ def test_ettr_cohort_filters_by_runtime_and_qos():
 # LiveLemonEstimator
 # ----------------------------------------------------------------------
 def test_lemon_live_signals_and_suspects():
-    est = LiveLemonEstimator(min_signals=2)
+    est = LiveLemonEstimator()
     # node 3: repeated single-node failures -> fails + rate signals
     for i in range(3):
         est.observe_job(

@@ -80,3 +80,19 @@ def test_snapshot_is_json_clean(rsc1_trace):
     partial = _partial(rsc1_trace, 0.5)
     payload = json.dumps(partial.snapshot())
     assert json.loads(payload) == partial.snapshot()
+
+
+def test_an_older_snapshot_with_settings_keys_restores(rsc1_trace):
+    """Snapshots of the same schema once also carried the tolerant
+    ingest's ``malformed`` count and the estimators' fixed settings;
+    restore ignores those keys."""
+    partial = _partial(rsc1_trace, 0.5)
+    current = partial.snapshot()
+    older = json.loads(json.dumps(current))
+    older["malformed"] = 0
+    estimators = older["estimators"]
+    rolling = estimators["rolling"]
+    rolling.update(start=0.0, allowed_lateness=rolling["window"])
+    estimators["mttf"]["confidence"] = 0.9
+    estimators["lemons"]["min_signals"] = 2
+    assert LiveAnalytics.from_snapshot(older).snapshot() == current

@@ -59,7 +59,7 @@ def test_deltas_subtract_and_attribute():
 def test_condition_cap_bounds_noisy_counters():
     signals = HealthSignals(n_nodes=16, retries=1000)
     report = FleetHealthScorer().score(signals)
-    # 1000 * 0.5 = 500 points, capped at the default 40.
+    # 1000 * 0.5 = 500 points, capped at 40.
     assert report.applied["retry"] == (1000, 40.0)
     assert report.score == 60.0
 
@@ -75,24 +75,6 @@ def test_score_clamps_to_zero():
     report = FleetHealthScorer().score(signals)
     assert report.score == 0.0
     assert all(0.0 <= v <= 100.0 for v in report.components.values())
-
-
-def test_custom_delta_map_overrides_subset():
-    scorer = FleetHealthScorer(health_delta_map={"retry": 0.0})
-    report = scorer.score(HealthSignals(n_nodes=16, retries=50))
-    assert report.score == 100.0
-    assert "retry" not in report.applied
-    # Untouched conditions keep their defaults.
-    assert scorer.health_delta_map["breaker_open"] == (
-        DEFAULT_HEALTH_DELTA_MAP["breaker_open"]
-    )
-
-
-def test_negative_delta_rejected():
-    with pytest.raises(ValueError):
-        FleetHealthScorer(health_delta_map={"retry": -1.0})
-    with pytest.raises(ValueError):
-        FleetHealthScorer(condition_cap=0.0)
 
 
 def test_every_condition_has_component_and_message():
@@ -213,9 +195,8 @@ def test_observed_chaos_sweep_scores_profiles_and_reconstructs(tmp_path):
     telemetry = Telemetry.to_directory(tmp_path / "tel", stem="sweep")
 
     def observed_pass():
-        cache = TraceCache(
-            root=tmp_path / "cache", enabled=True, telemetry=telemetry
-        )
+        cache = TraceCache(root=tmp_path / "cache", enabled=True)
+        cache.telemetry = telemetry
         pool = CampaignPool(
             options=RunOptions(
                 workers=1, cache=cache, resilience=resilience,

@@ -114,7 +114,7 @@ def test_prometheus_content_type_constant():
 def test_histogram_downsamples_but_keeps_moments():
     reg = MetricsRegistry()
     h = reg.histogram("big")
-    h._max_samples = 100
+    h.MAX_SAMPLES = 100
     for v in range(1000):
         h.observe(float(v))
     assert h.count == 1000
@@ -189,7 +189,8 @@ def test_percentiles_equal_percentile_after_downsampling(n):
     from repro.obs.metrics import Histogram
 
     rng = random.Random(n)
-    hist = Histogram(max_samples=64)
+    hist = Histogram()
+    hist.MAX_SAMPLES = 64
     for _ in range(n):
         hist.observe(rng.uniform(-1, 1))
     ps = (0, 1, 25, 50, 95, 99, 99.9, 100)

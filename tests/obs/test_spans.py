@@ -30,7 +30,9 @@ def test_disabled_without_tracer():
 
 def test_disabled_tracer_gates_spans():
     sink = RingBufferSink()
-    spans = SpanTracer(Tracer(sink, enabled=False))
+    tracer = Tracer(sink)
+    tracer.enabled = False
+    spans = SpanTracer(tracer)
     with spans.span("x") as record:
         assert record is None
     assert len(sink) == 0
@@ -142,12 +144,12 @@ def test_chrome_trace_events_shape():
     with spans.span("outer", seed=1) as outer:
         with spans.span("inner") as inner:
             pass
-    events = chrome_trace_events([inner, outer], pid=2, tid=5)
+    events = chrome_trace_events([inner, outer], tid=5)
     assert len(events) == 2
     for event in events:
         assert event["ph"] == "X"
         assert event["cat"] == "repro"
-        assert event["pid"] == 2
+        assert event["pid"] == 1
         assert event["tid"] == 5
         assert event["ts"] >= 0.0
         assert event["dur"] >= 0.0

@@ -24,9 +24,8 @@ def telemetry_dir(tmp_path_factory):
     spec = ClusterSpec.rsc1_like(n_nodes=16, campaign_days=5)
     config = CampaignConfig(cluster_spec=spec, duration_days=5, seed=3)
     telemetry = Telemetry.to_directory(directory, stem="seed-0003")
-    cache = TraceCache(
-        root=tmp_path_factory.mktemp("cache"), enabled=True, telemetry=telemetry
-    )
+    cache = TraceCache(root=tmp_path_factory.mktemp("cache"), enabled=True)
+    cache.telemetry = telemetry
     assert cache.get(config) is None  # miss
     trace = run_campaign(config, RunOptions(telemetry=telemetry))
     cache.put(config, trace)

@@ -34,6 +34,7 @@ from repro.cluster.health import CheckSeverity
 from repro.jobtypes import QosTier
 from repro.scheduler.engine import SlurmLikeScheduler
 from repro.scheduler.job import JobState
+from repro.scheduler.pending import PendingQueue
 from repro.scheduler.preemption import PREEMPTION_SHIELD
 from repro.scheduler.preflight import PreflightPolicy
 from repro.scheduler.priority import PriorityPolicy
@@ -123,10 +124,6 @@ class World:
         self.engine = Engine()
         self.cluster = Cluster(spec, self.engine, RngStreams(1))
         kwargs = {"quotas": QuotaManager({"capped": 24})}
-        if flat:
-            # A weak QoS term: a LOW job that waited long enough passes a
-            # fresh HIGH one, so the pass visits tiers interleaved.
-            kwargs["priority"] = PriorityPolicy(qos_weight=10.0)
         if reliability_aware:
             kwargs["placement"] = ReliabilityAwarePlacement(
                 risk_of=lambda node: node.node_id % 3
@@ -138,6 +135,11 @@ class World:
         self.scheduler = scheduler_cls(
             self.engine, self.cluster, RngStreams(2), **kwargs
         )
+        if flat:
+            # A weak QoS term: a LOW job that waited long enough passes a
+            # fresh HIGH one, so the pass visits tiers interleaved.
+            self.scheduler.priority = PriorityPolicy(qos_weight=10.0)
+            self.scheduler.pending = PendingQueue(self.scheduler.priority)
         self.cluster.start()
         self.log = []
         self._observe()

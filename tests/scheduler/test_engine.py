@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.jobtypes import IntendedOutcome, JobState, QosTier
 from repro.scheduler.engine import SlurmLikeScheduler
+from repro.scheduler.pending import PendingQueue
 from repro.scheduler.placement import PlacementPolicy
 from repro.scheduler.preemption import PreemptionPolicy
 from repro.scheduler.priority import PriorityPolicy
@@ -283,7 +284,8 @@ def test_pass_over_identical_jobs_that_cannot_fit_places_once(qos):
 
 def test_failed_plan_is_not_repeated_before_the_shield_lifts():
     preemption = CountingPreemption()
-    engine, _cluster, sched = build(n_nodes=2, preemption=preemption)
+    engine, _cluster, sched = build(n_nodes=2)
+    sched.preemption = preemption
     sched.submit(make_spec(1, n_gpus=16, work=DAY, qos=QosTier.LOW))
     sched.submit(make_spec(2, n_gpus=16, qos=QosTier.HIGH, submit=HOUR))
     engine.run_until(HOUR)
@@ -304,11 +306,9 @@ def test_a_job_without_quota_leaves_its_bucket_the_preemption_attempt():
     """A pass stops visiting a (QoS, size) bucket only once the rest of
     it cannot act: here the first NORMAL job in line lacks quota, so the
     next one of its bucket still makes the pass's preemption attempt."""
-    engine, _cluster, sched = build(
-        n_nodes=2,
-        priority=PriorityPolicy(qos_weight=10.0),
-        quotas=QuotaManager({"capped": 4}),
-    )
+    engine, _cluster, sched = build(n_nodes=2, quotas=QuotaManager({"capped": 4}))
+    sched.priority = PriorityPolicy(qos_weight=10.0)
+    sched.pending = PendingQueue(sched.priority)
     sched.submit(make_spec(1, n_gpus=16, work=3 * DAY, qos=QosTier.LOW))
     # Under a weak QoS term the old LOW job outranks the NORMAL ones:
     # its failed placement sets the failure floor before they are seen.

@@ -52,9 +52,7 @@ SETTINGS = {
     ("ettr", "min_total_runtime"): (0.0, 6 * HOUR, 24 * HOUR),
     ("ettr", "qos"): (None, int(QosTier.LOW), int(QosTier.HIGH)),
     ("ettr", "min_runs_per_bucket"): (1, 2, 3),
-    ("mttf", "confidence"): (0.8, 0.9, 0.95),
     ("mttf", "rf_min_gpus"): (None, 64, 128),
-    ("lemons", "min_signals"): (1, 2, 3),
 }
 
 # One branch per setting, so most steps reassign one: each reassignment
@@ -138,17 +136,13 @@ def wire(response):
 @example(start=0.5, steps=[("set", (("ettr", "min_total_runtime"), 0.0))])
 @example(start=0.5, steps=[("set", (("ettr", "qos"), None))])
 @example(start=0.5, steps=[("set", (("ettr", "min_runs_per_bucket"), 1))])
-@example(start=0.5, steps=[("set", (("mttf", "confidence"), 0.8))])
 @example(start=0.5, steps=[("set", (("mttf", "rf_min_gpus"), 64))])
-@example(start=0.5, steps=[("set", (("lemons", "min_signals"), 1))])
 @settings(max_examples=40, deadline=None)
 def test_reads_equal_a_fresh_service(stream, starts, start, steps):
     trace, items = stream
     position, snapshot = starts[start]
-    analytics = LiveAnalytics.from_snapshot(
-        snapshot, telemetry=Telemetry.in_memory()
-    )
-    analytics.strict = False
+    analytics = LiveAnalytics.from_snapshot(snapshot)
+    analytics.telemetry = Telemetry.in_memory()
     service = ReliabilityService(analytics, trace_cache=TraceCache(enabled=False))
     loop = asyncio.new_event_loop()
 
@@ -183,7 +177,8 @@ def test_reads_equal_a_fresh_service(stream, starts, start, steps):
                     analytics.ingest(*item)
                 position += arg
             elif kind == "reject":
-                analytics.ingest(0.0, "bogus", {})
+                with pytest.raises(ValueError):
+                    analytics.ingest(0.0, "bogus", {})
             elif kind == "finish":
                 analytics.finish()
             elif kind == "self_disable":
@@ -211,11 +206,13 @@ def test_reads_equal_a_fresh_service(stream, starts, start, steps):
 
 def test_version_bumps_on_every_ingest_and_finish(stream):
     trace, items = stream
-    analytics = LiveAnalytics(LiveConfig.for_trace(trace), strict=False)
+    analytics = LiveAnalytics(LiveConfig.for_trace(trace))
     assert analytics.version == 0
     analytics.ingest(*items[0])
-    analytics.ingest(0.0, "bogus", {})
-    analytics.ingest(0.0, "job", None)
+    with pytest.raises(ValueError):
+        analytics.ingest(0.0, "bogus", {})
+    with pytest.raises(ValueError):
+        analytics.ingest(0.0, "job", None)
     assert analytics.version == 3
     analytics.finish()
     assert analytics.version == 4

@@ -9,7 +9,7 @@ import pytest
 
 from repro.live import LiveAnalytics, LiveConfig, replay_trace
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.resilience import Backoff, CircuitBreaker, RetryPolicy
+from repro.resilience import Backoff, RetryPolicy
 from repro.runtime.cache import TraceCache
 from repro.serve import BackgroundServer, ReliabilityService
 
@@ -148,9 +148,7 @@ def test_breaker_degrades_to_503_with_retry_after_over_the_wire(
         warm_analytics,
         trace_cache=TraceCache(enabled=False),
         whatif_runner=runner,
-        breaker=CircuitBreaker(threshold=1),
         retry=RetryPolicy(max_attempts=1, backoff=Backoff(base_s=0.0)),
-        retry_after_s=30.0,
     )
     # a cached entry must survive the breaker opening
     from repro.serve import WhatIfSpec
@@ -160,10 +158,12 @@ def test_breaker_degrades_to_503_with_retry_after_over_the_wire(
         WhatIfSpec.from_payload(cached_payload).digest(), b'{"cached": true}\n'
     )
     with BackgroundServer(service) as server:
-        failed, _ = request(
-            server, "POST", "/v1/whatif/checkpoint-cadence", {"n_gpus": 64}
-        )
-        assert failed.status == 500
+        for i in range(service.breaker.threshold):
+            failed, _ = request(
+                server, "POST", "/v1/whatif/checkpoint-cadence",
+                {"n_gpus": 64 + i},
+            )
+            assert failed.status == 500
         rejected, body = request(
             server, "POST", "/v1/whatif/checkpoint-cadence", {"n_gpus": 128}
         )

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
-from repro.resilience import Backoff, CircuitBreaker, RetryPolicy
+from repro.resilience import Backoff, RetryPolicy
 from repro.runtime.cache import TraceCache
 from repro.serve import (
     SERVE_SCHEMA_VERSION,
@@ -292,7 +292,7 @@ def test_lru_bound_evicts_and_recomputes(warm_analytics):
 # ----------------------------------------------------------------------
 # degradation: breaker and overload
 # ----------------------------------------------------------------------
-def failing_service(warm_analytics, threshold=2):
+def failing_service(warm_analytics):
     def runner(spec):
         raise RuntimeError("chaos")
 
@@ -300,34 +300,39 @@ def failing_service(warm_analytics, threshold=2):
         warm_analytics,
         trace_cache=TraceCache(enabled=False),
         whatif_runner=runner,
-        breaker=CircuitBreaker(threshold=threshold),
         retry=RetryPolicy(max_attempts=1, backoff=Backoff(base_s=0.0)),
-        retry_after_s=7.0,
     )
 
 
-def test_breaker_opens_to_503_with_retry_after(warm_analytics):
-    service = failing_service(warm_analytics, threshold=2)
-    payloads = [{"n_gpus": 100 * (i + 1)} for i in range(3)]
-    first = post_json(service, "/v1/whatif/checkpoint-cadence", payloads[0])
-    second = post_json(service, "/v1/whatif/checkpoint-cadence", payloads[1])
-    assert first.status == 500 and second.status == 500
+def trip(service):
+    """Fail distinct what-ifs until the breaker opens (three failures)."""
+    for i in range(service.breaker.threshold):
+        failed = post_json(
+            service, "/v1/whatif/checkpoint-cadence", {"n_gpus": 100 * (i + 1)}
+        )
+        assert failed.status == 500
     assert service.breaker.open
-    third = post_json(service, "/v1/whatif/checkpoint-cadence", payloads[2])
-    assert third.status == 503
-    assert ("Retry-After", "7") in third.headers
+
+
+def test_breaker_opens_to_503_with_retry_after(warm_analytics):
+    service = failing_service(warm_analytics)
+    trip(service)
+    rejected = post_json(
+        service, "/v1/whatif/checkpoint-cadence", {"n_gpus": 4000}
+    )
+    assert rejected.status == 503
+    assert ("Retry-After", "30") in rejected.headers
     assert counter_value(service, "serve_breaker_rejections_total") == 1
 
 
 def test_breaker_open_still_serves_cached(warm_analytics):
-    service = failing_service(warm_analytics, threshold=1)
+    service = failing_service(warm_analytics)
     payload = {"n_gpus": 4096}
     # seed the cache before tripping the breaker
     service.whatif_cache.put(
         WhatIfSpec.from_payload(payload).digest(), b'{"cached": true}\n'
     )
-    post_json(service, "/v1/whatif/checkpoint-cadence", {"n_gpus": 777})
-    assert service.breaker.open
+    trip(service)
     response = post_json(service, "/v1/whatif/checkpoint-cadence", payload)
     assert response.status == 200
     assert response.body == b'{"cached": true}\n'
@@ -374,7 +379,6 @@ def test_overload_rejects_before_queueing(warm_analytics):
         trace_cache=TraceCache(enabled=False),
         whatif_runner=slow_runner,
         max_concurrent_whatif=1,
-        retry_after_s=3.0,
     )
 
     async def run():
@@ -404,12 +408,12 @@ def test_overload_rejects_before_queueing(warm_analytics):
     first, rejected = asyncio.run(run())
     assert first.status == 200
     assert rejected.status == 503
-    assert ("Retry-After", "3") in rejected.headers
+    assert ("Retry-After", "30") in rejected.headers
     assert counter_value(service, "serve_overload_rejections_total") == 1
 
 
 def test_failed_whatif_is_not_cached(warm_analytics):
-    service = failing_service(warm_analytics, threshold=10)
+    service = failing_service(warm_analytics)
     payload = {"n_gpus": 640}
     assert (
         post_json(service, "/v1/whatif/checkpoint-cadence", payload).status
