@@ -151,7 +151,8 @@ class LiveAnalytics:
 
         A malformed item raises ``ValueError`` before it touches any
         estimator or the watermark: the stream comes from an in-process
-        tap or a trace file, so a bad item is a programming error.
+        tap or a trace ``Trace.load`` validated, so a bad item is a
+        programming error.
         """
         self.version += 1
         if channel not in self.counts:
